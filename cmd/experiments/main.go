@@ -50,7 +50,6 @@ func main() {
 		check    = flag.String("check", "", "bench: fail if wall-clock regresses >25% against this baseline report")
 		cacheDir = flag.String("cache-dir", "", "persist the measurement cache here; warm re-runs reuse identical measurements")
 		simFlag  = flag.String("sim", "", "simulation mode for measured runs: exact (default) or sampled (extrapolated, approximate; collection stays exact)")
-		shards   = flag.Int("shards", 0, "coherence-directory shard count (power of two; 0 = unsharded; results are byte-identical at any count)")
 	)
 	flag.Parse()
 	if *jobs > 0 {
@@ -78,7 +77,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Sim = exec.SimConfig{Mode: simMode}
-	cfg.Shards = *shards
 	var spec *faults.Spec
 	if *inject != "" {
 		var err error

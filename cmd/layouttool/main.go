@@ -82,7 +82,6 @@ func main() {
 		cacheGCAge  = flag.Duration("cache-gc-age", 720*time.Hour, "with -cache-gc: remove entries not touched within this duration (0 disables the age criterion)")
 		cacheGCSize = flag.Int64("cache-gc-bytes", 0, "with -cache-gc: evict oldest entries until the disk tier fits this byte budget (0 = unlimited)")
 		simFlag     = flag.String("sim", "", "simulation mode for -measure runs: exact (default) or sampled (extrapolated, approximate; collection stays exact)")
-		shards      = flag.Int("shards", 0, "coherence-directory shard count (power of two; 0 = unsharded; results are byte-identical at any count)")
 	)
 	flag.Parse()
 	if *jobs > 0 {
@@ -117,7 +116,7 @@ func main() {
 	if *rank {
 		analysis, err = runRank(*programIn, *collectOn, *seed, *scripts, *k1, *k2, spec, *strict)
 	} else if *programIn != "" {
-		analysis, err = runProgramFile(*programIn, *structLabel, *collectOn, *mode, *seed, *k1, *k2, *topK, *split, *dotOut, spec, *strict, *measureRuns, simMode, *shards)
+		analysis, err = runProgramFile(*programIn, *structLabel, *collectOn, *mode, *seed, *k1, *k2, *topK, *split, *dotOut, spec, *strict, *measureRuns, simMode)
 	} else {
 		analysis, err = run(*structLabel, *collectOn, *mode, *seed, *scripts, *k1, *k2, *topK, *noAlias, *split, *profileIn, *traceIn, *dumpDir, *dotOut, spec, *strict)
 	}
@@ -458,7 +457,7 @@ func runRank(programIn, collectOn string, seed, scripts int64, k1, k2 float64, s
 }
 
 // runProgramFile drives the tool over a user-supplied irtext program.
-func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2 float64, topK int, split bool, dotOut string, spec *faults.Spec, strict bool, measureRuns int, simMode exec.SimMode, shards int) (*core.Analysis, error) {
+func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2 float64, topK int, split bool, dotOut string, spec *faults.Spec, strict bool, measureRuns int, simMode exec.SimMode) (*core.Analysis, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -482,11 +481,11 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2
 		}
 		return nil, fmt.Errorf("program %s has no struct %q (structs: %v)", file.Prog.Name, structName, names)
 	}
-	// Shards applies to every run (byte-identical at any count); Sim only
-	// to measured runs — Collect forces exact regardless, and sampled
-	// measurements memoize under distinct keys from exact ones.
+	// Sim applies only to measured runs — Collect forces exact
+	// regardless, and sampled measurements memoize under distinct keys
+	// from exact ones.
 	cfg := driver.Config{Topo: topo, Seed: seed, Inject: spec,
-		Sim: exec.SimConfig{Mode: simMode}, Shards: shards}
+		Sim: exec.SimConfig{Mode: simMode}}
 	fmt.Printf("collecting %s on %s...\n", file.Prog.Name, topo.Name)
 	res, err := driver.Collect(file, cfg, nil)
 	if err != nil {

@@ -63,13 +63,13 @@ thread 3 m iters 3
 		t.Fatal(err)
 	}
 	// -measure 2 exercises the multi-struct measurement loop end to end.
-	if _, err := runProgramFile(path, "s", "bus4", "both", 3, 4, 1, 20, true, "", none(t), false, 2, exec.SimSampled, 4); err != nil {
+	if _, err := runProgramFile(path, "s", "bus4", "both", 3, 4, 1, 20, true, "", none(t), false, 2, exec.SimSampled); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runProgramFile(path, "nope", "bus4", "auto", 3, 4, 1, 20, false, "", none(t), false, 0, exec.SimExact, 0); err == nil {
+	if _, err := runProgramFile(path, "nope", "bus4", "auto", 3, 4, 1, 20, false, "", none(t), false, 0, exec.SimExact); err == nil {
 		t.Fatal("unknown struct accepted")
 	}
-	if _, err := runProgramFile(path, "s", "nowhere", "auto", 3, 4, 1, 20, false, "", none(t), false, 0, exec.SimExact, 0); err == nil {
+	if _, err := runProgramFile(path, "s", "nowhere", "auto", 3, 4, 1, 20, false, "", none(t), false, 0, exec.SimExact); err == nil {
 		t.Fatal("unknown machine accepted")
 	}
 }
@@ -94,7 +94,7 @@ thread 1 m iters 4
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runProgramFile(path, "s", "bus4", "auto", 3, 4, 1, 20, false, "", spec, false, 0, exec.SimExact, 0); err != nil {
+	if _, err := runProgramFile(path, "s", "bus4", "auto", 3, 4, 1, 20, false, "", spec, false, 0, exec.SimExact); err != nil {
 		t.Fatalf("graceful mode errored on injected faults: %v", err)
 	}
 }

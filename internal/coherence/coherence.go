@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"structlayout/internal/machine"
 )
@@ -89,14 +88,6 @@ type Config struct {
 	Ways     int
 	// Protocol selects MESI (default) or MSI.
 	Protocol Protocol
-	// Shards is the number of directory shards (a power of two; 0 means 1).
-	// A line's directory entry is allocated from shard line&(Shards-1), so
-	// callers that partition the address space by line — the execution
-	// engine's thread groups — can drive disjoint regions concurrently:
-	// each shard's mutable allocation state (map tier, slab pool) has its
-	// own lock, and every counter is per-CPU. Sharding never changes any
-	// result: stats, states and latencies are byte-identical at any count.
-	Shards int
 }
 
 // DefaultItanium returns the 6 MB, 12-way, 128 B/line configuration.
@@ -123,9 +114,6 @@ func (c Config) Validate() error {
 	}
 	if c.Protocol != MESI && c.Protocol != MSI {
 		return fmt.Errorf("coherence: unknown protocol %d", c.Protocol)
-	}
-	if c.Shards < 0 || c.Shards&(c.Shards-1) != 0 {
-		return fmt.Errorf("coherence: shard count %d not a power of two", c.Shards)
 	}
 	return nil
 }
@@ -228,30 +216,9 @@ func (c *cpuCache) init(cfg Config) {
 // directory slab allocation holds.
 const slabSize = 256
 
-// dirShard is one shard of the directory's mutable allocation state: the
-// sparse map tier and the slab pool new entries are carved from. The flat
-// directory slice is shared across shards (callers that run concurrently
-// partition lines, so distinct goroutines write distinct elements); only
-// allocation — which mutates the slab cursor and the map — takes the
-// shard's lock.
-type dirShard struct {
-	mu    sync.Mutex
-	lines map[int64]*lineInfo
-
-	// lineInfo slab pool: entries and their bitset backing are carved from
-	// chunked allocations instead of three small allocs per new line.
-	slab     []lineInfo
-	slabBits []uint64
-	slabPos  int
-}
-
 // System is a full multiprocessor coherence domain. The execution engine
 // drives it under a virtual clock, which keeps simulations deterministic.
-// It is safe for concurrent use only under the engine's partitioning
-// contract: concurrent callers must drive disjoint sets of lines (and
-// disjoint CPUs) — then directory entries, cache sets and per-CPU counters
-// are all touched by one goroutine each, and the per-shard locks serialize
-// the only shared mutation, slab/map allocation.
+// It is not safe for concurrent use.
 type System struct {
 	topo   *machine.Topology
 	cfg    Config
@@ -260,35 +227,36 @@ type System struct {
 	// Directory. Lines below flatLines resolve through the flat slice —
 	// one load instead of a map probe on the miss path; everything else
 	// (out-of-arena addresses, tests with sparse address spaces) falls
-	// back to the per-shard maps. ReserveDirectory sizes the flat region.
+	// back to the lines map. ReserveDirectory sizes the flat region.
 	flat      []*lineInfo
 	flatLines int64
+	lines     map[int64]*lineInfo
 
-	shards    []dirShard
-	shardMask int64
+	// lineInfo slab pool: entries and their bitset backing are carved from
+	// chunked allocations instead of three small allocs per new line.
+	slab     []lineInfo
+	slabBits []uint64
+	slabPos  int
 
 	lineShift uint
 	setMask   int64
 	words     int // bitset words per CPU set
 
-	// perCPU holds every counter; the global view is their sum. Keeping a
-	// single per-access increment (instead of the old paired per-CPU +
-	// global bump) is what lets partitioned callers run without atomics:
-	// each CPU belongs to exactly one caller.
+	// perCPU holds every counter; the global view is their sum, so each
+	// access costs one increment.
 	perCPU []Stats
 
-	// warm is the per-CPU discard bin for Warm accesses: the transition
-	// code increments counters unconditionally (keeping the exact path
-	// branch-free), and Warm simply aims them here. Per CPU so warming
-	// obeys the same partitioning contract as Access.
-	warm []Stats
+	// warm is the discard bin for Warm accesses: the transition code
+	// increments counters unconditionally (keeping the exact path
+	// branch-free), and Warm simply aims them here.
+	warm Stats
 
-	// pinned is the per-CPU bin for AccessPinned: accesses a sampled run
-	// measures in full rather than at the sampling rate (lock words). The
-	// run's extrapolation adds this stratum at weight 1 while scaling the
+	// pinned is the bin for AccessPinned: accesses a sampled run measures
+	// in full rather than at the sampling rate (lock words). The run's
+	// extrapolation adds this stratum at weight 1 while scaling the
 	// windowed stratum, so always-measured traffic is never multiplied by
 	// the inverse sampling rate.
-	pinned []Stats
+	pinned Stats
 
 	// near[cpu] partitions the other CPUs into equal-transfer-latency
 	// classes, ascending by latency, each class one bitset's worth of mask
@@ -310,28 +278,19 @@ func NewSystem(topo *machine.Topology, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
 	n := topo.NumCPUs()
 	s := &System{
-		topo:      topo,
-		cfg:       cfg,
-		caches:    make([]cpuCache, n),
-		shards:    make([]dirShard, cfg.Shards),
-		shardMask: int64(cfg.Shards - 1),
-		perCPU:    make([]Stats, n),
-		warm:      make([]Stats, n),
-		pinned:    make([]Stats, n),
-		words:     (n + 63) / 64,
+		topo:   topo,
+		cfg:    cfg,
+		caches: make([]cpuCache, n),
+		lines:  make(map[int64]*lineInfo),
+		perCPU: make([]Stats, n),
+		words:  (n + 63) / 64,
 	}
 	for i := int64(1); i < cfg.LineSize; i <<= 1 {
 		s.lineShift++
 	}
 	s.setMask = int64(cfg.Sets - 1)
-	for i := range s.shards {
-		s.shards[i].lines = make(map[int64]*lineInfo)
-	}
 	s.buildNearTable(n)
 	return s, nil
 }
@@ -384,7 +343,7 @@ func (s *System) nearestSharer(cpu int, sh bitset) int {
 // [0, maxAddr]. The execution engine calls it with the top of its bump
 // allocator so every arena- and region-backed line takes the flat path;
 // addresses beyond the reservation still work through the map fallback.
-// Existing entries are preserved. Not safe concurrently with accesses.
+// Existing entries are preserved.
 func (s *System) ReserveDirectory(maxAddr int64) {
 	if maxAddr < 0 {
 		return
@@ -396,13 +355,10 @@ func (s *System) ReserveDirectory(maxAddr int64) {
 	flat := make([]*lineInfo, n)
 	copy(flat, s.flat)
 	// Migrate map entries that the grown flat region now covers.
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for line, li := range sh.lines {
-			if line >= 0 && line < n {
-				flat[line] = li
-				delete(sh.lines, line)
-			}
+	for line, li := range s.lines {
+		if line >= 0 && line < n {
+			flat[line] = li
+			delete(s.lines, line)
 		}
 	}
 	s.flat, s.flatLines = flat, n
@@ -413,72 +369,57 @@ func (s *System) lookup(line int64) *lineInfo {
 	if uint64(line) < uint64(s.flatLines) {
 		return s.flat[line]
 	}
-	sh := &s.shards[line&s.shardMask]
-	sh.mu.Lock()
-	li := sh.lines[line]
-	sh.mu.Unlock()
-	return li
+	return s.lines[line]
 }
 
-// alloc carves one lineInfo (and its bitset backing) from the shard's slab
-// pool. Callers hold the shard lock.
-func (sh *dirShard) alloc(line int64, words int) *lineInfo {
-	if sh.slabPos == len(sh.slab) {
-		sh.slab = make([]lineInfo, slabSize)
-		sh.slabBits = make([]uint64, slabSize*3*words)
-		sh.slabPos = 0
+// alloc carves one lineInfo (and its bitset backing) from the slab pool.
+func (s *System) alloc(line int64) *lineInfo {
+	if s.slabPos == len(s.slab) {
+		s.slab = make([]lineInfo, slabSize)
+		s.slabBits = make([]uint64, slabSize*3*s.words)
+		s.slabPos = 0
 	}
-	li := &sh.slab[sh.slabPos]
-	base := sh.slabPos * 3 * words
-	sh.slabPos++
+	li := &s.slab[s.slabPos]
+	w := s.words
+	base := s.slabPos * 3 * w
+	s.slabPos++
 	li.line = line
-	li.sharers = bitset(sh.slabBits[base : base+words])
-	li.everCached = bitset(sh.slabBits[base+words : base+2*words])
-	li.invalidated = bitset(sh.slabBits[base+2*words : base+3*words])
+	li.sharers = bitset(s.slabBits[base : base+w])
+	li.everCached = bitset(s.slabBits[base+w : base+2*w])
+	li.invalidated = bitset(s.slabBits[base+2*w : base+3*w])
 	li.owner = -1
 	li.lastWriter = -1
 	return li
 }
 
-// getOrCreate returns the directory entry for line, allocating from the
-// line's shard on first touch. Under the partitioning contract a given
-// line is only ever created by one goroutine; the shard lock serializes
-// the slab cursor and map, the only state distinct lines share.
+// getOrCreate returns the directory entry for line, allocating it on first
+// touch.
 func (s *System) getOrCreate(line int64) *lineInfo {
 	if uint64(line) < uint64(s.flatLines) {
 		if li := s.flat[line]; li != nil {
 			return li
 		}
-		sh := &s.shards[line&s.shardMask]
-		sh.mu.Lock()
-		li := sh.alloc(line, s.words)
-		sh.mu.Unlock()
+		li := s.alloc(line)
 		s.flat[line] = li
 		return li
 	}
-	sh := &s.shards[line&s.shardMask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if li := sh.lines[line]; li != nil {
+	if li := s.lines[line]; li != nil {
 		return li
 	}
-	li := sh.alloc(line, s.words)
-	sh.lines[line] = li
+	li := s.alloc(line)
+	s.lines[line] = li
 	return li
 }
 
-// forEachLine visits every directory entry (flat and map-backed). Not safe
-// concurrently with accesses.
+// forEachLine visits every directory entry (flat and map-backed).
 func (s *System) forEachLine(fn func(line int64, li *lineInfo)) {
 	for line, li := range s.flat {
 		if li != nil {
 			fn(int64(line), li)
 		}
 	}
-	for i := range s.shards {
-		for line, li := range s.shards[i].lines {
-			fn(line, li)
-		}
+	for line, li := range s.lines {
+		fn(line, li)
 	}
 }
 
@@ -487,7 +428,7 @@ func (s *System) Config() Config { return s.cfg }
 
 // GlobalStats returns aggregate counters: the sum of every CPU's. Each
 // increment lands on exactly one CPU's counters, so the sum equals what a
-// single global tally would have counted, shard mode or not.
+// single global tally would have counted.
 func (s *System) GlobalStats() Stats {
 	var g Stats
 	for i := range s.perCPU {
@@ -517,13 +458,13 @@ func (s *System) AccessInto(cpu int, addr int64, size int, write bool, res *Acce
 
 // Warm performs the identical MESI transitions (and returns the identical
 // outcome, latency included) as Access, but records no statistics: the
-// counters land in a per-CPU discard bin. The sampled execution mode drives
+// counters land in a discard bin. The sampled execution mode drives
 // every off-window access through here — SMARTS-style functional warming —
 // so that measured windows open on exactly the cache and directory state an
 // exact run would have, instead of a stale one whose inflated miss rate
 // would bias every extrapolated counter.
 func (s *System) Warm(cpu int, addr int64, size int, write bool) (res AccessResult) {
-	s.access(cpu, addr, size, write, &s.warm[cpu], &res)
+	s.access(cpu, addr, size, write, &s.warm, &res)
 	return
 }
 
@@ -533,18 +474,12 @@ func (s *System) Warm(cpu int, addr int64, size int, write bool) (res AccessResu
 // covers exactly the rate-sampled accesses and PinnedStats the full-count
 // ones; the extrapolation scales only the former.
 func (s *System) AccessPinned(cpu int, addr int64, size int, write bool) (res AccessResult) {
-	s.access(cpu, addr, size, write, &s.pinned[cpu], &res)
+	s.access(cpu, addr, size, write, &s.pinned, &res)
 	return
 }
 
-// PinnedStats returns the summed pinned-stratum counters.
-func (s *System) PinnedStats() Stats {
-	var g Stats
-	for i := range s.pinned {
-		g.Add(s.pinned[i])
-	}
-	return g
-}
+// PinnedStats returns the pinned-stratum counters.
+func (s *System) PinnedStats() Stats { return s.pinned }
 
 // access fills res (which must be zeroed by the caller) with the outcome.
 // The out-parameter style keeps the hot accessLine call from copying a
@@ -716,7 +651,7 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, st *S
 			ownerCPU := int(li.owner)
 			if s.downgradeOwner(ownerCPU, line) {
 				st.Writebacks++
-				}
+			}
 			li.owner = -1
 			newState = Shared
 		} else if !li.sharers.empty() {

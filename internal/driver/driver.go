@@ -39,9 +39,6 @@ type Config struct {
 	// runs. Collection runs are always exact — the PMU trace must observe
 	// every access — so Collect zeroes this.
 	Sim exec.SimConfig
-	// Shards is the coherence-directory shard count (0 or 1 = unsharded).
-	// An allocation detail: results are byte-identical at any count.
-	Shards int
 	// Inject, when non-nil, applies the measurement-fault spec to every
 	// collection this config produces (profile and trace), so -inject is
 	// honored on the DSL/driver path exactly as on the built-in workload.
@@ -86,8 +83,6 @@ func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.R
 	if len(f.Threads) == 0 {
 		return nil, fmt.Errorf("driver: program %s declares no threads", f.Prog.Name)
 	}
-	cache := cfg.Cache
-	cache.Shards = cfg.Shards
 	sim := cfg.Sim
 	if cfg.Sampling != nil {
 		// A collected run is always exact: the PMU trace must observe
@@ -96,7 +91,7 @@ func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.R
 	}
 	r, err := exec.NewRunner(f.Prog, exec.Config{
 		Topo:     cfg.Topo,
-		Cache:    cache,
+		Cache:    cfg.Cache,
 		Seed:     cfg.Seed,
 		Sampling: cfg.Sampling,
 		Sim:      sim,

@@ -1,34 +1,30 @@
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"structlayout/internal/exec"
 	"structlayout/internal/irtext"
 	"structlayout/internal/machine"
-	"structlayout/internal/memo"
 	"structlayout/internal/parallel"
 	"structlayout/internal/workload"
 )
 
-// The sharded/sampled stress test, companion to TestConcurrentCallersMatchSerial:
-// many goroutines drive sharded group-parallel execution (unmemoized
-// driver.Run, so every call re-runs the engines), sampled measurement,
-// sharded collection and the workload suite's sharded+sampled path, racing
-// cold and warm cache states — and every result must be byte-identical to a
-// serial pass. The exact sharded runs must additionally match the unsharded
-// serial run bit-for-bit: the shard count is an allocation detail, never an
-// observable one. Run under -race this is the sharded directory's and the
-// group scheduler's data-race test.
+// The per-thread-instance stress test, companion to
+// TestConcurrentCallersMatchSerial: many goroutines drive unmemoized
+// driver.Run (so every call re-executes the simulator), sampled
+// measurement, collection and the workload suite's sampled path over a
+// program whose threads touch footprint-disjoint arena instances, racing
+// cold and warm cache states — and every result must be byte-identical to
+// a serial pass. The name dates from when this footprint-disjoint shape
+// ran on a sharded coherence directory; run under -race it is now the
+// single-directory simulator's data-race test for that shape.
 
-// shardProgram gives each thread its own arena instance, so threadGroups
-// splits the run into four footprint-disjoint groups that the engines
-// execute concurrently when shards are on.
+// shardProgram gives each thread its own arena instance through its
+// parameter, so its lock and field traffic resolves per thread.
 const shardProgram = `
 program shardstress
 
@@ -97,161 +93,54 @@ func shardStressCases(t *testing.T) []stressCase {
 	}
 	var cases []stressCase
 
-	// Unmemoized runs: exact and sampled, unsharded and sharded. Every
-	// replay re-executes the engines, so the concurrent rounds race the
-	// group-parallel scheduler itself, not just the cache.
+	// Unmemoized runs, exact and sampled: every replay re-executes the
+	// simulator, so the concurrent rounds race it, not just the cache.
 	sampled := exec.SimConfig{Mode: exec.SimSampled, WindowOps: 1 << 6, Period: 3}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"run/exact/shards0", Config{Topo: topo, Seed: 3}},
-		{"run/exact/shards8", Config{Topo: topo, Seed: 3, Shards: 8}},
-		{"run/sampled/shards0", Config{Topo: topo, Seed: 3, Sim: sampled}},
-		{"run/sampled/shards8", Config{Topo: topo, Seed: 3, Sim: sampled, Shards: 8}},
+		{"run/exact", Config{Topo: topo, Seed: 3}},
+		{"run/sampled", Config{Topo: topo, Seed: 3, Sim: sampled}},
 	} {
 		cfg := tc.cfg
-		cases = append(cases, stressCase{
-			name: tc.name,
-			run: func() (string, error) {
-				res, err := Run(file, cfg, nil)
-				if err != nil {
-					return "", err
-				}
-				return encodeResult(res), nil
-			},
-		})
-	}
-
-	// Memoized sharded measurement, exact and sampled: replays race the
-	// single-flight cold path and then the warm memory tier.
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"measure/shards8", Config{Topo: topo, Seed: 7, Shards: 8}},
-		{"measure/sampled8", Config{Topo: topo, Seed: 7, Shards: 8, Sim: sampled}},
-	} {
-		cfg := tc.cfg
-		cases = append(cases, stressCase{
-			name: tc.name,
-			run: func() (string, error) {
-				m, err := Measure(file, cfg, nil, 3)
-				if err != nil {
-					return "", err
-				}
-				b, err := json.Marshal(m)
-				return string(b), err
-			},
-		})
-	}
-
-	// Sharded collection: the collector pins execution to one group, but
-	// the directory itself stays sharded under it.
-	ccfg := Config{Topo: topo, Seed: 5, Shards: 8}
-	cases = append(cases, stressCase{
-		name: "collect/shards8",
-		run: func() (string, error) {
-			pf, tr, cycles, err := CollectCached(file, ccfg)
+		cases = append(cases, stressCase{name: tc.name, run: func() (string, error) {
+			res, err := Run(file, cfg, nil)
 			if err != nil {
 				return "", err
 			}
-			var pbuf, tbuf strings.Builder
-			if err := pf.WriteJSON(&pbuf); err != nil {
-				return "", err
-			}
-			if err := tr.WriteJSON(&tbuf); err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%d\n%s\n%s", cycles, pbuf.String(), tbuf.String()), nil
-		},
-	})
+			return encodeResult(res), nil
+		}})
+	}
 
-	// The built-in workload with sharding and sampling on at once.
+	// Memoized sampled measurement: replays race the single-flight cold
+	// path and then the warm memory tier.
+	mcfg := Config{Topo: topo, Seed: 7, Sim: sampled}
+	cases = append(cases, jsonCase("measure/sampled", func() (any, error) {
+		return Measure(file, mcfg, nil, 3)
+	}))
+
+	cases = append(cases, collectCase("collect", file, Config{Topo: topo, Seed: 5}))
+
+	// The built-in workload with sampling on.
 	suite, err := workload.NewSuite(workload.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite.Shards = 8
 	suite.Sim = sampled
 	ls := suite.BaselineLayouts(128)
-	cases = append(cases, stressCase{
-		name: "workload/sampled8",
-		run: func() (string, error) {
-			m, err := suite.Measure(topo, ls, 2, 42)
-			if err != nil {
-				return "", err
-			}
-			b, err := json.Marshal(m)
-			return string(b), err
-		},
-	})
+	cases = append(cases, jsonCase("workload/sampled", func() (any, error) {
+		return suite.Measure(topo, ls, 2, 42)
+	}))
 	return cases
 }
 
 func TestShardedConcurrentCallersMatchSerial(t *testing.T) {
-	// The container may be single-CPU; group-parallel engines only overlap
+	// The container may be single-CPU; a Measure call's runs only overlap
 	// when the worker limit allows it.
 	old := parallel.Limit()
 	parallel.SetLimit(4)
 	defer parallel.SetLimit(old)
 
-	cases := shardStressCases(t)
-
-	// Serial ground truth on a cold cache.
-	memo.Shared().Clear()
-	want := make(map[string]string, len(cases))
-	for _, c := range cases {
-		got, err := c.run()
-		if err != nil {
-			t.Fatalf("serial %s: %v", c.name, err)
-		}
-		want[c.name] = got
-	}
-
-	// The shard count must be invisible in the results, in both modes.
-	if want["run/exact/shards8"] != want["run/exact/shards0"] {
-		t.Fatalf("exact sharded run differs from unsharded:\n got: %.200s\nwant: %.200s",
-			want["run/exact/shards8"], want["run/exact/shards0"])
-	}
-	if want["run/sampled/shards8"] != want["run/sampled/shards0"] {
-		t.Fatalf("sampled sharded run differs from unsharded:\n got: %.200s\nwant: %.200s",
-			want["run/sampled/shards8"], want["run/sampled/shards0"])
-	}
-
-	for round, clear := range []bool{true, false} {
-		if clear {
-			memo.Shared().Clear()
-		}
-		const workers = 16
-		var wg sync.WaitGroup
-		errs := make(chan error, workers*len(cases))
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := range cases {
-					c := cases[(i+w)%len(cases)]
-					got, err := c.run()
-					if err != nil {
-						errs <- fmt.Errorf("round %d worker %d %s: %w", round, w, c.name, err)
-						return
-					}
-					if got != want[c.name] {
-						errs <- fmt.Errorf("round %d worker %d %s: result differs from serial\n got: %.120s\nwant: %.120s",
-							round, w, c.name, got, want[c.name])
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
-		if t.Failed() {
-			t.FailNow()
-		}
-	}
+	replayMatchesSerial(t, shardStressCases(t))
 }

@@ -56,70 +56,75 @@ type stressCase struct {
 	run  func() (string, error) // returns a canonical encoding of the result
 }
 
+// jsonCase is a stress case whose result canonicalizes as JSON.
+func jsonCase(name string, run func() (any, error)) stressCase {
+	return stressCase{name: name, run: func() (string, error) {
+		v, err := run()
+		if err != nil {
+			return "", err
+		}
+		b, err := json.Marshal(v)
+		return string(b), err
+	}}
+}
+
+// collectCase replays a cached collection; the encoding covers the cycle
+// count and both canonical file encodings, so faulted artifacts must
+// reproduce bit for bit too.
+func collectCase(name string, file *irtext.File, cfg Config) stressCase {
+	return stressCase{name: name, run: func() (string, error) {
+		pf, tr, cycles, err := CollectCached(file, cfg)
+		if err != nil {
+			return "", err
+		}
+		var pbuf, tbuf bytes.Buffer
+		if err := pf.WriteJSON(&pbuf); err != nil {
+			return "", err
+		}
+		if err := tr.WriteJSON(&tbuf); err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%d\n%s\n%s", cycles, pbuf.String(), tbuf.String()), nil
+	}}
+}
+
 func stressCases(t *testing.T) []stressCase {
 	t.Helper()
 	topo, err := machine.ByName("way16")
 	if err != nil {
 		t.Fatal(err)
 	}
+	parse := func(src string) *irtext.File {
+		file, err := irtext.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return file
+	}
 	var cases []stressCase
 
 	// driver.Measure over two programs and two seeds.
 	for p := 0; p < 2; p++ {
-		file, err := irtext.Parse(fmt.Sprintf(stressProgram, p))
-		if err != nil {
-			t.Fatal(err)
-		}
+		file := parse(fmt.Sprintf(stressProgram, p))
 		for seed := int64(1); seed <= 2; seed++ {
 			cfg := Config{Topo: topo, Seed: seed}
-			cases = append(cases, stressCase{
-				name: fmt.Sprintf("measure/p%d/s%d", p, seed),
-				run: func() (string, error) {
-					m, err := Measure(file, cfg, nil, 3)
-					if err != nil {
-						return "", err
-					}
-					b, err := json.Marshal(m)
-					return string(b), err
-				},
-			})
+			cases = append(cases, jsonCase(fmt.Sprintf("measure/p%d/s%d", p, seed), func() (any, error) {
+				return Measure(file, cfg, nil, 3)
+			}))
 		}
 	}
 
-	// driver.CollectCached with and without fault injection: the faulted
-	// artifacts are part of the cached value, so replays must reproduce
-	// them bit-for-bit too.
+	// driver.CollectCached with and without fault injection.
 	for _, spec := range []string{"", "loss=0.4,seed=9", "drift=0.5,seed=3"} {
 		fs, err := faults.ParseSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		file, err := irtext.Parse(fmt.Sprintf(stressProgram, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Topo: topo, Seed: 5, Inject: fs}
 		label := spec
 		if label == "" {
 			label = "clean"
 		}
-		cases = append(cases, stressCase{
-			name: "collect/" + label,
-			run: func() (string, error) {
-				pf, tr, cycles, err := CollectCached(file, cfg)
-				if err != nil {
-					return "", err
-				}
-				var pbuf, tbuf bytes.Buffer
-				if err := pf.WriteJSON(&pbuf); err != nil {
-					return "", err
-				}
-				if err := tr.WriteJSON(&tbuf); err != nil {
-					return "", err
-				}
-				return fmt.Sprintf("%d\n%s\n%s", cycles, pbuf.String(), tbuf.String()), nil
-			},
-		})
+		cases = append(cases, collectCase("collect/"+label, parse(fmt.Sprintf(stressProgram, 0)), Config{Topo: topo, Seed: 5, Inject: fs}))
 	}
 
 	// workload.Measure: the built-in suite's memoized path, sharing the
@@ -130,24 +135,22 @@ func stressCases(t *testing.T) []stressCase {
 	}
 	ls := suite.BaselineLayouts(128)
 	for seed := int64(100); seed <= 101; seed++ {
-		cases = append(cases, stressCase{
-			name: fmt.Sprintf("workload/s%d", seed),
-			run: func() (string, error) {
-				m, err := suite.Measure(topo, ls, 3, seed)
-				if err != nil {
-					return "", err
-				}
-				b, err := json.Marshal(m)
-				return string(b), err
-			},
-		})
+		cases = append(cases, jsonCase(fmt.Sprintf("workload/s%d", seed), func() (any, error) {
+			return suite.Measure(topo, ls, 3, seed)
+		}))
 	}
 	return cases
 }
 
 func TestConcurrentCallersMatchSerial(t *testing.T) {
-	cases := stressCases(t)
+	replayMatchesSerial(t, stressCases(t))
+}
 
+// replayMatchesSerial computes every case once serially on a cold cache,
+// then replays them all from many goroutines and requires each result to
+// be byte-identical to its serial one.
+func replayMatchesSerial(t *testing.T, cases []stressCase) {
+	t.Helper()
 	// Serial ground truth on a cold cache.
 	memo.Shared().Clear()
 	want := make(map[string]string, len(cases))

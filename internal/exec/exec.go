@@ -24,7 +24,6 @@ import (
 	"structlayout/internal/ir"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
-	"structlayout/internal/parallel"
 	"structlayout/internal/profile"
 	"structlayout/internal/sampling"
 )
@@ -110,7 +109,7 @@ type Result struct {
 // It also carries the run's dense per-field statistics and lock table, so
 // the per-access hot path indexes slices instead of probing maps.
 type arena struct {
-	idx    int // position in arenaList; indexes engine stat slices
+	idx    int // position in arenaList; indexes per-thread instance tables
 	base   int64
 	count  int
 	stride int64
@@ -186,6 +185,16 @@ type Runner struct {
 	nparams int // widest thread parameter list (sizes the instance tables)
 
 	sim simState
+
+	// Scheduler state (see run): idShift packs a thread's scheduling key
+	// (time, id) into one int64, time<<idShift | id, so a single integer
+	// compare is the full lexicographic order, removing the tie-break
+	// branch from every heap compare and yield check; timeCap guards the
+	// shift against overflow. woken holds the threads released by the
+	// current step's unlock.
+	idShift uint
+	timeCap int64
+	woken   []*thread
 
 	completed int64
 	ran       bool
@@ -349,30 +358,8 @@ func (r *Runner) Run() (*Result, error) {
 	r.buildInstTables()
 	r.coh.ReserveDirectory(r.nextAdr)
 
-	// Partition threads into footprint-disjoint groups and run each group
-	// on its own engine. With one group (the common case outside shard
-	// mode) this is a plain serial run; with several, the groups execute
-	// concurrently — they share only the coherence system, which they
-	// drive on disjoint lines and CPUs — and their accumulators merge as
-	// commutative sums, so the result is byte-identical either way.
-	groups := r.threadGroups()
-	engines := make([]*engine, len(groups))
-	for i, ts := range groups {
-		engines[i] = r.newEngine(ts)
-	}
-	if len(engines) == 1 {
-		if err := engines[0].run(); err != nil {
-			return nil, err
-		}
-	} else if err := parallel.ForEach(len(engines), func(i int) error {
-		return engines[i].run()
-	}); err != nil {
+	if err := r.run(); err != nil {
 		return nil, err
-	}
-	for _, g := range engines {
-		if err := r.merge(g); err != nil {
-			return nil, err
-		}
 	}
 
 	// Rebuild the sparse field map from the dense per-arena statistics;
@@ -414,20 +401,19 @@ func (r *Runner) Run() (*Result, error) {
 }
 
 // runUntil advances one thread until it yields the CPU: it would execute a
-// shared operation without holding the group's lexicographic-minimum
-// (time, id), it parks on a lock, it wakes another thread, or it finishes.
+// shared operation without holding the lexicographic-minimum (time, id),
+// it parks on a lock, it wakes another thread, or it finishes.
 // It is the scheduling-point boundary of the superblock fast path:
 // straight-line instruction runs inside a basic block execute in the tight
 // inner loop below — one frame lookup per run instead of one full step()
 // dispatch (stack probe + frame-kind switch) per instruction — while frame
 // management (sequence/loop/if bookkeeping) falls through to step().
 //
-// The yield condition is checked before every instruction (see engine.run
+// The yield condition is checked before every instruction (see Runner.run
 // for the invariant), so the global order of coherence accesses is a pure
 // function of thread time trajectories — bit-identical between the
-// superblock path, the one-step-at-a-time slow path, and any grouping.
-func (g *engine) runUntil(t *thread, limit int64) error {
-	r := g.r
+// superblock path and the one-step-at-a-time slow path.
+func (r *Runner) runUntil(t *thread, limit int64) error {
 	for {
 		if n := len(t.stack); !r.slowPath && n > 0 && t.stack[n-1].kind == fBlock {
 			f := &t.stack[n-1]
@@ -436,14 +422,14 @@ func (g *engine) runUntil(t *thread, limit int64) error {
 				in := &dins[f.idx]
 				// Hoisted fast path of yieldCheck: while the thread holds
 				// the lexicographic minimum, no op can require a yield.
-				if g.key(t) > limit && g.yieldCheck(t, limit, in) {
+				if r.key(t) > limit && r.yieldCheck(t, limit, in) {
 					return nil
 				}
 				f.idx++
-				if err := g.execInstr(t, in); err != nil {
+				if err := r.execInstr(t, in); err != nil {
 					return err
 				}
-				if t.parked || len(g.woken) > 0 {
+				if t.parked || len(r.woken) > 0 {
 					return nil
 				}
 				if len(t.stack) != n {
@@ -457,11 +443,11 @@ func (g *engine) runUntil(t *thread, limit int64) error {
 			}
 			continue
 		}
-		yielded, err := g.step(t, limit)
+		yielded, err := r.step(t, limit)
 		if err != nil {
 			return err
 		}
-		if yielded || t.done || t.parked || len(g.woken) > 0 {
+		if yielded || t.done || t.parked || len(r.woken) > 0 {
 			return nil
 		}
 	}
@@ -545,4 +531,3 @@ func mergeComputes(ds []decInstr) []decInstr {
 	}
 	return out
 }
-

@@ -5,92 +5,29 @@ import (
 	"math/bits"
 
 	"structlayout/internal/ir"
-	"structlayout/internal/profile"
 )
 
-// engine is the execution state of one thread group: the scheduler queue
-// plus every accumulator written on the hot path (profile counts, dense
-// per-arena field stats, completion counter, wake list). Groups with
-// disjoint static footprints (see threadGroups) share nothing but the
-// coherence system — which they drive on disjoint lines and CPUs — so
-// engines can run concurrently and merge commutatively, byte-identical to
-// a serial run.
-type engine struct {
-	r       *Runner
-	threads []*thread
-
-	// idShift packs a thread's scheduling key (time, id) into one int64:
-	// time<<idShift | id. A single integer compare is then the full
-	// lexicographic order, removing the tie-break branch from every heap
-	// compare and yield check. idShift is the bit width of the group's
-	// largest thread id; timeCap guards the shift against overflow.
-	idShift uint
-	timeCap int64
-
-	prof  *profile.Profile
-	stats [][]FieldStat // per-arena (by arena.idx) field statistics
-	woken []*thread     // threads released by the current step's unlock
-
-	completed int64
-}
-
-func (r *Runner) newEngine(ts []*thread) *engine {
-	g := &engine{r: r, threads: ts, prof: profile.New(r.prog)}
-	maxID := 0
-	for _, t := range ts {
-		if t.id > maxID {
-			maxID = t.id
-		}
-	}
-	g.idShift = uint(bits.Len(uint(maxID)))
-	g.timeCap = int64(1) << (62 - g.idShift)
-	g.stats = make([][]FieldStat, len(r.arenaList))
-	for i, a := range r.arenaList {
-		g.stats[i] = make([]FieldStat, len(a.stats))
-	}
-	return g
-}
-
-// merge folds a finished engine's accumulators into the runner. Every
-// accumulator is a commutative sum, so merge order cannot affect results.
-func (r *Runner) merge(g *engine) error {
-	r.completed += g.completed
-	for i, a := range r.arenaList {
-		for fi := range g.stats[i] {
-			s, d := &g.stats[i][fi], &a.stats[fi]
-			d.Accesses += s.Accesses
-			d.Misses += s.Misses
-			d.CohMisses += s.CohMisses
-			d.Upgrades += s.Upgrades
-			d.FalseSharing += s.FalseSharing
-			d.CausedFalseSharing += s.CausedFalseSharing
-			d.StallCycles += s.StallCycles
-		}
-	}
-	return r.prof.Merge(g.prof)
-}
-
 // key packs a thread's (time, id) into its single-compare scheduling key.
-func (g *engine) key(t *thread) int64 {
-	return t.time<<g.idShift | int64(t.id)
+func (r *Runner) key(t *thread) int64 {
+	return t.time<<r.idShift | int64(t.id)
 }
 
-// run executes the group's threads to completion.
+// run executes the threads to completion.
 //
 // Scheduling invariant: a shared operation (lock/unlock always; field and
 // region accesses unless sampled off-window) executes only when its
-// thread's pre-op (time, id) is the lexicographic minimum over the group's
+// thread's pre-op (time, id) is the lexicographic minimum over the
 // runnable threads. Non-shared operations (compute, calls, control
 // bookkeeping, off-window accesses) never yield — they are invisible to
 // other threads, so executing them past the limit commutes with everything.
 // The order of shared operations is therefore a pure function of the
-// threads' virtual-time trajectories, independent of yield granularity and
-// of whatever other groups do — which is what makes group-parallel
-// execution byte-identical to serial.
-func (g *engine) run() error {
-	q := make(tq, 0, len(g.threads))
-	for _, t := range g.threads {
-		q.push(g.key(t), t)
+// threads' virtual-time trajectories, independent of yield granularity.
+func (r *Runner) run() error {
+	r.idShift = uint(bits.Len(uint(len(r.threads) - 1))) // width of the largest id
+	r.timeCap = int64(1) << (62 - r.idShift)
+	q := make(tq, 0, len(r.threads))
+	for _, t := range r.threads {
+		q.push(r.key(t), t)
 	}
 	parked := 0
 	for len(q) > 0 {
@@ -104,13 +41,13 @@ func (g *engine) run() error {
 				limit = q[2].key
 			}
 		}
-		if err := g.runUntil(t, limit); err != nil {
+		if err := r.runUntil(t, limit); err != nil {
 			return err
 		}
-		if t.time >= g.timeCap {
-			// Unreachable in practice (2^55 cycles for a 128-thread group);
-			// fail loudly rather than let the packed key wrap.
-			return fmt.Errorf("exec: thread %d virtual time %d exceeds scheduler cap %d", t.id, t.time, g.timeCap)
+		if t.time >= r.timeCap {
+			// Unreachable in practice (2^55 cycles for 128 threads); fail
+			// loudly rather than let the packed key wrap.
+			return fmt.Errorf("exec: thread %d virtual time %d exceeds scheduler cap %d", t.id, t.time, r.timeCap)
 		}
 		switch {
 		case t.done:
@@ -119,17 +56,17 @@ func (g *engine) run() error {
 			q.popRoot()
 			parked++
 		default:
-			q.syncRoot(g.key(t))
+			q.syncRoot(r.key(t))
 		}
 		// Re-queue anything the step released. runUntil returns the moment
 		// a wake happens, so the next iteration's limit includes the woken
 		// thread — without this, the running thread could race past it.
-		for _, w := range g.woken {
+		for _, w := range r.woken {
 			w.parked = false
 			parked--
-			q.push(g.key(w), w)
+			q.push(r.key(w), w)
 		}
-		g.woken = g.woken[:0]
+		r.woken = r.woken[:0]
 	}
 	if parked > 0 {
 		return fmt.Errorf("exec: deadlock: %d threads still parked", parked)
@@ -138,7 +75,7 @@ func (g *engine) run() error {
 }
 
 // yieldCheck reports whether the thread must yield before executing in: its
-// pre-op key (time, id) is no longer the group minimum AND the op is shared.
+// pre-op key (time, id) is no longer the minimum AND the op is shared.
 // Off-window accesses in sampled mode get a bounded dispensation instead of
 // a full exemption: they may run up to simSlack cycles past the limit
 // before yielding. The slack is what buys the speedup (the thread crosses
@@ -146,14 +83,14 @@ func (g *engine) run() error {
 // bound is what contains the model error — a warm write can commit at most
 // simSlack cycles of virtual time earlier than exact order, so it cannot
 // invalidate a line a far-future reader would have hit.
-func (g *engine) yieldCheck(t *thread, limit int64, in *decInstr) bool {
-	if g.key(t) <= limit {
+func (r *Runner) yieldCheck(t *thread, limit int64, in *decInstr) bool {
+	if r.key(t) <= limit {
 		return false
 	}
 	switch in.op {
 	case ir.OpField, ir.OpMem:
-		if g.r.sim.enabled && !g.r.simOn(t) {
-			return t.time > limit>>g.idShift+g.r.sim.slack
+		if r.sim.enabled && !r.simOn(t) {
+			return t.time > limit>>r.idShift+r.sim.slack
 		}
 		return true
 	case ir.OpLock, ir.OpUnlock:
@@ -165,14 +102,14 @@ func (g *engine) yieldCheck(t *thread, limit int64, in *decInstr) bool {
 // tq is an inline binary min-heap on packed (time, id) keys. It replaces
 // container/heap on the scheduler's hottest edge: the common transition
 // "root ran, root's time grew" is one sift-down with no interface calls.
-// The keys live inline in the heap entries — a 128-thread group's whole
+// The keys live inline in the heap entries — a 128-thread run's whole
 // heap is a few cache lines of contiguous keys — so sifting never chases
 // thread pointers; only the root's key is refreshed (syncRoot) after its
 // thread runs. Binary beats higher arity here: the root's key typically
 // grows only just past the lesser child (the scheduling limit), so sifts
 // terminate after a level or two and wider nodes only add compares.
 type tqEnt struct {
-	key int64 // engine.key(t): time<<idShift | id
+	key int64 // Runner.key(t): time<<idShift | id
 	t   *thread
 }
 

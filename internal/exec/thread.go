@@ -117,11 +117,10 @@ func (t *thread) pushSeq(nodes []ir.ExecNode) {
 // instruction). It updates profile counts, virtual time, coherence state
 // and samples as side effects. It returns true when the thread must yield
 // before a shared instruction it no longer has the right to execute.
-func (g *engine) step(t *thread, limit int64) (bool, error) {
-	r := g.r
+func (r *Runner) step(t *thread, limit int64) (bool, error) {
 	if len(t.stack) == 0 {
 		// One top-level iteration ("script") finished.
-		g.completed++
+		r.completed++
 		t.iters--
 		if t.iters <= 0 {
 			t.done = true
@@ -141,11 +140,11 @@ func (g *engine) step(t *thread, limit int64) (bool, error) {
 		f.idx++
 		switch n := n.(type) {
 		case *ir.ExecBlock:
-			g.prof.IncrBlock(n.Block.Global)
+			r.prof.IncrBlock(n.Block.Global)
 			t.curBlock = n.Block
 			if len(n.Block.Instrs) == 0 {
 				t.time += r.cfg.BranchCost
-				g.sample(t)
+				r.sample(t)
 			} else if dins := r.dec[n.Block.Global]; !r.slowPath && r.collector == nil && len(dins) == 1 && dins[0].op == ir.OpCompute {
 				// A pure-compute block (decode merged its instructions into
 				// one) needs no frame: charge its cycles at entry. Invisible
@@ -155,14 +154,14 @@ func (g *engine) step(t *thread, limit int64) (bool, error) {
 				t.stack = append(t.stack, frame{kind: fBlock, block: n.Block, dins: dins})
 			}
 		case *ir.ExecLoop:
-			g.prof.AddLoop(n.Loop.Global, n.Count)
+			r.prof.AddLoop(n.Loop.Global, n.Count)
 			t.stack = append(t.stack, frame{kind: fLoop, loop: n})
 			t.loopVals = append(t.loopVals, 0)
 		case *ir.ExecIf:
-			g.prof.IncrBlock(n.Cond.Global)
+			r.prof.IncrBlock(n.Cond.Global)
 			t.curBlock = n.Cond
 			t.time += r.cfg.BranchCost
-			g.sample(t)
+			r.sample(t)
 			arm := n.Then
 			if t.rng.Float64() >= n.Prob {
 				arm = n.Else
@@ -174,10 +173,10 @@ func (g *engine) step(t *thread, limit int64) (bool, error) {
 		}
 	case fLoop:
 		// Each visit is one header test.
-		g.prof.IncrBlock(f.loop.Loop.Header.Global)
+		r.prof.IncrBlock(f.loop.Loop.Header.Global)
 		t.curBlock = f.loop.Loop.Header
 		t.time += r.cfg.BranchCost
-		g.sample(t)
+		r.sample(t)
 		if f.iter < f.loop.Count {
 			t.loopVals[len(t.loopVals)-1] = f.iter
 			f.iter++
@@ -187,10 +186,10 @@ func (g *engine) step(t *thread, limit int64) (bool, error) {
 			t.pop()
 		}
 	case fIf:
-		g.prof.IncrBlock(f.ifn.Join.Global)
+		r.prof.IncrBlock(f.ifn.Join.Global)
 		t.curBlock = f.ifn.Join
 		t.time += r.cfg.BranchCost
-		g.sample(t)
+		r.sample(t)
 		t.pop()
 	case fBlock:
 		if f.idx >= len(f.dins) {
@@ -198,11 +197,11 @@ func (g *engine) step(t *thread, limit int64) (bool, error) {
 			return false, nil
 		}
 		in := &f.dins[f.idx]
-		if g.yieldCheck(t, limit, in) {
+		if r.yieldCheck(t, limit, in) {
 			return true, nil
 		}
 		f.idx++
-		return false, g.execInstr(t, in)
+		return false, r.execInstr(t, in)
 	}
 	return false, nil
 }
@@ -210,9 +209,9 @@ func (g *engine) step(t *thread, limit int64) (bool, error) {
 func (t *thread) pop() { t.stack = t.stack[:len(t.stack)-1] }
 
 // sample lets the collector observe the thread's new time.
-func (g *engine) sample(t *thread) {
-	if g.r.collector != nil {
-		g.r.collector.Tick(t.cpu, t.time, t.curBlock)
+func (r *Runner) sample(t *thread) {
+	if r.collector != nil {
+		r.collector.Tick(t.cpu, t.time, t.curBlock)
 	}
 }
 
@@ -240,16 +239,15 @@ func (r *Runner) resolveInstance(t *thread, a *arena, e ir.InstExpr) (int, error
 
 // execInstr runs one pre-decoded instruction, charging latency and
 // recording stats.
-func (g *engine) execInstr(t *thread, in *decInstr) error {
-	r := g.r
+func (r *Runner) execInstr(t *thread, in *decInstr) error {
 	switch in.op {
 	case ir.OpCompute:
 		t.time += in.cycles
-		g.sample(t)
+		r.sample(t)
 	case ir.OpCall:
 		t.time += r.cfg.CallOverhead
 		t.pushSeq(in.callee.Tree)
-		g.sample(t)
+		r.sample(t)
 	case ir.OpField:
 		a := in.arena
 		idx, err := r.instIndex(t, a, in)
@@ -269,8 +267,8 @@ func (g *engine) execInstr(t *thread, in *decInstr) error {
 		var res coherence.AccessResult
 		r.coh.AccessInto(t.cpu, addr, in.size, in.write, &res)
 		t.time += res.Latency
-		g.record(a, in.field, &res)
-		g.sample(t)
+		r.record(a, in.field, &res)
+		r.sample(t)
 	case ir.OpMem:
 		addr, err := r.memAddr(t, in)
 		if err != nil {
@@ -285,11 +283,11 @@ func (g *engine) execInstr(t *thread, in *decInstr) error {
 		var res coherence.AccessResult
 		r.coh.AccessInto(t.cpu, addr, 8, in.write, &res)
 		t.time += res.Latency
-		g.sample(t)
+		r.sample(t)
 	case ir.OpLock:
-		return g.execLock(t, in)
+		return r.execLock(t, in)
 	case ir.OpUnlock:
-		return g.execUnlock(t, in)
+		return r.execUnlock(t, in)
 	case ir.OpSpawn, ir.OpJoin, ir.OpSend, ir.OpRecv:
 		// Static-only markers (see decode): no time, no traffic.
 	default:
@@ -358,8 +356,7 @@ func (r *Runner) lockFor(t *thread, in *decInstr) (*lockState, int64, error) {
 // waiter. Every acquisition dirties the lock's line, so co-locating a hot
 // lock with read-mostly fields produces exactly the false-sharing traffic
 // the paper's CycleLoss term is meant to catch.
-func (g *engine) execLock(t *thread, in *decInstr) error {
-	r := g.r
+func (r *Runner) execLock(t *thread, in *decInstr) error {
 	ls, addr, err := r.lockFor(t, in)
 	if err != nil {
 		return err
@@ -368,8 +365,8 @@ func (g *engine) execLock(t *thread, in *decInstr) error {
 		ls.holder = t
 		res := r.lockAccess(t.cpu, addr, in.size, true)
 		t.time += res.Latency
-		g.record(in.arena, in.field, &res)
-		g.sample(t)
+		r.record(in.arena, in.field, &res)
+		r.sample(t)
 		return nil
 	}
 	if ls.holder == t {
@@ -383,8 +380,7 @@ func (g *engine) execLock(t *thread, in *decInstr) error {
 // execUnlock releases the lock and wakes the next waiter. Waking makes the
 // caller's runUntil return immediately, so the scheduler recomputes its
 // limit with the woken thread back in the queue.
-func (g *engine) execUnlock(t *thread, in *decInstr) error {
-	r := g.r
+func (r *Runner) execUnlock(t *thread, in *decInstr) error {
 	ls, addr, err := r.lockFor(t, in)
 	if err != nil {
 		return err
@@ -394,8 +390,8 @@ func (g *engine) execUnlock(t *thread, in *decInstr) error {
 	}
 	res := r.lockAccess(t.cpu, addr, in.size, true)
 	t.time += res.Latency
-	g.record(in.arena, in.field, &res)
-	g.sample(t)
+	r.record(in.arena, in.field, &res)
+	r.sample(t)
 
 	if len(ls.waiters) == 0 {
 		ls.holder = nil
@@ -412,18 +408,17 @@ func (g *engine) execUnlock(t *thread, in *decInstr) error {
 	w.time = wake
 	wres := r.lockAccess(w.cpu, addr, in.size, true)
 	w.time += wres.Latency
-	g.record(in.arena, in.field, &wres)
+	r.record(in.arena, in.field, &wres)
 	if r.collector != nil {
 		r.collector.Tick(w.cpu, w.time, w.curBlock)
 	}
-	g.woken = append(g.woken, w)
+	r.woken = append(r.woken, w)
 	return nil
 }
 
-// record attributes an access result to the field's statistics in the
-// engine's group-local slices.
-func (g *engine) record(a *arena, field int32, res *coherence.AccessResult) {
-	fs := &g.stats[a.idx][field]
+// record attributes an access result to the field's statistics.
+func (r *Runner) record(a *arena, field int32, res *coherence.AccessResult) {
+	fs := &a.stats[field]
 	fs.Accesses++
 	fs.StallCycles += res.Latency
 	switch res.Miss {
@@ -439,10 +434,9 @@ func (g *engine) record(a *arena, field int32, res *coherence.AccessResult) {
 	if res.FalseSharing {
 		fs.FalseSharing++
 		// Attribute the causing write to its field too, when it lands in a
-		// known arena. The writer's line is in this group's footprint, so
-		// the group-local slice is the right accumulator.
-		if ca, fi := g.r.fieldAtAddr(res.WriterAddr); ca != nil {
-			g.stats[ca.idx][fi].CausedFalseSharing++
+		// known arena.
+		if ca, fi := r.fieldAtAddr(res.WriterAddr); ca != nil {
+			ca.stats[fi].CausedFalseSharing++
 		}
 	}
 }

@@ -44,9 +44,6 @@ type Config struct {
 	// observe every access). Sampled figures carry extrapolated counts and
 	// memoize under distinct keys from exact ones.
 	Sim exec.SimConfig
-	// Shards is the coherence-directory shard count for every run
-	// (0 or 1 = unsharded). Results are byte-identical at any count.
-	Shards int
 	// Tool configures the layout tool.
 	Tool core.Options
 }
@@ -97,7 +94,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	suite.Sim = cfg.Sim
-	suite.Shards = cfg.Shards
 	lineSize := int(cfg.Params.Cache.LineSize)
 	baselines := suite.BaselineLayouts(lineSize)
 
@@ -110,9 +106,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Collection runs sharded too (byte-identical), but never sampled:
-	// the suite zeroes Sim whenever a collector is attached.
-	collectSuite.Shards = cfg.Shards
+	// Collection is never sampled: the suite zeroes Sim whenever a
+	// collector is attached.
 	pf, trace, err := collectSuite.Collect(cfg.CollectTopo, collectSuite.BaselineLayouts(lineSize), cfg.BaseSeed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: collection: %w", err)

@@ -37,24 +37,14 @@ func reportKey(names []string, srcs [][]byte, opts Options) memo.Key {
 	h.Int("loop-trip", opts.LoopTrip)
 	h.Int("spawns-per-loop-go", int64(opts.SpawnsPerLoopGo))
 	h.Int("max-threads", int64(opts.MaxThreads))
-	// ExactClassify is keyed though the outputs are proven identical:
-	// the bench must never replay one path's timing off the other's
-	// entries. FreshImporters is deliberately not keyed — it changes
-	// only load cost, never results.
-	h.Int("exact-classify", boolInt(opts.ExactClassify))
+	// FreshImporters is deliberately not keyed — it changes only load
+	// cost, never results.
 	h.Int("files", int64(len(names)))
 	for i, name := range names {
 		h.Str("file-name", name)
 		h.Str("file-src", string(srcs[i]))
 	}
 	return h.Sum()
-}
-
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // cachedFinding mirrors staticshare.Finding with the severity as its

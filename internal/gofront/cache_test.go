@@ -264,22 +264,6 @@ func TestCorpusDeterminism(t *testing.T) {
 	}
 }
 
-// TestCorpusSummaryEqualsExact extends the staticshare differential gate
-// to every corpus and example package through the full frontend: the
-// summary-based default and the exact walk must render byte-identical
-// findings.
-func TestCorpusSummaryEqualsExact(t *testing.T) {
-	patterns := append(corpusPatterns(t), "../../examples/gofront/...")
-	sumText, sumJSON := renderAll(t, patterns, Options{})
-	exactText, exactJSON := renderAll(t, patterns, Options{ExactClassify: true})
-	if sumText != exactText {
-		t.Errorf("summary and exact rendered text differ:\nsummary:\n%s\nexact:\n%s", sumText, exactText)
-	}
-	if sumJSON != exactJSON {
-		t.Errorf("summary and exact findings JSON differ")
-	}
-}
-
 // TestCorpusExpectedVerdicts pins the shape of the committed corpus so
 // it cannot silently rot: which packages are clean, and that every
 // findings-bearing package reports static false sharing or the

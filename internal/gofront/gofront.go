@@ -54,10 +54,6 @@ type Options struct {
 	// sits). Cached replays return reports without a Model — callers that
 	// need the lowered program must run uncached. Nil disables caching.
 	Cache *memo.Cache
-	// ExactClassify forces staticshare's exact per-access-pair
-	// classification walk instead of the summary-based path. Test and
-	// bench use only: the two are bit-identical by construction.
-	ExactClassify bool
 	// FreshImporters disables the package-level reuse of typechecker
 	// importers (each load pays full transitive re-typechecking). Bench
 	// use only, to time the un-amortized path honestly.
@@ -428,11 +424,7 @@ func LintPackage(pkg *Package, opts Options) *Report {
 	rep.NumStructs = len(model.Structs)
 	rep.NumThreads = len(model.File.Threads)
 	rep.Notes = model.Notes
-	lint := staticshare.LintFile
-	if opts.ExactClassify {
-		lint = staticshare.LintFileExact
-	}
-	findings, res, err := lint(model.File, opts.LineSize)
+	findings, res, err := staticshare.LintFile(model.File, opts.LineSize)
 	if err != nil {
 		rep.Err = fmt.Errorf("%s: %w", pkg.Dir, err)
 		return rep

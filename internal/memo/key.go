@@ -136,10 +136,7 @@ func (h *Hasher) CacheConfig(tag string, c coherence.Config) {
 	h.Int(tag+".protocol", int64(c.Protocol))
 }
 
-// SimConfig adds the simulation mode and its sampling parameters. The
-// coherence shard count is deliberately not part of any key: sharding is
-// byte-identical by contract (pinned by the exec/coherence differential
-// tests), so sharded and unsharded runs share cache entries, whereas a
+// SimConfig adds the simulation mode and its sampling parameters: a
 // sampled result must never collide with an exact one.
 func (h *Hasher) SimConfig(tag string, c exec.SimConfig) {
 	h.Int(tag+".mode", int64(c.Mode))

@@ -54,22 +54,6 @@ func (pf *Profile) AddLoop(global int, iters int64) {
 	pf.LoopIters[global] += float64(iters)
 }
 
-// Merge accumulates another profile of the same program into pf.
-func (pf *Profile) Merge(o *Profile) error {
-	if len(pf.Blocks) != len(o.Blocks) || len(pf.LoopIters) != len(o.LoopIters) {
-		return fmt.Errorf("profile: shape mismatch (%d/%d blocks, %d/%d loops)",
-			len(pf.Blocks), len(o.Blocks), len(pf.LoopIters), len(o.LoopIters))
-	}
-	for i, v := range o.Blocks {
-		pf.Blocks[i] += v
-	}
-	for i := range o.LoopIters {
-		pf.LoopIters[i] += o.LoopIters[i]
-		pf.LoopEntries[i] += o.LoopEntries[i]
-	}
-	return nil
-}
-
 // BlockCount returns the execution count of b.
 func (pf *Profile) BlockCount(b *ir.BasicBlock) float64 { return pf.Blocks[b.Global] }
 

@@ -119,18 +119,9 @@ func TestStaticEstimateUnknownEntry(t *testing.T) {
 	}
 }
 
-func TestMergeAndJSONRoundTrip(t *testing.T) {
+func TestJSONRoundTrip(t *testing.T) {
 	p, _ := buildFig4(t, 5)
 	a, _ := StaticEstimate(p, []string{"snippet"})
-	b, _ := StaticEstimate(p, []string{"snippet"})
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Blocks {
-		if a.Blocks[i] != 2*b.Blocks[i] {
-			t.Fatalf("merge: block %d = %v, want %v", i, a.Blocks[i], 2*b.Blocks[i])
-		}
-	}
 	var buf bytes.Buffer
 	if err := a.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -161,19 +152,6 @@ func TestReadJSONShapeMismatch(t *testing.T) {
 	}
 	if _, err := ReadJSON(&buf, p2); err == nil {
 		t.Fatal("expected mismatch error")
-	}
-}
-
-func TestMergeShapeMismatch(t *testing.T) {
-	p1, _ := buildFig4(t, 5)
-	p2 := ir.NewProgram("other")
-	b := p2.NewProc("f")
-	b.Compute(1)
-	b.Done()
-	p2.MustFinalize()
-	a := New(p1)
-	if err := a.Merge(New(p2)); err == nil {
-		t.Fatal("expected shape mismatch error")
 	}
 }
 

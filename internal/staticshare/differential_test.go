@@ -58,8 +58,7 @@ func TestSummaryEqualsExactOnGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: summary analyze: %v", path, err)
 		}
-		cfg.ExactClassify = true
-		exact, err := Analyze(f.Prog, cfg)
+		exact, err := analyzeExact(f.Prog, cfg)
 		if err != nil {
 			t.Fatalf("%s: exact analyze: %v", path, err)
 		}
@@ -83,7 +82,7 @@ func TestSummaryLintEqualsExactOnGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: summary lint: %v", path, err)
 		}
-		exactF, _, err := LintFileExact(f, 128)
+		exactF, _, err := lintFileExact(f, 128)
 		if err != nil {
 			t.Fatalf("%s: exact lint: %v", path, err)
 		}
@@ -182,8 +181,7 @@ thread 1 s
 		if err != nil {
 			t.Fatalf("%s: summary analyze: %v", name, err)
 		}
-		cfg.ExactClassify = true
-		exact, err := Analyze(f.Prog, cfg)
+		exact, err := analyzeExact(f.Prog, cfg)
 		if err != nil {
 			t.Fatalf("%s: exact analyze: %v", name, err)
 		}
@@ -242,15 +240,5 @@ thread 1 q iters 1
 	}
 	if res.ProcSummaryOf("q") != nil {
 		t.Error("proc q touches no fields but has a summary")
-	}
-	// The exact path must not build summaries at all.
-	cfg := FileConfig(f)
-	cfg.ExactClassify = true
-	exact, err := Analyze(f.Prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.ProcSummaryOf("w") != nil {
-		t.Error("exact path built a summary")
 	}
 }

@@ -376,26 +376,20 @@ func MarshalFindings(fs []Finding) ([]byte, error) {
 // the file's declared threads and arenas, then lint against
 // declaration-order layouts at the given coherence-line size.
 func LintFile(f *irtext.File, lineSize int) ([]Finding, *Result, error) {
-	return lintFile(f, lineSize, false)
-}
-
-// LintFileExact is LintFile forced through the exact per-access-pair
-// classification walk — the differential oracle for tests and the
-// golint-bench baseline stage.
-func LintFileExact(f *irtext.File, lineSize int) ([]Finding, *Result, error) {
-	return lintFile(f, lineSize, true)
-}
-
-func lintFile(f *irtext.File, lineSize int, exact bool) ([]Finding, *Result, error) {
 	if f == nil || f.Prog == nil {
 		return nil, nil, fmt.Errorf("staticshare: nil file")
 	}
-	cfg := FileConfig(f)
-	cfg.ExactClassify = exact
-	res, err := Analyze(f.Prog, cfg)
+	res, err := Analyze(f.Prog, FileConfig(f))
 	if err != nil {
 		return nil, nil, err
 	}
+	return res.Lint(originalLayouts(f, lineSize)), res, nil
+}
+
+// originalLayouts lays out every struct of the file in declaration order;
+// structs that cannot be laid out are left out, skipping their
+// co-location checks.
+func originalLayouts(f *irtext.File, lineSize int) map[string]*layout.Layout {
 	layouts := make(map[string]*layout.Layout)
 	for _, st := range f.Prog.Structs {
 		lay, lerr := layout.Original(st, lineSize)
@@ -404,5 +398,5 @@ func lintFile(f *irtext.File, lineSize int, exact bool) ([]Finding, *Result, err
 		}
 		layouts[st.Name] = lay
 	}
-	return res.Lint(layouts), res, nil
+	return layouts
 }

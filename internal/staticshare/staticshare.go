@@ -64,12 +64,6 @@ type Config struct {
 	// FileConfig fills the interpreter's one-instance default for
 	// accessed-but-undeclared structs.
 	Arenas map[string]int
-	// ExactClassify selects the original O(accesses²) per-access-pair
-	// classification walk instead of the summary-based path. The two are
-	// bit-identical by construction (the differential tests pin it);
-	// the exact walk survives only as the oracle for those tests and the
-	// golint-bench baseline stage.
-	ExactClassify bool
 }
 
 // FileConfig derives the analysis configuration from a parsed DSL file:
@@ -241,8 +235,8 @@ type Result struct {
 	byStruct  map[string][]int // struct name -> indices into Accesses
 	reach     map[string][]int // proc name -> sorted thread indices
 	procFreq  map[string]float64
-	summaries map[string]*ProcSummary // summary path only; nil under ExactClassify
-	hb        *hbState                // happens-before graph; nil without sync statements
+	summaries map[string]*ProcSummary
+	hb        *hbState // happens-before graph; nil without sync statements
 }
 
 // Analyze runs the full analysis. Damaged inputs degrade instead of
@@ -299,11 +293,7 @@ func Analyze(p *ir.Program, cfg Config) (res *Result, err error) {
 	}
 
 	r.collectAccesses(localFreq)
-	if cfg.ExactClassify {
-		r.classifyExact()
-	} else {
-		r.classifySummary(localFreq)
-	}
+	r.classifySummary(localFreq)
 	return r, nil
 }
 
@@ -540,56 +530,6 @@ func (r *Result) conflictVerdict(a1, a2 *Access) (ov overlapKind, excluded bool)
 		}
 	}
 	return ov, excluded
-}
-
-// classifyExact is the original per-access-pair classification walk,
-// kept behind Config.ExactClassify as the oracle the summary path is
-// differentially tested against: O(accesses²) pairs per struct, the
-// thread/lock/instance verdict re-derived for every pair. It feeds the
-// same order-canonical aggregator as classifySummary, so both paths
-// produce bit-identical PairInfos.
-func (r *Result) classifyExact() {
-	names := make([]string, 0, len(r.byStruct))
-	for name := range r.byStruct {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		idxs := r.byStruct[name]
-		aggs := make(map[[2]int]*pairAgg)
-		for x := 0; x < len(idxs); x++ {
-			a1 := &r.Accesses[idxs[x]]
-			for y := x + 1; y < len(idxs); y++ {
-				a2 := &r.Accesses[idxs[y]]
-				if a1.Field == a2.Field {
-					continue // true sharing, not a layout decision
-				}
-				ov, excluded := r.conflictVerdict(a1, a2)
-				if ov == ovNo && !excluded {
-					continue
-				}
-				class, certain := classOf(ov, a1.Write || a2.Write)
-				w := a1.Freq
-				if a2.Freq < w {
-					w = a2.Freq
-				}
-				key := pairKey(a1.Field, a2.Field)
-				agg := aggs[key]
-				if agg == nil {
-					agg = &pairAgg{}
-					aggs[key] = agg
-				}
-				agg.addPair(class, certain, w, idxs[x], idxs[y])
-			}
-		}
-		if len(aggs) > 0 {
-			pairs := make(map[[2]int]PairInfo, len(aggs))
-			for k, agg := range aggs {
-				pairs[k] = agg.finalize()
-			}
-			r.Pairs[name] = pairs
-		}
-	}
 }
 
 func pairKey(f1, f2 int) [2]int {

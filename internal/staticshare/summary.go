@@ -9,8 +9,8 @@
 // computed once per group pair instead of once per access pair, and
 // per-struct classification fans out over internal/parallel.
 //
-// Both classification paths (this one and the exact per-access-pair walk
-// kept behind Config.ExactClassify) feed the same order-canonical
+// The exact per-access-pair walk this replaced survives in test code as
+// the differential oracle. Both feed the same order-canonical
 // aggregator, pairAgg, so their PairInfos — classes, certainty,
 // evidence indices and float Weights — are bit-identical. The
 // differential tests pin exactly that.
@@ -319,8 +319,7 @@ type ProcSummary struct {
 }
 
 // ProcSummaryOf returns the footprint summary computed for a procedure,
-// nil when the summary path did not run (ExactClassify) or the procedure
-// has no field-touching instructions.
+// nil when the procedure has no field-touching instructions.
 func (r *Result) ProcSummaryOf(proc string) *ProcSummary { return r.summaries[proc] }
 
 // summarize compresses the collected accesses into one summary per
@@ -546,9 +545,9 @@ func classOf(ov overlapKind, anyWrite bool) (PairClass, bool) {
 // classes fold by max, certainty by or, evidence by lexicographic
 // minimum, and weights are kept as min-frequency histograms per class so
 // the final sum associates in one canonical (value-ascending) order no
-// matter which path produced it. The exact walk feeds it one access
-// pair at a time, the summary path one group pair at a time; both end at
-// bit-identical PairInfos.
+// matter which path produced it. The summary path feeds it one group
+// pair at a time, the test-only exact walk one access pair at a time;
+// both end at bit-identical PairInfos.
 type pairAgg struct {
 	class     PairClass
 	certain   bool
@@ -578,17 +577,6 @@ func (g *pairAgg) bump(class PairClass, certain bool, a1, a2 int) {
 
 func lessPair(a1, a2 int, than [2]int) bool {
 	return a1 < than[0] || (a1 == than[0] && a2 < than[1])
-}
-
-// addPair records one access pair (exact path): w is min(freq1, freq2).
-func (g *pairAgg) addPair(class PairClass, certain bool, w float64, a1, a2 int) {
-	g.bump(class, certain, a1, a2)
-	h := g.hist[class]
-	if h == nil {
-		h = make(map[float64]int64)
-		g.hist[class] = h
-	}
-	h[w]++
 }
 
 // addGroup records a whole group pair (summary path): hist is the

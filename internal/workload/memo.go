@@ -72,9 +72,7 @@ func (s *Suite) measureKey(topo *machine.Topology, ls Layouts, n int, baseSeed i
 	// The simulation mode and every sampling parameter are part of a
 	// measurement's identity: a sampled result must never replace (or be
 	// replaced by) an exact one, and changing the window, period or seed
-	// changes the simulated subset. Shards is deliberately NOT hashed —
-	// sharding is byte-identical by contract, so sharded and unsharded
-	// runs share cache entries.
+	// changes the simulated subset.
 	h.SimConfig("sim", s.Sim)
 	// Measure is clean by contract (fault injection applies to collections,
 	// never to throughput runs); record that in the key so a future faulted

@@ -48,20 +48,17 @@ func (ls Layouts) WithLayout(label string, lay *layout.Layout) Layouts {
 }
 
 // newRunner assembles an exec.Runner for one measurement run. The suite's
-// Shards setting turns on the sharded directory (an allocation detail:
-// results are byte-identical at any count); its Sim setting applies to
-// measurement runs only — a run with a collector attached (smp != nil) is
-// always exact, because the PMU trace must observe every access.
+// Sim setting applies to measurement runs only — a run with a collector
+// attached (smp != nil) is always exact, because the PMU trace must
+// observe every access.
 func (s *Suite) newRunner(topo *machine.Topology, ls Layouts, seed int64, smp *sampling.Config) (*exec.Runner, error) {
-	cache := s.Params.Cache
-	cache.Shards = s.Shards
 	sim := s.Sim
 	if smp != nil {
 		sim = exec.SimConfig{}
 	}
 	r, err := exec.NewRunner(s.Prog, exec.Config{
 		Topo:     topo,
-		Cache:    cache,
+		Cache:    s.Params.Cache,
 		Seed:     seed,
 		Sampling: smp,
 		Sim:      sim,

@@ -113,10 +113,6 @@ type Suite struct {
 	// measurements are keyed separately in the memo cache — they can
 	// never silently replace exact results.
 	Sim exec.SimConfig
-	// Shards is the coherence directory shard count (0 means 1). Shard
-	// counts are an allocation detail — results are byte-identical at any
-	// value — so Shards is deliberately absent from memo keys.
-	Shards int
 }
 
 // NewSuite builds the SDET-like program over structs A..E.
