@@ -409,14 +409,14 @@ func runRank(programIn, collectOn string, seed, scripts int64, k1, k2 float64, s
 		if err != nil {
 			return nil, err
 		}
-		res, err := driver.Collect(file, driver.Config{Topo: topo, Seed: seed, Inject: spec}, nil)
+		pf, trace, cycles, err := driver.CollectCached(file, driver.Config{Topo: topo, Seed: seed, Inject: spec})
 		if err != nil {
 			return nil, err
 		}
 		sc := staticshare.FileConfig(file)
-		analysis, err = core.NewAnalysis(file.Prog, res.Profile, res.Trace, core.Options{
+		analysis, err = core.NewAnalysis(file.Prog, pf, trace, core.Options{
 			LineSize:    128,
-			SliceCycles: res.Cycles/64 + 1,
+			SliceCycles: cycles/64 + 1,
 			Strict:      strict,
 			FMF:         spec.ApplyFMF(fieldmap.Build(file.Prog), file.Prog),
 			FLG:         flg.Options{K1: k1, K2: k2},
@@ -487,15 +487,15 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2
 	cfg := driver.Config{Topo: topo, Seed: seed, Inject: spec,
 		Sim: exec.SimConfig{Mode: simMode}}
 	fmt.Printf("collecting %s on %s...\n", file.Prog.Name, topo.Name)
-	res, err := driver.Collect(file, cfg, nil)
+	pf, trace, cycles, err := driver.CollectCached(file, cfg)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("collected %d samples over %d cycles\n", len(res.Trace.Samples), res.Cycles)
+	fmt.Printf("collected %d samples over %d cycles\n", len(trace.Samples), cycles)
 	sc := staticshare.FileConfig(file)
-	analysis, err := core.NewAnalysis(file.Prog, res.Profile, res.Trace, core.Options{
+	analysis, err := core.NewAnalysis(file.Prog, pf, trace, core.Options{
 		LineSize:     cfg.LineSize(),
-		SliceCycles:  res.Cycles/64 + 1, // ~64 slices over the run
+		SliceCycles:  cycles/64 + 1, // ~64 slices over the run
 		TopKPositive: topK,
 		Strict:       strict,
 		FMF:          spec.ApplyFMF(fieldmap.Build(file.Prog), file.Prog),
@@ -532,7 +532,7 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2
 		fmt.Printf("\n-- movement from declaration order --\n%s", report.Diff(orig, best))
 	}
 	if split {
-		adv, err := transform.Split(file.Prog, res.Profile, st, transform.Options{LineSize: cfg.LineSize()})
+		adv, err := transform.Split(file.Prog, pf, st, transform.Options{LineSize: cfg.LineSize()})
 		if err != nil {
 			return nil, err
 		}

@@ -37,19 +37,27 @@ func main() {
 	cfg := driver.Config{Topo: topo, Seed: 7}
 	fmt.Printf("program %s on %s\n\n", file.Prog.Name, topo.Name)
 
-	// Collection phase.
-	res, err := driver.Collect(file, cfg, nil)
+	// Collection phase: memoized like every collection, so a process that
+	// collects this program again replays it.
+	pf, trace, cycles, err := driver.CollectCached(file, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The simulator's false-sharing detector is ground truth the tool never
+	// sees; the collector only observes the run, so an uncollected run with
+	// the same seed shows what the collected one did.
+	truth, err := driver.Run(file, cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("collection: %d cycles, %d samples, %d false-sharing events\n",
-		res.Cycles, len(res.Trace.Samples), res.Coherence.FalseSharing)
-	fmt.Printf("\ndetector view (ground truth):\n%s\n", res.FalseSharingReport(file.Prog, 4))
+		cycles, len(trace.Samples), truth.Coherence.FalseSharing)
+	fmt.Printf("\ndetector view (ground truth):\n%s\n", truth.FalseSharingReport(file.Prog, 4))
 
 	// The tool.
-	analysis, err := core.NewAnalysis(file.Prog, res.Profile, res.Trace, core.Options{
+	analysis, err := core.NewAnalysis(file.Prog, pf, trace, core.Options{
 		LineSize:    cfg.LineSize(),
-		SliceCycles: res.Cycles/64 + 1,
+		SliceCycles: cycles/64 + 1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -362,7 +362,7 @@ func (a *Analysis) buildFLG(structName string) (*flg.Graph, *staticshare.PriorRe
 	ag := affinity.Build(a.Prog, a.Profile, st, a.Opts.Affinity)
 	g := flg.Build(ag, a.Concurrency, a.FMF, a.Opts.FLG)
 	if a.Static != nil && (a.Concurrency == nil || a.QualityVerdict() == quality.Degraded) {
-		pr := a.Static.ApplyPrior(g, staticshare.PriorOptions{})
+		pr := a.Static.ApplyPrior(g)
 		if pr.Certain > 0 || pr.Possible > 0 {
 			a.Diag.Add(diag.Info, "core", "static-prior",
 				"dynamic concurrency evidence missing or degraded; static sharing prior blended into the FLG (certain write-shared pairs forced onto separate lines)")

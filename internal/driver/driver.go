@@ -8,7 +8,6 @@ package driver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -21,7 +20,6 @@ import (
 	"structlayout/internal/parallel"
 	"structlayout/internal/quality"
 	"structlayout/internal/sampling"
-	"structlayout/internal/stats"
 	"structlayout/internal/workload"
 )
 
@@ -102,11 +100,17 @@ func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.R
 	lineSize := int(cfg.Cache.LineSize)
 	// Every struct accessed needs an arena; declared arenas use their
 	// count, accessed-but-undeclared structs default to one instance.
+	// Arena addresses depend on definition order, so declared arenas are
+	// defined in struct declaration order, never in map order.
 	declared := make(map[string]bool, len(f.Arenas))
-	for name, count := range f.Arenas {
-		lay := layouts[name]
+	for _, st := range f.Prog.Structs {
+		count, ok := f.Arenas[st.Name]
+		if !ok {
+			continue
+		}
+		lay := layouts[st.Name]
 		if lay == nil {
-			lay, err = layout.Original(f.Prog.Struct(name), lineSize)
+			lay, err = layout.Original(st, lineSize)
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +118,7 @@ func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.R
 		if err := r.DefineArena(lay, count); err != nil {
 			return nil, err
 		}
-		declared[name] = true
+		declared[st.Name] = true
 	}
 	for _, b := range f.Prog.Blocks() {
 		for _, in := range b.FieldInstrs() {
@@ -168,88 +172,50 @@ func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.R
 func Collect(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.Result, error) {
 	cfg.fillDefaults()
 	if cfg.Sampling == nil {
-		cfg.Sampling = &sampling.Config{
-			IntervalCycles: 2500,
-			DriftMaxCycles: 8,
-			LossProb:       0.02,
-			Seed:           cfg.Seed + 17,
-		}
+		smp := workload.CollectSampling(cfg.Seed)
+		cfg.Sampling = &smp
 	}
 	return Run(f, cfg, layouts)
 }
 
-// Measurement aggregates repeated measured runs of a parsed file under one
-// layout set, following the paper's protocol: outliers removed, trimmed
-// mean reported.
-type Measurement struct {
-	// Mean is the outlier-trimmed mean throughput, in completed top-level
-	// iterations per virtual hour.
-	Mean float64
-	// Runs holds each run's throughput.
-	Runs []float64
-}
-
-// SpeedupOver returns the relative performance versus a baseline, in
-// percent.
-func (m Measurement) SpeedupOver(base Measurement) float64 {
-	return stats.SpeedupPercent(m.Mean, base.Mean)
-}
-
 // Measure runs the file n times under the layouts and aggregates
-// throughput. Runs fan out over the worker pool up to parallel.Limit();
-// each run's seed is a pure function of the run index (never of
-// scheduling) and throughputs gather by index, so the measurement is
+// throughput with the paper's protocol (workload.MeasureRuns): outliers
+// removed, trimmed mean reported, in completed top-level iterations per
+// virtual hour. Run i's seed is parallel.SeedFor(cfg.Seed, i, "driver",
+// program name), a pure function of the run index, so the measurement is
 // byte-identical at any -j. Fault specs never apply here: -inject models
 // measurement error in the collected data, not in the program under test.
-// Measurements memoize through memo.Shared(), keyed by the canonical IR
-// serialization plus the full run harness (see memo.go in this package);
-// repeated cells — the multi-struct evaluation loop re-measures its
-// baseline per struct variant set, warm disk caches span processes —
-// replay instead of re-simulating.
-func Measure(f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n int) (Measurement, error) {
+// Measurements memoize through workload.MeasureMemo, keyed by the
+// canonical IR serialization plus the full run harness (see memo.go in
+// this package); repeated cells — the multi-struct evaluation loop
+// re-measures its baseline per struct variant set, warm disk caches span
+// processes — replay instead of re-simulating.
+func Measure(f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n int) (workload.Measurement, error) {
 	return MeasureCtx(context.Background(), f, cfg, layouts, n)
 }
 
 // MeasureCtx is Measure with cooperative cancellation: a cancelled or
 // timed-out ctx stops dequeuing remaining runs (runs already simulating
 // finish — a single run is never interrupted mid-simulation) and returns
-// ctx's error. A cancelled measurement is never cached, so a later
-// uncancelled call recomputes the full, deterministic aggregate.
-func MeasureCtx(ctx context.Context, f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n int) (Measurement, error) {
-	if n <= 0 {
-		return Measurement{}, fmt.Errorf("driver: need at least one measured run")
-	}
+// ctx's error. A cancelled measurement is never cached.
+func MeasureCtx(ctx context.Context, f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n int) (workload.Measurement, error) {
 	cfg.fillDefaults()
-	compute := func() (Measurement, error) {
-		runs, err := parallel.MapCtx(ctx, n, func(ctx context.Context, i int) (float64, error) {
-			rcfg := cfg
-			rcfg.Seed = parallel.SeedFor(cfg.Seed, i, "driver", f.Prog.Name)
-			rcfg.Sampling = nil
-			rcfg.Inject = nil
-			res, err := Run(f, rcfg, layouts)
-			if err != nil {
-				return 0, err
-			}
-			return workload.Throughput(cfg.Topo, res), nil
-		})
+	run := func(ctx context.Context, i int) (float64, error) {
+		rcfg := cfg
+		rcfg.Seed = parallel.SeedFor(cfg.Seed, i, "driver", f.Prog.Name)
+		rcfg.Sampling = nil
+		rcfg.Inject = nil
+		res, err := Run(f, rcfg, layouts)
 		if err != nil {
-			return Measurement{}, err
+			return 0, err
 		}
-		return Measurement{Mean: stats.TrimmedMean(runs), Runs: runs}, nil
+		return workload.Throughput(cfg.Topo, res), nil
 	}
-	for {
-		m, err := measureMemo(f, cfg, layouts, n, compute)
-		if err != nil && ctx.Err() == nil &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// The error is another caller's: concurrent measurements of the
-			// same cell share one in-flight computation, and the one doing
-			// the computing was cancelled. Our own deadline still holds, so
-			// go again — either we compute it ourselves this time or a
-			// completed flight serves us.
-			continue
-		}
-		return m, err
+	k, ok := measureKey(f, cfg, layouts, n)
+	if !ok {
+		return workload.MeasureRuns(ctx, n, run)
 	}
+	return workload.MeasureMemo(ctx, k, n, run)
 }
 
 // StructEval is one struct's outcome when its variant layout is applied
@@ -262,7 +228,7 @@ type StructEval struct {
 
 // EvalResult is the multi-struct evaluation table for one machine.
 type EvalResult struct {
-	Baseline Measurement
+	Baseline workload.Measurement
 	Structs  []StructEval
 	// Quality carries the measurement-quality assessment of the collection
 	// the variant layouts derive from, so the table states how trustworthy
@@ -293,7 +259,7 @@ func EvaluateCtx(ctx context.Context, f *irtext.File, cfg Config, base, variants
 	}
 	sort.Strings(names)
 	// Item 0 is the shared baseline measurement; items 1.. the struct cells.
-	ms, err := parallel.MapCtx(ctx, len(names)+1, func(ctx context.Context, i int) (Measurement, error) {
+	ms, err := parallel.MapCtx(ctx, len(names)+1, func(ctx context.Context, i int) (workload.Measurement, error) {
 		if i == 0 {
 			return MeasureCtx(ctx, f, cfg, base, runs)
 		}

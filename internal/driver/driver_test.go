@@ -1,10 +1,12 @@
 package driver
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"structlayout/internal/coherence"
 	"structlayout/internal/core"
 	"structlayout/internal/faults"
 	"structlayout/internal/ir"
@@ -454,5 +456,98 @@ func TestMeasureMemoized(t *testing.T) {
 	// Unkeyable configurations degrade to direct computation.
 	if _, ok := measureKey(f, Config{}, nil, 3); ok {
 		t.Fatal("nil topology should not produce a key")
+	}
+}
+
+// multiArenaProgram declares three arenas whose instance counts differ, so
+// the address each arena lands at — and with it the cache set every
+// instance maps to — depends on the order Run defines them in.
+const multiArenaProgram = `
+program arenas
+
+struct a { a_x i64  a_y i64 }
+struct b { b_x i64 }
+struct c { c_x i64  c_y i64 }
+
+proc sweep {
+    loop 5 {
+        read a.a_x loopvar
+        write a.a_y loopvar
+        compute 5
+    }
+    loop 3 {
+        write b.b_x loopvar
+        compute 5
+    }
+    loop 7 {
+        read c.c_x loopvar
+        write c.c_y loopvar
+        compute 5
+    }
+}
+
+arena a 5
+arena b 3
+arena c 7
+thread 0 sweep iters 20
+thread 1 sweep iters 20
+`
+
+// TestMultiArenaCollectDeterministic: a program declaring several arenas
+// collects identically every time — cycles, coherence counters and trace —
+// and both an uncollected run and the memoized collection agree with a
+// fresh one. Arenas defined in map iteration order broke this on a small
+// cache.
+func TestMultiArenaCollectDeterministic(t *testing.T) {
+	f, err := irtext.Parse(multiArenaProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Topo: machine.Bus4(), Cache: coherence.SmallCache(), Seed: 1}
+	encodeTrace := func(tr *sampling.Trace) string {
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first, err := Collect(f, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTrace := encodeTrace(first.Trace)
+	for i := 1; i < 50; i++ {
+		res, err := Collect(f, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != first.Cycles || res.Coherence != first.Coherence {
+			t.Fatalf("collection %d: %d cycles %+v, first %d cycles %+v",
+				i, res.Cycles, res.Coherence, first.Cycles, first.Coherence)
+		}
+		if encodeTrace(res.Trace) != wantTrace {
+			t.Fatalf("collection %d: trace differs from the first", i)
+		}
+	}
+	// The collector only observes: an uncollected run with the same seed
+	// simulates the same execution.
+	plain, err := Run(f, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Cycles != first.Cycles || plain.Coherence != first.Coherence {
+		t.Fatalf("uncollected run: %d cycles %+v, collected %d cycles %+v",
+			plain.Cycles, plain.Coherence, first.Cycles, first.Coherence)
+	}
+	memo.Shared().Clear()
+	for pass := 0; pass < 2; pass++ { // cold, then a memory-tier hit
+		_, tr, cycles, err := CollectCached(f, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cycles != first.Cycles || encodeTrace(tr) != wantTrace {
+			t.Fatalf("cached pass %d: %d cycles, want %d (trace equal: %v)",
+				pass, cycles, first.Cycles, encodeTrace(tr) == wantTrace)
+		}
 	}
 }

@@ -1,23 +1,24 @@
 package driver
 
 import (
-	"bytes"
-	"encoding/json"
 	"sort"
 
+	"structlayout/internal/exec"
 	"structlayout/internal/ir"
 	"structlayout/internal/irtext"
 	"structlayout/internal/layout"
 	"structlayout/internal/memo"
 	"structlayout/internal/profile"
 	"structlayout/internal/sampling"
+	"structlayout/internal/workload"
 )
 
 // Measure results for DSL programs are pure functions of (program, run
 // harness, topology, cache geometry, seed, run count, layouts) — Measure
 // nils the sampling config and fault spec per run by contract — so they
-// memoize through the process-wide memo.Shared() cache exactly like the
-// built-in workload's measurements. What unblocked this is ir.Canonical:
+// memoize through workload.MeasureMemo exactly like the built-in suite's
+// measurements, and collections through workload.CollectMemo. This file
+// holds only their keys. What unblocked this is ir.Canonical:
 // an arbitrary parsed program now has a deterministic, semantically
 // complete serialization to hash, where the built-in suite could hash its
 // few scalar parameters instead.
@@ -95,38 +96,6 @@ func measureKey(f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n
 	return h.Sum(), true
 }
 
-// measurementValue is the cached JSON form of a Measurement.
-type measurementValue struct {
-	Mean float64   `json:"mean"`
-	Runs []float64 `json:"runs"`
-}
-
-// measureMemo wraps a measurement computation in the shared cache,
-// degrading to direct computation when the key cannot be formed or a
-// cached entry is corrupt.
-func measureMemo(f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n int,
-	compute func() (Measurement, error)) (Measurement, error) {
-	k, ok := measureKey(f, cfg, layouts, n)
-	if !ok {
-		return compute()
-	}
-	raw, err := memo.Shared().Do(k, func() ([]byte, error) {
-		m, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(measurementValue{Mean: m.Mean, Runs: m.Runs})
-	})
-	if err != nil {
-		return Measurement{}, err
-	}
-	var v measurementValue
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return compute()
-	}
-	return Measurement{Mean: v.Mean, Runs: v.Runs}, nil
-}
-
 // collectKey keys one Collect call: the shared file config plus the
 // effective sampling parameters and the fault spec (Collect hands back
 // already-faulted artifacts, so the spec changes the cached value).
@@ -139,8 +108,8 @@ func collectKey(f *irtext.File, cfg Config) (memo.Key, bool) {
 	}
 	sc := cfg.Sampling
 	if sc == nil {
-		// Collect's own default; keep in sync with Collect.
-		sc = &sampling.Config{IntervalCycles: 2500, DriftMaxCycles: 8, LossProb: 0.02, Seed: cfg.Seed + 17}
+		smp := workload.CollectSampling(cfg.Seed)
+		sc = &smp
 	}
 	h.Int("s.interval", sc.IntervalCycles)
 	h.Int("s.drift", sc.DriftMaxCycles)
@@ -148,16 +117,6 @@ func collectKey(f *irtext.File, cfg Config) (memo.Key, bool) {
 	h.Int("s.seed", sc.Seed)
 	h.FaultSpec("inject", cfg.Inject)
 	return h.Sum(), true
-}
-
-// collectValue is the cached form of one collection: the artifact streams
-// in their canonical file encodings (decode reuses the on-disk formats'
-// validation) plus the run's cycle count, which sizes the concurrency
-// slices downstream.
-type collectValue struct {
-	Profile json.RawMessage `json:"profile"`
-	Trace   json.RawMessage `json:"trace"`
-	Cycles  int64           `json:"cycles"`
 }
 
 // CollectCacheReady reports whether CollectCached for these inputs would
@@ -170,13 +129,13 @@ func CollectCacheReady(f *irtext.File, cfg Config) bool {
 	return ok && memo.Shared().Contains(k)
 }
 
-// CollectCached is Collect through the process-wide memo cache: a pure
-// function of (program, harness, topology, sampling, seed, fault spec),
-// so repeated collections — a fleet of clients submitting the same
-// program, a warm disk tier across restarts — replay instead of
-// re-simulating. Hits decode fresh values; callers may mutate the
-// returned artifacts freely. Returns the collected profile, trace, and
-// the run's cycle count.
+// CollectCached is Collect through the process-wide memo cache
+// (workload.CollectMemo): a pure function of (program, harness, topology,
+// sampling, seed, fault spec), so repeated collections — a fleet of
+// clients submitting the same program, a warm disk tier across restarts —
+// replay instead of re-simulating. Hits decode fresh values; callers may
+// mutate the returned artifacts freely. Returns the collected profile,
+// trace, and the run's cycle count.
 func CollectCached(f *irtext.File, cfg Config) (*profile.Profile, *sampling.Trace, int64, error) {
 	k, ok := collectKey(f, cfg)
 	if !ok {
@@ -186,36 +145,5 @@ func CollectCached(f *irtext.File, cfg Config) (*profile.Profile, *sampling.Trac
 		}
 		return res.Profile, res.Trace, res.Cycles, nil
 	}
-	raw, err := memo.Shared().Do(k, func() ([]byte, error) {
-		res, err := Collect(f, cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		var pbuf, tbuf bytes.Buffer
-		if err := res.Profile.WriteJSON(&pbuf); err != nil {
-			return nil, err
-		}
-		if err := res.Trace.WriteJSON(&tbuf); err != nil {
-			return nil, err
-		}
-		return json.Marshal(collectValue{Profile: pbuf.Bytes(), Trace: tbuf.Bytes(), Cycles: res.Cycles})
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	var v collectValue
-	if err := json.Unmarshal(raw, &v); err == nil {
-		pf, perr := profile.ReadJSON(bytes.NewReader(v.Profile), f.Prog)
-		tr, terr := sampling.ReadJSON(bytes.NewReader(v.Trace))
-		if perr == nil && terr == nil {
-			return pf, tr, v.Cycles, nil
-		}
-	}
-	// Corrupt or shape-mismatched entry: recompute fresh, bypassing the
-	// poisoned value (degrade-don't-die).
-	res, rerr := Collect(f, cfg, nil)
-	if rerr != nil {
-		return nil, nil, 0, rerr
-	}
-	return res.Profile, res.Trace, res.Cycles, nil
+	return workload.CollectMemo(k, f.Prog, func() (*exec.Result, error) { return Collect(f, cfg, nil) })
 }

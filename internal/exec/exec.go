@@ -38,28 +38,21 @@ type Config struct {
 	Seed int64
 	// Sampling enables PMU-style collection when non-nil.
 	Sampling *sampling.Config
-	// CallOverhead is charged per procedure call (default 8 cycles).
-	CallOverhead int64
-	// BranchCost is charged per synthetic control block (default 1 cycle).
-	BranchCost int64
-	// LockHandoff is the extra cost of waking a lock waiter beyond the
-	// cache-to-cache transfer of the lock word (default 20 cycles).
-	LockHandoff int64
 	// Sim selects exact or interval-sampled simulation (zero value: exact).
 	Sim SimConfig
 }
 
-func (c *Config) fillDefaults() {
-	if c.CallOverhead == 0 {
-		c.CallOverhead = 8
-	}
-	if c.BranchCost == 0 {
-		c.BranchCost = 1
-	}
-	if c.LockHandoff == 0 {
-		c.LockHandoff = 20
-	}
-}
+// Fixed costs, in cycles, the interpreter charges besides instruction
+// latencies and memory accesses.
+const (
+	// callOverhead is charged per procedure call.
+	callOverhead = 8
+	// branchCost is charged per synthetic control block.
+	branchCost = 1
+	// lockHandoff is the extra cost of waking a lock waiter beyond the
+	// cache-to-cache transfer of the lock word.
+	lockHandoff = 20
+)
 
 // FieldRef names a field for statistics attribution.
 type FieldRef struct {
@@ -209,7 +202,6 @@ type Runner struct {
 // NewRunner builds a runner. Layouts must cover every struct the program
 // accesses; arena sizes are set via DefineArena before AddThread.
 func NewRunner(prog *ir.Program, cfg Config) (*Runner, error) {
-	cfg.fillDefaults()
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("exec: nil topology")
 	}

@@ -143,7 +143,7 @@ func (r *Runner) step(t *thread, limit int64) (bool, error) {
 			r.prof.IncrBlock(n.Block.Global)
 			t.curBlock = n.Block
 			if len(n.Block.Instrs) == 0 {
-				t.time += r.cfg.BranchCost
+				t.time += branchCost
 				r.sample(t)
 			} else if dins := r.dec[n.Block.Global]; !r.slowPath && r.collector == nil && len(dins) == 1 && dins[0].op == ir.OpCompute {
 				// A pure-compute block (decode merged its instructions into
@@ -160,7 +160,7 @@ func (r *Runner) step(t *thread, limit int64) (bool, error) {
 		case *ir.ExecIf:
 			r.prof.IncrBlock(n.Cond.Global)
 			t.curBlock = n.Cond
-			t.time += r.cfg.BranchCost
+			t.time += branchCost
 			r.sample(t)
 			arm := n.Then
 			if t.rng.Float64() >= n.Prob {
@@ -175,7 +175,7 @@ func (r *Runner) step(t *thread, limit int64) (bool, error) {
 		// Each visit is one header test.
 		r.prof.IncrBlock(f.loop.Loop.Header.Global)
 		t.curBlock = f.loop.Loop.Header
-		t.time += r.cfg.BranchCost
+		t.time += branchCost
 		r.sample(t)
 		if f.iter < f.loop.Count {
 			t.loopVals[len(t.loopVals)-1] = f.iter
@@ -188,7 +188,7 @@ func (r *Runner) step(t *thread, limit int64) (bool, error) {
 	case fIf:
 		r.prof.IncrBlock(f.ifn.Join.Global)
 		t.curBlock = f.ifn.Join
-		t.time += r.cfg.BranchCost
+		t.time += branchCost
 		r.sample(t)
 		t.pop()
 	case fBlock:
@@ -245,7 +245,7 @@ func (r *Runner) execInstr(t *thread, in *decInstr) error {
 		t.time += in.cycles
 		r.sample(t)
 	case ir.OpCall:
-		t.time += r.cfg.CallOverhead
+		t.time += callOverhead
 		t.pushSeq(in.callee.Tree)
 		r.sample(t)
 	case ir.OpField:
@@ -401,7 +401,7 @@ func (r *Runner) execUnlock(t *thread, in *decInstr) error {
 	ls.waiters = ls.waiters[1:]
 	ls.holder = w
 	// The waiter resumes after the release, paying the lock-word transfer.
-	wake := t.time + r.cfg.LockHandoff
+	wake := t.time + lockHandoff
 	if w.time > wake {
 		wake = w.time
 	}

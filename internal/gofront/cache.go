@@ -27,16 +27,11 @@ const cacheSchema = 1
 
 // reportKey derives the content-addressed cache key for one package's
 // lint report.
-func reportKey(names []string, srcs [][]byte, opts Options) memo.Key {
+func reportKey(names []string, srcs [][]byte) memo.Key {
 	h := memo.NewHasher()
 	h.Str("kind", "gofront/report")
 	h.Int("gofront-schema", cacheSchema)
 	h.Str("go-version", runtime.Version())
-	h.Str("goarch", opts.GOARCH)
-	h.Int("line-size", int64(opts.LineSize))
-	h.Int("loop-trip", opts.LoopTrip)
-	h.Int("spawns-per-loop-go", int64(opts.SpawnsPerLoopGo))
-	h.Int("max-threads", int64(opts.MaxThreads))
 	// FreshImporters is deliberately not keyed — it changes only load
 	// cost, never results.
 	h.Int("files", int64(len(names)))
@@ -135,7 +130,7 @@ func lintDir(dir string, opts Options) *Report {
 		}
 		return LintPackage(pkg, opts)
 	}
-	key := reportKey(names, srcs, opts)
+	key := reportKey(names, srcs)
 	var computed *Report
 	raw, err := opts.Cache.Do(key, func() ([]byte, error) {
 		pkg, perr := loadFiles(dir, names, srcs, opts)

@@ -15,7 +15,7 @@ import (
 
 // instBase is the first instance index handed to named objects (package
 // vars, captured locals). Per-CPU instances resolve to thread CPUs, which
-// MaxThreads keeps below this base, so the two index spaces never
+// maxThreads keeps below this base, so the two index spaces never
 // collide and declared arena counts keep every distinctness proof exact.
 const instBase = 64
 
@@ -75,7 +75,6 @@ type spawn struct {
 
 type extractor struct {
 	pkg  *Package
-	opts Options
 	prog *ir.Program
 
 	structs      []*StructDef
@@ -111,17 +110,16 @@ type extractor struct {
 // Extract lowers a loaded package into the IR plus its thread and arena
 // declarations. Builder preconditions panic on programmer errors; for
 // arbitrary input packages they are data errors, so a recover backstop
-// converts them.
-func Extract(pkg *Package, opts Options) (m *Model, err error) {
+// converts them. Extraction reads no option; the parameter keeps the call
+// shape Load and LintPackage share.
+func Extract(pkg *Package, _ Options) (m *Model, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m, err = nil, fmt.Errorf("gofront: extraction failed: %v", r)
 		}
 	}()
-	opts = opts.withDefaults()
 	e := &extractor{
 		pkg:          pkg,
-		opts:         opts,
 		prog:         ir.NewProgram(sanitizeIdent(pkg.Name)),
 		structByType: make(map[*types.TypeName]*StructDef),
 		funcByObj:    make(map[*types.Func]*goFunc),
@@ -673,16 +671,16 @@ func (e *extractor) breakCycles() {
 // declareThreads models the package's goroutine structure: every
 // function containing a `go` statement runs as a thread itself (the
 // spawning goroutine), and each `go` site contributes one thread — or
-// SpawnsPerLoopGo when the spawn sits in a loop, so distinct-thread
+// spawnsPerLoopGo when the spawn sits in a loop, so distinct-thread
 // conflicts on the spawned body exist. Structured spawn sites are
 // declared by the spawn statement instead; they only reserve a CPU
 // number here, so flat and structured threads share one numbering.
-// MaxThreads caps the total.
+// maxThreads caps the total.
 func (e *extractor) declareThreads() {
 	cpu := 0
 	capped := false
 	add := func(proc string, params []int) {
-		if cpu >= e.opts.MaxThreads {
+		if cpu >= maxThreads {
 			capped = true
 			return
 		}
@@ -696,7 +694,7 @@ func (e *extractor) declareThreads() {
 		add(fn.proc, nil)
 		for _, sp := range fn.spawns {
 			if pl := e.spawnPlan[sp.stmt]; pl != nil {
-				if cpu < e.opts.MaxThreads {
+				if cpu < maxThreads {
 					pl.cpu = cpu
 					cpu++
 					continue
@@ -705,7 +703,7 @@ func (e *extractor) declareThreads() {
 			}
 			n := 1
 			if sp.inLoop {
-				n = e.opts.SpawnsPerLoopGo
+				n = spawnsPerLoopGo
 			}
 			params := e.spawnParams(sp)
 			for i := 0; i < n; i++ {
@@ -714,7 +712,7 @@ func (e *extractor) declareThreads() {
 		}
 	}
 	if capped {
-		e.note("thread count capped at %d; remaining `go` sites not modeled", e.opts.MaxThreads)
+		e.note("thread count capped at %d; remaining `go` sites not modeled", maxThreads)
 	}
 }
 

@@ -30,53 +30,37 @@ import (
 	"structlayout/internal/staticshare"
 )
 
-// Options parameterize loading and lowering. The zero value is usable:
-// every field has a working default.
+// The model gofront lowers every package under.
+const (
+	// goArch selects the size/alignment model: amd64, the paper's 64-bit
+	// machines.
+	goArch = "amd64"
+	// lintLineSize is the coherence-line size the linter checks
+	// co-location against, matching the DSL lint path.
+	lintLineSize = 128
+	// loopTrip is the assumed trip count for Go loops, whose bounds are
+	// rarely static. It only weights finding ranks.
+	loopTrip = 8
+	// spawnsPerLoopGo is how many threads model a `go` statement inside a
+	// loop: enough for distinct-thread conflicts to exist.
+	spawnsPerLoopGo = 2
+	// maxThreads caps the modeled threads per package, keeping per-CPU
+	// instance indices below instBase.
+	maxThreads = 16
+)
+
+// Options parameterize loading and linting. The zero value is usable.
 type Options struct {
-	// GOARCH selects the size/alignment model (default amd64, the
-	// paper's 64-bit machines).
-	GOARCH string
-	// LineSize is the coherence-line size the linter checks co-location
-	// against (default 128, matching the DSL lint path).
-	LineSize int
-	// LoopTrip is the assumed trip count for Go loops, whose bounds are
-	// rarely static (default 8). It only weights finding ranks.
-	LoopTrip int64
-	// SpawnsPerLoopGo is how many threads model a `go` statement inside
-	// a loop (default 2: enough for distinct-thread conflicts to exist).
-	SpawnsPerLoopGo int
-	// MaxThreads caps the modeled threads per package (default 16,
-	// keeping per-CPU instance indices below the named-instance base).
-	MaxThreads int
 	// Cache, when non-nil, memoizes per-package reports content-addressed
-	// by the source file names + contents, the options and the toolchain
-	// (never the directory path, so a hit is valid wherever the tree
-	// sits). Cached replays return reports without a Model — callers that
-	// need the lowered program must run uncached. Nil disables caching.
+	// by the source file names + contents and the toolchain (never the
+	// directory path, so a hit is valid wherever the tree sits). Cached
+	// replays return reports without a Model — callers that need the
+	// lowered program must run uncached. Nil disables caching.
 	Cache *memo.Cache
 	// FreshImporters disables the package-level reuse of typechecker
 	// importers (each load pays full transitive re-typechecking). Bench
 	// use only, to time the un-amortized path honestly.
 	FreshImporters bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.GOARCH == "" {
-		o.GOARCH = "amd64"
-	}
-	if o.LineSize <= 0 {
-		o.LineSize = 128
-	}
-	if o.LoopTrip <= 0 {
-		o.LoopTrip = 8
-	}
-	if o.SpawnsPerLoopGo <= 0 {
-		o.SpawnsPerLoopGo = 2
-	}
-	if o.MaxThreads <= 0 {
-		o.MaxThreads = 16
-	}
-	return o
 }
 
 // Package is one loaded, type-checked Go package.
@@ -106,7 +90,6 @@ type Package struct {
 // silently dropped); per-package load failures come back in loadErrs
 // with the rest of the run intact.
 func Load(patterns []string, opts Options) ([]*Package, []error, error) {
-	opts = opts.withDefaults()
 	dirs, unmatched, err := expandPatterns(patterns)
 	if err != nil {
 		return nil, nil, err
@@ -325,10 +308,7 @@ func loadFiles(dir string, names []string, srcs [][]byte, opts Options) (*Packag
 		}
 		files = append(files, f)
 	}
-	sizes := types.SizesFor("gc", opts.GOARCH)
-	if sizes == nil {
-		return nil, fmt.Errorf("unknown GOARCH %q", opts.GOARCH)
-	}
+	sizes := types.SizesFor("gc", goArch)
 	pkg := &Package{Dir: dir, Name: pkgName, Fset: fset, Files: files, Sizes: sizes}
 	conf := types.Config{
 		Importer:         bundle.imp,
@@ -388,7 +368,6 @@ type Report struct {
 // pattern set errors. With Options.Cache set, package reports replay
 // from the content-addressed cache instead of re-analyzing.
 func Run(patterns []string, opts Options) ([]*Report, error) {
-	opts = opts.withDefaults()
 	dirs, unmatched, err := expandPatterns(patterns)
 	if err != nil {
 		return nil, err
@@ -413,7 +392,6 @@ func Run(patterns []string, opts Options) ([]*Report, error) {
 
 // LintPackage extracts, lowers and lints one loaded package.
 func LintPackage(pkg *Package, opts Options) *Report {
-	opts = opts.withDefaults()
 	rep := &Report{Package: pkg.Dir}
 	model, err := Extract(pkg, opts)
 	if err != nil {
@@ -424,13 +402,13 @@ func LintPackage(pkg *Package, opts Options) *Report {
 	rep.NumStructs = len(model.Structs)
 	rep.NumThreads = len(model.File.Threads)
 	rep.Notes = model.Notes
-	findings, res, err := staticshare.LintFile(model.File, opts.LineSize)
+	findings, res, err := staticshare.LintFile(model.File, lintLineSize)
 	if err != nil {
 		rep.Err = fmt.Errorf("%s: %w", pkg.Dir, err)
 		return rep
 	}
 	rep.Findings = findings
-	rep.Suggestions = Suggest(model, res, opts.LineSize)
+	rep.Suggestions = Suggest(model, res, lintLineSize)
 	return rep
 }
 

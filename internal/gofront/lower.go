@@ -125,7 +125,7 @@ func (e *extractor) lowerStmt(b *ir.Builder, fn *goFunc, stmt ast.Stmt) {
 		}
 	case *ast.ForStmt:
 		e.lowerStmt(b, fn, s.Init)
-		b.Loop(e.opts.LoopTrip, func(b *ir.Builder) {
+		b.Loop(loopTrip, func(b *ir.Builder) {
 			if s.Cond != nil {
 				e.lowerExpr(b, fn, s.Cond)
 			}
@@ -134,7 +134,7 @@ func (e *extractor) lowerStmt(b *ir.Builder, fn *goFunc, stmt ast.Stmt) {
 		})
 	case *ast.RangeStmt:
 		e.lowerExpr(b, fn, s.X)
-		b.Loop(e.opts.LoopTrip, func(b *ir.Builder) {
+		b.Loop(loopTrip, func(b *ir.Builder) {
 			e.lowerArm(b, fn, s.Body)
 		})
 	case *ast.SwitchStmt:

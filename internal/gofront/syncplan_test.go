@@ -159,7 +159,7 @@ func worker() {
 }
 
 // TestLoopSpawnStaysFlat pins that `go` in a loop keeps the flat
-// SpawnsPerLoopGo thread model — the DSL allows spawn statements only
+// spawnsPerLoopGo thread model — the DSL allows spawn statements only
 // at the top level.
 func TestLoopSpawnStaysFlat(t *testing.T) {
 	rep := lintSrc(t, "loopgo", `
@@ -185,7 +185,7 @@ func worker() { g.a = 1 }
 		t.Errorf("loop spawn must stay flat:\n%s", text)
 	}
 	if len(rep.Model.File.Threads) != 3 {
-		t.Errorf("got %d threads, want 3 (parent + SpawnsPerLoopGo)", len(rep.Model.File.Threads))
+		t.Errorf("got %d threads, want 3 (parent + spawnsPerLoopGo)", len(rep.Model.File.Threads))
 	}
 }
 

@@ -107,15 +107,15 @@ func TestMapCtxItemErrorWinsOverLaterSkips(t *testing.T) {
 	}
 }
 
-// TestForEachCtxPropagatesCtx pins that items receive the caller's context.
-func TestForEachCtxPropagatesCtx(t *testing.T) {
+// TestMapCtxPropagatesCtx pins that items receive the caller's context.
+func TestMapCtxPropagatesCtx(t *testing.T) {
 	type key struct{}
 	ctx := context.WithValue(context.Background(), key{}, "v")
-	err := ForEachCtx(ctx, 4, func(ctx context.Context, i int) error {
+	_, err := MapCtx(ctx, 4, func(ctx context.Context, i int) (struct{}, error) {
 		if ctx.Value(key{}) != "v" {
-			return fmt.Errorf("item %d: context not propagated", i)
+			return struct{}{}, fmt.Errorf("item %d: context not propagated", i)
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

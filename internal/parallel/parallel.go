@@ -4,7 +4,7 @@
 // state (seeds, RNG streams) from the index alone produce byte-identical
 // output at any worker count, including 1.
 //
-// The pool is a process-global token bucket: a Map/ForEach call runs items on
+// The pool is a process-global token bucket: a Map/MapCtx call runs items on
 // the calling goroutine and additionally spawns a helper goroutine per free
 // token. Nested calls therefore never deadlock — when the bucket is empty the
 // inner call simply degrades to an inline serial loop — and the total number
@@ -27,7 +27,7 @@ var (
 )
 
 // newBucket returns a token channel holding n-1 tokens: the caller of
-// Map/ForEach always counts as one worker, so n-1 helpers may join it.
+// Map/MapCtx always counts as one worker, so n-1 helpers may join it.
 func newBucket(n int) chan struct{} {
 	b := make(chan struct{}, n-1+1) // never zero-capacity
 	for i := 0; i < n-1; i++ {
@@ -37,7 +37,7 @@ func newBucket(n int) chan struct{} {
 }
 
 // SetLimit sets the maximum number of concurrently running work items across
-// all Map/ForEach calls in the process. Values below 1 are clamped to 1
+// all Map/MapCtx calls in the process. Values below 1 are clamped to 1
 // (pure serial, inline execution). Calls already in flight keep the limit
 // they started with.
 func SetLimit(n int) {
@@ -161,22 +161,6 @@ func MapCtx[T any](ctx context.Context, n int, fn func(ctx context.Context, i in
 		return out, ctx.Err()
 	}
 	return out, nil
-}
-
-// ForEach is Map for work items with no result value.
-func ForEach(n int, fn func(i int) error) error {
-	_, err := Map(n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// ForEachCtx is MapCtx for work items with no result value.
-func ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := MapCtx(ctx, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }
 
 // SeedFor derives a per-item RNG seed from a base seed, a run index, and any

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -112,7 +111,7 @@ func TestConcurrencyBounded(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			ForEach(20, func(i int) error {
+			Map(20, func(i int) (struct{}, error) {
 				cur := inFlight.Add(1)
 				for {
 					p := peak.Load()
@@ -124,7 +123,7 @@ func TestConcurrencyBounded(t *testing.T) {
 					_ = k * k
 				}
 				inFlight.Add(-1)
-				return nil
+				return struct{}{}, nil
 			})
 		}()
 	}
@@ -134,18 +133,6 @@ func TestConcurrencyBounded(t *testing.T) {
 	// empty, so the hard bound is lim + callers - 1.
 	if p := peak.Load(); p > lim+2 {
 		t.Fatalf("peak concurrency %d exceeds bound %d", p, lim+2)
-	}
-}
-
-func TestForEachError(t *testing.T) {
-	sentinel := errors.New("nope")
-	if err := ForEach(4, func(i int) error {
-		if i == 2 {
-			return sentinel
-		}
-		return nil
-	}); !errors.Is(err, sentinel) {
-		t.Fatalf("got %v", err)
 	}
 }
 

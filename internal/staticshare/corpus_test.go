@@ -19,7 +19,7 @@ func TestCorpusSummaryEqualsExact(t *testing.T) {
 		t.Skip("examples/corpus not present")
 	}
 	const lineSize = 128
-	opts := gofront.Options{LineSize: lineSize}
+	opts := gofront.Options{}
 	pkgs, loadErrs, err := gofront.Load([]string{"../../examples/corpus/...", "../../examples/gofront/..."}, opts)
 	if err != nil {
 		t.Fatal(err)

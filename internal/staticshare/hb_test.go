@@ -433,7 +433,7 @@ func TestHBSharpensPrior(t *testing.T) {
 	}
 	joined := analyzeSrc(t, hbForkJoinSrc, false)
 	g := mkGraph(joined)
-	if pr := joined.ApplyPrior(g, PriorOptions{}); pr.Certain != 0 || pr.Possible != 0 {
+	if pr := joined.ApplyPrior(g); pr.Certain != 0 || pr.Possible != 0 {
 		t.Fatalf("joined fork/join floored %d certain / %d possible pairs, want none", pr.Certain, pr.Possible)
 	}
 	if g.Loss[affinity.PairKey(0, 1)] != 0 {
@@ -442,7 +442,7 @@ func TestHBSharpensPrior(t *testing.T) {
 
 	unjoined := analyzeSrc(t, strings.Replace(hbForkJoinSrc, "    join h\n", "", 1), false)
 	g = mkGraph(unjoined)
-	if pr := unjoined.ApplyPrior(g, PriorOptions{}); pr.Certain == 0 {
+	if pr := unjoined.ApplyPrior(g); pr.Certain == 0 {
 		t.Fatal("unjoined variant should floor the certain write-shared pair")
 	}
 	if g.Loss[affinity.PairKey(0, 1)] <= g.Gain[affinity.PairKey(0, 1)] {

@@ -9,31 +9,21 @@ import (
 	"structlayout/internal/flg"
 )
 
-// PriorOptions tunes how the static classification blends into an FLG as
-// a CycleLoss prior.
-type PriorOptions struct {
-	// MarginFrac sizes the safety margin forced onto statically-certain
-	// write-shared pairs, as a fraction of the graph's largest absolute
-	// gain: their net weight is driven at least that far negative, so the
-	// clusterer (which only merges strictly positive weights) never
-	// co-locates them and the packer keeps their clusters on separate
-	// lines. Default 0.01.
-	MarginFrac float64
-	// Discount scales the loss charged to possible-but-uncertain
+// How the static classification blends into an FLG as a CycleLoss prior.
+const (
+	// priorMarginFrac sizes the safety margin forced onto
+	// statically-certain write-shared pairs, as a fraction of the graph's
+	// largest absolute gain: their net weight is driven at least that far
+	// negative, so the clusterer (which only merges strictly positive
+	// weights) never co-locates them and the packer keeps their clusters
+	// on separate lines.
+	priorMarginFrac = 0.01
+	// priorDiscount scales the loss charged to possible-but-uncertain
 	// write-shared pairs (unknown parameter bindings): loss grows by
-	// Discount × gain, shrinking the attraction without forbidding
-	// co-location. Default 0.5.
-	Discount float64
-}
-
-func (o *PriorOptions) fill() {
-	if o.MarginFrac <= 0 {
-		o.MarginFrac = 0.01
-	}
-	if o.Discount <= 0 {
-		o.Discount = 0.5
-	}
-}
+	// priorDiscount × gain, shrinking the attraction without forbidding
+	// co-location.
+	priorDiscount = 0.5
+)
 
 // PriorResult summarizes one ApplyPrior call.
 type PriorResult struct {
@@ -51,8 +41,7 @@ type PriorResult struct {
 // what a perfect trace would have charged them); possible write conflicts
 // get a discounted gain. Read-shared, lock-serialized and never-shared
 // pairs are left untouched: the paper's machinery already handles them.
-func (r *Result) ApplyPrior(g *flg.Graph, opts PriorOptions) PriorResult {
-	opts.fill()
+func (r *Result) ApplyPrior(g *flg.Graph) PriorResult {
 	var out PriorResult
 	if g == nil || g.Struct == nil {
 		return out
@@ -69,7 +58,7 @@ func (r *Result) ApplyPrior(g *flg.Graph, opts PriorOptions) PriorResult {
 			maxGain = -v
 		}
 	}
-	margin := 1e-6 + opts.MarginFrac*maxGain
+	margin := 1e-6 + priorMarginFrac*maxGain
 	keys := make([][2]int, 0, len(pairs))
 	for k := range pairs {
 		keys = append(keys, k)
@@ -93,7 +82,7 @@ func (r *Result) ApplyPrior(g *flg.Graph, opts PriorOptions) PriorResult {
 			}
 			out.Certain++
 		} else if gain := g.Gain[key]; gain > 0 {
-			g.Loss[key] += opts.Discount * gain
+			g.Loss[key] += priorDiscount * gain
 			out.Possible++
 		}
 	}

@@ -275,7 +275,7 @@ func TestApplyPrior(t *testing.T) {
 		Loss:    map[[2]int]float64{},
 		Hotness: map[int]float64{},
 	}
-	pr := r.ApplyPrior(g, PriorOptions{})
+	pr := r.ApplyPrior(g)
 	if pr.Certain == 0 {
 		t.Fatal("prior should floor at least one certain pair")
 	}
@@ -284,7 +284,7 @@ func TestApplyPrior(t *testing.T) {
 	}
 	// Idempotent: a second application must not move the graph.
 	before := g.Loss[key]
-	r.ApplyPrior(g, PriorOptions{})
+	r.ApplyPrior(g)
 	if g.Loss[key] != before {
 		t.Fatalf("prior not idempotent: %v -> %v", before, g.Loss[key])
 	}

@@ -1,12 +1,11 @@
 package workload
 
 import (
-	"fmt"
+	"context"
 
 	"structlayout/internal/exec"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
-	"structlayout/internal/parallel"
 	"structlayout/internal/profile"
 	"structlayout/internal/sampling"
 	"structlayout/internal/stats"
@@ -22,6 +21,18 @@ const (
 	// CollectSliceCycles is the CodeConcurrency interval length in cycles.
 	CollectSliceCycles = 125_000
 )
+
+// CollectSampling returns the PMU sampling configuration of every
+// collection run: the CollectSampleInterval period, a few ticks of drift,
+// mild loss, and a sampling seed derived from the run seed.
+func CollectSampling(seed int64) sampling.Config {
+	return sampling.Config{
+		IntervalCycles: CollectSampleInterval,
+		DriftMaxCycles: 8,
+		LossProb:       0.02,
+		Seed:           seed + 17,
+	}
+}
 
 // Layouts maps struct labels ("A".."E") to layouts. Missing labels fall
 // back to the baseline layout.
@@ -111,7 +122,9 @@ func Throughput(topo *machine.Topology, res *exec.Result) float64 {
 
 // Measurement is the paper's aggregated result of one configuration.
 type Measurement struct {
-	// Mean is the outlier-trimmed mean throughput in scripts/hour.
+	// Mean is the outlier-trimmed mean throughput per virtual hour: SDET
+	// scripts for the suite, completed top-level iterations for a DSL
+	// program.
 	Mean float64
 	// Runs holds each run's throughput.
 	Runs []float64
@@ -123,57 +136,38 @@ func (m Measurement) SpeedupOver(base Measurement) float64 {
 	return stats.SpeedupPercent(m.Mean, base.Mean)
 }
 
-// Measure runs the protocol of §5: n measured runs (the paper uses 10
-// after a warm-up), outliers removed, mean reported. Seeds vary per run.
+// Measure runs the protocol of §5 (MeasureRuns) over the suite: n
+// measured runs (the paper uses 10 after a warm-up), outliers removed,
+// mean reported. Run i's seed is baseSeed+i*1009+1, a pure function of
+// its index, so the measurement is byte-identical at any worker count.
 //
-// The runs execute in parallel up to parallel.Limit(): each run's seed is a
-// pure function of its index (never of scheduling), each run owns all its
-// simulator state, and throughputs are gathered by run index — so the
-// measurement is byte-identical at any worker count.
-//
-// Measurements are memoized through memo.Shared(): the result is a pure
-// function of the arguments plus the suite's parameters, so a repeated
+// Measurements are memoized (MeasureMemo): the result is a pure function
+// of the arguments plus the suite's parameters, so a repeated
 // configuration (the figure loops share baselines and variant cells across
 // machines) is simulated once per process — or once ever, with a disk
-// cache. Cached results round-trip through JSON losslessly, so hits are
-// bit-identical to fresh computation.
+// cache.
 func (s *Suite) Measure(topo *machine.Topology, ls Layouts, n int, baseSeed int64) (Measurement, error) {
-	if n <= 0 {
-		return Measurement{}, fmt.Errorf("workload: need at least one run")
-	}
-	return s.measureMemo(topo, ls, n, baseSeed, func() (Measurement, error) {
-		runs, err := parallel.Map(n, func(i int) (float64, error) {
+	return MeasureMemo(context.Background(), s.measureKey(topo, ls, n, baseSeed), n,
+		func(_ context.Context, i int) (float64, error) {
 			res, err := s.RunOnce(topo, ls, baseSeed+int64(i)*1009+1, nil)
 			if err != nil {
 				return 0, err
 			}
 			return Throughput(topo, res), nil
 		})
-		if err != nil {
-			return Measurement{}, err
-		}
-		return Measurement{Mean: stats.TrimmedMean(runs), Runs: runs}, nil
-	})
 }
 
 // Collect performs the tool's data-collection phase (§4): one profiled,
 // PMU-sampled run under the baseline layouts on the given collection
 // machine (the paper uses a 16-way machine for its experiments).
 //
-// Collections are memoized like measurements; every hit decodes a fresh
+// Collections are memoized (CollectMemo); every hit decodes a fresh
 // Profile/Trace pair, so callers that mutate their collection (fault
 // injection, sanitizing) never alias cache-held state.
 func (s *Suite) Collect(topo *machine.Topology, ls Layouts, seed int64) (*profile.Profile, *sampling.Trace, error) {
-	return s.collectMemo(topo, ls, seed, func() (*profile.Profile, *sampling.Trace, error) {
-		res, err := s.RunOnce(topo, ls, seed, &sampling.Config{
-			IntervalCycles: CollectSampleInterval,
-			DriftMaxCycles: 8,
-			LossProb:       0.02,
-			Seed:           seed + 17,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return res.Profile, res.Trace, nil
+	pf, tr, _, err := CollectMemo(s.collectKey(topo, ls, seed), s.Prog, func() (*exec.Result, error) {
+		smp := CollectSampling(seed)
+		return s.RunOnce(topo, ls, seed, &smp)
 	})
+	return pf, tr, err
 }
