@@ -1,10 +1,6 @@
 package coherence
 
-import (
-	"math/bits"
-
-	"structlayout/internal/machine"
-)
+import "math/bits"
 
 // bitset is a fixed-size CPU set (128 CPUs = 2 words).
 type bitset []uint64
@@ -42,21 +38,4 @@ func (b bitset) forEach(fn func(i int)) {
 			fn(i)
 		}
 	}
-}
-
-// nearest returns the member with the smallest transfer latency to cpu
-// (excluding cpu itself), or -1 if the set is empty or contains only cpu.
-func (b bitset) nearest(cpu int, topo *machine.Topology) int {
-	best := -1
-	var bestLat int64
-	b.forEach(func(i int) {
-		if i == cpu {
-			return
-		}
-		lat := topo.TransferLatency(i, cpu)
-		if best == -1 || lat < bestLat {
-			best, bestLat = i, lat
-		}
-	})
-	return best
 }

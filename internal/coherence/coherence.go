@@ -325,8 +325,8 @@ func (s *System) buildNearTable(n int) {
 }
 
 // nearestSharer returns the lowest-indexed minimum-latency member of sh
-// other than cpu, or -1 — the same answer as bitset.nearest, via the
-// precomputed class masks.
+// other than cpu, or -1 — the same answer as the per-sharer walk
+// bitset.nearest in bitset_test.go, via the precomputed class masks.
 func (s *System) nearestSharer(cpu int, sh bitset) int {
 	for ci := range s.near[cpu] {
 		mask := s.near[cpu][ci].mask
@@ -791,7 +791,8 @@ func (s *System) insert(cpu int, setIdx int64, li *lineInfo, newState State, st 
 }
 
 // StateOf reports the MESI state of the line holding addr in the CPU's
-// cache (Invalid if absent). Intended for tests.
+// cache (Invalid if absent). The execution engine probes it to tell
+// whether a read will hit; it changes no state, not even the LRU order.
 func (s *System) StateOf(cpu int, addr int64) State {
 	line := addr >> s.lineShift
 	c := &s.caches[cpu]

@@ -8,16 +8,20 @@
 //   - total cycles, from which the SDET-style throughput metric derives,
 //   - per-field coherence statistics (ground truth for evaluation only).
 //
-// Scheduling is deterministic: the runnable thread with the smallest local
-// time executes next (CPU id breaks ties), so identical inputs and seeds
-// replay identical interleavings. Field addresses are resolved through a
-// layout per struct, with instances placed at cache-line-aligned bases the
-// way the HP-UX arena allocator does (§2) — re-running the same workload
-// under a different layout is exactly the paper's experiment.
+// Scheduling is deterministic: every operation another CPU could observe
+// or disturb executes in (local time, CPU id) order over the runnable
+// threads, so identical inputs and seeds replay identical interleavings.
+// A thread past its turn keeps going only through operations that commute
+// with everything the others do (see Runner.run). Field addresses are
+// resolved through a layout per struct, with instances placed at
+// cache-line-aligned bases the way the HP-UX arena allocator does (§2) —
+// re-running the same workload under a different layout is exactly the
+// paper's experiment.
 package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"structlayout/internal/coherence"
@@ -110,7 +114,17 @@ type arena struct {
 	name   string
 	stats  []FieldStat // indexed by field
 	locks  []lockState // indexed by instance*numFields + field
+	// writers marks, per line of the arena (line index from a.base), the
+	// one CPU that can write it, noWriter or manyWriters (see markWriters).
+	// nil when read-hit run-ahead is off.
+	writers []int32
 }
+
+// Line-writer marks besides a CPU id.
+const (
+	noWriter    = -1 // no thread writes the line
+	manyWriters = -2 // threads on two or more CPUs write it
+)
 
 // regionAlloc places one ir.Region in the address space.
 type regionAlloc struct {
@@ -132,8 +146,9 @@ type lockState struct {
 // resolved once at Run start, so the interpreter's inner loop performs no
 // map probes.
 type decInstr struct {
-	op    ir.Opcode
-	write bool
+	op      ir.Opcode
+	write   bool
+	oneLine bool // OpField: the field's bytes lie within one cache line
 
 	cycles int64         // OpCompute
 	callee *ir.Procedure // OpCall
@@ -170,6 +185,7 @@ type Runner struct {
 	regions   map[string]*regionAlloc
 	regionIdx map[string]int
 	nextAdr   int64
+	lineShift uint // log2 of the cache line size
 
 	dec [][]decInstr // per-block decoded instructions, indexed by BlockID
 
@@ -188,6 +204,9 @@ type Runner struct {
 	idShift uint
 	timeCap int64
 	woken   []*thread
+	// rounds counts scheduler rounds (runUntil calls), the unit of cost
+	// read-hit run-ahead saves; tests pin it.
+	rounds int64
 
 	completed int64
 	ran       bool
@@ -219,6 +238,7 @@ func NewRunner(prog *ir.Program, cfg Config) (*Runner, error) {
 		regionIdx: make(map[string]int),
 		cpuUsed:   make(map[int]bool),
 		nextAdr:   cfg.Cache.LineSize, // keep address 0 unused
+		lineShift: uint(bits.TrailingZeros64(uint64(cfg.Cache.LineSize))),
 	}
 	if cfg.Sampling != nil {
 		sc := *cfg.Sampling
@@ -348,6 +368,12 @@ func (r *Runner) Run() (*Result, error) {
 		return nil, err
 	}
 	r.buildInstTables()
+	if r.collector == nil && !r.sim.enabled && !r.slowPath {
+		// Read-hit run-ahead (see commutes): a collector's RNG and sample
+		// list are global, sampled mode has its own yield rule, and the
+		// slow path stays the one-op-per-turn reference.
+		r.markWriters()
+	}
 	r.coh.ReserveDirectory(r.nextAdr)
 
 	if err := r.run(); err != nil {
@@ -402,8 +428,8 @@ func (r *Runner) Run() (*Result, error) {
 // management (sequence/loop/if bookkeeping) falls through to step().
 //
 // The yield condition is checked before every instruction (see Runner.run
-// for the invariant), so the global order of coherence accesses is a pure
-// function of thread time trajectories — bit-identical between the
+// for the invariant), so the global order of non-commuting accesses is a
+// pure function of thread time trajectories — bit-identical between the
 // superblock path and the one-step-at-a-time slow path.
 func (r *Runner) runUntil(t *thread, limit int64) error {
 	for {
@@ -472,6 +498,9 @@ func (r *Runner) decode() error {
 				d.field = int32(in.Field)
 				d.fieldOff = int64(a.lay.Offsets[in.Field])
 				d.size = in.Struct.Fields[in.Field].Size
+				// Instance bases are line-aligned, so whether the field
+				// straddles a line does not depend on the instance.
+				d.oneLine = d.fieldOff>>r.lineShift == (d.fieldOff+int64(d.size)-1)>>r.lineShift
 				d.inst = in.Inst
 				if in.Inst.Kind == ir.InstShared {
 					d.instIdx = int32(in.Inst.Index % a.count)

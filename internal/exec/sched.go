@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"structlayout/internal/coherence"
 	"structlayout/internal/ir"
 )
 
@@ -17,11 +18,18 @@ func (r *Runner) key(t *thread) int64 {
 // Scheduling invariant: a shared operation (lock/unlock always; field and
 // region accesses unless sampled off-window) executes only when its
 // thread's pre-op (time, id) is the lexicographic minimum over the
-// runnable threads. Non-shared operations (compute, calls, control
-// bookkeeping, off-window accesses) never yield — they are invisible to
-// other threads, so executing them past the limit commutes with everything.
-// The order of shared operations is therefore a pure function of the
-// threads' virtual-time trajectories, independent of yield granularity.
+// runnable threads — with one exception, below. Non-shared operations
+// (compute, calls, control bookkeeping, off-window accesses) never yield —
+// they are invisible to other threads, so executing them past the limit
+// commutes with everything. The exception is a read hit no other CPU can
+// disturb (commutes): a single-line field read of a line resident in the
+// thread's cache that no other CPU ever writes. Its outcome is the same
+// at any position in the global order and it changes nothing another
+// thread observes, so exact runs without a collector execute it past the
+// limit instead of paying a scheduler round. The order of the remaining
+// shared operations is therefore a pure function of the threads'
+// virtual-time trajectories, independent of yield granularity, and every
+// statistic matches the one-op-per-turn reference (slowPath).
 func (r *Runner) run() error {
 	r.idShift = uint(bits.Len(uint(len(r.threads) - 1))) // width of the largest id
 	r.timeCap = int64(1) << (62 - r.idShift)
@@ -31,6 +39,7 @@ func (r *Runner) run() error {
 	}
 	parked := 0
 	for len(q) > 0 {
+		r.rounds++
 		t := q[0].t
 		limit := int64(1<<63 - 1)
 		if len(q) > 1 {
@@ -82,7 +91,9 @@ func (r *Runner) run() error {
 // the scheduler once per slack span instead of once per access), and its
 // bound is what contains the model error — a warm write can commit at most
 // simSlack cycles of virtual time earlier than exact order, so it cannot
-// invalidate a line a far-future reader would have hit.
+// invalidate a line a far-future reader would have hit. A read hit no
+// other CPU can disturb (commutes) is exempt outright: its outcome does not
+// depend on its place in the order.
 func (r *Runner) yieldCheck(t *thread, limit int64, in *decInstr) bool {
 	if r.key(t) <= limit {
 		return false
@@ -92,11 +103,89 @@ func (r *Runner) yieldCheck(t *thread, limit int64, in *decInstr) bool {
 		if r.sim.enabled && !r.simOn(t) {
 			return t.time > limit>>r.idShift+r.sim.slack
 		}
-		return true
+		return !r.commutes(t, in)
 	case ir.OpLock, ir.OpUnlock:
 		return true
 	}
 	return false
+}
+
+// commutes reports whether in is a field read that gives the same result
+// wherever the scheduler orders it, so a thread past its turn may run it
+// now instead of yielding: it reads one line, no CPU other than the
+// thread's own writes that line (markWriters), and the line is resident
+// in the thread's cache. Such a read hits. Only a foreign write could
+// remove the line (a CPU's cache fills and evictions come from its own
+// thread, or from a lock handoff to that thread while it is parked); a
+// foreign read's downgrade rewrites the state in place, and reads hit in
+// any state; and moving the line to the MRU way commutes with other CPUs
+// removing or downgrading other lines of the set. The read itself changes
+// nothing another CPU sees: per-CPU hit counters, the field's statistics
+// sums and this CPU's LRU order.
+func (r *Runner) commutes(t *thread, in *decInstr) bool {
+	a := in.arena
+	if in.op != ir.OpField || in.write || !in.oneLine || a.writers == nil {
+		return false
+	}
+	idx, err := r.instIndex(t, a, in)
+	if err != nil {
+		return false // fail where the reference order fails
+	}
+	off := int64(idx)*a.stride + in.fieldOff
+	if w := a.writers[off>>r.lineShift]; w != noWriter && w != int32(t.cpu) {
+		return false
+	}
+	return r.coh.StateOf(t.cpu, a.base+off) != coherence.Invalid
+}
+
+// markWriters fills every arena's line-writer table. Each thread is
+// paired with every field write, lock and unlock of the program, reached
+// or not, and marks the lines that instruction would write on its CPU;
+// a loop-variable instance can be any instance, so it marks them all.
+// Over-marking only costs run-ahead chances, never exactness. A lock
+// handoff writes the lock word on the waiter's CPU, which the waiter's own
+// lock instruction has marked.
+func (r *Runner) markWriters() {
+	for _, a := range r.arenaList {
+		a.writers = make([]int32, a.count*int(a.stride>>r.lineShift))
+		for i := range a.writers {
+			a.writers[i] = noWriter
+		}
+	}
+	for _, ds := range r.dec {
+		for i := range ds {
+			in := &ds[i]
+			if !(in.op == ir.OpField && in.write || in.op == ir.OpLock || in.op == ir.OpUnlock) {
+				continue
+			}
+			a := in.arena
+			for _, t := range r.threads {
+				if in.inst.Kind == ir.InstLoopVar {
+					for idx := 0; idx < a.count; idx++ {
+						r.markWrite(a, idx, in, t.cpu)
+					}
+					continue
+				}
+				if idx, err := r.instIndex(t, a, in); err == nil {
+					r.markWrite(a, idx, in, t.cpu)
+				}
+			}
+		}
+	}
+}
+
+// markWrite records cpu as a writer of every line in's field covers in
+// instance idx.
+func (r *Runner) markWrite(a *arena, idx int, in *decInstr, cpu int) {
+	off := int64(idx)*a.stride + in.fieldOff
+	for l := off >> r.lineShift; l <= (off+int64(in.size)-1)>>r.lineShift; l++ {
+		switch w := a.writers[l]; {
+		case w == noWriter:
+			a.writers[l] = int32(cpu)
+		case w != int32(cpu):
+			a.writers[l] = manyWriters
+		}
+	}
 }
 
 // tq is an inline binary min-heap on packed (time, id) keys. It replaces

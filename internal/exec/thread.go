@@ -92,8 +92,8 @@ func (r *Runner) buildInstTables() {
 
 // instIndex resolves a decoded instruction's instance: shared instances
 // were resolved at decode, per-CPU and parameter instances come from the
-// thread's tables, and only loop-variable instances (which change every
-// iteration) take the generic path.
+// thread's tables, and loop-variable instances (which change every
+// iteration) read the innermost induction value.
 func (r *Runner) instIndex(t *thread, a *arena, in *decInstr) (int, error) {
 	switch in.inst.Kind {
 	case ir.InstShared:
@@ -105,8 +105,13 @@ func (r *Runner) instIndex(t *thread, a *arena, in *decInstr) (int, error) {
 			return 0, fmt.Errorf("exec: thread %d has no param %d", t.id, in.inst.Index)
 		}
 		return int(t.instParam[a.idx*r.nparams+in.inst.Index]), nil
+	case ir.InstLoopVar:
+		if len(t.loopVals) == 0 {
+			return 0, fmt.Errorf("exec: loopvar instance outside any loop")
+		}
+		return int(t.loopVals[len(t.loopVals)-1] % int64(a.count)), nil
 	}
-	return r.resolveInstance(t, a, in.inst)
+	return 0, fmt.Errorf("exec: unknown instance kind %d", in.inst.Kind)
 }
 
 func (t *thread) pushSeq(nodes []ir.ExecNode) {
@@ -212,28 +217,6 @@ func (t *thread) pop() { t.stack = t.stack[:len(t.stack)-1] }
 func (r *Runner) sample(t *thread) {
 	if r.collector != nil {
 		r.collector.Tick(t.cpu, t.time, t.curBlock)
-	}
-}
-
-// resolveInstance maps an instance expression to a concrete index.
-func (r *Runner) resolveInstance(t *thread, a *arena, e ir.InstExpr) (int, error) {
-	switch e.Kind {
-	case ir.InstShared:
-		return e.Index % a.count, nil
-	case ir.InstPerCPU:
-		return t.cpu % a.count, nil
-	case ir.InstParam:
-		if e.Index >= len(t.params) {
-			return 0, fmt.Errorf("exec: thread %d has no param %d", t.id, e.Index)
-		}
-		return t.params[e.Index] % a.count, nil
-	case ir.InstLoopVar:
-		if len(t.loopVals) == 0 {
-			return 0, fmt.Errorf("exec: loopvar instance outside any loop")
-		}
-		return int(t.loopVals[len(t.loopVals)-1] % int64(a.count)), nil
-	default:
-		return 0, fmt.Errorf("exec: unknown instance kind %d", e.Kind)
 	}
 }
 
