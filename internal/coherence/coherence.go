@@ -212,6 +212,16 @@ func (c *cpuCache) init(cfg Config) {
 	c.n = make([]int16, cfg.Sets)
 }
 
+// toMRU rotates way i of a set to the set's MRU way mru, shifting the ways
+// above i down by one.
+func (c *cpuCache) toMRU(i, mru int) {
+	line, li, st := c.lines[i], c.info[i], c.state[i]
+	copy(c.lines[i:mru], c.lines[i+1:mru+1])
+	copy(c.info[i:mru], c.info[i+1:mru+1])
+	copy(c.state[i:mru], c.state[i+1:mru+1])
+	c.lines[mru], c.info[mru], c.state[mru] = line, li, st
+}
+
 // slabSize is how many lineInfo entries (and their three bitsets) one
 // directory slab allocation holds.
 const slabSize = 256
@@ -571,19 +581,14 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, st *S
 		state := c.state[i]
 		// Present. Bump LRU: rotate the line to the MRU slot.
 		mru := base + n - 1
-		copy(c.lines[i:mru], c.lines[i+1:mru+1])
-		copy(c.info[i:mru], c.info[i+1:mru+1])
-		copy(c.state[i:mru], c.state[i+1:mru+1])
-		c.lines[mru], c.info[mru] = line, li
+		c.toMRU(i, mru)
 		if !write {
-			c.state[mru] = state
 			st.Hits++
 			res.Latency = s.topo.HitLatency
 			return
 		}
 		switch state {
 		case Modified:
-			c.state[mru] = state
 			st.Hits++
 			li.recordWrite(cpu, lo, hi)
 			res.Latency = s.topo.HitLatency
@@ -790,23 +795,37 @@ func (s *System) insert(cpu int, setIdx int64, li *lineInfo, newState State, st 
 	c.n[setIdx] = int16(n + 1)
 }
 
-// StateOf reports the MESI state of the line holding addr in the CPU's
-// cache (Invalid if absent). The execution engine probes it to tell
-// whether a read will hit; it changes no state, not even the LRU order.
-func (s *System) StateOf(cpu int, addr int64) State {
-	line := addr >> s.lineShift
+// ReadHit performs cpu's read of the line holding addr if that line is
+// resident in cpu's cache, exactly as AccessInto does for such a read: it
+// counts the access and the hit in cpu's counters, rotates the line to its
+// set's MRU way and fills *res with the hit's outcome. It reports whether
+// it did; when the line is not resident it changes nothing at all. The
+// read must lie within one line. The execution engine completes the reads
+// it runs ahead of the scheduler with it: the probe is the access.
+func (s *System) ReadHit(cpu int, addr int64, res *AccessResult) bool {
 	c := &s.caches[cpu]
 	if c.n == nil {
-		return Invalid
+		return false
 	}
+	line := addr >> s.lineShift
 	setIdx := line & s.setMask
 	base := int(setIdx) * s.cfg.Ways
-	for i := base; i < base+int(c.n[setIdx]); i++ {
-		if c.lines[i] == line {
-			return c.state[i]
-		}
+	mru := base + int(c.n[setIdx]) - 1
+	i := mru
+	for i >= base && c.lines[i] != line {
+		i--
 	}
-	return Invalid
+	if i < base {
+		return false
+	}
+	if i < mru {
+		c.toMRU(i, mru)
+	}
+	st := &s.perCPU[cpu]
+	st.Accesses++
+	st.Hits++
+	*res = AccessResult{Latency: s.topo.HitLatency, Supplier: -1}
+	return true
 }
 
 // recordWrite remembers the byte range of the most recent write for

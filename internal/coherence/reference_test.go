@@ -108,6 +108,24 @@ func TestAgainstReferenceModel(t *testing.T) {
 		line := int64(rng.Intn(64))
 		write := rng.Intn(3) == 0
 
+		if !write && rng.Intn(4) == 0 {
+			// The run-ahead probe: it completes the read exactly when the
+			// reference holds the line, as a hit; otherwise the read takes
+			// the full path below.
+			st, _, _ := ref.line(line)
+			var res AccessResult
+			hit := sys.ReadHit(cpu, line*cfg.LineSize, &res)
+			if hit != (st[cpu] != Invalid) {
+				t.Fatalf("step %d (cpu %d line %d): probe hit %v, reference state %v", i, cpu, line, hit, st[cpu])
+			}
+			if hit {
+				if kind, inv := ref.access(cpu, line, false); kind != MissNone || inv != 0 || res.Miss != MissNone {
+					t.Fatalf("step %d: probe hit, reference says %v (%d invalidations)", i, kind, inv)
+				}
+				continue
+			}
+		}
+
 		got := sys.Access(cpu, line*cfg.LineSize, 8, write)
 		wantKind, wantInv := ref.access(cpu, line, write)
 

@@ -12,11 +12,16 @@
 // or disturb executes in (local time, CPU id) order over the runnable
 // threads, so identical inputs and seeds replay identical interleavings.
 // A thread past its turn keeps going only through operations that commute
-// with everything the others do (see Runner.run). Field addresses are
-// resolved through a layout per struct, with instances placed at
-// cache-line-aligned bases the way the HP-UX arena allocator does (§2) —
-// re-running the same workload under a different layout is exactly the
-// paper's experiment.
+// with everything the others do (see Runner.run).
+//
+// At Run start every procedure's execution tree is lowered into one flat
+// code array with explicit control instructions (code.go): a running
+// thread is a program counter, a stack of return pcs and its loop slots.
+// The tree walker survives only as the test-only reference interpreter
+// (slowPath). Field addresses are resolved through a layout per struct,
+// with instances placed at cache-line-aligned bases the way the HP-UX
+// arena allocator does (§2) — re-running the same workload under a
+// different layout is exactly the paper's experiment.
 package exec
 
 import (
@@ -187,7 +192,8 @@ type Runner struct {
 	nextAdr   int64
 	lineShift uint // log2 of the cache line size
 
-	dec [][]decInstr // per-block decoded instructions, indexed by BlockID
+	dec  [][]decInstr // per-block decoded instructions, indexed by BlockID
+	code []codeInstr  // the program's flat code (see lower)
 
 	threads []*thread
 	cpuUsed map[int]bool
@@ -211,10 +217,10 @@ type Runner struct {
 	completed int64
 	ran       bool
 
-	// slowPath disables the superblock fast path (compute merging, tight
-	// in-block loop, frameless compute blocks), forcing the reference
-	// one-step-at-a-time interpreter. Test-only: the equivalence tests run
-	// both paths and require identical Results.
+	// slowPath runs the reference interpreter instead of the flat code:
+	// step walks the execution trees one action at a time, with no compute
+	// merging and no read-hit run-ahead. Test-only: the equivalence tests
+	// run both and require identical Results.
 	slowPath bool
 }
 
@@ -344,7 +350,6 @@ func (r *Runner) AddThread(cpu int, proc string, params []int, iterations int64)
 		rng:     rand.New(rand.NewSource(r.cfg.Seed*7919 + int64(cpu)*104729 + 13)),
 		cursors: make([]int64, len(r.prog.Regions)),
 	}
-	t.pushSeq(pr.Tree)
 	r.cpuUsed[cpu] = true
 	r.threads = append(r.threads, t)
 	return nil
@@ -359,19 +364,16 @@ func (r *Runner) Run() (*Result, error) {
 	if len(r.threads) == 0 {
 		return nil, fmt.Errorf("exec: no threads")
 	}
+	if err := r.initSim(); err != nil {
+		return nil, err
+	}
 	// Decode the program once: resolves every arena/region/callee name and
 	// verifies up front that every accessed struct has an arena.
 	if err := r.decode(); err != nil {
 		return nil, err
 	}
-	if err := r.initSim(); err != nil {
-		return nil, err
-	}
 	r.buildInstTables()
-	if r.collector == nil && !r.sim.enabled && !r.slowPath {
-		// Read-hit run-ahead (see commutes): a collector's RNG and sample
-		// list are global, sampled mode has its own yield rule, and the
-		// slow path stays the one-op-per-turn reference.
+	if r.runAhead() {
 		r.markWriters()
 	}
 	r.coh.ReserveDirectory(r.nextAdr)
@@ -418,63 +420,20 @@ func (r *Runner) Run() (*Result, error) {
 	return res, nil
 }
 
-// runUntil advances one thread until it yields the CPU: it would execute a
-// shared operation without holding the lexicographic-minimum (time, id),
-// it parks on a lock, it wakes another thread, or it finishes.
-// It is the scheduling-point boundary of the superblock fast path:
-// straight-line instruction runs inside a basic block execute in the tight
-// inner loop below — one frame lookup per run instead of one full step()
-// dispatch (stack probe + frame-kind switch) per instruction — while frame
-// management (sequence/loop/if bookkeeping) falls through to step().
-//
-// The yield condition is checked before every instruction (see Runner.run
-// for the invariant), so the global order of non-commuting accesses is a
-// pure function of thread time trajectories — bit-identical between the
-// superblock path and the one-step-at-a-time slow path.
-func (r *Runner) runUntil(t *thread, limit int64) error {
-	for {
-		if n := len(t.stack); !r.slowPath && n > 0 && t.stack[n-1].kind == fBlock {
-			f := &t.stack[n-1]
-			dins := f.dins
-			for f.idx < len(dins) {
-				in := &dins[f.idx]
-				// Hoisted fast path of yieldCheck: while the thread holds
-				// the lexicographic minimum, no op can require a yield.
-				if r.key(t) > limit && r.yieldCheck(t, limit, in) {
-					return nil
-				}
-				f.idx++
-				if err := r.execInstr(t, in); err != nil {
-					return err
-				}
-				if t.parked || len(r.woken) > 0 {
-					return nil
-				}
-				if len(t.stack) != n {
-					// A call pushed a frame (appending may relocate the
-					// stack, invalidating f); resume via the outer loop.
-					break
-				}
-			}
-			if len(t.stack) == n && f.idx >= len(f.dins) {
-				t.pop()
-			}
-			continue
-		}
-		yielded, err := r.step(t, limit)
-		if err != nil {
-			return err
-		}
-		if yielded || t.done || t.parked || len(r.woken) > 0 {
-			return nil
-		}
-	}
+// runAhead reports whether the run lets a thread past its turn complete
+// commuting reads (see readAhead): not with a collector, whose RNG and
+// sample list are global; not in sampled mode, which has its own yield
+// rule; and not on the slow path, the one-op-per-turn reference.
+func (r *Runner) runAhead() bool {
+	return r.collector == nil && !r.sim.enabled && !r.slowPath
 }
 
 // decode pre-resolves every instruction of the program against the run's
-// arenas, regions and procedures. Called once at Run start, after all
-// DefineArena calls; errors here are the ones the interpreter used to raise
-// lazily (missing arena, unknown region or callee).
+// arenas, regions and procedures, then lowers the execution trees into the
+// flat code the fast path runs (the slow path walks the trees). Called
+// once at Run start, after all DefineArena calls; errors here are the ones
+// the interpreter used to raise lazily (missing arena, unknown region or
+// callee).
 func (r *Runner) decode() error {
 	r.dec = make([][]decInstr, r.prog.NumBlocks())
 	for _, b := range r.prog.Blocks() {
@@ -530,17 +489,23 @@ func (r *Runner) decode() error {
 		}
 		r.dec[b.Global] = ds
 	}
+	if r.slowPath {
+		for _, t := range r.threads {
+			t.pushSeq(t.entry.Tree)
+		}
+	} else {
+		r.lower()
+	}
 	return nil
 }
 
-// mergeComputes coalesces consecutive OpCompute instructions into one
-// superblock-local virtual-time update. Computes touch no shared state —
-// no coherence access, no profile count (blocks are counted at entry), no
-// lock — so executing a run of them under one yield check instead of one
-// per instruction cannot reorder any cross-thread access: a thread's time
-// waypoints inside a pure-compute span are invisible to every other
-// thread. Merging is disabled for sampled runs, where the collector must
-// observe each instruction's time advance individually.
+// mergeComputes coalesces consecutive OpCompute instructions of a block
+// into one virtual-time update. Computes touch no shared state — no
+// coherence access, no profile count (blocks are counted at entry), no
+// lock — and never yield, so a thread's time waypoints inside a
+// pure-compute span are invisible to every other thread. Merging is off
+// when a collector is attached: it must observe each instruction's time
+// advance individually.
 func mergeComputes(ds []decInstr) []decInstr {
 	out := ds[:0]
 	for _, d := range ds {

@@ -10,11 +10,10 @@ import (
 	"structlayout/internal/sampling"
 )
 
-// buildMixedWorkload builds a program exercising every opcode the
-// superblock fast path can see: long compute runs (merge fodder), field
-// reads/writes on shared and per-CPU instances, contended locks, calls,
-// region sweeps and random probes, probabilistic branches and nested
-// loops.
+// buildMixedWorkload builds a program exercising every opcode the flat
+// code can see: long compute runs (merge fodder), field reads/writes on
+// shared and per-CPU instances, contended locks, calls, region sweeps and
+// random probes, probabilistic branches and nested loops.
 func buildMixedWorkload(ncpu int) (*ir.Program, *ir.StructType, []string) {
 	p := ir.NewProgram("mixed")
 	s := ir.NewStruct("M",
@@ -35,7 +34,7 @@ func buildMixedWorkload(ncpu int) (*ir.Program, *ir.StructType, []string) {
 	for cpu := 0; cpu < ncpu; cpu++ {
 		name := "mix" + string(rune('A'+cpu))
 		b := p.NewProc(name)
-		b.Compute(20).Compute(30).Compute(50) // merged into one superblock
+		b.Compute(20).Compute(30).Compute(50) // merged into one compute
 		b.Loop(40, func(b *ir.Builder) {
 			b.Lock(s, "lock", ir.Shared(0))
 			b.Write(s, "hot", ir.Shared(0))
@@ -82,10 +81,10 @@ func runMixed(t *testing.T, slow bool, smp *sampling.Config) *Result {
 	return res
 }
 
-// TestFastPathEquivalence: the superblock interpreter must produce a
-// Result identical in every observable — cycles, per-thread finish times,
-// profile counts, coherence counters, per-field statistics — to the
-// reference one-instruction-per-step interpreter.
+// TestFastPathEquivalence: the flat code must produce a Result identical
+// in every observable — cycles, per-thread finish times, profile counts,
+// coherence counters, per-field statistics — to the reference
+// one-instruction-per-step interpreter.
 func TestFastPathEquivalence(t *testing.T) {
 	fast := runMixed(t, false, nil)
 	slow := runMixed(t, true, nil)
@@ -97,7 +96,7 @@ func TestFastPathEquivalence(t *testing.T) {
 }
 
 // TestFastPathEquivalenceSampled: with a collector attached, compute
-// merging is disabled but the tight loop still runs; traces must match
+// merging is disabled but the flat code still runs; traces must match
 // sample for sample.
 func TestFastPathEquivalenceSampled(t *testing.T) {
 	smp := func() *sampling.Config {

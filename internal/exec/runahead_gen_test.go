@@ -29,9 +29,12 @@ const (
 	gMem
 	gIf
 	gLoop
-	gCall
+	gCall // call callees[callee]
 	gLock // lock, body, unlock
 )
+
+// callees names the generated callees: visit, and relay, which calls visit.
+var callees = []string{"visit", "relay"}
 
 // gStmt is one statement of a generated program, kept as a tree so a
 // failing program can be shrunk statement by statement.
@@ -46,6 +49,7 @@ type gStmt struct {
 	pat    int     // mem: 0 sweep, 1 random, 2 fixed offset
 	prob   float64 // if
 	count  int64   // loop
+	callee int     // call: index into callees
 	body   []gStmt // if then-arm, loop body, lock body
 	els    []gStmt // if else-arm
 }
@@ -56,6 +60,7 @@ type gProg struct {
 	structs [][]ir.Field
 	counts  []int
 	visit   []gStmt   // callee, called only from loops: holds LoopVar accesses
+	relay   []gStmt   // callee, called only from loops: calls visit
 	mains   [][]gStmt // entry procedures
 	threads []irtext.ThreadDecl
 }
@@ -64,8 +69,11 @@ type gProg struct {
 // its first line boundary; every struct's last field is a lock word, locked
 // through Shared and Param instances so lock handoffs write on the
 // waiter's CPU; accesses use all four instance kinds, LoopVar ones inside
-// a callee that each entry procedure calls from a loop; branches, loops
-// and shared and per-thread regions fill in the rest.
+// a callee that each entry procedure calls from a loop, both directly and
+// through a second callee (a call chain two deep, and one callee reached
+// from two call sites); branches with probabilities 0 and 1 and empty
+// arms, loops of zero trips and up, and shared and per-thread regions
+// fill in the rest.
 func gen(seed int64, ncpu int) *gProg {
 	rng := rand.New(rand.NewSource(seed))
 	g := &gProg{seed: seed}
@@ -116,9 +124,10 @@ func gen(seed int64, ncpu int) *gProg {
 	lock := func(inst ir.InstExpr, body []gStmt) gStmt {
 		return gStmt{kind: gLock, st: rng.Intn(len(g.structs)), inst: inst, body: body}
 	}
-	// stmts draws n statements; locks never nest, so no run deadlocks, and
-	// visit calls nothing.
-	inVisit := false
+	// stmts draws n statements; locks never nest, so no run deadlocks. A
+	// call picks one of the first ncallees callees: entry procedures call
+	// either, relay calls visit, and visit calls nothing.
+	ncallees := 0
 	var stmts func(n, depth int, inLoop, inLock bool) []gStmt
 	stmts = func(n, depth int, inLoop, inLock bool) []gStmt {
 		var out []gStmt
@@ -136,14 +145,21 @@ func gen(seed int64, ncpu int) *gProg {
 				}
 				out = append(out, gStmt{kind: gMem, region: region, pat: rng.Intn(3), write: rng.Intn(3) == 0})
 			case c < 14 && !leaf:
-				out = append(out, gStmt{kind: gIf, prob: rng.Float64(),
-					body: stmts(1+rng.Intn(3), depth+1, inLoop, inLock),
+				prob := rng.Float64()
+				switch rng.Intn(4) {
+				case 0:
+					prob = 0
+				case 1:
+					prob = 1
+				}
+				out = append(out, gStmt{kind: gIf, prob: prob,
+					body: stmts(rng.Intn(3), depth+1, inLoop, inLock),
 					els:  stmts(rng.Intn(3), depth+1, inLoop, inLock)})
 			case c < 16 && !leaf:
-				out = append(out, gStmt{kind: gLoop, count: 1 + rng.Int63n(5),
+				out = append(out, gStmt{kind: gLoop, count: rng.Int63n(5),
 					body: stmts(1+rng.Intn(4), depth+1, true, inLock)})
-			case c < 17 && inLoop && !inVisit:
-				out = append(out, gStmt{kind: gCall})
+			case c < 17 && inLoop && ncallees > 0:
+				out = append(out, gStmt{kind: gCall, callee: rng.Intn(ncallees)})
 			case c < 19 && !inLock && !leaf:
 				inst := ir.Shared(rng.Intn(2))
 				if rng.Intn(2) == 0 {
@@ -156,15 +172,17 @@ func gen(seed int64, ncpu int) *gProg {
 		}
 		return out
 	}
-	inVisit = true
 	g.visit = append(stmts(rng.Intn(3), 1, true, true), access(true))
 	g.visit = append(g.visit, stmts(rng.Intn(3), 1, true, true)...)
-	inVisit = false
+	ncallees = 1
+	g.relay = append(stmts(rng.Intn(3), 1, true, true), gStmt{kind: gCall, callee: 0})
+	g.relay = append(g.relay, stmts(rng.Intn(3), 1, true, true)...)
+	ncallees = 2
 	for m, n := 0, 1+rng.Intn(3); m < n; m++ {
 		// A fixed skeleton guarantees every feature appears; random
 		// statements surround it.
 		loopBody := stmts(1+rng.Intn(3), 1, true, false)
-		loopBody = append(loopBody, gStmt{kind: gCall})
+		loopBody = append(loopBody, gStmt{kind: gCall, callee: 0}, gStmt{kind: gCall, callee: 1})
 		for _, inst := range []ir.InstExpr{ir.Shared(rng.Intn(3)), ir.PerCPU(), ir.Param(rng.Intn(genParams))} {
 			s := access(false)
 			s.inst, s.write = inst, false
@@ -243,7 +261,7 @@ func (g *gProg) file() (*irtext.File, error) {
 			case gLoop:
 				b.Loop(s.count, func(b *ir.Builder) { emit(b, s.body) })
 			case gCall:
-				b.Call("visit")
+				b.Call(callees[s.callee])
 			case gLock:
 				b.Lock(structs[s.st], "lock", s.inst)
 				emit(b, s.body)
@@ -251,9 +269,11 @@ func (g *gProg) file() (*irtext.File, error) {
 			}
 		}
 	}
-	b := p.NewProc("visit")
-	emit(b, g.visit)
-	b.Done()
+	for i, body := range [][]gStmt{g.visit, g.relay} {
+		b := p.NewProc(callees[i])
+		emit(b, body)
+		b.Done()
+	}
 	for m, body := range g.mains {
 		b := p.NewProc(fmt.Sprintf("main%d", m))
 		emit(b, body)
@@ -265,22 +285,30 @@ func (g *gProg) file() (*irtext.File, error) {
 	return &irtext.File{Prog: p, Arenas: arenas, Threads: g.threads}, nil
 }
 
-// diverges runs g on both interpreter paths and reports whether the
-// Results differ, with the fast and slow round counts.
+// diverges runs g on both interpreter paths in every engine mode and
+// reports whether the Results differ in any, with the exact mode's fast
+// and slow round counts.
 func (g *gProg) diverges(cfg driver.Config) (bad bool, fastRounds, slowRounds int64, err error) {
 	f, err := g.file()
 	if err != nil {
 		return false, 0, 0, err
 	}
-	fast, fr, err := dslRun(f, cfg, false)
-	if err != nil {
-		return false, 0, 0, err
+	for _, mode := range engineModes {
+		cfg.Sampling, cfg.Sim = mode.sampling, mode.sim
+		fast, fr, err := dslRun(f, cfg, false)
+		if err != nil {
+			return false, 0, 0, err
+		}
+		slow, sr, err := dslRun(f, cfg, true)
+		if err != nil {
+			return false, 0, 0, err
+		}
+		if mode.name == "exact" {
+			fastRounds, slowRounds = fr, sr
+		}
+		bad = bad || !reflect.DeepEqual(fast, slow)
 	}
-	slow, sr, err := dslRun(f, cfg, true)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	return !reflect.DeepEqual(fast, slow), fr, sr, nil
+	return bad, fastRounds, slowRounds, nil
 }
 
 // shrink greedily applies one-step reductions while the program still
@@ -322,6 +350,11 @@ func (g *gProg) smaller() []*gProg {
 		c.visit = v
 		out = append(out, &c)
 	}
+	for _, v := range smallerStmts(g.relay) {
+		c := *g
+		c.relay = v
+		out = append(out, &c)
+	}
 	for m := range g.mains {
 		for _, v := range smallerStmts(g.mains[m]) {
 			c := *g
@@ -334,8 +367,8 @@ func (g *gProg) smaller() []*gProg {
 }
 
 // smallerStmts lists the one-step reductions of a statement list: drop a
-// statement, splice a nested body in its place, lower a loop count, or
-// reduce inside a nested body.
+// statement, splice a nested body in its place, lower a loop count (down
+// to zero), or reduce inside a nested body.
 func smallerStmts(ss []gStmt) [][]gStmt {
 	var out [][]gStmt
 	with := func(i int, s gStmt) []gStmt {
@@ -355,7 +388,7 @@ func smallerStmts(ss []gStmt) [][]gStmt {
 		if len(s.els) > 0 {
 			out = append(out, splice(i, s.els))
 		}
-		if s.kind == gLoop && s.count > 1 {
+		if s.kind == gLoop && s.count > 0 {
 			s2 := s
 			s2.count--
 			out = append(out, with(i, s2))
@@ -374,9 +407,10 @@ func smallerStmts(ss []gStmt) [][]gStmt {
 	return out
 }
 
-// TestRunAheadGenerated: generated programs give identical Results with
-// and without read-hit run-ahead. A divergence is shrunk and printed as a
-// DSL program, ready to commit under testdata/runahead.
+// TestRunAheadGenerated: generated programs give identical Results on the
+// flat code, with read-hit run-ahead, and on the reference tree walker, in
+// every engine mode. A divergence is shrunk and printed as a DSL program,
+// ready to commit under testdata/runahead.
 func TestRunAheadGenerated(t *testing.T) {
 	for _, topo := range []*machine.Topology{machine.Bus4(), machine.Way16()} {
 		cfg := driver.Config{Topo: topo, Cache: coherence.SmallCache(), Seed: runSeed}
@@ -394,7 +428,7 @@ func TestRunAheadGenerated(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Fatalf("%s seed %d: run-ahead diverges from the reference; shrunk program:\n%s", topo.Name, seed, irtext.Format(f))
+				t.Fatalf("%s seed %d: the fast path diverges from the reference; shrunk program:\n%s", topo.Name, seed, irtext.Format(f))
 			}
 		}
 		t.Logf("%s: %d programs, %d rounds with run-ahead, %d without", topo.Name, genSeeds, fastRounds, slowRounds)

@@ -14,6 +14,7 @@ import (
 	"structlayout/internal/irtext"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
+	"structlayout/internal/sampling"
 	"structlayout/internal/workload"
 )
 
@@ -169,11 +170,25 @@ func dslFiles(t *testing.T) []string {
 	return files
 }
 
+// engineModes are the three engine configurations the differential tests
+// compare the fast path and the reference in: exact, with a PMU
+// collector attached (no compute merging, no run-ahead, a tick at every
+// time step), and interval-sampled (no run-ahead, off-window slack).
+var engineModes = []struct {
+	name     string
+	sampling *sampling.Config
+	sim      exec.SimConfig
+}{
+	{name: "exact"},
+	{name: "collect", sampling: &sampling.Config{IntervalCycles: 200, DriftMaxCycles: 4, LossProb: 0.05, Seed: 11}},
+	{name: "sampled", sim: exec.SimConfig{Mode: exec.SimSampled, WindowOps: 16}},
+}
+
 // dslRun runs a parsed file the way driver.Run does, on the fast path or
 // the one-op-per-turn reference, and returns the scheduler round count
 // with the result.
 func dslRun(f *irtext.File, cfg driver.Config, slow bool) (*exec.Result, int64, error) {
-	r, err := exec.NewRunner(f.Prog, exec.Config{Topo: cfg.Topo, Cache: cfg.Cache, Seed: cfg.Seed})
+	r, err := exec.NewRunner(f.Prog, exec.Config{Topo: cfg.Topo, Cache: cfg.Cache, Seed: cfg.Seed, Sampling: cfg.Sampling, Sim: cfg.Sim})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -218,7 +233,8 @@ func dslRun(f *irtext.File, cfg driver.Config, slow bool) (*exec.Result, int64, 
 
 // TestRunAheadDSL: every committed DSL program gives the same Result
 // through driver.Run as on the reference interpreter, on two machines,
-// with a cache small enough to evict and with the full-size one.
+// with a cache small enough to evict and with the full-size one, in every
+// engine mode.
 func TestRunAheadDSL(t *testing.T) {
 	for _, path := range dslFiles(t) {
 		src, err := os.ReadFile(path)
@@ -234,20 +250,25 @@ func TestRunAheadDSL(t *testing.T) {
 			{Topo: machine.Way16(), Cache: coherence.SmallCache()},
 			{Topo: machine.Way16(), Cache: coherence.DefaultItanium()},
 		} {
-			cfg := c
-			cfg.Seed = runSeed
-			t.Run(fmt.Sprintf("%s/%s/sets%d", filepath.Base(path), cfg.Topo.Name, cfg.Cache.Sets), func(t *testing.T) {
-				fast, err := driver.Run(f, cfg, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				slow, _, err := dslRun(f, cfg, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(fast, slow) {
-					t.Fatalf("run-ahead diverges from the reference: fast cycles=%d coh=%+v, slow cycles=%d coh=%+v",
-						fast.Cycles, fast.Coherence, slow.Cycles, slow.Coherence)
+			t.Run(fmt.Sprintf("%s/%s/sets%d", filepath.Base(path), c.Topo.Name, c.Cache.Sets), func(t *testing.T) {
+				for _, mode := range engineModes {
+					cfg := c
+					cfg.Seed = runSeed
+					cfg.Sampling, cfg.Sim = mode.sampling, mode.sim
+					t.Run(mode.name, func(t *testing.T) {
+						fast, err := driver.Run(f, cfg, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						slow, _, err := dslRun(f, cfg, true)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(fast, slow) {
+							t.Fatalf("fast path diverges from the reference: fast cycles=%d coh=%+v, slow cycles=%d coh=%+v",
+								fast.Cycles, fast.Coherence, slow.Cycles, slow.Coherence)
+						}
+					})
 				}
 			})
 		}

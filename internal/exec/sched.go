@@ -22,14 +22,14 @@ func (r *Runner) key(t *thread) int64 {
 // (compute, calls, control bookkeeping, off-window accesses) never yield —
 // they are invisible to other threads, so executing them past the limit
 // commutes with everything. The exception is a read hit no other CPU can
-// disturb (commutes): a single-line field read of a line resident in the
+// disturb (readAhead): a single-line field read of a line resident in the
 // thread's cache that no other CPU ever writes. Its outcome is the same
 // at any position in the global order and it changes nothing another
 // thread observes, so exact runs without a collector execute it past the
 // limit instead of paying a scheduler round. The order of the remaining
 // shared operations is therefore a pure function of the threads'
-// virtual-time trajectories, independent of yield granularity, and every
-// statistic matches the one-op-per-turn reference (slowPath).
+// virtual-time trajectories, independent of how far each turn runs, and
+// every statistic matches the one-op-per-turn reference (slowPath).
 func (r *Runner) run() error {
 	r.idShift = uint(bits.Len(uint(len(r.threads) - 1))) // width of the largest id
 	r.timeCap = int64(1) << (62 - r.idShift)
@@ -91,9 +91,8 @@ func (r *Runner) run() error {
 // the scheduler once per slack span instead of once per access), and its
 // bound is what contains the model error — a warm write can commit at most
 // simSlack cycles of virtual time earlier than exact order, so it cannot
-// invalidate a line a far-future reader would have hit. A read hit no
-// other CPU can disturb (commutes) is exempt outright: its outcome does not
-// depend on its place in the order.
+// invalidate a line a far-future reader would have hit. The fast path
+// tries readAhead first on the reads it marked at lowering.
 func (r *Runner) yieldCheck(t *thread, limit int64, in *decInstr) bool {
 	if r.key(t) <= limit {
 		return false
@@ -103,39 +102,45 @@ func (r *Runner) yieldCheck(t *thread, limit int64, in *decInstr) bool {
 		if r.sim.enabled && !r.simOn(t) {
 			return t.time > limit>>r.idShift+r.sim.slack
 		}
-		return !r.commutes(t, in)
+		return true
 	case ir.OpLock, ir.OpUnlock:
 		return true
 	}
 	return false
 }
 
-// commutes reports whether in is a field read that gives the same result
-// wherever the scheduler orders it, so a thread past its turn may run it
-// now instead of yielding: it reads one line, no CPU other than the
-// thread's own writes that line (markWriters), and the line is resident
-// in the thread's cache. Such a read hits. Only a foreign write could
-// remove the line (a CPU's cache fills and evictions come from its own
-// thread, or from a lock handoff to that thread while it is parked); a
-// foreign read's downgrade rewrites the state in place, and reads hit in
-// any state; and moving the line to the MRU way commutes with other CPUs
-// removing or downgrading other lines of the set. The read itself changes
-// nothing another CPU sees: per-CPU hit counters, the field's statistics
-// sums and this CPU's LRU order.
-func (r *Runner) commutes(t *thread, in *decInstr) bool {
+// readAhead runs a one-line field read for a thread past its turn when
+// the result cannot depend on where the scheduler orders it, and reports
+// whether it did; otherwise it changes nothing and the thread yields. It
+// resolves the instance and address once, checks that no CPU other than
+// the thread's own writes the line (markWriters), and completes the read
+// from one cache probe (coherence.ReadHit), which hits exactly when the
+// line is resident. Such a read hits wherever it is ordered: only a
+// foreign write could remove the line (a CPU's cache fills and evictions
+// come from its own thread, or from a lock handoff to that thread while it
+// is parked); a foreign read's downgrade rewrites the state in place, and
+// reads hit in any state; and moving the line to the MRU way commutes with
+// other CPUs removing or downgrading other lines of the set. The read
+// itself changes nothing another CPU sees: per-CPU hit counters, the
+// field's statistics sums and this CPU's LRU order. A read whose instance
+// does not resolve yields, to fail where the reference order fails.
+func (r *Runner) readAhead(t *thread, in *decInstr) bool {
 	a := in.arena
-	if in.op != ir.OpField || in.write || !in.oneLine || a.writers == nil {
-		return false
-	}
 	idx, err := r.instIndex(t, a, in)
 	if err != nil {
-		return false // fail where the reference order fails
+		return false
 	}
 	off := int64(idx)*a.stride + in.fieldOff
 	if w := a.writers[off>>r.lineShift]; w != noWriter && w != int32(t.cpu) {
 		return false
 	}
-	return r.coh.StateOf(t.cpu, a.base+off) != coherence.Invalid
+	var res coherence.AccessResult
+	if !r.coh.ReadHit(t.cpu, a.base+off, &res) {
+		return false
+	}
+	t.time += res.Latency
+	r.record(a, in.field, &res)
+	return true
 }
 
 // markWriters fills every arena's line-writer table. Each thread is

@@ -76,8 +76,7 @@ func TestSampledWithinBound(t *testing.T) {
 }
 
 // TestSampledDeterministic: identical sampled configs replay identical
-// results, and the slow-path reference interpreter agrees with the
-// superblock path under sampling.
+// results.
 func TestSampledDeterministic(t *testing.T) {
 	prog, s, names := buildMixedWorkload(4)
 	sim := SimConfig{Mode: SimSampled, WindowOps: 1 << 7, Period: 4}
@@ -94,8 +93,7 @@ func TestSampledDeterministic(t *testing.T) {
 }
 
 // TestSampledSlowPathEquivalence: the gate and the off-window skip must act
-// identically in the superblock fast path and the one-step reference
-// interpreter.
+// identically in the flat code and the one-step reference interpreter.
 func TestSampledSlowPathEquivalence(t *testing.T) {
 	prog, s, names := buildMixedWorkload(4)
 	sim := SimConfig{Mode: SimSampled, WindowOps: 1 << 7, Period: 4}

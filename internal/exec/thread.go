@@ -18,9 +18,10 @@ const (
 	fBlock
 )
 
-// frame is one entry of a thread's explicit interpreter stack. Threads must
-// be suspendable between any two instructions (the scheduler interleaves by
-// virtual time), so the interpreter cannot use Go recursion.
+// frame is one entry of the tree walker's explicit stack (the slow path;
+// the fast path runs the flat code). Threads must be suspendable between
+// any two instructions (the scheduler interleaves by virtual time), so the
+// interpreter cannot use Go recursion.
 type frame struct {
 	kind frameKind
 
@@ -32,8 +33,7 @@ type frame struct {
 
 	ifn *ir.ExecIf // fIf (phase: arm already pushed; next step counts join)
 
-	block *ir.BasicBlock // fBlock
-	dins  []decInstr     // fBlock: the block's pre-decoded instructions
+	dins []decInstr // fBlock: the block's pre-decoded instructions
 }
 
 // thread is one simulated kernel thread pinned to a CPU.
@@ -46,7 +46,10 @@ type thread struct {
 	rng    *rand.Rand
 
 	time     int64
-	stack    []frame
+	pc       int     // next flat-code instruction
+	entryPC  int     // the entry procedure's first instruction
+	rets     []int32 // flat-code return pcs, innermost call last
+	stack    []frame // the tree walker's frames (slow path)
 	loopVals []int64 // innermost loop induction values, last = innermost
 	cursors  []int64 // per-region streaming cursors, indexed by region
 	curBlock *ir.BasicBlock
@@ -118,10 +121,11 @@ func (t *thread) pushSeq(nodes []ir.ExecNode) {
 	t.stack = append(t.stack, frame{kind: fSeq, nodes: nodes})
 }
 
-// step advances the thread by one interpreter action (typically one
-// instruction). It updates profile counts, virtual time, coherence state
-// and samples as side effects. It returns true when the thread must yield
-// before a shared instruction it no longer has the right to execute.
+// step advances the thread by one action of the tree walker, the slow
+// path's reference interpreter (typically one instruction). It updates
+// profile counts, virtual time, coherence state and samples as side
+// effects. It returns true when the thread must yield before a shared
+// instruction it no longer has the right to execute.
 func (r *Runner) step(t *thread, limit int64) (bool, error) {
 	if len(t.stack) == 0 {
 		// One top-level iteration ("script") finished.
@@ -150,13 +154,8 @@ func (r *Runner) step(t *thread, limit int64) (bool, error) {
 			if len(n.Block.Instrs) == 0 {
 				t.time += branchCost
 				r.sample(t)
-			} else if dins := r.dec[n.Block.Global]; !r.slowPath && r.collector == nil && len(dins) == 1 && dins[0].op == ir.OpCompute {
-				// A pure-compute block (decode merged its instructions into
-				// one) needs no frame: charge its cycles at entry. Invisible
-				// to scheduling — computes never yield.
-				t.time += dins[0].cycles
 			} else {
-				t.stack = append(t.stack, frame{kind: fBlock, block: n.Block, dins: dins})
+				t.stack = append(t.stack, frame{kind: fBlock, dins: r.dec[n.Block.Global]})
 			}
 		case *ir.ExecLoop:
 			r.prof.AddLoop(n.Loop.Global, n.Count)
@@ -220,8 +219,8 @@ func (r *Runner) sample(t *thread) {
 	}
 }
 
-// execInstr runs one pre-decoded instruction, charging latency and
-// recording stats.
+// execInstr runs one pre-decoded instruction for the tree walker,
+// charging latency and recording stats.
 func (r *Runner) execInstr(t *thread, in *decInstr) error {
 	switch in.op {
 	case ir.OpCompute:
@@ -232,41 +231,9 @@ func (r *Runner) execInstr(t *thread, in *decInstr) error {
 		t.pushSeq(in.callee.Tree)
 		r.sample(t)
 	case ir.OpField:
-		a := in.arena
-		idx, err := r.instIndex(t, a, in)
-		if err != nil {
-			return err
-		}
-		addr := a.base + int64(idx)*a.stride + in.fieldOff
-		if r.sim.enabled && !r.simNext(t) {
-			// Off-window: functional warming. The MESI transition (and its
-			// real latency) happens; only the statistics are discarded, so
-			// the next measured window opens on exact-run cache state.
-			res := r.coh.Warm(t.cpu, addr, in.size, in.write)
-			t.time += res.Latency
-			t.offOps++
-			return nil
-		}
-		var res coherence.AccessResult
-		r.coh.AccessInto(t.cpu, addr, in.size, in.write, &res)
-		t.time += res.Latency
-		r.record(a, in.field, &res)
-		r.sample(t)
+		return r.execField(t, in)
 	case ir.OpMem:
-		addr, err := r.memAddr(t, in)
-		if err != nil {
-			return err
-		}
-		if r.sim.enabled && !r.simNext(t) {
-			res := r.coh.Warm(t.cpu, addr, 8, in.write)
-			t.time += res.Latency
-			t.offOps++
-			return nil
-		}
-		var res coherence.AccessResult
-		r.coh.AccessInto(t.cpu, addr, 8, in.write, &res)
-		t.time += res.Latency
-		r.sample(t)
+		return r.execMem(t, in)
 	case ir.OpLock:
 		return r.execLock(t, in)
 	case ir.OpUnlock:
@@ -276,6 +243,50 @@ func (r *Runner) execInstr(t *thread, in *decInstr) error {
 	default:
 		return fmt.Errorf("exec: unknown opcode %d", in.op)
 	}
+	return nil
+}
+
+// execField runs a field access.
+func (r *Runner) execField(t *thread, in *decInstr) error {
+	a := in.arena
+	idx, err := r.instIndex(t, a, in)
+	if err != nil {
+		return err
+	}
+	addr := a.base + int64(idx)*a.stride + in.fieldOff
+	if r.sim.enabled && !r.simNext(t) {
+		// Off-window: functional warming. The MESI transition (and its
+		// real latency) happens; only the statistics are discarded, so
+		// the next measured window opens on exact-run cache state.
+		res := r.coh.Warm(t.cpu, addr, in.size, in.write)
+		t.time += res.Latency
+		t.offOps++
+		return nil
+	}
+	var res coherence.AccessResult
+	r.coh.AccessInto(t.cpu, addr, in.size, in.write, &res)
+	t.time += res.Latency
+	r.record(a, in.field, &res)
+	r.sample(t)
+	return nil
+}
+
+// execMem runs a region access.
+func (r *Runner) execMem(t *thread, in *decInstr) error {
+	addr, err := r.memAddr(t, in)
+	if err != nil {
+		return err
+	}
+	if r.sim.enabled && !r.simNext(t) {
+		res := r.coh.Warm(t.cpu, addr, 8, in.write)
+		t.time += res.Latency
+		t.offOps++
+		return nil
+	}
+	var res coherence.AccessResult
+	r.coh.AccessInto(t.cpu, addr, 8, in.write, &res)
+	t.time += res.Latency
+	r.sample(t)
 	return nil
 }
 

@@ -5,7 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
+	"sync"
 	"testing"
 
 	"structlayout/internal/memo"
@@ -14,47 +14,97 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
-// goldenReduced renders the reduced-config figures exactly as the
-// determinism golden records them.
-func goldenReduced(t *testing.T) string {
+// reducedSuite is the reduced-config figure suite exactly as the
+// determinism golden records it: each figure's table in golden order.
+type reducedSuite struct {
+	fig8               *Figure
+	fig8Text, fig9Text string
+	fig10Text, robText string
+}
+
+// String renders the suite as the golden file holds it.
+func (s *reducedSuite) String() string {
+	return s.fig8Text + s.fig9Text + s.fig10Text + s.robText
+}
+
+// goldenReduced computes the reduced suite at the current worker limit and
+// memo state.
+func goldenReduced(t *testing.T) *reducedSuite {
 	t.Helper()
+	s, err := computeReduced()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func computeReduced() (*reducedSuite, error) {
 	cfg := DefaultConfig()
 	cfg.Runs = 2
 	p, err := NewPipeline(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	var sb strings.Builder
-	f8, err := p.Fig8()
-	if err != nil {
-		t.Fatal(err)
+	s := &reducedSuite{}
+	if s.fig8, err = p.Fig8(); err != nil {
+		return nil, err
 	}
-	sb.WriteString(f8.String())
 	f9, err := p.Fig9()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	sb.WriteString(f9.String())
 	f10, err := p.Fig10()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	sb.WriteString(f10.String())
 	rcfg := cfg
 	rcfg.Runs = 1
 	r, err := Robustness(rcfg, nil, []float64{0, 0.5}, nil)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	sb.WriteString(r.String())
-	return sb.String()
+	s.fig8Text, s.fig9Text, s.fig10Text, s.robText = s.fig8.String(), f9.String(), f10.String(), r.String()
+	return s, nil
+}
+
+// coldRef is the uncached -j 1 reduced suite, the reference every
+// determinism test compares against, with the memo stats of computing it.
+var coldRef struct {
+	once  sync.Once
+	suite *reducedSuite
+	stats memo.Stats
+	err   error
+}
+
+// coldReference computes the uncached -j 1 reduced suite once per test
+// binary. It clears the memo, detaches any disk tier and sets the worker
+// limit itself, so neither test order nor -run filters change what it
+// computes; it restores the worker limit and leaves the memo warm.
+func coldReference(t *testing.T) (*reducedSuite, memo.Stats) {
+	t.Helper()
+	coldRef.once.Do(func() {
+		old := parallel.Limit()
+		defer parallel.SetLimit(old)
+		if coldRef.err = memo.Shared().SetDir(""); coldRef.err != nil {
+			return
+		}
+		memo.Shared().Clear()
+		parallel.SetLimit(1)
+		coldRef.suite, coldRef.err = computeReduced()
+		coldRef.stats = memo.Shared().Stats()
+	})
+	if coldRef.err != nil {
+		t.Fatal(coldRef.err)
+	}
+	return coldRef.suite, coldRef.stats
 }
 
 func TestGoldenReduced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reduced pipeline in -short mode")
 	}
-	got := goldenReduced(t)
+	ref, _ := coldReference(t)
+	got := ref.String()
 	path := filepath.Join("testdata", "golden_reduced.txt")
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -73,37 +123,34 @@ func TestGoldenReduced(t *testing.T) {
 
 // TestDeterministicAcrossWorkerCounts is the parallel harness's core
 // contract: the same pipeline at -j 1, -j 4 and -j GOMAXPROCS renders
-// byte-identical figures. Golden comparison pins the serial content; the
-// other worker counts must match it exactly. Run under -race this also
-// exercises the pool for data races across the whole pipeline.
+// byte-identical figures. The -j 1 run is the shared cold reference, which
+// TestGoldenReduced pins to the golden; the other worker counts must match
+// it exactly. Run under -race this also exercises the pool for data races
+// across the whole pipeline.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reduced pipeline in -short mode")
 	}
+	ref, _ := coldReference(t)
 	old := parallel.Limit()
 	defer parallel.SetLimit(old)
 
-	limits := []int{1, 4, runtime.GOMAXPROCS(0)}
-	outs := make([]string, len(limits))
-	for i, lim := range limits {
+	for _, lim := range []int{4, runtime.GOMAXPROCS(0)} {
 		// Drop the measurement cache so every worker count simulates from
-		// scratch: with it warm, runs after the first would trivially replay
-		// cached cells instead of exercising the pool.
+		// scratch: with it warm, the run would trivially replay cached
+		// cells instead of exercising the pool.
 		memo.Shared().Clear()
 		parallel.SetLimit(lim)
-		outs[i] = goldenReduced(t)
-	}
-	for i := 1; i < len(limits); i++ {
-		if outs[i] != outs[0] {
-			t.Fatalf("-j %d output differs from -j %d:\n--- j=%d ---\n%s\n--- j=%d ---\n%s",
-				limits[i], limits[0], limits[i], outs[i], limits[0], outs[0])
+		if out := goldenReduced(t).String(); out != ref.String() {
+			t.Fatalf("-j %d output differs from -j 1:\n--- j=%d ---\n%s\n--- j=1 ---\n%s",
+				lim, lim, out, ref.String())
 		}
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_reduced.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outs[0] != string(want) {
+	if ref.String() != string(want) {
 		t.Fatal("parallel-run output differs from committed golden")
 	}
 }
@@ -138,6 +185,11 @@ func TestDeterministicColdWarmCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reduced pipeline ×4 in -short mode")
 	}
+	// The "uncached -j 1" variant is the shared cold reference.
+	ref, refStats := coldReference(t)
+	if refStats.Misses == 0 {
+		t.Fatalf("uncached -j 1: expected fresh computation, stats %+v", refStats)
+	}
 	oldLimit := parallel.Limit()
 	defer func() {
 		parallel.SetLimit(oldLimit)
@@ -154,22 +206,21 @@ func TestDeterministicColdWarmCache(t *testing.T) {
 		dir  string
 	}
 	variants := []variant{
-		{"uncached -j 1", 1, ""},
 		{"cold-disk -j 8", 8, dir},
 		{"warm-disk -j 1", 1, dir},
 		{"warm-disk -j 8", 8, dir},
 	}
-	outs := make([]string, len(variants))
+	want := ref.fig8Text + ref.fig10Text
 	for i, v := range variants {
 		memo.Shared().Clear() // every variant starts with a cold memory tier
 		if err := memo.Shared().SetDir(v.dir); err != nil {
 			t.Fatal(err)
 		}
 		parallel.SetLimit(v.jobs)
-		outs[i] = fig810(t)
+		out := fig810(t)
 		st := memo.Shared().Stats()
 		switch {
-		case v.dir == "" || i == 1:
+		case i == 0:
 			if st.Misses == 0 {
 				t.Fatalf("%s: expected fresh computation, stats %+v", v.name, st)
 			}
@@ -178,11 +229,9 @@ func TestDeterministicColdWarmCache(t *testing.T) {
 				t.Fatalf("%s: expected pure disk replay, stats %+v", v.name, st)
 			}
 		}
-	}
-	for i := 1; i < len(variants); i++ {
-		if outs[i] != outs[0] {
-			t.Fatalf("%s output differs from %s:\n--- %s ---\n%s\n--- %s ---\n%s",
-				variants[i].name, variants[0].name, variants[i].name, outs[i], variants[0].name, outs[0])
+		if out != want {
+			t.Fatalf("%s output differs from uncached -j 1:\n--- %s ---\n%s\n--- uncached -j 1 ---\n%s",
+				v.name, v.name, out, want)
 		}
 	}
 }

@@ -106,11 +106,10 @@ func TestFigure8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation run")
 	}
-	p := getPipeline(t)
-	fig, err := p.Fig8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Figure 8 of the reduced config, computed once for the determinism
+	// tests.
+	ref, _ := coldReference(t)
+	fig := ref.fig8
 	t.Log("\n" + fig.String())
 	rows := rowMap(fig)
 	// Sort-by-hotness collapses on A: "more than 2X" degradation.

@@ -323,6 +323,9 @@ func (p *Program) Finalize() error {
 						return fmt.Errorf("ir: %s spawns undefined procedure %q", pr.Name, in.Callee)
 					}
 				}
+				if k := in.Inst.Kind; (k == InstShared || k == InstParam) && in.Inst.Index < 0 && in.Struct != nil {
+					return fmt.Errorf("ir: %s accesses %s.%s at negative instance %s", pr.Name, in.Struct.Name, in.Struct.Fields[in.Field].Name, in.Inst)
+				}
 			}
 		}
 	}

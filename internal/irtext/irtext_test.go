@@ -150,6 +150,9 @@ func TestParseErrors(t *testing.T) {
 		{"thread bad iters", `program p  proc f { compute 1 }  thread 0 f iters 0`, "must be positive"},
 		{"stray char", `program p  proc f { compute 1 } @`, "unexpected character"},
 		{"recursion", `program p  proc f { call f }`, "recursive"},
+		{"negative param instance", `program p  struct S { a i64 }  proc f { read S.a param -1 }`, "negative instance param[-1]"},
+		{"negative shared lock", `program p  struct S { l i64 }  proc f { lock S.l shared -1 unlock S.l shared -1 }`, "negative instance shared[-1]"},
+		{"negative thread param", `program p  proc f { compute 1 }  thread 0 f params 2 -3 iters 1`, "must be non-negative"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -641,9 +641,15 @@ func (p *parser) parseThread() (ThreadDecl, error) {
 				return ThreadDecl{}, err
 			}
 			for p.tok.kind == tokNumber {
+				nTok := p.tok
 				n, err := p.expectInt()
 				if err != nil {
 					return ThreadDecl{}, err
+				}
+				if n < 0 {
+					// A parameter names an instance: a negative one would
+					// address memory before its arena.
+					return ThreadDecl{}, errAt(nTok, "thread params must be non-negative, got %d", n)
 				}
 				td.Params = append(td.Params, int(n))
 			}

@@ -247,6 +247,14 @@ func (c *Cache) put(k Key, v []byte) {
 	}
 }
 
+// land removes the finished flight fl of key k and wakes its waiters.
+func (c *Cache) land(k Key, fl *flight) {
+	c.mu.Lock()
+	delete(c.inflight, k)
+	c.mu.Unlock()
+	close(fl.done)
+}
+
 // Do returns the cached value for k, computing and storing it on a miss.
 // Values must be valid JSON (every caller stores encoding/json output):
 // the disk tier uses JSON validity to detect and collect partially
@@ -287,14 +295,23 @@ func (c *Cache) Do(k Key, compute func() ([]byte, error)) ([]byte, error) {
 		c.stats.Misses++
 		c.mu.Unlock()
 
-		fl.val, fl.err = compute()
+		func() {
+			// A panicking computation still lands its flight, as an error,
+			// so its waiters fail instead of blocking forever and the next
+			// caller computes afresh; the panic goes on up this caller.
+			defer func() {
+				if p := recover(); p != nil {
+					fl.err = fmt.Errorf("memo: computation panicked: %v", p)
+					c.land(k, fl)
+					panic(p)
+				}
+			}()
+			fl.val, fl.err = compute()
+		}()
 		if fl.err == nil {
 			c.put(k, fl.val)
 		}
-		c.mu.Lock()
-		delete(c.inflight, k)
-		c.mu.Unlock()
-		close(fl.done)
+		c.land(k, fl)
 		if fl.err != nil {
 			return nil, fl.err
 		}

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"structlayout/internal/coherence"
 	"structlayout/internal/faults"
@@ -228,6 +230,48 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2 (errors must not be cached)", calls)
+	}
+}
+
+// TestCacheDoPanicLandsFlight: a computation that panics re-raises on its
+// caller, fails a caller waiting on the same flight instead of leaving it
+// blocked, and leaves nothing cached, so the next call computes afresh.
+func TestCacheDoPanicLandsFlight(t *testing.T) {
+	c := New()
+	h := NewHasher()
+	h.Str("k", "panic")
+	k := h.Sum()
+
+	computing := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do(k, func() ([]byte, error) {
+			close(computing)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-computing
+	waited := make(chan error, 1)
+	go func() {
+		_, err := c.Do(k, func() ([]byte, error) { return []byte("late"), nil })
+		waited <- err
+	}()
+	// Give the waiter time to join the flight (one that arrives after the
+	// flight lands computes afresh instead, which the test also accepts).
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if p := <-recovered; p != "boom" {
+		t.Fatalf("computing caller recovered %v, want the panic", p)
+	}
+	if err := <-waited; err != nil && !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("waiter: %v", err)
+	}
+	v, err := c.Do(k, func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || (string(v) != "ok" && string(v) != "late") {
+		t.Fatalf("after the panic: %q, %v", v, err)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -317,6 +319,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Pick the degradation rung and obtain artifacts.
 	pf, trace, cycles, ladder, err := s.collectRung(ctx, &req, file, cfg)
 	if err != nil {
+		if errors.Is(err, errCollectPanic) {
+			writeError(w, http.StatusInternalServerError, "panic",
+				"internal error in collection (diagnostic captured server-side)")
+			return
+		}
 		if ctx.Err() != nil {
 			s.deadlineHit.Add(1)
 			writeError(w, http.StatusGatewayTimeout, "deadline", "deadline expired during collection")
@@ -481,6 +488,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// errCollectPanic is what collectRung returns when the collection it ran
+// panicked. The collection goroutine has already counted and logged it.
+var errCollectPanic = errors.New("server: collection panicked")
+
 // collectRung walks the degradation ladder for one request and returns
 // the artifacts plus the rung that produced them:
 //
@@ -541,6 +552,20 @@ func (s *Server) collectRung(ctx context.Context, req *AnalyzeRequest, file *irt
 		// Runs to completion even if abandoned: the result lands in the
 		// shared cache, so the next identical request rides the replay
 		// rung instead of timing out the same way.
+		defer func() {
+			// Outside the handler's guard a panic would end the process.
+			// Count and log it here and hand it to the handler as a 500,
+			// as parallel.Map hands a panic to its caller; a handler that
+			// has already left drops it.
+			if p := recover(); p != nil {
+				s.panics.Add(1)
+				s.logf("layoutd: panic in collection: %v\n%s", p, debug.Stack())
+				ch <- out{err: errCollectPanic}
+			}
+		}()
+		if s.hookCollect != nil {
+			s.hookCollect()
+		}
 		pf, tr, cycles, err := driver.CollectCached(file, cfg)
 		ch <- out{pf, tr, cycles, err}
 	}()

@@ -125,6 +125,9 @@ type Server struct {
 	// slot and before analysis. Tests use it to hold workers busy or to
 	// inject panics at a controlled point.
 	hookAdmitted func()
+	// hookCollect, when non-nil, runs in the goroutine of a fresh
+	// collection before it starts. Tests use it to inject panics there.
+	hookCollect func()
 }
 
 // New returns a configured server with its routes installed.

@@ -445,6 +445,68 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestNegativeInstanceRejected: a DSL access or lock at a negative
+// shared or parameter instance is a bad program (400), not an engine
+// panic, and the server keeps serving.
+func TestNegativeInstanceRejected(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	for i, stmt := range []string{
+		"write stats.s_reqs param -1",
+		"read stats.s_reqs shared -2",
+		"lock stats.s_lock shared -1\n    unlock stats.s_lock shared -1",
+	} {
+		prog := strings.Replace(testProgram(fmt.Sprintf("negative%d", i)), "write stats.s_reqs shared 0", stmt, 1)
+		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(mustJSON(t, AnalyzeRequest{Program: prog, Seed: 91})))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusBadRequest || eb.Code != "bad-program" {
+			t.Fatalf("%q: status %d, body %s; want 400 bad-program", stmt, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(mustJSON(t, AnalyzeRequest{Program: testProgram("negativeafter"), Seed: 91}))))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("valid request after the rejections: status %d (%s)", rec.Code, rec.Body)
+	}
+	if st := s.Stats(); st.Panics != 0 || st.BadRequest != 3 {
+		t.Fatalf("stats: %+v, want 0 panics and 3 bad requests", st)
+	}
+}
+
+// TestCollectionPanicIsolation: a panic in the goroutine that runs a fresh
+// collection, outside the handler's guard, costs its request a 500 and is
+// counted once; the process keeps serving.
+func TestCollectionPanicIsolation(t *testing.T) {
+	s := New(Config{Logf: func(string, ...any) {}})
+	var boom atomic.Bool
+	s.hookCollect = func() {
+		if boom.CompareAndSwap(true, false) {
+			panic("injected in collection")
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	boom.Store(true)
+	resp, body := postAnalyze(t, ts, AnalyzeRequest{Program: testProgram("collectpanic"), Seed: 63})
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusInternalServerError || eb.Code != "panic" {
+		t.Fatalf("status %d, body %s; want 500 panic", resp.StatusCode, body)
+	}
+	resp, body = postAnalyze(t, ts, AnalyzeRequest{Program: testProgram("collectpanic"), Seed: 63})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the panic: status %d (%s)", resp.StatusCode, body)
+	}
+	if ar := decodeAnalyze(t, body); ar.Ladder != LadderFull {
+		t.Fatalf("retry took the %s rung, want a fresh collection", ar.Ladder)
+	}
+	if st := s.Stats(); st.Panics != 1 {
+		t.Fatalf("stats: %+v, want 1 panic", st)
+	}
+}
+
 func TestDrain(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
