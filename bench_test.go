@@ -253,12 +253,6 @@ func BenchmarkAblationOneClusterPerLine(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSamplingInterval runs collection at a 10x coarser
-// sampling period, starving CodeConcurrency of samples.
-func BenchmarkAblationSamplingInterval(b *testing.B) {
-	b.Skip("exercised via BenchmarkConcurrencyCompute variants; collection interval is fixed in workload.Collect")
-}
-
 // BenchmarkConcurrencyCompute measures the CodeConcurrency computation
 // itself over a real collected trace, at the default and a coarser slice.
 func BenchmarkConcurrencyCompute(b *testing.B) {

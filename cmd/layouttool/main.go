@@ -50,83 +50,175 @@ import (
 	"structlayout/internal/workload"
 )
 
-func main() {
-	var (
-		programIn   = flag.String("program", "", "irtext program file; when set, -struct names a struct of that program")
-		structLabel = flag.String("struct", "A", "kernel struct to lay out: A..E (built-in workload) or a struct name of -program")
-		collectOn   = flag.String("collect-machine", "way16", "collection machine: bus4, way16 or superdome128")
-		mode        = flag.String("mode", "both", "layout mode: auto, best or both")
-		split       = flag.Bool("split", false, "also print the hot/cold structure-splitting advisory")
-		rank        = flag.Bool("rank", false, "rank all structs by optimization potential instead of advising one")
-		dotOut      = flag.String("dot", "", "write the struct's Field Layout Graph as Graphviz DOT to this file")
-		seed        = flag.Int64("seed", 20070311, "collection seed")
-		scripts     = flag.Int64("collect-scripts", 12, "SDET scripts per thread during collection")
-		k1          = flag.Float64("k1", 4, "CycleGain scale constant")
-		k2          = flag.Float64("k2", 1, "CycleLoss scale constant")
-		topK        = flag.Int("topk", 20, "positive edges kept by the incremental mode")
-		noAlias     = flag.Bool("no-alias-analysis", false, "disable the alias-analysis CycleLoss mitigation")
-		profileIn   = flag.String("profile", "", "read the profile from this JSON file instead of collecting")
-		traceIn     = flag.String("trace", "", "read the sample trace from this JSON file instead of collecting")
-		dumpDir     = flag.String("dump", "", "write profile.json, trace.json, concmap.txt and fmf.txt to this directory")
-		injectSpec  = flag.String("inject", "", `measurement-fault injection spec, e.g. "loss=0.5,drift=0.3,seed=7" or "all=0.5" (docs/FAULTS.md)`)
-		strict      = flag.Bool("strict", false, "treat degraded measurement data as fatal instead of degrading gracefully")
-		measureRuns = flag.Int("measure", 0, "with -program: also measure each struct's automatic layout individually over this many runs")
-		jobs        = flag.Int("j", 0, "max parallel measured runs (default GOMAXPROCS)")
-		showQuality = flag.Bool("quality", false, "print the measurement-quality assessment and gate the exit code on its verdict (0 OK, 3 SUSPECT, 4 DEGRADED)")
-		cacheDir    = flag.String("cache-dir", "", "persist the measurement cache here; warm re-runs reuse identical collections and measurements")
-		lintMode    = flag.Bool("lint", false, "run the static structure-layout linter (no measurement); exit 0 clean, 3 findings")
-		lintDir     = flag.String("lint-dir", "", "lint every *.slp program under this directory, recursively (implies -lint)")
-		goLint      = flag.String("go-lint", "", "lint Go packages (comma/space-separated dirs, \"dir/...\" recurses): extract goroutines, lock regions and struct accesses, run the static linter, print reordering suggestions; exit 0 clean, 3 findings")
-		lintJSON    = flag.String("lint-json", "", "with -lint: also write the findings as JSON to this file (\"-\" for stdout)")
-		cacheGC     = flag.Bool("cache-gc", false, "age out disk-tier cache entries (requires -cache-dir), print the pass summary, and exit")
-		cacheGCAge  = flag.Duration("cache-gc-age", 720*time.Hour, "with -cache-gc: remove entries not touched within this duration (0 disables the age criterion)")
-		cacheGCSize = flag.Int64("cache-gc-bytes", 0, "with -cache-gc: evict oldest entries until the disk tier fits this byte budget (0 = unlimited)")
-		simFlag     = flag.String("sim", "", "simulation mode for -measure runs: exact (default) or sampled (extrapolated, approximate; collection stays exact)")
-	)
-	flag.Parse()
-	if *jobs > 0 {
-		parallel.SetLimit(*jobs)
+// options holds the command line. Every field points at its flag's value.
+type options struct {
+	programIn   *string
+	structLabel *string
+	collectOn   *string
+	layoutMode  *string
+	split       *bool
+	rank        *bool
+	dotOut      *string
+	seed        *int64
+	scripts     *int64
+	k1          *float64
+	k2          *float64
+	topK        *int
+	noAlias     *bool
+	profileIn   *string
+	traceIn     *string
+	dumpDir     *string
+	injectSpec  *string
+	strict      *bool
+	measureRuns *int
+	jobs        *int
+	showQuality *bool
+	cacheDir    *string
+	lintMode    *bool
+	lintDir     *string
+	goLint      *string
+	lintJSON    *string
+	cacheGC     *bool
+	cacheGCAge  *time.Duration
+	cacheGCSize *int64
+	simFlag     *string
+}
+
+// defineFlags registers the command line on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	return &options{
+		programIn:   fs.String("program", "", "irtext program file; when set, -struct names a struct of that program"),
+		structLabel: fs.String("struct", "A", "kernel struct to lay out: A..E (built-in workload) or a struct name of -program"),
+		collectOn:   fs.String("collect-machine", "way16", "collection machine: bus4, way16 or superdome128"),
+		layoutMode:  fs.String("mode", "both", "layout mode: auto, best or both"),
+		split:       fs.Bool("split", false, "also print the hot/cold structure-splitting advisory"),
+		rank:        fs.Bool("rank", false, "rank all structs by optimization potential instead of advising one"),
+		dotOut:      fs.String("dot", "", "write the struct's Field Layout Graph as Graphviz DOT to this file"),
+		seed:        fs.Int64("seed", 20070311, "collection seed"),
+		scripts:     fs.Int64("collect-scripts", 12, "SDET scripts per thread during collection"),
+		k1:          fs.Float64("k1", 4, "CycleGain scale constant"),
+		k2:          fs.Float64("k2", 1, "CycleLoss scale constant"),
+		topK:        fs.Int("topk", 20, "positive edges kept by the incremental mode"),
+		noAlias:     fs.Bool("no-alias-analysis", false, "disable the alias-analysis CycleLoss mitigation"),
+		profileIn:   fs.String("profile", "", "read the profile from this JSON file instead of collecting"),
+		traceIn:     fs.String("trace", "", "read the sample trace from this JSON file instead of collecting"),
+		dumpDir:     fs.String("dump", "", "write profile.json, trace.json, concmap.txt and fmf.txt to this directory"),
+		injectSpec:  fs.String("inject", "", `measurement-fault injection spec, e.g. "loss=0.5,drift=0.3,seed=7" or "all=0.5" (docs/FAULTS.md)`),
+		strict:      fs.Bool("strict", false, "treat degraded measurement data as fatal instead of degrading gracefully"),
+		measureRuns: fs.Int("measure", 0, "with -program: also measure each struct's automatic layout individually over this many runs"),
+		jobs:        fs.Int("j", 0, "max parallel measured runs (default GOMAXPROCS)"),
+		showQuality: fs.Bool("quality", false, "print the measurement-quality assessment and gate the exit code on its verdict (0 OK, 3 SUSPECT, 4 DEGRADED)"),
+		cacheDir:    fs.String("cache-dir", "", "persist the measurement cache here; warm re-runs reuse identical collections and measurements"),
+		lintMode:    fs.Bool("lint", false, "run the static structure-layout linter (no measurement); exit 0 clean, 3 findings"),
+		lintDir:     fs.String("lint-dir", "", "lint every *.slp program under this directory, recursively (implies -lint)"),
+		goLint:      fs.String("go-lint", "", "lint Go packages (comma/space-separated dirs, \"dir/...\" recurses): extract goroutines, lock regions and struct accesses, run the static linter, print reordering suggestions; exit 0 clean, 3 findings"),
+		lintJSON:    fs.String("lint-json", "", "with -lint: also write the findings as JSON to this file (\"-\" for stdout)"),
+		cacheGC:     fs.Bool("cache-gc", false, "age out disk-tier cache entries (requires -cache-dir), print the pass summary, and exit"),
+		cacheGCAge:  fs.Duration("cache-gc-age", 720*time.Hour, "with -cache-gc: remove entries not touched within this duration (0 disables the age criterion)"),
+		cacheGCSize: fs.Int64("cache-gc-bytes", 0, "with -cache-gc: evict oldest entries until the disk tier fits this byte budget (0 = unlimited)"),
+		simFlag:     fs.String("sim", "", "simulation mode for -measure runs: exact (default) or sampled (extrapolated, approximate; collection stays exact)"),
 	}
-	if *cacheDir != "" {
-		if err := memo.Shared().SetDir(*cacheDir); err != nil {
+}
+
+func main() {
+	o := defineFlags(flag.CommandLine)
+	flag.Parse()
+	mode := o.mode()
+	if unread := unreadFlags(flag.CommandLine, mode); len(unread) > 0 {
+		for _, name := range unread {
+			fmt.Fprintf(os.Stderr, "layouttool: -%s is not read in %s mode\n", name, mode)
+		}
+		os.Exit(2)
+	}
+	if *o.jobs > 0 {
+		parallel.SetLimit(*o.jobs)
+	}
+	if *o.cacheDir != "" {
+		if err := memo.Shared().SetDir(*o.cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, "layouttool:", err)
 			os.Exit(2)
 		}
 	}
-	if *cacheGC {
-		os.Exit(runCacheGC(*cacheDir, *cacheGCAge, *cacheGCSize))
+	switch mode {
+	case "cache-gc":
+		os.Exit(runCacheGC(*o.cacheDir, *o.cacheGCAge, *o.cacheGCSize))
+	case "go-lint":
+		os.Exit(runGoLint(*o.goLint, *o.lintJSON, *o.cacheDir))
+	case "lint":
+		os.Exit(runLint(*o.programIn, *o.lintDir, *o.lintJSON, *o.collectOn, *o.seed, *o.scripts))
 	}
-	if *goLint != "" {
-		os.Exit(runGoLint(*goLint, *lintJSON, *cacheDir))
-	}
-	if *lintMode || *lintDir != "" {
-		os.Exit(runLint(*programIn, *lintDir, *lintJSON, *collectOn, *seed, *scripts))
-	}
-	spec, err := faults.ParseSpec(*injectSpec)
+	spec, err := faults.ParseSpec(*o.injectSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "layouttool:", err)
 		os.Exit(2)
 	}
-	simMode, err := exec.ParseSimMode(*simFlag)
+	simMode, err := exec.ParseSimMode(*o.simFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "layouttool:", err)
 		os.Exit(2)
 	}
 	var analysis *core.Analysis
-	if *rank {
-		analysis, err = runRank(*programIn, *collectOn, *seed, *scripts, *k1, *k2, spec, *strict)
-	} else if *programIn != "" {
-		analysis, err = runProgramFile(*programIn, *structLabel, *collectOn, *mode, *seed, *k1, *k2, *topK, *split, *dotOut, spec, *strict, *measureRuns, simMode)
-	} else {
-		analysis, err = run(*structLabel, *collectOn, *mode, *seed, *scripts, *k1, *k2, *topK, *noAlias, *split, *profileIn, *traceIn, *dumpDir, *dotOut, spec, *strict)
+	switch mode {
+	case "rank":
+		analysis, err = runRank(*o.programIn, *o.collectOn, *o.seed, *o.scripts, *o.k1, *o.k2, spec, *o.strict)
+	case "program":
+		analysis, err = runProgramFile(*o.programIn, *o.structLabel, *o.collectOn, *o.layoutMode, *o.seed, *o.k1, *o.k2, *o.topK, *o.split, *o.dotOut, spec, *o.strict, *o.measureRuns, simMode)
+	default:
+		analysis, err = run(*o.structLabel, *o.collectOn, *o.layoutMode, *o.seed, *o.scripts, *o.k1, *o.k2, *o.topK, *o.noAlias, *o.split, *o.profileIn, *o.traceIn, *o.dumpDir, *o.dotOut, spec, *o.strict)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "layouttool:", err)
 		os.Exit(1)
 	}
-	if *showQuality {
+	if *o.showQuality {
 		os.Exit(qualityGate(analysis))
 	}
+}
+
+// mode names the task the command line selects, checked in this order:
+// cache-gc, go-lint, lint, rank, program (a -program analysis) or
+// built-in (a built-in SDET struct).
+func (o *options) mode() string {
+	switch {
+	case *o.cacheGC:
+		return "cache-gc"
+	case *o.goLint != "":
+		return "go-lint"
+	case *o.lintMode || *o.lintDir != "":
+		return "lint"
+	case *o.rank:
+		return "rank"
+	case *o.programIn != "":
+		return "program"
+	}
+	return "built-in"
+}
+
+// modeFlags lists the flags each mode reads; -j and -cache-dir are read
+// in every mode.
+var modeFlags = map[string]string{
+	"cache-gc": "cache-gc cache-gc-age cache-gc-bytes",
+	"go-lint":  "go-lint lint-json",
+	"lint":     "lint lint-dir lint-json program collect-machine seed collect-scripts",
+	"rank":     "rank program collect-machine seed collect-scripts k1 k2 inject strict quality",
+	"program":  "program struct collect-machine mode seed k1 k2 topk split dot inject strict measure sim quality",
+	"built-in": "struct collect-machine mode seed collect-scripts k1 k2 topk no-alias-analysis split profile trace dump dot inject strict quality",
+}
+
+// unreadFlags returns the flags set on fs that mode never reads, so a
+// flag the chosen mode would silently ignore is a usage error instead.
+func unreadFlags(fs *flag.FlagSet, mode string) []string {
+	reads := map[string]bool{"j": true, "cache-dir": true}
+	for _, name := range strings.Fields(modeFlags[mode]) {
+		reads[name] = true
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] {
+			unread = append(unread, f.Name)
+		}
+	})
+	return unread
 }
 
 // qualityGate prints the composite measurement-quality assessment and maps

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -243,6 +244,69 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := run("A", "bus4", "sideways", 1, 1, 1, 1, 20, false, false, "", "", "", "", none(t), false); err == nil {
 		t.Fatal("unknown mode accepted")
+	}
+}
+
+// TestFlagsUnreadByMode: a flag the selected mode never reads is a usage
+// error naming the flag, while every documented and CI invocation passes.
+func TestFlagsUnreadByMode(t *testing.T) {
+	const slp = "examples/dslprogram/webserver.slp"
+	cases := []struct {
+		args   string
+		mode   string
+		unread string
+	}{
+		// Flags the mode silently ignored before.
+		{"-program " + slp + " -struct conn -dump out", "program", "dump"},
+		{"-program " + slp + " -profile /nonexistent.json", "program", "profile"},
+		{"-program " + slp + " -no-alias-analysis", "program", "no-alias-analysis"},
+		{"-program " + slp + " -collect-scripts 2", "program", "collect-scripts"},
+		{"-struct B -measure 2", "built-in", "measure"},
+		{"-struct B -sim sampled", "built-in", "sim"},
+		{"-rank -mode auto -topk 5 -split -dot g.dot -dump out", "rank", "dot dump mode split topk"},
+		{"-lint -program " + slp + " -quality", "lint", "quality"},
+		{"-go-lint ./x -program " + slp, "go-lint", "program"},
+		{"-cache-gc -cache-dir c -lint", "cache-gc", "lint"},
+		// Invocations the README, docs and CI use.
+		{"-struct B -collect-machine bus4 -collect-scripts 2 -mode auto", "built-in", ""},
+		{"-struct A -dump out -dot g.dot -split", "built-in", ""},
+		{"-struct B -inject all=0.25,seed=20070311 -quality -strict", "built-in", ""},
+		{"-program " + slp + " -struct conn -collect-machine bus4 -measure 2 -cache-dir c -j 2", "program", ""},
+		{"-program " + slp + " -struct conn -sim sampled -measure 2 -split", "program", ""},
+		{"-rank -program " + slp, "rank", ""},
+		{"-lint -program " + slp + " -lint-json out.json", "lint", ""},
+		{"-lint-dir examples/lint -lint-json -", "lint", ""},
+		{"-lint -collect-machine bus4 -collect-scripts 2", "lint", ""},
+		{"-go-lint examples/corpus/... -cache-dir c -lint-json out.json", "go-lint", ""},
+		{"-cache-gc -cache-dir c -cache-gc-age 1h -cache-gc-bytes 100", "cache-gc", ""},
+	}
+	// Every flag is read by some mode, or no invocation could set it.
+	read := map[string]bool{"j": true, "cache-dir": true}
+	for _, names := range modeFlags {
+		for _, name := range strings.Fields(names) {
+			read[name] = true
+		}
+	}
+	all := flag.NewFlagSet("layouttool", flag.ContinueOnError)
+	defineFlags(all)
+	all.VisitAll(func(f *flag.Flag) {
+		if !read[f.Name] {
+			t.Errorf("-%s is read by no mode", f.Name)
+		}
+	})
+	for _, c := range cases {
+		fs := flag.NewFlagSet("layouttool", flag.ContinueOnError)
+		o := defineFlags(fs)
+		if err := fs.Parse(strings.Fields(c.args)); err != nil {
+			t.Fatalf("%s: %v", c.args, err)
+		}
+		if got := o.mode(); got != c.mode {
+			t.Errorf("%s: mode %s, want %s", c.args, got, c.mode)
+			continue
+		}
+		if got := strings.Join(unreadFlags(fs, c.mode), " "); got != c.unread {
+			t.Errorf("%s: unread flags %q, want %q", c.args, got, c.unread)
+		}
 	}
 }
 

@@ -225,46 +225,6 @@ func TestDumpReport(t *testing.T) {
 	}
 }
 
-func TestPostInlineAffinity(t *testing.T) {
-	// §7: "post-inline computation to better capture the effects of
-	// inter-procedural paths". Build the same program twice: only the
-	// inlined version exposes the caller/callee affinity edge.
-	build := func(inline bool) (*ir.Program, *ir.StructType) {
-		p := ir.NewProgram("postinline")
-		s := ir.NewStruct("S", ir.I64("a"), ir.I64("b"))
-		p.AddStruct(s)
-		helper := p.NewProc("helper")
-		helper.Read(s, "b", ir.Shared(0))
-		helper.Done()
-		caller := p.NewProc("caller")
-		caller.Loop(100, func(b *ir.Builder) {
-			b.Read(s, "a", ir.Shared(0))
-			b.Call("helper")
-		})
-		caller.Done()
-		if inline {
-			if err := p.Inline(ir.InlineOptions{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return p.MustFinalize(), s
-	}
-
-	pPlain, sPlain := build(false)
-	pfPlain, _ := profile.StaticEstimate(pPlain, []string{"caller"})
-	gPlain := Build(pPlain, pfPlain, sPlain, Options{})
-	if got := gPlain.Weight(0, 1); got != 0 {
-		t.Fatalf("without inlining, cross-proc affinity = %v, want 0", got)
-	}
-
-	pInl, sInl := build(true)
-	pfInl, _ := profile.StaticEstimate(pInl, []string{"caller"})
-	gInl := Build(pInl, pfInl, sInl, Options{})
-	if got := gInl.Weight(0, 1); got != 100 {
-		t.Fatalf("after inlining, affinity = %v, want 100", got)
-	}
-}
-
 func TestMemoryDistanceThreshold(t *testing.T) {
 	// Figure 1 meets §2's MemoryDistance: a loop reads f1, sweeps a large
 	// buffer, then reads f2. With the threshold enabled, the sweep kills

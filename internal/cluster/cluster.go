@@ -10,12 +10,7 @@
 // grouping/separation constraints for an incremental layout change.
 package cluster
 
-import (
-	"fmt"
-	"strings"
-
-	"structlayout/internal/flg"
-)
+import "structlayout/internal/flg"
 
 // Result is a partition of fields into clusters, with quality metrics.
 type Result struct {
@@ -157,18 +152,4 @@ func SeparatePredicate(g *flg.Graph, clusters [][]int) func(ci, cj int) bool {
 		}
 		return BetweenWeight(g, clusters[ci], clusters[cj]) < 0
 	}
-}
-
-// Dump renders the partition.
-func (r Result) Dump(g *flg.Graph) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "clusters for struct %s (intra=%.6g inter=%.6g)\n", g.Struct.Name, r.IntraWeight, r.InterWeight)
-	for i, c := range r.Clusters {
-		fmt.Fprintf(&sb, "  cluster %d:", i)
-		for _, f := range c {
-			fmt.Fprintf(&sb, " %s", g.Struct.Fields[f].Name)
-		}
-		fmt.Fprintln(&sb)
-	}
-	return sb.String()
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 
 	"structlayout/internal/affinity"
@@ -218,15 +217,6 @@ func TestEveryFieldAssignedOnce(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("field %d assigned %d times", f, n)
 		}
-	}
-}
-
-func TestDump(t *testing.T) {
-	g := makeGraph(2, map[int]float64{0: 2, 1: 1}, map[[2]int]float64{{0, 1}: 5}, nil)
-	res := Greedy(g, 128)
-	d := res.Dump(g)
-	if !strings.Contains(d, "cluster 0: fa fb") {
-		t.Fatalf("dump:\n%s", d)
 	}
 }
 

@@ -20,14 +20,6 @@ func (b bitset) empty() bool {
 	return true
 }
 
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // forEach visits set bits in ascending order. It snapshots each word before
 // iterating so callers may clear bits during the walk.
 func (b bitset) forEach(fn func(i int)) {

@@ -58,36 +58,12 @@ func (m MissKind) String() string {
 	return [...]string{"none", "cold", "replacement", "coherence", "upgrade"}[m]
 }
 
-// Protocol selects the coherence protocol. The paper's machines implement
-// hardware coherence in the MESI family (§1 cites MESI, MSI, MOSI, MOESI);
-// MESI is the default, MSI is available to quantify what the Exclusive
-// state buys (silent E→M upgrades for private data).
-type Protocol uint8
-
-const (
-	// MESI is the four-state protocol (default).
-	MESI Protocol = iota
-	// MSI drops the Exclusive state: a lone reader holds Shared, so its
-	// own later write still pays an upgrade transaction.
-	MSI
-)
-
-// String names the protocol.
-func (p Protocol) String() string {
-	if p == MSI {
-		return "MSI"
-	}
-	return "MESI"
-}
-
 // Config sets the cache geometry. The default mirrors the paper's Itanium 2
 // parts: 128-byte coherence lines and a 6 MB private cache.
 type Config struct {
 	LineSize int64
 	Sets     int
 	Ways     int
-	// Protocol selects MESI (default) or MSI.
-	Protocol Protocol
 }
 
 // DefaultItanium returns the 6 MB, 12-way, 128 B/line configuration.
@@ -111,9 +87,6 @@ func (c Config) Validate() error {
 	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("coherence: non-positive associativity %d", c.Ways)
-	}
-	if c.Protocol != MESI && c.Protocol != MSI {
-		return fmt.Errorf("coherence: unknown protocol %d", c.Protocol)
 	}
 	return nil
 }
@@ -374,14 +347,6 @@ func (s *System) ReserveDirectory(maxAddr int64) {
 	s.flat, s.flatLines = flat, n
 }
 
-// lookup returns the directory entry for line, or nil.
-func (s *System) lookup(line int64) *lineInfo {
-	if uint64(line) < uint64(s.flatLines) {
-		return s.flat[line]
-	}
-	return s.lines[line]
-}
-
 // alloc carves one lineInfo (and its bitset backing) from the slab pool.
 func (s *System) alloc(line int64) *lineInfo {
 	if s.slabPos == len(s.slab) {
@@ -421,21 +386,6 @@ func (s *System) getOrCreate(line int64) *lineInfo {
 	return li
 }
 
-// forEachLine visits every directory entry (flat and map-backed).
-func (s *System) forEachLine(fn func(line int64, li *lineInfo)) {
-	for line, li := range s.flat {
-		if li != nil {
-			fn(int64(line), li)
-		}
-	}
-	for line, li := range s.lines {
-		fn(line, li)
-	}
-}
-
-// Config returns the cache geometry.
-func (s *System) Config() Config { return s.cfg }
-
 // GlobalStats returns aggregate counters: the sum of every CPU's. Each
 // increment lands on exactly one CPU's counters, so the sum equals what a
 // single global tally would have counted.
@@ -446,9 +396,6 @@ func (s *System) GlobalStats() Stats {
 	}
 	return g
 }
-
-// CPUStats returns one CPU's counters.
-func (s *System) CPUStats(cpu int) Stats { return s.perCPU[cpu] }
 
 // Access performs one read or write of size bytes at addr by cpu and
 // returns its outcome. Accesses that straddle a line boundary are split and
@@ -661,10 +608,6 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, st *S
 			newState = Shared
 		} else if !li.sharers.empty() {
 			newState = Shared
-		} else if s.cfg.Protocol == MSI {
-			// MSI has no Exclusive state: lone readers hold Shared and pay
-			// a real upgrade on their own first write.
-			newState = Shared
 		} else {
 			newState = Exclusive
 			li.owner = int32(cpu)
@@ -835,63 +778,4 @@ func (li *lineInfo) recordWrite(cpu int, lo, hi int32) {
 	li.lastWriteLo = lo
 	li.lastWriteHi = hi
 	li.hasLastWrite = true
-}
-
-// CheckInvariants verifies MESI invariants over the whole system: at most
-// one owner per line, owner implies no other sharers, directory matches the
-// caches. Tests call it after random access sequences.
-func (s *System) CheckInvariants() error {
-	// Rebuild the sharer view from the caches.
-	type holder struct {
-		cpu   int
-		state State
-	}
-	holders := make(map[int64][]holder)
-	for cpu := range s.caches {
-		c := &s.caches[cpu]
-		if c.n == nil {
-			continue
-		}
-		for setIdx := range c.n {
-			base := setIdx * s.cfg.Ways
-			for i := base; i < base+int(c.n[setIdx]); i++ {
-				holders[c.lines[i]] = append(holders[c.lines[i]], holder{cpu, c.state[i]})
-			}
-		}
-	}
-	for line, hs := range holders {
-		li := s.lookup(line)
-		if li == nil {
-			return fmt.Errorf("line %d cached but has no directory entry", line)
-		}
-		exclusive := 0
-		for _, h := range hs {
-			if h.state == Modified || h.state == Exclusive {
-				exclusive++
-				if int(li.owner) != h.cpu {
-					return fmt.Errorf("line %d: cpu %d holds %s but directory owner is %d", line, h.cpu, h.state, li.owner)
-				}
-			}
-			if !li.sharers.get(h.cpu) {
-				return fmt.Errorf("line %d: cpu %d holds copy but is not in sharer set", line, h.cpu)
-			}
-		}
-		if exclusive > 1 {
-			return fmt.Errorf("line %d has %d exclusive holders", line, exclusive)
-		}
-		if exclusive == 1 && len(hs) > 1 {
-			return fmt.Errorf("line %d owned exclusively but has %d holders", line, len(hs))
-		}
-		if n := li.sharers.count(); n != len(hs) {
-			return fmt.Errorf("line %d: directory says %d sharers, caches hold %d", line, n, len(hs))
-		}
-	}
-	// No directory entry may claim sharers that hold nothing.
-	var stale error
-	s.forEachLine(func(line int64, li *lineInfo) {
-		if stale == nil && li.sharers.count() != len(holders[line]) {
-			stale = fmt.Errorf("line %d: stale sharers in directory", line)
-		}
-	})
-	return stale
 }

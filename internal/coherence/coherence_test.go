@@ -295,62 +295,3 @@ func TestMissKindStrings(t *testing.T) {
 		t.Fatal("state strings wrong")
 	}
 }
-
-func TestMSIHasNoSilentUpgrade(t *testing.T) {
-	cfg := DefaultItanium()
-	cfg.Protocol = MSI
-	s := mustSystem(t, machine.Bus4(), cfg)
-	// Lone reader then own write: MESI would upgrade silently via E; MSI
-	// must pay an upgrade transaction.
-	s.Access(0, 0x100, 8, false)
-	if st := s.StateOf(0, 0x100); st != Shared {
-		t.Fatalf("MSI lone read state = %v, want S", st)
-	}
-	r := s.Access(0, 0x100, 8, true)
-	if r.Miss != MissUpgrade {
-		t.Fatalf("MSI own-write after read: %+v, want upgrade", r)
-	}
-
-	mesi := mustSystem(t, machine.Bus4(), DefaultItanium())
-	mesi.Access(0, 0x100, 8, false)
-	if st := mesi.StateOf(0, 0x100); st != Exclusive {
-		t.Fatalf("MESI lone read state = %v, want E", st)
-	}
-	rm := mesi.Access(0, 0x100, 8, true)
-	if rm.Miss != MissNone {
-		t.Fatalf("MESI silent upgrade broken: %+v", rm)
-	}
-}
-
-func TestMSIInvariantsRandom(t *testing.T) {
-	cfg := SmallCache()
-	cfg.Protocol = MSI
-	topo := machine.Way16()
-	s := mustSystem(t, topo, cfg)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20000; i++ {
-		s.Access(rng.Intn(topo.NumCPUs()), int64(rng.Intn(64))*16, 8, rng.Intn(3) == 0)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// No line may ever be Exclusive under MSI.
-	for cpu := 0; cpu < topo.NumCPUs(); cpu++ {
-		for line := int64(0); line < 8; line++ {
-			if s.StateOf(cpu, line*128) == Exclusive {
-				t.Fatalf("Exclusive state under MSI (cpu %d line %d)", cpu, line)
-			}
-		}
-	}
-}
-
-func TestProtocolValidation(t *testing.T) {
-	cfg := DefaultItanium()
-	cfg.Protocol = Protocol(9)
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("bogus protocol accepted")
-	}
-	if MESI.String() != "MESI" || MSI.String() != "MSI" {
-		t.Fatal("protocol names wrong")
-	}
-}

@@ -75,23 +75,6 @@ func TestFastPathSilentUpgradeRepeat(t *testing.T) {
 	}
 }
 
-// TestFastPathMSIRepeatWrite: under MSI a lone reader holds Shared, so the
-// fast path must fall through to a real upgrade on the first write, then
-// hit on the second.
-func TestFastPathMSIRepeatWrite(t *testing.T) {
-	sys, err := NewSystem(machine.Bus4(), Config{LineSize: 128, Sets: 8, Ways: 2, Protocol: MSI})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Access(0, 0, 8, false)
-	if r := sys.Access(0, 0, 8, true); r.Miss != MissUpgrade {
-		t.Fatalf("MSI lone-reader write must be an upgrade, got %v", r.Miss)
-	}
-	if r := sys.Access(0, 0, 8, true); r.Miss != MissNone {
-		t.Fatalf("repeat write after upgrade should hit, got %v", r.Miss)
-	}
-}
-
 // TestFastPathEvictionBetweenRepeats: filling the set evicts the line; the
 // next same-line access must be a replacement miss, not a hit on a
 // displaced MRU slot.

@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"structlayout/internal/diag"
 	"structlayout/internal/ir"
@@ -203,16 +201,6 @@ func (bc *blockCounts) countFor(cpu int) float64 { return bc.byCPU[cpu] }
 // Value returns CC for a block pair.
 func (m *Map) Value(a, b ir.BlockID) float64 { return m.CC[MakePair(a, b)] }
 
-// Blocks returns the set of blocks appearing in any non-zero pair.
-func (m *Map) Blocks() map[ir.BlockID]bool {
-	out := make(map[ir.BlockID]bool)
-	for p := range m.CC {
-		out[p.A] = true
-		out[p.B] = true
-	}
-	return out
-}
-
 // TopPairs returns the k highest-CC pairs, ties broken by pair ordering.
 func (m *Map) TopPairs(k int) []Pair {
 	pairs := make([]Pair, 0, len(m.CC))
@@ -261,53 +249,4 @@ func (m *Map) WriteText(w io.Writer, p *ir.Program) error {
 		fmt.Fprintf(bw, "%s %s %.6g\n", p.Block(pair.A).Line, p.Block(pair.B).Line, m.CC[pair])
 	}
 	return bw.Flush()
-}
-
-// ParseText reads the WriteText format back into a map.
-func ParseText(r io.Reader, p *ir.Program) (*Map, error) {
-	table := p.LineTable()
-	m := &Map{CC: make(map[Pair]float64)}
-	sc := bufio.NewScanner(r)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		parts := strings.Fields(text)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("concurrency: line %d: want 3 fields, got %d", lineno, len(parts))
-		}
-		ba, err := lookupLine(table, parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("concurrency: line %d: %w", lineno, err)
-		}
-		bb, err := lookupLine(table, parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("concurrency: line %d: %w", lineno, err)
-		}
-		v, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("concurrency: line %d: bad value %q", lineno, parts[2])
-		}
-		m.CC[MakePair(ba, bb)] += v
-	}
-	return m, sc.Err()
-}
-
-func lookupLine(table map[ir.SourceLine]*ir.BasicBlock, tok string) (ir.BlockID, error) {
-	i := strings.LastIndexByte(tok, ':')
-	if i < 0 {
-		return 0, fmt.Errorf("malformed location %q", tok)
-	}
-	n, err := strconv.Atoi(tok[i+1:])
-	if err != nil {
-		return 0, fmt.Errorf("malformed line number %q", tok)
-	}
-	b := table[ir.SourceLine{File: tok[:i], Line: n}]
-	if b == nil {
-		return 0, fmt.Errorf("unknown source line %q", tok)
-	}
-	return b.Global, nil
 }

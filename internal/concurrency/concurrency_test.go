@@ -2,7 +2,6 @@ package concurrency
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -164,42 +163,26 @@ func buildTinyProgram(t testing.TB) *ir.Program {
 	return p.MustFinalize()
 }
 
-func TestTextRoundTrip(t *testing.T) {
+// TestWriteText pins the concmap.txt encoding that layouttool -dump
+// writes: one "fileA:lineA fileB:lineB cc" line per pair, highest CC
+// first, values in %.6g.
+func TestWriteText(t *testing.T) {
 	p := buildTinyProgram(t)
 	blocks := p.Blocks()
 	m := &Map{CC: map[Pair]float64{
 		MakePair(blocks[0].Global, blocks[1].Global): 12.5,
-		MakePair(blocks[1].Global, blocks[1].Global): 3,
+		MakePair(blocks[1].Global, blocks[1].Global): 1234567,
+		MakePair(blocks[0].Global, blocks[0].Global): 0.000123456789,
 	}, SliceCycles: 1000}
-
 	var buf bytes.Buffer
 	if err := m.WriteText(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseText(&buf, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pair, v := range m.CC {
-		if math.Abs(got.CC[pair]-v) > 1e-9 {
-			t.Fatalf("pair %+v: %v vs %v", pair, got.CC[pair], v)
-		}
-	}
-}
-
-func TestParseTextErrors(t *testing.T) {
-	p := buildTinyProgram(t)
-	cases := []string{
-		"f.c:1 f.c:2",         // missing value
-		"f.c:1 f.c:2 x",       // bad value
-		"nope:9 f.c:2 1.0",    // unknown line
-		"malformed f.c:2 1.0", // bad location
-		"f.c:zz f.c:2 1.0",    // bad line number
-	}
-	for _, c := range cases {
-		if _, err := ParseText(bytes.NewReader([]byte(c)), p); err == nil {
-			t.Fatalf("ParseText(%q) accepted", c)
-		}
+	const want = "f.c:2 f.c:2 1.23457e+06\n" +
+		"f.c:1 f.c:2 12.5\n" +
+		"f.c:1 f.c:1 0.000123457\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteText:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -333,10 +316,9 @@ func TestCCInvariantUnderSampleReordering(t *testing.T) {
 	}
 }
 
-// TestTextRoundTripTopPairsOrdering: serializing and re-parsing the map
-// must preserve the TopPairs ranking, including value ties broken by pair
-// order. Integer CC values stay exact under the %.6g encoding.
-func TestTextRoundTripTopPairsOrdering(t *testing.T) {
+// TestWriteTextTopPairsOrdering pins the line order of concmap.txt: the
+// TopPairs ranking, with value ties broken by pair order.
+func TestWriteTextTopPairsOrdering(t *testing.T) {
 	p := buildThreeBlockProgram(t)
 	blocks := p.Blocks()
 	m := &Map{CC: map[Pair]float64{
@@ -349,22 +331,12 @@ func TestTextRoundTripTopPairsOrdering(t *testing.T) {
 	if err := m.WriteText(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseText(&buf, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := m.TopPairs(len(m.CC))
-	have := got.TopPairs(len(got.CC))
-	if len(want) != len(have) {
-		t.Fatalf("round trip changed pair count: %d vs %d", len(want), len(have))
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("TopPairs[%d] = %+v after round trip, want %+v", i, have[i], want[i])
-		}
-		if m.CC[want[i]] != got.CC[have[i]] {
-			t.Fatalf("pair %+v: value %v after round trip, want %v", want[i], got.CC[have[i]], m.CC[want[i]])
-		}
+	const want = "f.c:1 f.c:3 7500\n" +
+		"f.c:3 f.c:3 7500\n" +
+		"f.c:1 f.c:2 320\n" +
+		"f.c:2 f.c:3 41\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteText:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -67,27 +67,6 @@ func (a *Analysis) RankStructs() ([]StructRank, error) {
 	return out, nil
 }
 
-// AdviseAll runs the automatic pipeline for the top-k ranked structs and
-// returns their suggestions in rank order (k <= 0 means all).
-func (a *Analysis) AdviseAll(k int, originals map[string]*layout.Layout) ([]*Suggestion, error) {
-	ranks, err := a.RankStructs()
-	if err != nil {
-		return nil, err
-	}
-	if k > 0 && len(ranks) > k {
-		ranks = ranks[:k]
-	}
-	out := make([]*Suggestion, 0, len(ranks))
-	for _, r := range ranks {
-		sugg, err := a.Suggest(r.Name, originals[r.Name])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sugg)
-	}
-	return out, nil
-}
-
 // RankReport renders the ranking table.
 func RankReport(ranks []StructRank) string {
 	var sb strings.Builder

@@ -26,7 +26,6 @@ import (
 	"structlayout/internal/flg"
 	"structlayout/internal/ir"
 	"structlayout/internal/layout"
-	"structlayout/internal/locks"
 	"structlayout/internal/profile"
 	"structlayout/internal/quality"
 	"structlayout/internal/report"
@@ -51,11 +50,6 @@ type Options struct {
 	// OneClusterPerLine packs each cluster onto its own line instead of
 	// first-fit packing with separation constraints.
 	OneClusterPerLine bool
-	// LockEntries, when non-empty, enables lock analysis (internal/locks,
-	// the paper's §7 future work): accesses provably serialized by a
-	// shared lock contribute no CycleLoss. The slice names the procedures
-	// threads may start in.
-	LockEntries []string
 	// FMF, when non-nil, replaces the field mapping file the analysis
 	// would derive from the program — the paper's pipeline reads the FMF
 	// from disk, so it can be stale or truncated relative to the program.
@@ -93,7 +87,6 @@ type Analysis struct {
 	Profile     *profile.Profile
 	Concurrency *concurrency.Map
 	FMF         *fieldmap.File
-	Locks       *locks.Info
 	// Static is the static sharing analysis result, nil when not enabled
 	// or when it degraded (see the static-analysis-failed diagnostic).
 	Static *staticshare.Result
@@ -165,25 +158,6 @@ func NewAnalysis(prog *ir.Program, pf *profile.Profile, trace *sampling.Trace, o
 		}
 	}
 	a := &Analysis{Prog: prog, Profile: pf, FMF: fmf, Opts: opts, Diag: log}
-	if len(opts.LockEntries) > 0 && opts.FLG.ExclusionOracle == nil {
-		info, err := locks.Analyze(prog, opts.LockEntries)
-		if err != nil {
-			// A CFG the lock analysis cannot walk (unknown entry, unknown
-			// callee, malformed block) costs an optimization, not
-			// correctness: without an exclusion oracle every concurrent
-			// pair keeps its full CycleLoss, which is the conservative
-			// side. Degrade like the other input failures instead of
-			// refusing the whole advisory.
-			if opts.Strict {
-				return nil, fmt.Errorf("core: lock analysis failed (strict mode): %w", err)
-			}
-			log.Add(diag.Degraded, "core", "lock-analysis-failed",
-				"lock analysis failed (%v); proceeding without a mutual-exclusion oracle, so lock-serialized accesses keep their CycleLoss", err)
-		} else {
-			a.Locks = info
-			a.Opts.FLG.ExclusionOracle = info.MutualExclusion()
-		}
-	}
 	var clean *sampling.Trace
 	if trace != nil {
 		clean = sampling.Sanitize(trace, prog.NumBlocks(), log)

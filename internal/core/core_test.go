@@ -266,102 +266,10 @@ func TestOneClusterPerLineOption(t *testing.T) {
 	}
 }
 
-// lockScenario: two writers updating different fields under one shared
-// lock — serialized, so CodeConcurrency between them is a false alarm.
-func lockScenario(t testing.TB) (*ir.Program, *ir.StructType) {
-	t.Helper()
-	p := ir.NewProgram("lockcase")
-	s := ir.NewStruct("G", ir.I64("glock"), ir.I64("x"), ir.I64("y"))
-	p.AddStruct(s)
-	wx := p.NewProc("writerX")
-	wx.Loop(300, func(b *ir.Builder) {
-		b.Lock(s, "glock", ir.Shared(0))
-		b.Write(s, "x", ir.Shared(0))
-		b.Unlock(s, "glock", ir.Shared(0))
-		b.Compute(60)
-	})
-	wx.Done()
-	wy := p.NewProc("writerY")
-	wy.Loop(300, func(b *ir.Builder) {
-		b.Lock(s, "glock", ir.Shared(0))
-		b.Write(s, "y", ir.Shared(0))
-		b.Unlock(s, "glock", ir.Shared(0))
-		b.Compute(60)
-	})
-	wy.Done()
-	return p.MustFinalize(), s
-}
-
-func collectLockScenario(t testing.TB, p *ir.Program, s *ir.StructType) (*profile.Profile, *sampling.Trace) {
-	t.Helper()
-	r, err := exec.NewRunner(p, exec.Config{
-		Topo:     machine.Bus4(),
-		Cache:    coherence.DefaultItanium(),
-		Seed:     21,
-		Sampling: &sampling.Config{IntervalCycles: 100, Seed: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.DefineArena(origLayout(t, s), 1); err != nil {
-		t.Fatal(err)
-	}
-	for cpu := 0; cpu < 4; cpu++ {
-		proc := "writerX"
-		if cpu%2 == 1 {
-			proc = "writerY"
-		}
-		if err := r.AddThread(cpu, proc, nil, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Profile, res.Trace
-}
-
-func TestLockAnalysisSuppressesCycleLoss(t *testing.T) {
-	p, s := lockScenario(t)
-	pf, trace := collectLockScenario(t, p, s)
-	entries := []string{"writerX", "writerY"}
-
-	without, err := NewAnalysis(p, pf, trace, Options{LineSize: 128, SliceCycles: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gW, err := without.BuildFLG("G")
-	if err != nil {
-		t.Fatal(err)
-	}
-	xi, yi := s.FieldIndex("x"), s.FieldIndex("y")
-	if gW.Weight(xi, yi) >= 0 {
-		t.Skipf("scenario produced no x/y concurrency (weight %v); nothing to suppress", gW.Weight(xi, yi))
-	}
-
-	with, err := NewAnalysis(p, pf, trace, Options{LineSize: 128, SliceCycles: 5000, LockEntries: entries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.Locks == nil {
-		t.Fatal("lock info missing")
-	}
-	gL, err := with.BuildFLG("G")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := gL.Weight(xi, yi); w < 0 {
-		t.Fatalf("lock-protected pair still has negative weight %v", w)
-	}
-	// The lock word itself still falsely shares with x and y readers of
-	// other... the lock is the contended word; its loss edges remain.
-	if gL.Weight(s.FieldIndex("glock"), xi) >= 0 && gW.Weight(s.FieldIndex("glock"), xi) < 0 {
-		t.Fatal("suppression leaked onto the lock word's own edges")
-	}
-}
-
-func TestRankStructsAndAdviseAll(t *testing.T) {
+// TestRankStructsThenSuggest ranks the program's structs and advises the
+// top one: only the hot multi-line struct ranks, and its suggested layout
+// separates the written field from the read ones.
+func TestRankStructsThenSuggest(t *testing.T) {
 	// Two structs: one hot with false sharing, one single-line (skipped),
 	// one cold multi-line (skipped for zero hotness).
 	p := ir.NewProgram("rank")
@@ -432,52 +340,11 @@ func TestRankStructsAndAdviseAll(t *testing.T) {
 	if !strings.Contains(RankReport(ranks), "hot") {
 		t.Fatal("rank report malformed")
 	}
-	suggs, err := a.AdviseAll(0, map[string]*layout.Layout{"hot": origLayout(t, hot)})
+	sugg, err := a.Suggest(ranks[0].Name, origLayout(t, hot))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(suggs) != 1 || suggs[0].Struct.Name != "hot" {
-		t.Fatalf("AdviseAll = %d suggestions", len(suggs))
-	}
-	if suggs[0].Auto.SameLine(hot.FieldIndex("w"), hot.FieldIndex("a0")) {
+	if sugg.Auto.SameLine(hot.FieldIndex("w"), hot.FieldIndex("a0")) {
 		t.Fatal("advised layout kept the hazard")
-	}
-}
-
-// TestLockAnalysisFallback: a lock-entry set the CFG walker cannot analyze
-// (unknown entry procedure) must degrade to a no-exclusion-oracle analysis
-// with a diagnostic, not refuse the advisory — except under Strict.
-func TestLockAnalysisFallback(t *testing.T) {
-	p, s := lockScenario(t)
-	pf, trace := collectLockScenario(t, p, s)
-	bad := []string{"writerX", "no-such-proc"}
-
-	a, err := NewAnalysis(p, pf, trace, Options{LineSize: 128, SliceCycles: 5000, LockEntries: bad})
-	if err != nil {
-		t.Fatalf("graceful mode errored on unanalyzable lock entries: %v", err)
-	}
-	if a.Locks != nil || a.Opts.FLG.ExclusionOracle != nil {
-		t.Fatal("failed lock analysis still installed an exclusion oracle")
-	}
-	if !a.Degraded() {
-		t.Fatal("fallback not flagged as degraded")
-	}
-	found := false
-	for _, d := range a.Diag.Entries() {
-		if d.Code == "lock-analysis-failed" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no lock-analysis-failed diagnostic:\n%s", a.Diag)
-	}
-	// The degraded analysis still produces a layout (conservative: full
-	// CycleLoss on lock-serialized pairs).
-	if _, err := a.Suggest("G", origLayout(t, s)); err != nil {
-		t.Fatalf("degraded analysis cannot suggest: %v", err)
-	}
-
-	if _, err := NewAnalysis(p, pf, trace, Options{LineSize: 128, SliceCycles: 5000, LockEntries: bad, Strict: true}); err == nil {
-		t.Fatal("strict mode accepted unanalyzable lock entries")
 	}
 }

@@ -124,19 +124,6 @@ func (l *Log) AddN(sev Severity, source, code string, n int, format string, args
 	})
 }
 
-// Merge folds another log's entries into l.
-func (l *Log) Merge(o *Log) {
-	if l == nil || o == nil {
-		return
-	}
-	o.mu.Lock()
-	entries := append([]Diagnostic(nil), o.entries...)
-	o.mu.Unlock()
-	for _, d := range entries {
-		l.AddN(d.Severity, d.Source, d.Code, d.Count, "%s", d.Message)
-	}
-}
-
 // Entries returns the aggregated diagnostics, most severe first (stable
 // within a severity: insertion order).
 func (l *Log) Entries() []Diagnostic {
@@ -174,22 +161,6 @@ func (l *Log) Max() Severity {
 		}
 	}
 	return max
-}
-
-// CountAt sums occurrence counts at exactly the given severity.
-func (l *Log) CountAt(sev Severity) int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, d := range l.entries {
-		if d.Severity == sev {
-			n += d.Count
-		}
-	}
-	return n
 }
 
 // Degraded reports whether any fallback (or worse) was recorded.

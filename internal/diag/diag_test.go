@@ -55,20 +55,8 @@ func TestNilLogSafe(t *testing.T) {
 	var l *Log
 	l.Add(Error, "x", "y", "must not crash")
 	l.AddN(Warning, "x", "y", 3, "must not crash")
-	l.Merge(NewLog())
 	if l.Len() != 0 || l.Degraded() || l.Max() != Info || l.Entries() != nil {
 		t.Fatal("nil log should behave as empty")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := NewLog(), NewLog()
-	a.AddN(Warning, "s", "x", 2, "thing")
-	b.AddN(Warning, "s", "x", 3, "thing")
-	b.Add(Info, "s", "y", "other")
-	a.Merge(b)
-	if a.Len() != 2 || a.CountAt(Warning) != 5 {
-		t.Fatalf("merge: len %d countWarn %d, want 2/5", a.Len(), a.CountAt(Warning))
 	}
 }
 

@@ -156,7 +156,7 @@ func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.R
 		// The injectors model measurement error, so they sit on the
 		// collection boundary: every collected artifact a Run hands out is
 		// already faulted, whichever path asked for it (Collect, a direct
-		// Run with sampling, or Evaluate's measurement loop — whose Measure
+		// Run with sampling, or Evaluate's measurement loop — whose MeasureCtx
 		// nils Inject per run because throughput is simulated, not
 		// collected). The simulated run itself is never perturbed.
 		res.Profile = cfg.Inject.ApplyProfile(res.Profile)
@@ -178,7 +178,7 @@ func Collect(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*ex
 	return Run(f, cfg, layouts)
 }
 
-// Measure runs the file n times under the layouts and aggregates
+// MeasureCtx runs the file n times under the layouts and aggregates
 // throughput with the paper's protocol (workload.MeasureRuns): outliers
 // removed, trimmed mean reported, in completed top-level iterations per
 // virtual hour. Run i's seed is parallel.SeedFor(cfg.Seed, i, "driver",
@@ -190,14 +190,11 @@ func Collect(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*ex
 // this package); repeated cells — the multi-struct evaluation loop
 // re-measures its baseline per struct variant set, warm disk caches span
 // processes — replay instead of re-simulating.
-func Measure(f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n int) (workload.Measurement, error) {
-	return MeasureCtx(context.Background(), f, cfg, layouts, n)
-}
-
-// MeasureCtx is Measure with cooperative cancellation: a cancelled or
-// timed-out ctx stops dequeuing remaining runs (runs already simulating
-// finish — a single run is never interrupted mid-simulation) and returns
-// ctx's error. A cancelled measurement is never cached.
+//
+// A cancelled or timed-out ctx stops dequeuing remaining runs (runs
+// already simulating finish — a single run is never interrupted
+// mid-simulation) and returns ctx's error. A cancelled measurement is
+// never cached.
 func MeasureCtx(ctx context.Context, f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n int) (workload.Measurement, error) {
 	cfg.fillDefaults()
 	run := func(ctx context.Context, i int) (float64, error) {

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -297,7 +298,7 @@ func TestCollectInject(t *testing.T) {
 // boundary inside Run itself, so every driver path honors -inject: a
 // direct sampled Run comes back faulted, while the measurement loop stays
 // clean (throughput is simulated, not collected, so a spec on the config
-// must not change what Measure reports).
+// must not change what MeasureCtx reports).
 func TestRunInject(t *testing.T) {
 	f := parseDemo(t)
 	smp := &sampling.Config{IntervalCycles: 2500, DriftMaxCycles: 8, LossProb: 0.02, Seed: 22}
@@ -321,12 +322,12 @@ func TestRunInject(t *testing.T) {
 	}
 
 	mcfg := Config{Topo: machine.Bus4(), Seed: 3}
-	base, err := Measure(f, mcfg, nil, 3)
+	base, err := MeasureCtx(context.Background(), f, mcfg, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mcfg.Inject = lossy
-	under, err := Measure(f, mcfg, nil, 3)
+	under, err := MeasureCtx(context.Background(), f, mcfg, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,12 +346,12 @@ func TestMeasureDeterministicAcrossWorkers(t *testing.T) {
 	defer parallel.SetLimit(old)
 
 	parallel.SetLimit(1)
-	serial, err := Measure(f, cfg, nil, 4)
+	serial, err := MeasureCtx(context.Background(), f, cfg, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel.SetLimit(4)
-	par, err := Measure(f, cfg, nil, 4)
+	par, err := MeasureCtx(context.Background(), f, cfg, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,17 +411,17 @@ func TestMeasureMemoized(t *testing.T) {
 	cfg := Config{Topo: machine.Bus4(), Seed: 41}
 	memo.Shared().Clear()
 	before := memo.Shared().Stats()
-	m1, err := Measure(f, cfg, nil, 3)
+	m1, err := MeasureCtx(context.Background(), f, cfg, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Measure(f, cfg, nil, 3)
+	m2, err := MeasureCtx(context.Background(), f, cfg, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := memo.Shared().Stats().Sub(before)
 	if d.Hits() == 0 {
-		t.Fatalf("second identical Measure did not hit the cache: %+v", d)
+		t.Fatalf("second identical MeasureCtx did not hit the cache: %+v", d)
 	}
 	if m1.Mean != m2.Mean || len(m1.Runs) != len(m2.Runs) {
 		t.Fatalf("cached measurement differs: %v vs %v", m1, m2)
@@ -428,7 +429,7 @@ func TestMeasureMemoized(t *testing.T) {
 	// A different seed must not be served from the same entry.
 	cfg2 := cfg
 	cfg2.Seed = 42
-	m3, err := Measure(f, cfg2, nil, 3)
+	m3, err := MeasureCtx(context.Background(), f, cfg2, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 	"structlayout/internal/workload"
 )
 
-// Measure results for DSL programs are pure functions of (program, run
-// harness, topology, cache geometry, seed, run count, layouts) — Measure
+// MeasureCtx results for DSL programs are pure functions of (program, run
+// harness, topology, cache geometry, seed, run count, layouts) — MeasureCtx
 // nils the sampling config and fault spec per run by contract — so they
 // memoize through workload.MeasureMemo exactly like the built-in suite's
 // measurements, and collections through workload.CollectMemo. This file
@@ -23,7 +23,7 @@ import (
 // complete serialization to hash, where the built-in suite could hash its
 // few scalar parameters instead.
 
-// hashFileConfig hashes everything Measure and Collect share: the
+// hashFileConfig hashes everything MeasureCtx and Collect share: the
 // canonical program, the run harness (arenas, threads), the machine, the
 // cache geometry, the seed, and the effective layout of every struct. ok
 // is false when some input resists canonical hashing (nil topology,
@@ -78,7 +78,7 @@ func hashFileConfig(h *memo.Hasher, f *irtext.File, cfg Config, layouts map[stri
 	return true
 }
 
-// measureKey keys one Measure call.
+// measureKey keys one MeasureCtx call.
 func measureKey(f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n int) (memo.Key, bool) {
 	h := memo.NewHasher()
 	h.Str("kind", "driver.measure")
@@ -90,7 +90,7 @@ func measureKey(f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n
 	// measurement's identity: a sampled result must never replace (or be
 	// replaced by) an exact one.
 	h.SimConfig("sim", cfg.Sim)
-	// Measure is clean by contract: fault injection applies to collected
+	// MeasureCtx is clean by contract: fault injection applies to collected
 	// artifacts, never to throughput runs. Record that in the key.
 	h.FaultSpec("inject", nil)
 	return h.Sum(), true

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -117,7 +118,7 @@ func shardStressCases(t *testing.T) []stressCase {
 	// path and then the warm memory tier.
 	mcfg := Config{Topo: topo, Seed: 7, Sim: sampled}
 	cases = append(cases, jsonCase("measure/sampled", func() (any, error) {
-		return Measure(file, mcfg, nil, 3)
+		return MeasureCtx(context.Background(), file, mcfg, nil, 3)
 	}))
 
 	cases = append(cases, collectCase("collect", file, Config{Topo: topo, Seed: 5}))

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -14,7 +15,7 @@ import (
 	"structlayout/internal/workload"
 )
 
-// The concurrent-callers stress test: many goroutines drive driver.Measure,
+// The concurrent-callers stress test: many goroutines drive driver.MeasureCtx,
 // driver.CollectCached, and workload.Measure over a mixed set of
 // configurations — some fault-injected, some clean, racing cold (single
 // flight coalescing) and warm (memory-tier hits) cache states — and every
@@ -103,13 +104,13 @@ func stressCases(t *testing.T) []stressCase {
 	}
 	var cases []stressCase
 
-	// driver.Measure over two programs and two seeds.
+	// driver.MeasureCtx over two programs and two seeds.
 	for p := 0; p < 2; p++ {
 		file := parse(fmt.Sprintf(stressProgram, p))
 		for seed := int64(1); seed <= 2; seed++ {
 			cfg := Config{Topo: topo, Seed: seed}
 			cases = append(cases, jsonCase(fmt.Sprintf("measure/p%d/s%d", p, seed), func() (any, error) {
-				return Measure(file, cfg, nil, 3)
+				return MeasureCtx(context.Background(), file, cfg, nil, 3)
 			}))
 		}
 	}

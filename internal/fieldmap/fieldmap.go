@@ -5,9 +5,9 @@
 // field-level CycleLoss.
 //
 // In the paper the FMF is emitted by a new compiler component and written
-// to disk for an external script; this package provides both the in-memory
-// index and a line-oriented text serialization round-trip for the
-// command-line tools.
+// to disk for an external script; this package provides the in-memory
+// index and the line-oriented text form layouttool -dump writes for
+// inspection.
 package fieldmap
 
 import (
@@ -15,21 +15,15 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"structlayout/internal/ir"
 )
 
-// Entry is one field access within a source line's basic block. Seq is the
-// access's position among the block's field-touching instructions, which
-// lets instruction-level analyses (e.g. lock-based mutual exclusion) refine
-// block-level joins.
+// Entry is one field access within a source line's basic block.
 type Entry struct {
 	Struct string
 	Field  int
 	Acc    ir.AccessKind
-	Seq    int
 }
 
 // File maps source lines to their field accesses. Lines without field
@@ -51,8 +45,8 @@ func Build(p *ir.Program) *File {
 	}
 	for _, b := range p.Blocks() {
 		var entries []Entry
-		for seq, in := range b.FieldInstrs() {
-			entries = append(entries, Entry{Struct: in.Struct.Name, Field: in.Field, Acc: in.Acc, Seq: seq})
+		for _, in := range b.FieldInstrs() {
+			entries = append(entries, Entry{Struct: in.Struct.Name, Field: in.Field, Acc: in.Acc})
 		}
 		if entries != nil {
 			f.Lines[b.Line] = entries
@@ -114,9 +108,6 @@ func (f *File) CoverageRatio(p *ir.Program) float64 {
 	return float64(covered) / float64(total)
 }
 
-// At returns the accesses recorded for a source line.
-func (f *File) At(line ir.SourceLine) []Entry { return f.Lines[line] }
-
 // AtBlock returns the accesses recorded for a block.
 func (f *File) AtBlock(id ir.BlockID) []Entry { return f.blocks[id] }
 
@@ -133,16 +124,6 @@ func (f *File) BlocksTouching(structName string) map[ir.BlockID][]Entry {
 		}
 	}
 	return out
-}
-
-// TouchesWithWrite reports whether any entry writes.
-func TouchesWithWrite(entries []Entry) bool {
-	for _, e := range entries {
-		if e.Acc == ir.Write {
-			return true
-		}
-	}
-	return false
 }
 
 // WriteText serializes the file in the paper's "simple and easily parseable
@@ -162,79 +143,4 @@ func (f *File) WriteText(w io.Writer) error {
 		fmt.Fprintln(bw)
 	}
 	return bw.Flush()
-}
-
-// ParseText reads the WriteText format. The block-keyed index is
-// reconstructed via the program's line table.
-func ParseText(r io.Reader, p *ir.Program) (*File, error) {
-	lines := make(map[ir.SourceLine][]Entry)
-	sc := bufio.NewScanner(r)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		parts := strings.Fields(text)
-		loc, err := parseLoc(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("fieldmap: line %d: %w", lineno, err)
-		}
-		var entries []Entry
-		for seq, tok := range parts[1:] {
-			e, err := parseEntry(tok)
-			if err != nil {
-				return nil, fmt.Errorf("fieldmap: line %d: %w", lineno, err)
-			}
-			e.Seq = seq
-			entries = append(entries, e)
-		}
-		if len(entries) == 0 {
-			return nil, fmt.Errorf("fieldmap: line %d: no entries", lineno)
-		}
-		lines[loc] = entries
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return FromLines(lines, p), nil
-}
-
-func parseLoc(tok string) (ir.SourceLine, error) {
-	i := strings.LastIndexByte(tok, ':')
-	if i < 0 {
-		return ir.SourceLine{}, fmt.Errorf("malformed location %q", tok)
-	}
-	n, err := strconv.Atoi(tok[i+1:])
-	if err != nil {
-		return ir.SourceLine{}, fmt.Errorf("malformed line number in %q", tok)
-	}
-	return ir.SourceLine{File: tok[:i], Line: n}, nil
-}
-
-func parseEntry(tok string) (Entry, error) {
-	slash := strings.LastIndexByte(tok, '/')
-	if slash < 0 {
-		return Entry{}, fmt.Errorf("malformed entry %q", tok)
-	}
-	acc := tok[slash+1:]
-	var kind ir.AccessKind
-	switch acc {
-	case "R":
-		kind = ir.Read
-	case "W":
-		kind = ir.Write
-	default:
-		return Entry{}, fmt.Errorf("malformed access kind %q", acc)
-	}
-	dot := strings.LastIndexByte(tok[:slash], '.')
-	if dot < 0 {
-		return Entry{}, fmt.Errorf("malformed entry %q", tok)
-	}
-	fi, err := strconv.Atoi(tok[dot+1 : slash])
-	if err != nil {
-		return Entry{}, fmt.Errorf("malformed field index in %q", tok)
-	}
-	return Entry{Struct: tok[:dot], Field: fi, Acc: kind}, nil
 }

@@ -17,9 +17,7 @@
 package flg
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"structlayout/internal/affinity"
 	"structlayout/internal/concurrency"
@@ -41,11 +39,6 @@ type Options struct {
 	// ever touch distinct instances of the struct, suppressing their
 	// CycleLoss contribution.
 	AliasOracle func(b1, b2 ir.BlockID) bool
-	// ExclusionOracle, when non-nil, reports that two specific accesses
-	// (identified by block and field-instruction sequence) can never
-	// execute concurrently — e.g. both run under the same shared lock
-	// (internal/locks). Their CycleLoss contribution is suppressed.
-	ExclusionOracle func(b1 ir.BlockID, seq1 int, b2 ir.BlockID, seq2 int) bool
 	// Diag, when non-nil, receives graph-construction observations:
 	// missing CycleLoss inputs (affinity-only graph) and concurrency
 	// evidence that could not be joined with the FMF.
@@ -142,9 +135,6 @@ func (g *Graph) addCycleLoss(cm *concurrency.Map, fmf *fieldmap.File, opts Optio
 						// (or per-instance traffic); layout cannot separate
 						// a field from itself.
 						continue
-					}
-					if opts.ExclusionOracle != nil && opts.ExclusionOracle(b1, a1.Seq, b2, a2.Seq) {
-						continue // mutually excluded: never truly concurrent
 					}
 					g.Loss[affinity.PairKey(a1.Field, a2.Field)] += opts.K2 * cc
 				}
@@ -258,17 +248,4 @@ func (g *Graph) Nodes() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Dump renders the graph: the semi-automatic tool's evidence output of
-// "inter-cluster and intra-cluster edge weights, and a list of edges having
-// a large negative or positive weight" starts from this.
-func (g *Graph) Dump() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "field layout graph for struct %s\n", g.Struct.Name)
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&sb, "  %-20s -- %-20s gain=%.6g loss=%.6g net=%.6g\n",
-			g.Struct.Fields[e.F1].Name, g.Struct.Fields[e.F2].Name, e.Gain, e.Loss, e.Weight())
-	}
-	return sb.String()
 }

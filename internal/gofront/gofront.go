@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"structlayout/internal/diag"
-	"structlayout/internal/irtext"
 	"structlayout/internal/memo"
 	"structlayout/internal/parallel"
 	"structlayout/internal/staticshare"
@@ -472,7 +471,3 @@ func RenderText(reports []*Report) string {
 	}
 	return b.String()
 }
-
-// Format returns the lowered program in irtext syntax: the bridge into
-// every DSL-driven tool (and the fuzz corpora).
-func (m *Model) Format() string { return irtext.Format(m.File) }

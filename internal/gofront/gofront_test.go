@@ -272,7 +272,7 @@ func TestModelFormatRoundTrips(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("package %s skipped: %v", r.Package, r.Err)
 		}
-		text := r.Model.Format()
+		text := irtext.Format(r.Model.File)
 		if _, perr := irtext.Parse(text); perr != nil {
 			t.Errorf("package %s: lowered model does not re-parse: %v\n%s", r.Package, perr, text)
 		}
@@ -295,7 +295,7 @@ func TestLoweredGoldens(t *testing.T) {
 			t.Fatalf("package %s skipped: %v", r.Package, r.Err)
 		}
 		base := filepath.Base(r.Package)
-		text := r.Model.Format()
+		text := irtext.Format(r.Model.File)
 		golden := filepath.Join("testdata", "lowered_"+base+".slp")
 		if *update {
 			if err := os.WriteFile(golden, []byte(text), 0o644); err != nil {

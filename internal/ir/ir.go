@@ -263,10 +263,6 @@ func (p *Program) NumBlocks() int { return len(p.blocks) }
 // Block returns the block with the given global ID.
 func (p *Program) Block(id BlockID) *BasicBlock { return p.blocks[id] }
 
-// Loops returns all loops in the program indexed by global loop ID.
-// Only valid after Finalize.
-func (p *Program) Loops() []*Loop { return p.loops }
-
 // NumLoops returns the number of loops in the finalized program.
 func (p *Program) NumLoops() int { return len(p.loops) }
 

@@ -33,14 +33,6 @@ type BasicBlock struct {
 // Name renders proc#index for diagnostics.
 func (b *BasicBlock) Name() string { return fmt.Sprintf("%s#%d", b.Proc.Name, b.Index) }
 
-// LoopDepth returns the nesting depth (0 = not in a loop).
-func (b *BasicBlock) LoopDepth() int {
-	if b.Loop == nil {
-		return 0
-	}
-	return b.Loop.Depth
-}
-
 // FieldInstrs returns the field-touching instructions (OpField, OpLock,
 // OpUnlock) in the block. Lock operations count as accesses to their field:
 // the paper explicitly lists "co-location of lock with the accessed data"
@@ -139,6 +131,3 @@ type Procedure struct {
 
 	program *Program
 }
-
-// Program returns the owning program.
-func (pr *Procedure) Program() *Program { return pr.program }

@@ -4,13 +4,12 @@
 // field-touching instruction, the set of spinlocks definitely held when it
 // executes, interprocedurally over the acyclic call graph.
 //
-// Its main consumer is a mutual-exclusion oracle for CycleLoss: two
+// Its consumer is the static sharing analysis (internal/staticshare): two
 // accesses both performed under the same *shared-instance* lock can never
-// execute concurrently, so sampled CodeConcurrency between their blocks is
-// a false alarm — the fields may be co-located without false sharing. (A
-// lock on a per-thread instance excludes nothing: each thread holds its
-// own lock.) This is a second, orthogonal mitigation of the CycleLoss
-// over-approximation, alongside the alias oracle of §3.2.
+// execute concurrently, which the layout linter and the static CycleLoss
+// prior use to classify a field pair as lock-serialized rather than write-
+// shared. (A lock on a per-thread instance excludes nothing: each thread
+// holds its own lock.)
 package locks
 
 import (
@@ -30,10 +29,6 @@ type Key struct {
 	Field  int
 	Inst   ir.InstExpr
 }
-
-// SharedInstance reports whether this lock is one runtime lock for all
-// threads.
-func (k Key) SharedInstance() bool { return k.Inst.Kind == ir.InstShared }
 
 // String renders the key.
 func (k Key) String() string {
@@ -63,34 +58,6 @@ func (in *Info) HeldAt(b ir.BlockID, seq int) []Key { return in.heldAt[instrRef{
 // (every path releases what it acquires).
 func (in *Info) Balanced(proc string) bool { return in.balanced[proc] }
 
-// MutualExclusion returns an oracle telling the FLG that two field accesses
-// cannot be concurrent: they share a held lock on a shared instance.
-func (in *Info) MutualExclusion() func(b1 ir.BlockID, s1 int, b2 ir.BlockID, s2 int) bool {
-	return func(b1 ir.BlockID, s1 int, b2 ir.BlockID, s2 int) bool {
-		h1 := in.heldAt[instrRef{b1, s1}]
-		if len(h1) == 0 {
-			return false
-		}
-		h2 := in.heldAt[instrRef{b2, s2}]
-		if len(h2) == 0 {
-			return false
-		}
-		for _, k1 := range h1 {
-			// Keys whose struct name was lost to CFG damage could collapse
-			// distinct locks into one; they never ground exclusion.
-			if !k1.SharedInstance() || k1.Struct == "" {
-				continue
-			}
-			for _, k2 := range h2 {
-				if k1 == k2 {
-					return true
-				}
-			}
-		}
-		return false
-	}
-}
-
 // Analyze runs the analysis. entries names the procedures threads may start
 // in; they (and procedures with no call sites) are analyzed with an empty
 // entry lock set. Procedures reached only through calls inherit the
@@ -100,8 +67,8 @@ func (in *Info) MutualExclusion() func(b1 ir.BlockID, s1 int, b2 ir.BlockID, s2 
 // struct, calls to undefined procedures, cyclic call graphs) never panic:
 // the analysis either tolerates the damage, treating the affected path as
 // unanalyzable, or returns an error the caller can degrade on — the
-// pipeline's contract is to fall back to a no-exclusion oracle with a
-// lock-analysis-failed diagnostic rather than abort the run.
+// pipeline's contract is to fall back to no exclusion facts with a
+// lock-analysis-failed finding rather than abort the run.
 func Analyze(p *ir.Program, entries []string) (info *Info, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -64,12 +64,11 @@ func TestHeldSetsAndExclusion(t *testing.T) {
 		t.Fatalf("held at c = %v, want none", held)
 	}
 
-	excl := info.MutualExclusion()
-	if !excl(ba, sa, bb, sb) {
-		t.Fatal("a and b are both under the shared lock: must be mutually excluded")
-	}
-	if excl(ba, sa, bc, sc) {
-		t.Fatal("c is unlocked: no exclusion with a")
+	// a and b are both under the one shared lock: the same key, on a
+	// shared instance, is held at each.
+	ha, hb := info.HeldAt(ba, sa), info.HeldAt(bb, sb)
+	if len(hb) != 1 || hb[0] != ha[0] || ha[0].Inst.Kind != ir.InstShared {
+		t.Fatalf("held at a = %v, at b = %v: want one shared-instance lock in common", ha, hb)
 	}
 	for _, proc := range []string{"writerA", "writerB", "writerC"} {
 		if !info.Balanced(proc) {
@@ -96,12 +95,13 @@ func TestPerInstanceLockExcludesNothing(t *testing.T) {
 	}
 	ba, sa := findAccess(t, p, s, "a")
 	bb, sb := findAccess(t, p, s, "b")
-	// The lock IS held...
-	if len(info.HeldAt(ba, sa)) != 1 {
-		t.Fatal("per-instance lock not tracked")
+	// The lock IS held at both accesses...
+	ha, hb := info.HeldAt(ba, sa), info.HeldAt(bb, sb)
+	if len(ha) != 1 || len(hb) != 1 {
+		t.Fatalf("per-instance lock not tracked: held at a = %v, at b = %v", ha, hb)
 	}
 	// ...but two threads hold different instances: no mutual exclusion.
-	if info.MutualExclusion()(ba, sa, bb, sb) {
+	if ha[0].Inst.Kind == ir.InstShared || hb[0].Inst.Kind == ir.InstShared {
 		t.Fatal("per-instance lock must not establish cross-thread exclusion")
 	}
 }
@@ -280,11 +280,15 @@ func TestAnalyzeDamagedCFGNoPanic(t *testing.T) {
 			t.Fatal("nil info without error")
 		}
 		if err == nil {
-			// Damaged lock keys must never claim exclusion on real fields.
-			ba, sa := findAccess(t, p, s, "a")
-			bb, sb := findAccess(t, p, s, "b")
-			if info.MutualExclusion()(ba, sa, bb, sb) {
-				t.Fatal("damaged lock keys claimed exclusion")
+			// Damaged lock keys lose their struct name, so they can never
+			// ground exclusion on real fields.
+			for _, field := range []string{"a", "b"} {
+				b, seq := findAccess(t, p, s, field)
+				for _, k := range info.HeldAt(b, seq) {
+					if k.Struct != "" {
+						t.Fatalf("damaged lock key %v held at %s", k, field)
+					}
+				}
 			}
 		}
 	})

@@ -121,21 +121,8 @@ func (t *Topology) Validate() error {
 // NumCPUs returns the processor count.
 func (t *Topology) NumCPUs() int { return t.numCPUs }
 
-// Coord returns the CPU's coordinates, coarsest level first.
-func (t *Topology) Coord(cpu int) []int {
-	c := make([]int, len(t.Shape))
-	for i := range t.Shape {
-		c[i] = (cpu / t.strides[i]) % t.Shape[i]
-	}
-	return c
-}
-
-// Distance returns the coarsest level at which a and b differ, or
+// distance returns the coarsest level at which a and b differ, or
 // len(Shape) when a == b (no transfer needed).
-func (t *Topology) Distance(a, b int) int {
-	return t.distance(a, b)
-}
-
 func (t *Topology) distance(a, b int) int {
 	if a == b {
 		return len(t.Shape)

@@ -51,7 +51,7 @@ func TestDistanceSymmetry(t *testing.T) {
 	sd := Superdome128()
 	f := func(a, b uint8) bool {
 		x, y := int(a)%128, int(b)%128
-		return sd.Distance(x, y) == sd.Distance(y, x)
+		return sd.distance(x, y) == sd.distance(y, x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -104,21 +104,6 @@ func TestMemLatencyHomeAffinity(t *testing.T) {
 	}
 	if remote <= local {
 		t.Fatalf("remote memory (%d) not slower than local (%d)", remote, local)
-	}
-}
-
-func TestCoordRoundTrip(t *testing.T) {
-	sd := Superdome128()
-	for cpu := 0; cpu < sd.NumCPUs(); cpu++ {
-		c := sd.Coord(cpu)
-		// Recompose.
-		got := 0
-		for i, v := range c {
-			got += v * sd.strides[i]
-		}
-		if got != cpu {
-			t.Fatalf("coord round trip: cpu %d -> %v -> %d", cpu, c, got)
-		}
 	}
 }
 

@@ -128,12 +128,13 @@ func (h *Hasher) Topology(tag string, t *machine.Topology) {
 	h.F64(tag+".clock", t.ClockHz)
 }
 
-// CacheConfig adds the simulated cache geometry and protocol.
+// CacheConfig adds the simulated cache geometry.
 func (h *Hasher) CacheConfig(tag string, c coherence.Config) {
 	h.Int(tag+".linesize", c.LineSize)
 	h.Int(tag+".sets", int64(c.Sets))
 	h.Int(tag+".ways", int64(c.Ways))
-	h.Int(tag+".protocol", int64(c.Protocol))
+	// MESI's old protocol value: keeps every existing key and disk entry valid.
+	h.Int(tag+".protocol", 0)
 }
 
 // SimConfig adds the simulation mode and its sampling parameters: a

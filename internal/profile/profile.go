@@ -100,13 +100,6 @@ func (pf *Profile) AccumulateBlock(fc FieldCounts, b *ir.BasicBlock) {
 	}
 }
 
-// BlockFieldCounts returns the dynamic field counts of a single block.
-func (pf *Profile) BlockFieldCounts(b *ir.BasicBlock) FieldCounts {
-	fc := make(FieldCounts)
-	pf.AccumulateBlock(fc, b)
-	return fc
-}
-
 // ProgramFieldCounts returns dynamic field counts over the whole program:
 // the paper's "hotness" input (a field is hotter if referenced more often).
 func ProgramFieldCounts(p *ir.Program, pf *Profile) FieldCounts {

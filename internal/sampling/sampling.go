@@ -42,12 +42,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig mirrors the paper's parameters: 100k-cycle interval, a few
-// ticks of drift, mild loss.
-func DefaultConfig() Config {
-	return Config{IntervalCycles: 100000, DriftMaxCycles: 8, LossProb: 0.02, Seed: 1}
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.IntervalCycles <= 0 {
@@ -65,13 +59,11 @@ func (c Config) Validate() error {
 // Collector accumulates samples as the execution engine advances virtual
 // time. One collector serves all CPUs of one run (whole-system mode).
 type Collector struct {
-	cfg       Config
-	rng       *rand.Rand
-	drift     []int64
-	nextDue   []int64
-	lastNow   []int64
-	backwards int
-	samples   []Sample
+	cfg     Config
+	rng     *rand.Rand
+	drift   []int64
+	nextDue []int64
+	samples []Sample
 }
 
 // NewCollector builds a collector for numCPUs processors.
@@ -87,7 +79,6 @@ func NewCollector(cfg Config, numCPUs int) (*Collector, error) {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		drift:   make([]int64, numCPUs),
 		nextDue: make([]int64, numCPUs),
-		lastNow: make([]int64, numCPUs),
 	}
 	for i := range c.drift {
 		if cfg.DriftMaxCycles > 0 {
@@ -103,13 +94,8 @@ func NewCollector(cfg Config, numCPUs int) (*Collector, error) {
 // time while executing block. Every elapsed sampling period emits one
 // sample (unless lost). A backwards jump of virtual time is tolerated — no
 // samples are emitted for it (the due clock never rewinds, so no duplicate
-// samples can appear) — and counted for diagnostics.
+// samples can appear).
 func (c *Collector) Tick(cpu int, now int64, block *ir.BasicBlock) {
-	if now < c.lastNow[cpu] {
-		c.backwards++
-	} else {
-		c.lastNow[cpu] = now
-	}
 	for c.nextDue[cpu] <= now {
 		due := c.nextDue[cpu]
 		c.nextDue[cpu] += c.cfg.IntervalCycles
@@ -122,13 +108,6 @@ func (c *Collector) Tick(cpu int, now int64, block *ir.BasicBlock) {
 		c.samples = append(c.samples, Sample{CPU: cpu, Block: block.Global, ITC: due + c.drift[cpu]})
 	}
 }
-
-// Samples returns everything collected so far.
-func (c *Collector) Samples() []Sample { return c.samples }
-
-// BackwardsJumps returns how many Tick calls observed virtual time moving
-// backwards on some CPU — a collection-side anomaly worth surfacing.
-func (c *Collector) BackwardsJumps() int { return c.backwards }
 
 // Trace is an immutable collection of samples plus collection metadata.
 type Trace struct {

@@ -157,9 +157,6 @@ func (s *Server) Drain() {
 	}
 }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
 	return Stats{

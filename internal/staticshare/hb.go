@@ -530,21 +530,6 @@ func (r *Result) HBOrdered(t1 int, b1 ir.BlockID, t2 int, b2 ir.BlockID) bool {
 // (unjoined spawn under an iterated parent).
 func (r *Result) HBDegraded() bool { return r.hb != nil && r.hb.degraded }
 
-// HBAcyclic reports whether the happens-before reachability is a strict
-// order (no node reaches itself); vacuously true without sync
-// statements. The FuzzHB target asserts it.
-func (r *Result) HBAcyclic() bool {
-	if r.hb == nil {
-		return true
-	}
-	for v := 0; v < r.hb.nodes; v++ {
-		if r.hb.reach[v][v] {
-			return false
-		}
-	}
-	return true
-}
-
 // SpawnedTask returns the task index created by parent's spawn of the
 // given handle, for the interleaving harness.
 func (r *Result) SpawnedTask(parent int, handle string) (int, bool) {

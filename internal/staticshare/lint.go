@@ -275,7 +275,7 @@ func (r *Result) lockedButShared(a1, a2 *Access) bool {
 			if r.hbExcluded(t1, a1.Block, t2, a2.Block) {
 				continue
 			}
-			if !r.lockExcluded(t1, a1, t2, a2) {
+			if !r.heldPairExcludes(t1, a1.Held, t2, a2.Held) {
 				return true
 			}
 		}
@@ -352,15 +352,6 @@ func MaxSeverity(fs []Finding) diag.Severity {
 		}
 	}
 	return max
-}
-
-// ReportDiag mirrors the findings into a diagnostics log under the
-// staticshare source, so pipeline reports carry them alongside the
-// dynamic checks.
-func ReportDiag(log *diag.Log, fs []Finding) {
-	for _, f := range fs {
-		log.Add(f.Severity, "staticshare", f.Code, "%s", f.Message)
-	}
 }
 
 // MarshalFindings renders findings as machine-readable JSON (a stable

@@ -473,31 +473,6 @@ func (r *Result) overlap(t1 int, a1 *Access, t2 int, a2 *Access) overlapKind {
 	return ovNo
 }
 
-// lockExcluded reports whether some lock provably serializes the two
-// accesses: both hold a lock on the same field of the same struct whose
-// instance expressions resolve, for these two threads, to the same
-// concrete instance. This is strictly stronger than the syntactic
-// shared-instance check in locks.MutualExclusion: param-derived locks
-// with equal known bindings exclude too.
-func (r *Result) lockExcluded(t1 int, a1 *Access, t2 int, a2 *Access) bool {
-	if len(a1.Held) == 0 || len(a2.Held) == 0 {
-		return false
-	}
-	for _, k1 := range a1.Held {
-		for _, k2 := range a2.Held {
-			if k1.Struct != k2.Struct || k1.Field != k2.Field || k1.Struct == "" {
-				continue
-			}
-			i1, kn1, sw1 := r.resolveInst(t1, k1.Struct, k1.Inst)
-			i2, kn2, sw2 := r.resolveInst(t2, k2.Struct, k2.Inst)
-			if !sw1 && !sw2 && kn1 && kn2 && i1 == i2 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // conflictVerdict folds the thread-pair lattice for one access pair:
 // the strongest non-excluded overlap, and whether any overlapping
 // combination was lock-serialized. Thread pairs the happens-before
@@ -517,7 +492,7 @@ func (r *Result) conflictVerdict(a1, a2 *Access) (ov overlapKind, excluded bool)
 			if r.hbExcluded(t1, a1.Block, t2, a2.Block) {
 				continue
 			}
-			if r.lockExcluded(t1, a1, t2, a2) {
+			if r.heldPairExcludes(t1, a1.Held, t2, a2.Held) {
 				excluded = true
 				continue
 			}
@@ -538,16 +513,6 @@ func pairKey(f1, f2 int) [2]int {
 	}
 	return [2]int{f1, f2}
 }
-
-// Pair returns the verdict for a field pair of a struct; absent pairs are
-// NeverShared.
-func (r *Result) Pair(structName string, f1, f2 int) PairInfo {
-	return r.Pairs[structName][pairKey(f1, f2)]
-}
-
-// ReachingThreads returns the sorted thread indices that can enter the
-// procedure, nil when unreachable.
-func (r *Result) ReachingThreads(proc string) []int { return r.reach[proc] }
 
 // blockHeld returns the lock set provably held across every
 // field-touching instruction of the block (the intersection), nil when
@@ -628,6 +593,12 @@ func (r *Result) Exclusive(b1, b2 ir.BlockID) bool {
 // on distinct threads.
 func (r *Result) MayHappenInParallel(b1, b2 ir.BlockID) bool { return !r.Exclusive(b1, b2) }
 
+// heldPairExcludes reports whether some lock provably serializes two
+// accesses holding h1 (on thread t1) and h2 (on thread t2): both hold a
+// lock on the same field of the same struct whose instance expressions
+// resolve, for these two threads, to the same concrete instance. Equal
+// known param bindings exclude too, not only syntactically shared
+// instances.
 func (r *Result) heldPairExcludes(t1 int, h1 []locks.Key, t2 int, h2 []locks.Key) bool {
 	for _, k1 := range h1 {
 		for _, k2 := range h2 {

@@ -318,10 +318,6 @@ type ProcSummary struct {
 	Groups []SummaryGroup
 }
 
-// ProcSummaryOf returns the footprint summary computed for a procedure,
-// nil when the procedure has no field-touching instructions.
-func (r *Result) ProcSummaryOf(proc string) *ProcSummary { return r.summaries[proc] }
-
 // summarize compresses the collected accesses into one summary per
 // procedure. Accesses carry their final (already instantiated) facts;
 // the summary keeps the per-entry frequency so instantiation recomputes

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -36,20 +35,6 @@ func StdDev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n-1))
-}
-
-// Median returns the median of xs; 0 for an empty slice.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // RemoveOutliers drops values outside median ± k·IQR (Tukey-style fences
@@ -210,28 +195,4 @@ func topKeys[K comparable](m map[K]float64, k int) []K {
 		keys = keys[:k]
 	}
 	return keys
-}
-
-// BootstrapCI returns a percentile-bootstrap confidence interval for the
-// mean of xs at the given confidence level (e.g. 0.95). Deterministic for
-// a fixed seed. Degenerate inputs return [mean, mean].
-func BootstrapCI(xs []float64, confidence float64, iters int, seed int64) (lo, hi float64) {
-	m := Mean(xs)
-	if len(xs) < 2 || confidence <= 0 || confidence >= 1 || iters <= 0 {
-		return m, m
-	}
-	rng := rand.New(rand.NewSource(seed))
-	means := make([]float64, iters)
-	for i := range means {
-		s := 0.0
-		for j := 0; j < len(xs); j++ {
-			s += xs[rng.Intn(len(xs))]
-		}
-		means[i] = s / float64(len(xs))
-	}
-	sort.Float64s(means)
-	alpha := (1 - confidence) / 2
-	lo = quantileSorted(means, alpha)
-	hi = quantileSorted(means, 1-alpha)
-	return lo, hi
 }
