@@ -123,11 +123,14 @@ func lintDir(dir string, opts Options) *Report {
 	if err != nil {
 		return &Report{Package: dir, Err: fmt.Errorf("%s: %w", dir, err)}
 	}
+	// Nothing reads a linted package's positions after Extract, so its
+	// files leave the pooled FileSet.
 	if opts.Cache == nil {
 		pkg, perr := loadFiles(dir, names, srcs, opts)
 		if perr != nil {
 			return &Report{Package: dir, Err: fmt.Errorf("%s: %w", dir, perr)}
 		}
+		defer forgetFiles(pkg.Fset, pkg.Files)
 		return LintPackage(pkg, opts)
 	}
 	key := reportKey(names, srcs)
@@ -138,6 +141,7 @@ func lintDir(dir string, opts Options) *Report {
 			return nil, fmt.Errorf("%s: %w", dir, perr)
 		}
 		rep := LintPackage(pkg, opts)
+		forgetFiles(pkg.Fset, pkg.Files)
 		if rep.Err != nil {
 			return nil, rep.Err
 		}

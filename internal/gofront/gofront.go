@@ -1,13 +1,15 @@
 // Package gofront is the Go-package frontend for the static sharing
 // analysis: it loads real Go packages with go/parser + go/types (stdlib
-// only — no go/packages dependency, no `go list` subprocess), extracts
-// struct definitions with their field sizes and alignments, derives
-// per-goroutine field-access footprints (`go` statements as declared
-// threads, sync.Mutex/RWMutex Lock..Unlock call regions as lock-held
-// regions, same-package calls followed interprocedurally), and lowers
-// the result into internal/ir — so staticshare classification, the
-// CycleLoss prior and the lint findings apply to actual Go code
-// unchanged. docs/GOFRONT.md states the extraction rules and the known
+// only, no go/packages dependency; imports under the importing package's
+// own module resolve in process, while imports from other modules,
+// nested modules and cgo packages still cost a `go list` subprocess, as
+// docs/GOFRONT.md details), extracts struct definitions with their field
+// sizes and alignments, derives per-goroutine field-access footprints
+// (`go` statements as declared threads, sync.Mutex/RWMutex Lock..Unlock
+// call regions as lock-held regions, same-package calls followed
+// interprocedurally), and lowers the result into internal/ir — so
+// staticshare classification, the CycleLoss prior and the lint findings
+// apply to actual Go code unchanged. docs/GOFRONT.md states the extraction rules and the known
 // unsoundness relative to the DSL path.
 package gofront
 
@@ -243,18 +245,19 @@ func readGoFiles(dir string) ([]string, [][]byte, error) {
 	return names, srcs, nil
 }
 
-// typeBundle is a reusable (FileSet, source importer) pair. The source
-// importer re-typechecks every transitive import from source, which for
+// typeBundle is a reusable (FileSet, importer) pair. The importer
+// re-typechecks every transitive import from source, which for
 // sync/atomic-importing packages costs far more than the package's own
-// analysis; reusing the importer amortizes that across packages (its
-// internal package cache persists), which is where most of the cold
-// -go-lint speedup comes from. A bundle serves one goroutine at a time;
+// analysis; reusing it amortizes that across packages (the source
+// importer's package cache persists, and the module-local cache keeps
+// what is unchanged), which is where most of the cold -go-lint speedup
+// comes from. A bundle serves one goroutine at a time;
 // the free list is a bounded channel (not a sync.Pool, whose GC-driven
 // drops would make reuse timing-dependent), so a burst of parallel
 // loads cannot pin unbounded typechecked state either.
 type typeBundle struct {
 	fset *token.FileSet
-	imp  types.Importer
+	imp  *localImporter
 }
 
 var bundleFree = make(chan *typeBundle, 8)
@@ -268,7 +271,8 @@ func acquireBundle(opts Options) *typeBundle {
 		}
 	}
 	fset := token.NewFileSet()
-	return &typeBundle{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	src := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	return &typeBundle{fset: fset, imp: newLocalImporter(fset, src)}
 }
 
 func releaseBundle(b *typeBundle, opts Options) {
@@ -289,12 +293,19 @@ func releaseBundle(b *typeBundle, opts Options) {
 func loadFiles(dir string, names []string, srcs [][]byte, opts Options) (*Package, error) {
 	bundle := acquireBundle(opts)
 	defer releaseBundle(bundle, opts)
-	fset := bundle.fset
+	bundle.imp.begin()
+	return checkFiles(bundle.fset, bundle.imp, dir, names, srcs)
+}
+
+// checkFiles parses the package's files into fset and typechecks them
+// against imp. Files it does not keep leave fset again.
+func checkFiles(fset *token.FileSet, imp types.Importer, dir string, names []string, srcs [][]byte) (*Package, error) {
 	var files []*ast.File
 	pkgName := ""
 	for i, name := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), srcs[i], parser.ParseComments)
 		if err != nil {
+			forgetFiles(fset, append(files, f))
 			return nil, err
 		}
 		if pkgName == "" {
@@ -303,6 +314,7 @@ func loadFiles(dir string, names []string, srcs [][]byte, opts Options) (*Packag
 		if f.Name.Name != pkgName {
 			// Mixed-package directory (e.g. main + lib): keep the first
 			// package name seen, drop the stragglers.
+			forgetFiles(fset, []*ast.File{f})
 			continue
 		}
 		files = append(files, f)
@@ -310,7 +322,7 @@ func loadFiles(dir string, names []string, srcs [][]byte, opts Options) (*Packag
 	sizes := types.SizesFor("gc", goArch)
 	pkg := &Package{Dir: dir, Name: pkgName, Fset: fset, Files: files, Sizes: sizes}
 	conf := types.Config{
-		Importer:         bundle.imp,
+		Importer:         imp,
 		Sizes:            sizes,
 		FakeImportC:      true,
 		IgnoreFuncBodies: false,
@@ -331,6 +343,16 @@ func loadFiles(dir string, names []string, srcs [][]byte, opts Options) (*Packag
 	pkg.Pkg = tpkg
 	pkg.Info = info
 	return pkg, nil
+}
+
+// forgetFiles removes parsed files from fset, which otherwise keeps every
+// file it ever parsed.
+func forgetFiles(fset *token.FileSet, files []*ast.File) {
+	for _, f := range files {
+		if f != nil {
+			fset.RemoveFile(fset.File(f.FileStart))
+		}
+	}
 }
 
 // Report is the lint outcome for one package.
