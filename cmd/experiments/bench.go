@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"structlayout/internal/coherence"
-	"structlayout/internal/exec"
 	"structlayout/internal/experiments"
 	"structlayout/internal/machine"
 	"structlayout/internal/memo"
@@ -134,9 +133,9 @@ func runBench(cfg experiments.Config, short bool, out, check string) error {
 	return nil
 }
 
-// benchPass runs every stage of `experiments all` — plus the Superdome128
-// robustness sweep in sampled mode, feasible only since interval sampling —
-// against a cold in-memory cache, and returns the timed stages.
+// benchPass runs every stage of `experiments all` — plus the robustness
+// sweep measured on Superdome128 — against a cold in-memory cache, and
+// returns the timed stages.
 func benchPass(cfg experiments.Config, short bool) ([]benchStage, float64, error) {
 	severities := experiments.DefaultSeverities
 	if short {
@@ -162,13 +161,8 @@ func benchPass(cfg experiments.Config, short bool) ([]benchStage, float64, error
 			_, err := experiments.Robustness(cfg, nil, severities, nil)
 			return err
 		}},
-		{"sweep128-sampled", func() error {
-			// The long-open Superdome128 robustness sweep: a 128-way exact
-			// sweep is wall-clock prohibitive, so it runs interval-sampled
-			// (bounded error, see docs/PERF.md) and is gated like any stage.
-			scfg := cfg
-			scfg.Sim = exec.SimConfig{Mode: exec.SimSampled}
-			_, err := experiments.Robustness(scfg, nil, severities, machine.Superdome128())
+		{"sweep128", func() error {
+			_, err := experiments.Robustness(cfg, nil, severities, machine.Superdome128())
 			return err
 		}},
 	}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"structlayout/internal/experiments"
@@ -42,5 +45,89 @@ func TestBenchCheckRegression(t *testing.T) {
 	}
 	if err := checkRegression(ok, filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing baseline accepted")
+	}
+}
+
+// TestUsageErrors: an argument after the experiment name, or a flag the
+// experiment never reads, is a usage error naming it, while every
+// invocation the README, docs and CI use passes.
+func TestUsageErrors(t *testing.T) {
+	cases := []struct {
+		args string
+		want string // the messages, joined by "; "
+	}{
+		// Arguments and flags that were silently ignored before.
+		{"fig8 -quick", `unexpected argument "-quick" after fig8 (flags go before the experiment name)`},
+		{"robustness -inject loss=1,truncate=1", `unexpected argument "-inject" after robustness (flags go before the experiment name); ` +
+			`unexpected argument "loss=1,truncate=1" after robustness (flags go before the experiment name)`},
+		{"-inject loss=1 fig8", "-inject is not read by fig8"},
+		{"-machine way16 -quick stability", "-machine is not read by stability; -quick is not read by stability"},
+		{"-short -quick quality", "-quick is not read by quality; -short is not read by quality"},
+		{"-seed 3 golint-bench", "-seed is not read by golint-bench"},
+		{"-out x.json", "-out is not read by all"},
+		{"-quick -runs 5 fig8", "-runs is overridden by -quick"},
+		{"-short -runs 5 -quick bench", "-quick is overridden by -short; -runs is overridden by -short"},
+		{"-runs 5 fig8", ""},
+		{"-quick=false -runs 5 fig8", ""},
+		{"-runs 5 bench", ""},
+		// Invocations the README, docs and CI use.
+		{"", ""},
+		{"all", ""},
+		{"-j 8 all", ""},
+		{"-quick all", ""},
+		{"-quick fig8", ""},
+		{"fig9", ""},
+		{"fig10", ""},
+		{"predict", ""},
+		{"quality", ""},
+		{"robustness", ""},
+		{"-quick robustness", ""},
+		{"-inject loss=1,truncate=1 robustness", ""},
+		{"-machine superdome128 robustness", ""},
+		{"-quick -machine superdome128 robustness", ""},
+		{"bench", ""},
+		{"-short bench", ""},
+		{"-short -out /tmp/bench_cold.json -check BENCH_pipeline.json bench", ""},
+		{"-short -cache-dir /tmp/memocache bench", ""},
+		{"-short -cache-dir /tmp/memocache -out /tmp/bench_warm.json bench", ""},
+		{"-quick -j 1 -cache-dir /tmp/figcache fig8", ""},
+		{"-quick -j 8 -cache-dir /tmp/figcache fig8", ""},
+		{"golint-bench", ""},
+		{"-out /tmp/bench_golint.json -check BENCH_golint.json golint-bench", ""},
+	}
+	// Every flag is read by some experiment, or no invocation could set it.
+	read := map[string]bool{"j": true, "cache-dir": true}
+	for _, names := range experimentFlags {
+		for _, name := range strings.Fields(names) {
+			read[name] = true
+		}
+	}
+	all := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	defineFlags(all)
+	all.VisitAll(func(f *flag.Flag) {
+		if !read[f.Name] {
+			t.Errorf("-%s is read by no experiment", f.Name)
+		}
+	})
+	for _, c := range cases {
+		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+		defineFlags(fs)
+		if err := fs.Parse(strings.Fields(c.args)); err != nil {
+			t.Fatalf("%s: %v", c.args, err)
+		}
+		what := fs.Arg(0)
+		if what == "" {
+			what = "all"
+		}
+		if got := strings.Join(usageErrors(fs, what), "; "); got != c.want {
+			t.Errorf("%q: usage errors %q, want %q", c.args, got, c.want)
+		}
+	}
+	// The removed simulation-mode switch is an unknown flag.
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	defineFlags(fs)
+	if err := fs.Parse([]string{"-sim", "exact", "fig8"}); err == nil {
+		t.Error("-sim parsed as a flag")
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"structlayout/internal/core"
 	"structlayout/internal/diag"
 	"structlayout/internal/driver"
-	"structlayout/internal/exec"
 	"structlayout/internal/faults"
 	"structlayout/internal/fieldmap"
 	"structlayout/internal/flg"
@@ -81,7 +80,6 @@ type options struct {
 	cacheGC     *bool
 	cacheGCAge  *time.Duration
 	cacheGCSize *int64
-	simFlag     *string
 }
 
 // defineFlags registers the command line on fs.
@@ -116,7 +114,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 		cacheGC:     fs.Bool("cache-gc", false, "age out disk-tier cache entries (requires -cache-dir), print the pass summary, and exit"),
 		cacheGCAge:  fs.Duration("cache-gc-age", 720*time.Hour, "with -cache-gc: remove entries not touched within this duration (0 disables the age criterion)"),
 		cacheGCSize: fs.Int64("cache-gc-bytes", 0, "with -cache-gc: evict oldest entries until the disk tier fits this byte budget (0 = unlimited)"),
-		simFlag:     fs.String("sim", "", "simulation mode for -measure runs: exact (default) or sampled (extrapolated, approximate; collection stays exact)"),
 	}
 }
 
@@ -152,17 +149,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "layouttool:", err)
 		os.Exit(2)
 	}
-	simMode, err := exec.ParseSimMode(*o.simFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "layouttool:", err)
-		os.Exit(2)
-	}
 	var analysis *core.Analysis
 	switch mode {
 	case "rank":
 		analysis, err = runRank(*o.programIn, *o.collectOn, *o.seed, *o.scripts, *o.k1, *o.k2, spec, *o.strict)
 	case "program":
-		analysis, err = runProgramFile(*o.programIn, *o.structLabel, *o.collectOn, *o.layoutMode, *o.seed, *o.k1, *o.k2, *o.topK, *o.split, *o.dotOut, spec, *o.strict, *o.measureRuns, simMode)
+		analysis, err = runProgramFile(*o.programIn, *o.structLabel, *o.collectOn, *o.layoutMode, *o.seed, *o.k1, *o.k2, *o.topK, *o.split, *o.dotOut, spec, *o.strict, *o.measureRuns)
 	default:
 		analysis, err = run(*o.structLabel, *o.collectOn, *o.layoutMode, *o.seed, *o.scripts, *o.k1, *o.k2, *o.topK, *o.noAlias, *o.split, *o.profileIn, *o.traceIn, *o.dumpDir, *o.dotOut, spec, *o.strict)
 	}
@@ -201,7 +193,7 @@ var modeFlags = map[string]string{
 	"go-lint":  "go-lint lint-json",
 	"lint":     "lint lint-dir lint-json program collect-machine seed collect-scripts",
 	"rank":     "rank program collect-machine seed collect-scripts k1 k2 inject strict quality",
-	"program":  "program struct collect-machine mode seed k1 k2 topk split dot inject strict measure sim quality",
+	"program":  "program struct collect-machine mode seed k1 k2 topk split dot inject strict measure quality",
 	"built-in": "struct collect-machine mode seed collect-scripts k1 k2 topk no-alias-analysis split profile trace dump dot inject strict quality",
 }
 
@@ -549,7 +541,7 @@ func runRank(programIn, collectOn string, seed, scripts int64, k1, k2 float64, s
 }
 
 // runProgramFile drives the tool over a user-supplied irtext program.
-func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2 float64, topK int, split bool, dotOut string, spec *faults.Spec, strict bool, measureRuns int, simMode exec.SimMode) (*core.Analysis, error) {
+func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2 float64, topK int, split bool, dotOut string, spec *faults.Spec, strict bool, measureRuns int) (*core.Analysis, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -573,11 +565,7 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2
 		}
 		return nil, fmt.Errorf("program %s has no struct %q (structs: %v)", file.Prog.Name, structName, names)
 	}
-	// Sim applies only to measured runs — Collect forces exact
-	// regardless, and sampled measurements memoize under distinct keys
-	// from exact ones.
-	cfg := driver.Config{Topo: topo, Seed: seed, Inject: spec,
-		Sim: exec.SimConfig{Mode: simMode}}
+	cfg := driver.Config{Topo: topo, Seed: seed, Inject: spec}
 	fmt.Printf("collecting %s on %s...\n", file.Prog.Name, topo.Name)
 	pf, trace, cycles, err := driver.CollectCached(file, cfg)
 	if err != nil {
@@ -645,9 +633,6 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2
 		}
 		fmt.Printf("measuring per-struct automatic layouts on %s (%d runs each, -j %d)...\n",
 			topo.Name, measureRuns, parallel.Limit())
-		if simMode == exec.SimSampled {
-			fmt.Println("note: measurements are interval-sampled (extrapolated, approximate); rerun with -sim=exact for exact counts")
-		}
 		ev, err := driver.Evaluate(file, cfg, base, variants, measureRuns, analysis.Quality)
 		if err != nil {
 			return nil, err

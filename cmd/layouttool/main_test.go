@@ -2,12 +2,12 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"structlayout/internal/exec"
 	"structlayout/internal/faults"
 	"structlayout/internal/parallel"
 	"structlayout/internal/quality"
@@ -64,13 +64,13 @@ thread 3 m iters 3
 		t.Fatal(err)
 	}
 	// -measure 2 exercises the multi-struct measurement loop end to end.
-	if _, err := runProgramFile(path, "s", "bus4", "both", 3, 4, 1, 20, true, "", none(t), false, 2, exec.SimSampled); err != nil {
+	if _, err := runProgramFile(path, "s", "bus4", "both", 3, 4, 1, 20, true, "", none(t), false, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runProgramFile(path, "nope", "bus4", "auto", 3, 4, 1, 20, false, "", none(t), false, 0, exec.SimExact); err == nil {
+	if _, err := runProgramFile(path, "nope", "bus4", "auto", 3, 4, 1, 20, false, "", none(t), false, 0); err == nil {
 		t.Fatal("unknown struct accepted")
 	}
-	if _, err := runProgramFile(path, "s", "nowhere", "auto", 3, 4, 1, 20, false, "", none(t), false, 0, exec.SimExact); err == nil {
+	if _, err := runProgramFile(path, "s", "nowhere", "auto", 3, 4, 1, 20, false, "", none(t), false, 0); err == nil {
 		t.Fatal("unknown machine accepted")
 	}
 }
@@ -95,7 +95,7 @@ thread 1 m iters 4
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runProgramFile(path, "s", "bus4", "auto", 3, 4, 1, 20, false, "", spec, false, 0, exec.SimExact); err != nil {
+	if _, err := runProgramFile(path, "s", "bus4", "auto", 3, 4, 1, 20, false, "", spec, false, 0); err != nil {
 		t.Fatalf("graceful mode errored on injected faults: %v", err)
 	}
 }
@@ -262,7 +262,6 @@ func TestFlagsUnreadByMode(t *testing.T) {
 		{"-program " + slp + " -no-alias-analysis", "program", "no-alias-analysis"},
 		{"-program " + slp + " -collect-scripts 2", "program", "collect-scripts"},
 		{"-struct B -measure 2", "built-in", "measure"},
-		{"-struct B -sim sampled", "built-in", "sim"},
 		{"-rank -mode auto -topk 5 -split -dot g.dot -dump out", "rank", "dot dump mode split topk"},
 		{"-lint -program " + slp + " -quality", "lint", "quality"},
 		{"-go-lint ./x -program " + slp, "go-lint", "program"},
@@ -272,7 +271,7 @@ func TestFlagsUnreadByMode(t *testing.T) {
 		{"-struct A -dump out -dot g.dot -split", "built-in", ""},
 		{"-struct B -inject all=0.25,seed=20070311 -quality -strict", "built-in", ""},
 		{"-program " + slp + " -struct conn -collect-machine bus4 -measure 2 -cache-dir c -j 2", "program", ""},
-		{"-program " + slp + " -struct conn -sim sampled -measure 2 -split", "program", ""},
+		{"-program " + slp + " -struct conn -measure 2 -split", "program", ""},
 		{"-rank -program " + slp, "rank", ""},
 		{"-lint -program " + slp + " -lint-json out.json", "lint", ""},
 		{"-lint-dir examples/lint -lint-json -", "lint", ""},
@@ -307,6 +306,13 @@ func TestFlagsUnreadByMode(t *testing.T) {
 		if got := strings.Join(unreadFlags(fs, c.mode), " "); got != c.unread {
 			t.Errorf("%s: unread flags %q, want %q", c.args, got, c.unread)
 		}
+	}
+	// The removed simulation-mode switch is an unknown flag.
+	fs := flag.NewFlagSet("layouttool", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	defineFlags(fs)
+	if err := fs.Parse([]string{"-struct", "B", "-sim", "exact"}); err == nil {
+		t.Error("-sim parsed as a flag")
 	}
 }
 

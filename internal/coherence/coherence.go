@@ -142,9 +142,6 @@ func (s *Stats) Add(o Stats) {
 	s.MemFetches += o.MemFetches
 }
 
-// Misses returns the total full misses (excluding upgrades).
-func (s Stats) Misses() uint64 { return s.ColdMisses + s.ReplMisses + s.CohMisses }
-
 // lineInfo is the directory entry plus sharing history for one line.
 type lineInfo struct {
 	line    int64
@@ -228,18 +225,6 @@ type System struct {
 	// perCPU holds every counter; the global view is their sum, so each
 	// access costs one increment.
 	perCPU []Stats
-
-	// warm is the discard bin for Warm accesses: the transition code
-	// increments counters unconditionally (keeping the exact path
-	// branch-free), and Warm simply aims them here.
-	warm Stats
-
-	// pinned is the bin for AccessPinned: accesses a sampled run measures
-	// in full rather than at the sampling rate (lock words). The run's
-	// extrapolation adds this stratum at weight 1 while scaling the
-	// windowed stratum, so always-measured traffic is never multiplied by
-	// the inverse sampling rate.
-	pinned Stats
 
 	// near[cpu] partitions the other CPUs into equal-transfer-latency
 	// classes, ascending by latency, each class one bitset's worth of mask
@@ -401,7 +386,7 @@ func (s *System) GlobalStats() Stats {
 // returns its outcome. Accesses that straddle a line boundary are split and
 // their latencies summed.
 func (s *System) Access(cpu int, addr int64, size int, write bool) (res AccessResult) {
-	s.access(cpu, addr, size, write, &s.perCPU[cpu], &res)
+	s.access(cpu, addr, size, write, &res)
 	return
 }
 
@@ -410,51 +395,26 @@ func (s *System) Access(cpu int, addr int64, size int, write bool) (res AccessRe
 // call edge. *res is fully overwritten.
 func (s *System) AccessInto(cpu int, addr int64, size int, write bool, res *AccessResult) {
 	*res = AccessResult{}
-	s.access(cpu, addr, size, write, &s.perCPU[cpu], res)
+	s.access(cpu, addr, size, write, res)
 }
-
-// Warm performs the identical MESI transitions (and returns the identical
-// outcome, latency included) as Access, but records no statistics: the
-// counters land in a discard bin. The sampled execution mode drives
-// every off-window access through here — SMARTS-style functional warming —
-// so that measured windows open on exactly the cache and directory state an
-// exact run would have, instead of a stale one whose inflated miss rate
-// would bias every extrapolated counter.
-func (s *System) Warm(cpu int, addr int64, size int, write bool) (res AccessResult) {
-	s.access(cpu, addr, size, write, &s.warm, &res)
-	return
-}
-
-// AccessPinned is Access counting into the pinned stratum instead of the
-// CPU's main counters. Sampled runs drive lock-word accesses — which are
-// always measured, whatever window is open — through here, so GlobalStats
-// covers exactly the rate-sampled accesses and PinnedStats the full-count
-// ones; the extrapolation scales only the former.
-func (s *System) AccessPinned(cpu int, addr int64, size int, write bool) (res AccessResult) {
-	s.access(cpu, addr, size, write, &s.pinned, &res)
-	return
-}
-
-// PinnedStats returns the pinned-stratum counters.
-func (s *System) PinnedStats() Stats { return s.pinned }
 
 // access fills res (which must be zeroed by the caller) with the outcome.
 // The out-parameter style keeps the hot accessLine call from copying a
 // multi-word AccessResult up through three stack frames per access.
-func (s *System) access(cpu int, addr int64, size int, write bool, st *Stats, res *AccessResult) {
+func (s *System) access(cpu int, addr int64, size int, write bool, res *AccessResult) {
 	if size <= 0 {
 		panic(fmt.Sprintf("coherence: non-positive access size %d", size))
 	}
 	line := addr >> s.lineShift
 	endLine := (addr + int64(size) - 1) >> s.lineShift
-	s.accessLine(cpu, line, int32(addr-line<<s.lineShift), int32(min64(addr+int64(size), (line+1)<<s.lineShift)-(line<<s.lineShift)), write, st, res)
+	s.accessLine(cpu, line, int32(addr-line<<s.lineShift), int32(min64(addr+int64(size), (line+1)<<s.lineShift)-(line<<s.lineShift)), write, res)
 	for l := line + 1; l <= endLine; l++ {
 		hi := int32(s.cfg.LineSize)
 		if l == endLine {
 			hi = int32(addr + int64(size) - l<<s.lineShift)
 		}
 		var r2 AccessResult
-		s.accessLine(cpu, l, 0, hi, write, st, &r2)
+		s.accessLine(cpu, l, 0, hi, write, &r2)
 		res.Latency += r2.Latency
 		res.Invalidations += r2.Invalidations
 		if r2.Miss != MissNone && res.Miss == MissNone {
@@ -475,9 +435,9 @@ func min64(a, b int64) int64 {
 }
 
 // accessLine handles a single-line access touching bytes [lo,hi), counting
-// into st (the CPU's real counters, or its warm discard bin). res must
-// arrive zeroed.
-func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, st *Stats, res *AccessResult) {
+// into the CPU's counters. res must arrive zeroed.
+func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, res *AccessResult) {
+	st := &s.perCPU[cpu]
 	st.Accesses++
 	res.Supplier = -1
 

@@ -23,6 +23,9 @@ func (s *System) StateOf(cpu int, addr int64) State {
 	return Invalid
 }
 
+// Misses returns the total full misses (excluding upgrades).
+func (s Stats) Misses() uint64 { return s.ColdMisses + s.ReplMisses + s.CohMisses }
+
 // Config returns the cache geometry.
 func (s *System) Config() Config { return s.cfg }
 

@@ -33,10 +33,6 @@ type Config struct {
 	Seed int64
 	// Sampling enables PMU collection when non-nil.
 	Sampling *sampling.Config
-	// Sim selects exact or interval-sampled simulation for measurement
-	// runs. Collection runs are always exact — the PMU trace must observe
-	// every access — so Collect zeroes this.
-	Sim exec.SimConfig
 	// Inject, when non-nil, applies the measurement-fault spec to every
 	// collection this config produces (profile and trace), so -inject is
 	// honored on the DSL/driver path exactly as on the built-in workload.
@@ -81,18 +77,11 @@ func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.R
 	if len(f.Threads) == 0 {
 		return nil, fmt.Errorf("driver: program %s declares no threads", f.Prog.Name)
 	}
-	sim := cfg.Sim
-	if cfg.Sampling != nil {
-		// A collected run is always exact: the PMU trace must observe
-		// every access, and sampled simulation cannot drive a collector.
-		sim = exec.SimConfig{}
-	}
 	r, err := exec.NewRunner(f.Prog, exec.Config{
 		Topo:     cfg.Topo,
 		Cache:    cfg.Cache,
 		Seed:     cfg.Seed,
 		Sampling: cfg.Sampling,
-		Sim:      sim,
 	})
 	if err != nil {
 		return nil, err

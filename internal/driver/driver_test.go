@@ -3,6 +3,7 @@ package driver
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -549,6 +550,45 @@ func TestMultiArenaCollectDeterministic(t *testing.T) {
 		if cycles != first.Cycles || encodeTrace(tr) != wantTrace {
 			t.Fatalf("cached pass %d: %d cycles, want %d (trace equal: %v)",
 				pass, cycles, first.Cycles, encodeTrace(tr) == wantTrace)
+		}
+	}
+}
+
+// TestMemoKeyPins pins the measure and collect keys of the shipped DSL
+// example under layouttool's defaults. A moved key orphans every disk-cache
+// entry written under the old one, so a pin changes only together with
+// memo.SchemaVersion.
+func TestMemoKeyPins(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "dslprogram", "webserver.slp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := irtext.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Topo: machine.Bus4(), Seed: 20070311}
+	cfg.fillDefaults()
+	base, err := OriginalLayouts(f, cfg.LineSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, ok := measureKey(f, cfg, base, 2)
+	if !ok {
+		t.Fatal("webserver.slp measurement has no key")
+	}
+	ck, ok := collectKey(f, cfg)
+	if !ok {
+		t.Fatal("webserver.slp collection has no key")
+	}
+	got := map[string]string{"measure": fmt.Sprintf("%x", mk[:]), "collect": fmt.Sprintf("%x", ck[:])}
+	want := map[string]string{
+		"measure": "75a3fae7ea1a9362be540ad3494480cca6205da2e6b29e9c3ee993257a27fbce",
+		"collect": "aff8caf329d01d3b13d82170c93ddc6425acff7342ede5293fa89dda68d211f5",
+	}
+	for kind, k := range got {
+		if k != want[kind] {
+			t.Errorf("%s key %s, pinned %s", kind, k, want[kind])
 		}
 	}
 }

@@ -86,10 +86,7 @@ func measureKey(f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n
 		return memo.Key{}, false
 	}
 	h.Int("runs", int64(n))
-	// The simulation mode and its sampling parameters are part of a
-	// measurement's identity: a sampled result must never replace (or be
-	// replaced by) an exact one.
-	h.SimConfig("sim", cfg.Sim)
+	h.ExactSim()
 	// MeasureCtx is clean by contract: fault injection applies to collected
 	// artifacts, never to throughput runs. Record that in the key.
 	h.FaultSpec("inject", nil)

@@ -16,8 +16,8 @@ import (
 
 // The per-thread-instance stress test, companion to
 // TestConcurrentCallersMatchSerial: many goroutines drive unmemoized
-// driver.Run (so every call re-executes the simulator), sampled
-// measurement, collection and the workload suite's sampled path over a
+// driver.Run (so every call re-executes the simulator), memoized
+// measurement, collection and the workload suite's measurement over a
 // program whose threads touch footprint-disjoint arena instances, racing
 // cold and warm cache states — and every result must be byte-identical to
 // a serial pass. The name dates from when this footprint-disjoint shape
@@ -76,9 +76,6 @@ func encodeResult(res *exec.Result) string {
 	for _, ref := range refs {
 		fmt.Fprintf(&b, "%s.%d=%+v\n", ref.Struct, ref.Field, *res.Fields[ref])
 	}
-	if res.Sampled != nil {
-		fmt.Fprintf(&b, "sampled=%+v\n", *res.Sampled)
-	}
 	return b.String()
 }
 
@@ -94,43 +91,33 @@ func shardStressCases(t *testing.T) []stressCase {
 	}
 	var cases []stressCase
 
-	// Unmemoized runs, exact and sampled: every replay re-executes the
-	// simulator, so the concurrent rounds race it, not just the cache.
-	sampled := exec.SimConfig{Mode: exec.SimSampled, WindowOps: 1 << 6, Period: 3}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"run/exact", Config{Topo: topo, Seed: 3}},
-		{"run/sampled", Config{Topo: topo, Seed: 3, Sim: sampled}},
-	} {
-		cfg := tc.cfg
-		cases = append(cases, stressCase{name: tc.name, run: func() (string, error) {
-			res, err := Run(file, cfg, nil)
-			if err != nil {
-				return "", err
-			}
-			return encodeResult(res), nil
-		}})
-	}
+	// An unmemoized run: every replay re-executes the simulator, so the
+	// concurrent rounds race it, not just the cache.
+	rcfg := Config{Topo: topo, Seed: 3}
+	cases = append(cases, stressCase{name: "run", run: func() (string, error) {
+		res, err := Run(file, rcfg, nil)
+		if err != nil {
+			return "", err
+		}
+		return encodeResult(res), nil
+	}})
 
-	// Memoized sampled measurement: replays race the single-flight cold
-	// path and then the warm memory tier.
-	mcfg := Config{Topo: topo, Seed: 7, Sim: sampled}
-	cases = append(cases, jsonCase("measure/sampled", func() (any, error) {
+	// Memoized measurement: replays race the single-flight cold path and
+	// then the warm memory tier.
+	mcfg := Config{Topo: topo, Seed: 7}
+	cases = append(cases, jsonCase("measure", func() (any, error) {
 		return MeasureCtx(context.Background(), file, mcfg, nil, 3)
 	}))
 
 	cases = append(cases, collectCase("collect", file, Config{Topo: topo, Seed: 5}))
 
-	// The built-in workload with sampling on.
+	// The built-in workload's measurement.
 	suite, err := workload.NewSuite(workload.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite.Sim = sampled
 	ls := suite.BaselineLayouts(128)
-	cases = append(cases, jsonCase("workload/sampled", func() (any, error) {
+	cases = append(cases, jsonCase("workload", func() (any, error) {
 		return suite.Measure(topo, ls, 2, 42)
 	}))
 	return cases

@@ -183,23 +183,17 @@ func (r *Runner) runUntil(t *thread, limit int64) error {
 			r.sample(t)
 		case cField:
 			if r.key(t) > limit {
-				if in.ahead {
-					if r.readAhead(t, &in.decInstr) {
-						continue
-					}
-					t.pc = pc - 1
-					return nil
+				if in.ahead && r.readAhead(t, &in.decInstr) {
+					continue
 				}
-				if r.yieldCheck(t, limit, &in.decInstr) {
-					t.pc = pc - 1
-					return nil
-				}
+				t.pc = pc - 1
+				return nil
 			}
 			if err := r.execField(t, &in.decInstr); err != nil {
 				return err
 			}
 		case cMem:
-			if r.key(t) > limit && r.yieldCheck(t, limit, &in.decInstr) {
+			if r.key(t) > limit {
 				t.pc = pc - 1
 				return nil
 			}

@@ -47,8 +47,6 @@ type Config struct {
 	Seed int64
 	// Sampling enables PMU-style collection when non-nil.
 	Sampling *sampling.Config
-	// Sim selects exact or interval-sampled simulation (zero value: exact).
-	Sim SimConfig
 }
 
 // Fixed costs, in cycles, the interpreter charges besides instruction
@@ -100,11 +98,6 @@ type Result struct {
 	Fields map[FieldRef]*FieldStat
 	// ThreadCycles is each thread's finish time.
 	ThreadCycles []int64
-	// Sampled reports the extrapolation of a SimSampled run (nil for
-	// exact runs). When set, Coherence and Fields cover only the measured
-	// accesses (the sampled windows plus the always-measured lock words);
-	// Sampled.Extrapolated estimates the full population.
-	Sampled *SampledInfo
 }
 
 // arena is the line-aligned backing store of one struct type's instances.
@@ -198,8 +191,6 @@ type Runner struct {
 	threads []*thread
 	cpuUsed map[int]bool
 	nparams int // widest thread parameter list (sizes the instance tables)
-
-	sim simState
 
 	// Scheduler state (see run): idShift packs a thread's scheduling key
 	// (time, id) into one int64, time<<idShift | id, so a single integer
@@ -364,9 +355,6 @@ func (r *Runner) Run() (*Result, error) {
 	if len(r.threads) == 0 {
 		return nil, fmt.Errorf("exec: no threads")
 	}
-	if err := r.initSim(); err != nil {
-		return nil, err
-	}
 	// Decode the program once: resolves every arena/region/callee name and
 	// verifies up front that every accessed struct has an arena.
 	if err := r.decode(); err != nil {
@@ -407,13 +395,6 @@ func (r *Runner) Run() (*Result, error) {
 			res.Cycles = t.time
 		}
 	}
-	if r.sim.enabled {
-		res.Sampled = r.sampledInfo(res.Coherence)
-		// Fold the always-measured lock stratum into the reported raw
-		// counters: Coherence then covers every measured access, while
-		// Sampled keeps the strata apart for extrapolation.
-		res.Coherence.Add(r.coh.PinnedStats())
-	}
 	if r.collector != nil {
 		res.Trace = r.collector.Finish()
 	}
@@ -422,10 +403,10 @@ func (r *Runner) Run() (*Result, error) {
 
 // runAhead reports whether the run lets a thread past its turn complete
 // commuting reads (see readAhead): not with a collector, whose RNG and
-// sample list are global; not in sampled mode, which has its own yield
-// rule; and not on the slow path, the one-op-per-turn reference.
+// sample list are global; and not on the slow path, the one-op-per-turn
+// reference.
 func (r *Runner) runAhead() bool {
-	return r.collector == nil && !r.sim.enabled && !r.slowPath
+	return r.collector == nil && !r.slowPath
 }
 
 // decode pre-resolves every instruction of the program against the run's

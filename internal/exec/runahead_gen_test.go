@@ -294,7 +294,7 @@ func (g *gProg) diverges(cfg driver.Config) (bad bool, fastRounds, slowRounds in
 		return false, 0, 0, err
 	}
 	for _, mode := range engineModes {
-		cfg.Sampling, cfg.Sim = mode.sampling, mode.sim
+		cfg.Sampling = mode.sampling
 		fast, fr, err := dslRun(f, cfg, false)
 		if err != nil {
 			return false, 0, 0, err

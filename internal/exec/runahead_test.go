@@ -170,25 +170,23 @@ func dslFiles(t *testing.T) []string {
 	return files
 }
 
-// engineModes are the three engine configurations the differential tests
-// compare the fast path and the reference in: exact, with a PMU
+// engineModes are the two engine configurations the differential tests
+// compare the fast path and the reference in: exact, and with a PMU
 // collector attached (no compute merging, no run-ahead, a tick at every
-// time step), and interval-sampled (no run-ahead, off-window slack).
+// time step).
 var engineModes = []struct {
 	name     string
 	sampling *sampling.Config
-	sim      exec.SimConfig
 }{
 	{name: "exact"},
 	{name: "collect", sampling: &sampling.Config{IntervalCycles: 200, DriftMaxCycles: 4, LossProb: 0.05, Seed: 11}},
-	{name: "sampled", sim: exec.SimConfig{Mode: exec.SimSampled, WindowOps: 16}},
 }
 
 // dslRun runs a parsed file the way driver.Run does, on the fast path or
 // the one-op-per-turn reference, and returns the scheduler round count
 // with the result.
 func dslRun(f *irtext.File, cfg driver.Config, slow bool) (*exec.Result, int64, error) {
-	r, err := exec.NewRunner(f.Prog, exec.Config{Topo: cfg.Topo, Cache: cfg.Cache, Seed: cfg.Seed, Sampling: cfg.Sampling, Sim: cfg.Sim})
+	r, err := exec.NewRunner(f.Prog, exec.Config{Topo: cfg.Topo, Cache: cfg.Cache, Seed: cfg.Seed, Sampling: cfg.Sampling})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -254,7 +252,7 @@ func TestRunAheadDSL(t *testing.T) {
 				for _, mode := range engineModes {
 					cfg := c
 					cfg.Seed = runSeed
-					cfg.Sampling, cfg.Sim = mode.sampling, mode.sim
+					cfg.Sampling = mode.sampling
 					t.Run(mode.name, func(t *testing.T) {
 						fast, err := driver.Run(f, cfg, nil)
 						if err != nil {

@@ -15,21 +15,20 @@ func (r *Runner) key(t *thread) int64 {
 
 // run executes the threads to completion.
 //
-// Scheduling invariant: a shared operation (lock/unlock always; field and
-// region accesses unless sampled off-window) executes only when its
-// thread's pre-op (time, id) is the lexicographic minimum over the
-// runnable threads — with one exception, below. Non-shared operations
-// (compute, calls, control bookkeeping, off-window accesses) never yield —
-// they are invisible to other threads, so executing them past the limit
-// commutes with everything. The exception is a read hit no other CPU can
-// disturb (readAhead): a single-line field read of a line resident in the
-// thread's cache that no other CPU ever writes. Its outcome is the same
-// at any position in the global order and it changes nothing another
-// thread observes, so exact runs without a collector execute it past the
-// limit instead of paying a scheduler round. The order of the remaining
-// shared operations is therefore a pure function of the threads'
-// virtual-time trajectories, independent of how far each turn runs, and
-// every statistic matches the one-op-per-turn reference (slowPath).
+// Scheduling invariant: a shared operation (a field or region access, a
+// lock or an unlock) executes only when its thread's pre-op (time, id) is
+// the lexicographic minimum over the runnable threads — with one exception,
+// below. Non-shared operations (compute, calls, control bookkeeping) never
+// yield — they are invisible to other threads, so executing them past the
+// limit commutes with everything. The exception is a read hit no other CPU
+// can disturb (readAhead): a single-line field read of a line resident in
+// the thread's cache that no other CPU ever writes. Its outcome is the same
+// at any position in the global order and it changes nothing another thread
+// observes, so runs without a collector execute it past the limit instead
+// of paying a scheduler round. The order of the remaining shared operations
+// is therefore a pure function of the threads' virtual-time trajectories,
+// independent of how far each turn runs, and every statistic matches the
+// one-op-per-turn reference (slowPath).
 func (r *Runner) run() error {
 	r.idShift = uint(bits.Len(uint(len(r.threads) - 1))) // width of the largest id
 	r.timeCap = int64(1) << (62 - r.idShift)
@@ -83,27 +82,15 @@ func (r *Runner) run() error {
 	return nil
 }
 
-// yieldCheck reports whether the thread must yield before executing in: its
-// pre-op key (time, id) is no longer the minimum AND the op is shared.
-// Off-window accesses in sampled mode get a bounded dispensation instead of
-// a full exemption: they may run up to simSlack cycles past the limit
-// before yielding. The slack is what buys the speedup (the thread crosses
-// the scheduler once per slack span instead of once per access), and its
-// bound is what contains the model error — a warm write can commit at most
-// simSlack cycles of virtual time earlier than exact order, so it cannot
-// invalidate a line a far-future reader would have hit. The fast path
-// tries readAhead first on the reads it marked at lowering.
+// yieldCheck reports whether the tree walker must yield before executing
+// in: its pre-op key (time, id) is no longer the minimum AND the op is
+// shared.
 func (r *Runner) yieldCheck(t *thread, limit int64, in *decInstr) bool {
 	if r.key(t) <= limit {
 		return false
 	}
 	switch in.op {
-	case ir.OpField, ir.OpMem:
-		if r.sim.enabled && !r.simOn(t) {
-			return t.time > limit>>r.idShift+r.sim.slack
-		}
-		return true
-	case ir.OpLock, ir.OpUnlock:
+	case ir.OpField, ir.OpMem, ir.OpLock, ir.OpUnlock:
 		return true
 	}
 	return false

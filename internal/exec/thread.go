@@ -57,15 +57,6 @@ type thread struct {
 	done   bool
 	parked bool
 
-	// Sampled-mode state (see sim.go): the access counter that clocks the
-	// sampling windows, the cached decision for the current window, and
-	// the count of off-window (warmed, unmeasured) accesses.
-	ops     int64 // memory accesses issued, the sampling clock
-	winEnd  int64
-	winOn   bool
-	simSeed uint64 // per-thread window-schedule seed
-	offOps  uint64
-
 	// Precomputed instance tables (buildInstTables): a thread's per-CPU
 	// and parameter-indexed arena instances are fixed for the whole run,
 	// so the access hot path replaces the per-access modulo with a load.
@@ -254,15 +245,6 @@ func (r *Runner) execField(t *thread, in *decInstr) error {
 		return err
 	}
 	addr := a.base + int64(idx)*a.stride + in.fieldOff
-	if r.sim.enabled && !r.simNext(t) {
-		// Off-window: functional warming. The MESI transition (and its
-		// real latency) happens; only the statistics are discarded, so
-		// the next measured window opens on exact-run cache state.
-		res := r.coh.Warm(t.cpu, addr, in.size, in.write)
-		t.time += res.Latency
-		t.offOps++
-		return nil
-	}
 	var res coherence.AccessResult
 	r.coh.AccessInto(t.cpu, addr, in.size, in.write, &res)
 	t.time += res.Latency
@@ -276,12 +258,6 @@ func (r *Runner) execMem(t *thread, in *decInstr) error {
 	addr, err := r.memAddr(t, in)
 	if err != nil {
 		return err
-	}
-	if r.sim.enabled && !r.simNext(t) {
-		res := r.coh.Warm(t.cpu, addr, 8, in.write)
-		t.time += res.Latency
-		t.offOps++
-		return nil
 	}
 	var res coherence.AccessResult
 	r.coh.AccessInto(t.cpu, addr, 8, in.write, &res)
@@ -321,17 +297,6 @@ func (r *Runner) memAddr(t *thread, in *decInstr) (int64, error) {
 	return base + off, nil
 }
 
-// lockAccess performs a lock-word access. In sampled mode these are always
-// measured whatever window is open, so they form their own stratum
-// (coherence.AccessPinned): the extrapolation adds them at weight 1 instead
-// of multiplying them by the window stratum's inverse sampling rate.
-func (r *Runner) lockAccess(cpu int, addr int64, size int, write bool) coherence.AccessResult {
-	if r.sim.enabled {
-		return r.coh.AccessPinned(cpu, addr, size, write)
-	}
-	return r.coh.Access(cpu, addr, size, write)
-}
-
 // lockFor resolves the lock state and lock-word address for a lock/unlock
 // instruction.
 func (r *Runner) lockFor(t *thread, in *decInstr) (*lockState, int64, error) {
@@ -357,7 +322,7 @@ func (r *Runner) execLock(t *thread, in *decInstr) error {
 	}
 	if ls.holder == nil {
 		ls.holder = t
-		res := r.lockAccess(t.cpu, addr, in.size, true)
+		res := r.coh.Access(t.cpu, addr, in.size, true)
 		t.time += res.Latency
 		r.record(in.arena, in.field, &res)
 		r.sample(t)
@@ -382,7 +347,7 @@ func (r *Runner) execUnlock(t *thread, in *decInstr) error {
 	if ls.holder != t {
 		return fmt.Errorf("exec: thread %d releases lock %s.%d it does not hold", t.id, in.arena.name, in.field)
 	}
-	res := r.lockAccess(t.cpu, addr, in.size, true)
+	res := r.coh.Access(t.cpu, addr, in.size, true)
 	t.time += res.Latency
 	r.record(in.arena, in.field, &res)
 	r.sample(t)
@@ -400,7 +365,7 @@ func (r *Runner) execUnlock(t *thread, in *decInstr) error {
 		wake = w.time
 	}
 	w.time = wake
-	wres := r.lockAccess(w.cpu, addr, in.size, true)
+	wres := r.coh.Access(w.cpu, addr, in.size, true)
 	w.time += wres.Latency
 	r.record(in.arena, in.field, &wres)
 	if r.collector != nil {

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"structlayout/internal/core"
-	"structlayout/internal/exec"
 	"structlayout/internal/flg"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
@@ -39,11 +38,6 @@ type Config struct {
 	Runs int
 	// BaseSeed seeds the whole reproduction.
 	BaseSeed int64
-	// Sim selects exact or interval-sampled simulation for measurement
-	// runs. Collection is always exact regardless (the PMU trace must
-	// observe every access). Sampled figures carry extrapolated counts and
-	// memoize under distinct keys from exact ones.
-	Sim exec.SimConfig
 	// Tool configures the layout tool.
 	Tool core.Options
 }
@@ -93,7 +87,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	suite.Sim = cfg.Sim
 	lineSize := int(cfg.Params.Cache.LineSize)
 	baselines := suite.BaselineLayouts(lineSize)
 
@@ -106,8 +99,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Collection is never sampled: the suite zeroes Sim whenever a
-	// collector is attached.
 	pf, trace, err := collectSuite.Collect(cfg.CollectTopo, collectSuite.BaselineLayouts(lineSize), cfg.BaseSeed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: collection: %w", err)

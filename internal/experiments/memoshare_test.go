@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"structlayout/internal/exec"
 	"structlayout/internal/memo"
 )
 
@@ -62,16 +61,5 @@ func TestCrossFigureMemoSharing(t *testing.T) {
 	}
 	if d := delta(); d.Misses != 0 || d.Hits() != 11 {
 		t.Fatalf("warm Fig8: %d misses / %d hits, want 0 / 11", d.Misses, d.Hits())
-	}
-
-	// A sampled pass over the same figure shares nothing with the exact
-	// entries: approximate results never silently stand in for exact ones.
-	p.Suite.Sim = exec.SimConfig{Mode: exec.SimSampled}
-	defer func() { p.Suite.Sim = exec.SimConfig{} }()
-	if _, err := p.Fig8(); err != nil {
-		t.Fatal(err)
-	}
-	if d := delta(); d.Misses != 11 || d.Hits() != 0 {
-		t.Fatalf("sampled Fig8 over warm exact cache: %d misses / %d hits, want 11 / 0", d.Misses, d.Hits())
 	}
 }

@@ -109,7 +109,7 @@ func ParseSpec(s string) (*Spec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faults: term %q: bad severity %q", term, val)
 		}
-		if sev < 0 || sev > 1 {
+		if !(sev >= 0 && sev <= 1) { // NaN fails both compares
 			return nil, fmt.Errorf("faults: term %q: severity %v out of [0,1]", term, sev)
 		}
 		if key == "all" {

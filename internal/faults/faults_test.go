@@ -89,6 +89,7 @@ func TestParseSpec(t *testing.T) {
 		{"drift=x", true, nil},
 		{"drift=1.5", true, nil},
 		{"drift=-0.1", true, nil},
+		{"loss=NaN", true, nil},
 		{"bogus=0.5", true, nil},
 		{"seed=abc", true, nil},
 	}
@@ -108,6 +109,39 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q): unexpected spec %v", c.in, spec)
 		}
 	}
+}
+
+// FuzzFaultSpec: ParseSpec, the parser behind -inject and layoutd's
+// inject field, never panics, accepts only severities in [0,1], and its
+// canonical form is a fixed point. Seeds are the specs the docs and CI use.
+func FuzzFaultSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "none", "all=1", "all=0.25", "all=0.5", "all=0.5,seed=9",
+		"loss=0.5,drift=0.3,seed=7", "loss=1,truncate=1", "loss=0.3,seed=7",
+		"loss=0.3,dup=0.05", "all=0.1,seed=20070311", "all=0.25,seed=20070311",
+		"drift=0.5,loss=0.25,fmfdrop=0.125,seed=99", "loss=NaN", "loss=2", "seed=x",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		for k, sev := range spec.Severity {
+			if !(sev >= 0 && sev <= 1) {
+				t.Fatalf("ParseSpec(%q) accepted %s=%v", s, k, sev)
+			}
+		}
+		canon := spec.String()
+		again, err := ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not re-parse: %v", canon, s, err)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("canonical form of %q is not a fixed point: %q -> %q", s, canon, got)
+		}
+	})
 }
 
 func TestSpecStringRoundTrip(t *testing.T) {

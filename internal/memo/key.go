@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"structlayout/internal/coherence"
-	"structlayout/internal/exec"
 	"structlayout/internal/faults"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
@@ -137,13 +136,15 @@ func (h *Hasher) CacheConfig(tag string, c coherence.Config) {
 	h.Int(tag+".protocol", 0)
 }
 
-// SimConfig adds the simulation mode and its sampling parameters: a
-// sampled result must never collide with an exact one.
-func (h *Hasher) SimConfig(tag string, c exec.SimConfig) {
-	h.Int(tag+".mode", int64(c.Mode))
-	h.Int(tag+".window", c.WindowOps)
-	h.Int(tag+".period", c.Period)
-	h.Int(tag+".seed", c.Seed)
+// ExactSim adds the simulation-mode records of a measurement: the zero
+// mode and sampling parameters the exact engine always hashed, from when a
+// second, interval-sampled mode existed. Keeps every existing key and disk
+// entry valid.
+func (h *Hasher) ExactSim() {
+	h.Int("sim.mode", 0)
+	h.Int("sim.window", 0)
+	h.Int("sim.period", 0)
+	h.Int("sim.seed", 0)
 }
 
 // FaultSpec adds a fault-injection spec via its canonical String form

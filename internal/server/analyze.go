@@ -15,7 +15,6 @@ import (
 	"structlayout/internal/core"
 	"structlayout/internal/diag"
 	"structlayout/internal/driver"
-	"structlayout/internal/exec"
 	"structlayout/internal/faults"
 	"structlayout/internal/fieldmap"
 	"structlayout/internal/flg"
@@ -62,12 +61,6 @@ type AnalyzeRequest struct {
 	// Inject is a measurement-fault spec (docs/FAULTS.md) applied to the
 	// collection, e.g. "loss=0.3,seed=7".
 	Inject string `json:"inject,omitempty"`
-	// Sim selects the measurement simulation mode: "exact" (default) or
-	// "sampled" (interval-sampled, extrapolated; faster but approximate).
-	// Collection is always exact — only the optional MeasureRuns
-	// measurements are affected. Sampled responses carry a sim-sampled
-	// diagnostic.
-	Sim string `json:"sim,omitempty"`
 	// DeadlineMS is the request deadline; 0 means the server default.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// MeasureRuns > 0 additionally measures each suggested layout over
@@ -152,8 +145,10 @@ type AnalyzeResponse struct {
 
 // LintRequest is the /v1/lint body.
 type LintRequest struct {
-	Program  string `json:"program"`
-	LineSize int    `json:"line_size,omitempty"`
+	Program string `json:"program"`
+	// LineSize is the coherence-line size findings are computed for: a
+	// positive power of two, or 0 for the default 128.
+	LineSize int `json:"line_size,omitempty"`
 }
 
 // LintResponse is the /v1/lint result.
@@ -199,6 +194,16 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		s.badRequest.Add(1)
 		return
 	}
+	lineSize := req.LineSize
+	if lineSize == 0 {
+		lineSize = 128
+	}
+	if lineSize < 0 || lineSize&(lineSize-1) != 0 {
+		s.badRequest.Add(1)
+		writeError(w, http.StatusBadRequest, "bad-line-size",
+			fmt.Sprintf("line size %d not a positive power of two", lineSize))
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(0))
 	defer cancel()
 	release, ok := s.admit(ctx, w)
@@ -211,10 +216,6 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		s.badRequest.Add(1)
 		writeError(w, http.StatusBadRequest, "bad-program", err.Error())
 		return
-	}
-	lineSize := req.LineSize
-	if lineSize <= 0 {
-		lineSize = 128
 	}
 	findings, _, err := staticshare.LintFile(file, lineSize)
 	if err != nil {
@@ -279,12 +280,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if mode != "auto" && mode != "best" && mode != "both" {
 		s.badRequest.Add(1)
 		writeError(w, http.StatusBadRequest, "bad-mode", fmt.Sprintf("unknown mode %q (auto|best|both)", mode))
-		return
-	}
-	simMode, err := exec.ParseSimMode(req.Sim)
-	if err != nil {
-		s.badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, "bad-sim", err.Error())
 		return
 	}
 	seed := req.Seed
@@ -429,18 +424,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		// The sim mode applies to measurement only; the collection rungs
-		// above always ran exact (the PMU trace must observe every access).
-		mcfg := cfg
-		mcfg.Sim = exec.SimConfig{Mode: simMode}
-		if simMode == exec.SimSampled {
-			// Sampled results are approximate and memoize under distinct
-			// keys; label the response so no client mistakes the measured
-			// speedups for exact ones.
-			analysis.Diag.Add(diag.Info, "server", "sim-sampled",
-				"measurements ran interval-sampled (extrapolated, approximate); re-request with sim=exact for exact counts")
-		}
-		ev, merr := driver.EvaluateCtx(ctx, file, mcfg, nil, autos, req.MeasureRuns, analysis.Quality)
+		ev, merr := driver.EvaluateCtx(ctx, file, cfg, nil, autos, req.MeasureRuns, analysis.Quality)
 		if merr != nil {
 			analysis.Diag.Add(diag.Degraded, "server", "measure-deadline",
 				"measurement abandoned (%v); layouts delivered without measured speedups", merr)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -340,6 +341,80 @@ func TestLintEndpoint(t *testing.T) {
 	}
 	if lr.MaxSeverity == "" {
 		t.Fatal("empty max severity")
+	}
+}
+
+// TestLintLineSize: line_size must be a positive power of two, the rule
+// the cache simulator applies; 0 or omitted means 128.
+func TestLintLineSize(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	lint := func(body []byte) (int, []byte) {
+		resp, raw := postRaw(t, ts, "/v1/lint", body)
+		return resp.StatusCode, raw
+	}
+	prog := testProgram("linesize")
+	for _, n := range []int{7, 3, 100, -128} {
+		code, raw := lint(mustJSON(t, LintRequest{Program: prog, LineSize: n}))
+		var eb errorBody
+		if err := json.Unmarshal(raw, &eb); code != http.StatusBadRequest || err != nil || eb.Code != "bad-line-size" {
+			t.Errorf("line_size %d: status %d, body %s; want 400 bad-line-size", n, code, raw)
+		}
+	}
+	code, want := lint(mustJSON(t, LintRequest{Program: prog, LineSize: 128}))
+	if code != http.StatusOK {
+		t.Fatalf("line_size 128: status %d: %s", code, want)
+	}
+	for _, body := range [][]byte{mustJSON(t, LintRequest{Program: prog}), mustJSON(t, map[string]any{"program": prog, "line_size": 0})} {
+		if code, got := lint(body); code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s: status %d, body differs from line_size 128:\n%s\nvs\n%s", body, code, got, want)
+		}
+	}
+	if code, raw := lint(mustJSON(t, LintRequest{Program: prog, LineSize: 64})); code != http.StatusOK {
+		t.Errorf("line_size 64: status %d: %s", code, raw)
+	}
+	if st := s.Stats(); st.BadRequest != 4 || st.OK != 4 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestSimFieldIgnored: a body still carrying the removed "sim" field is
+// answered like one without it, measurements included: the decoder
+// ignores it like any unknown field.
+func TestSimFieldIgnored(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// The second plain request replays the first one's collection, as
+	// every request after it does.
+	req := AnalyzeRequest{Program: testProgram("simfield"), Machine: "bus4", MeasureRuns: 1, DeadlineMS: 30000}
+	postAnalyze(t, ts, req)
+	resp, raw := postAnalyze(t, ts, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	want := decodeAnalyze(t, raw)
+	if want.Measure == nil {
+		t.Fatalf("no measurement: %s", raw)
+	}
+	for _, sim := range []string{"sampled", "exact", "bogus"} {
+		var body map[string]any
+		if err := json.Unmarshal(mustJSON(t, req), &body); err != nil {
+			t.Fatal(err)
+		}
+		body["sim"] = sim
+		resp, raw := postRaw(t, ts, "/v1/analyze", mustJSON(t, body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sim %q: status %d: %s", sim, resp.StatusCode, raw)
+		}
+		got := decodeAnalyze(t, raw)
+		got.ElapsedMS = want.ElapsedMS
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("sim %q: response differs:\n%+v\nvs\n%+v", sim, got, want)
+		}
 	}
 }
 

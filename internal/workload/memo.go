@@ -179,11 +179,7 @@ func (s *Suite) measureKey(topo *machine.Topology, ls Layouts, n int, baseSeed i
 	s.hashConfig(h, topo, ls)
 	h.Int("runs", int64(n))
 	h.Int("seed", baseSeed)
-	// The simulation mode and every sampling parameter are part of a
-	// measurement's identity: a sampled result must never replace (or be
-	// replaced by) an exact one, and changing the window, period or seed
-	// changes the simulated subset.
-	h.SimConfig("sim", s.Sim)
+	h.ExactSim()
 	// Measure is clean by contract (fault injection applies to collections,
 	// never to throughput runs); record that in the key so a future faulted
 	// variant can never collide with it.

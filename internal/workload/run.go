@@ -58,21 +58,14 @@ func (ls Layouts) WithLayout(label string, lay *layout.Layout) Layouts {
 	return out
 }
 
-// newRunner assembles an exec.Runner for one measurement run. The suite's
-// Sim setting applies to measurement runs only — a run with a collector
-// attached (smp != nil) is always exact, because the PMU trace must
-// observe every access.
+// newRunner assembles an exec.Runner for one run, with a PMU collector
+// attached when smp is non-nil.
 func (s *Suite) newRunner(topo *machine.Topology, ls Layouts, seed int64, smp *sampling.Config) (*exec.Runner, error) {
-	sim := s.Sim
-	if smp != nil {
-		sim = exec.SimConfig{}
-	}
 	r, err := exec.NewRunner(s.Prog, exec.Config{
 		Topo:     topo,
 		Cache:    s.Params.Cache,
 		Seed:     seed,
 		Sampling: smp,
-		Sim:      sim,
 	})
 	if err != nil {
 		return nil, err

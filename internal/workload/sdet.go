@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"structlayout/internal/coherence"
-	"structlayout/internal/exec"
 	"structlayout/internal/ir"
 )
 
@@ -107,12 +106,6 @@ type Suite struct {
 	Prog    *ir.Program
 	Params  Params
 	byLabel map[string]*KernelStruct
-
-	// Sim selects exact or interval-sampled simulation for Measure runs.
-	// Collections ignore it (the PMU trace needs every access). Sampled
-	// measurements are keyed separately in the memo cache — they can
-	// never silently replace exact results.
-	Sim exec.SimConfig
 }
 
 // NewSuite builds the SDET-like program over structs A..E.

@@ -325,3 +325,23 @@ func TestBaselineFingerprints(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoKeyPins pins the measure and collect keys of one fixed built-in
+// configuration. A moved key orphans every disk-cache entry written under
+// the old one, so a pin changes only together with memo.SchemaVersion.
+func TestMemoKeyPins(t *testing.T) {
+	s := newSuite(t)
+	ls := s.BaselineLayouts(128)
+	mk := s.measureKey(machine.Superdome128(), ls, 3, 1)
+	ck := s.collectKey(machine.Way16(), ls, 1)
+	got := map[string]string{"measure": fmt.Sprintf("%x", mk[:]), "collect": fmt.Sprintf("%x", ck[:])}
+	want := map[string]string{
+		"measure": "8a67ff50ab006773294e2bace841ce79ea0916640dcbe632f2e62b084a8408f1",
+		"collect": "45346da31587b9393604fc7053e575888e5232c0b188ea7a3be97e28f4e82623",
+	}
+	for kind, k := range got {
+		if k != want[kind] {
+			t.Errorf("%s key %s, pinned %s", kind, k, want[kind])
+		}
+	}
+}
