@@ -145,7 +145,7 @@ func BenchmarkFigure5Affinity(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := affinity.Build(prog, pf, s, affinity.Options{})
+		g := affinity.Build(prog, pf, s)
 		if g.Weight(0, 2) == 0 {
 			b.Fatal("missing affinity edge")
 		}
@@ -205,23 +205,6 @@ func ablationAutoA(b *testing.B, mutate func(*experiments.Config)) {
 			}
 		}
 	}
-}
-
-// BenchmarkAblationMinHeuristic disables the Minimum Heuristic, falling
-// back to the CGO'06 plain group weights.
-func BenchmarkAblationMinHeuristic(b *testing.B) {
-	ablationAutoA(b, func(cfg *experiments.Config) {
-		cfg.Tool.Affinity.PlainGroupWeight = true
-	})
-}
-
-// BenchmarkAblationDiscountStores applies the idealized model's store
-// discount to CycleGain (the implemented pipeline does not, matching
-// Figure 5).
-func BenchmarkAblationDiscountStores(b *testing.B) {
-	ablationAutoA(b, func(cfg *experiments.Config) {
-		cfg.Tool.Affinity.DiscountStores = true
-	})
 }
 
 // BenchmarkAblationNoAlias drops the alias-analysis mitigation, letting

@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -159,17 +160,28 @@ var experimentFlags = map[string]string{
 	"golint-bench": "out check",
 }
 
-// usageErrors names every argument after the experiment and every flag set
-// on fs that experiment what never reads, so nothing on the command line
-// is silently ignored. An unknown experiment is left to run's error.
+// experimentNames lists every experiment, sorted, for usage messages.
+func experimentNames() string {
+	names := make([]string, 0, len(experimentFlags))
+	for name := range experimentFlags {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
+// usageErrors names an unknown experiment, every argument after the
+// experiment and every flag set on fs that experiment what never reads, so
+// nothing on the command line is silently ignored and no work starts on a
+// command line that would fail.
 func usageErrors(fs *flag.FlagSet, what string) []string {
+	names, ok := experimentFlags[what]
+	if !ok {
+		return []string{fmt.Sprintf("unknown experiment %q (want %s)", what, experimentNames())}
+	}
 	var msgs []string
 	for _, arg := range fs.Args()[min(1, fs.NArg()):] {
 		msgs = append(msgs, fmt.Sprintf("unexpected argument %q after %s (flags go before the experiment name)", arg, what))
-	}
-	names, ok := experimentFlags[what]
-	if !ok {
-		return msgs
 	}
 	reads := map[string]bool{"j": true, "cache-dir": true}
 	for _, name := range strings.Fields(names) {
@@ -210,86 +222,61 @@ func runQuality(cfg experiments.Config, spec *faults.Spec) error {
 	return nil
 }
 
+// run prints one experiment, or all of them in order. Only the
+// experiments that read the shared collection and analysis build it.
 func run(what string, cfg experiments.Config, spec *faults.Spec, topo *machine.Topology) error {
 	start := time.Now()
-	fmt.Printf("collection phase on %s...\n", cfg.CollectTopo.Name)
-	p, err := experiments.NewPipeline(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("pipeline ready in %v (%d runs per configuration)\n\n", time.Since(start).Round(time.Millisecond), cfg.Runs)
-
+	var p *experiments.Pipeline
 	type job struct {
-		name string
-		fn   func() error
+		name     string
+		pipeline bool // reads p
+		fn       func() (any, error)
 	}
 	jobs := map[string]job{
-		"fig8": {"Figure 8", func() error {
-			f, err := p.Fig8()
-			if err != nil {
-				return err
-			}
-			fmt.Println(f)
-			return nil
-		}},
-		"fig9": {"Figure 9", func() error {
-			f, err := p.Fig9()
-			if err != nil {
-				return err
-			}
-			fmt.Println(f)
-			return nil
-		}},
-		"fig10": {"Figure 10", func() error {
-			f, err := p.Fig10()
-			if err != nil {
-				return err
-			}
-			fmt.Println(f)
-			return nil
-		}},
-		"stability": {"Concurrency stability", func() error {
-			r, err := p.ConcurrencyStability(20)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			return nil
-		}},
-		"predict": {"Prediction accuracy", func() error {
+		"fig8":      {"Figure 8", true, func() (any, error) { return p.Fig8() }},
+		"fig9":      {"Figure 9", true, func() (any, error) { return p.Fig9() }},
+		"fig10":     {"Figure 10", true, func() (any, error) { return p.Fig10() }},
+		"stability": {"Concurrency stability", true, func() (any, error) { return p.ConcurrencyStability(20) }},
+		"predict": {"Prediction accuracy", true, func() (any, error) {
 			rows, err := p.PredictionAccuracy()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			fmt.Println(experiments.PredictionReport(rows))
-			return nil
+			return experiments.PredictionReport(rows), nil
 		}},
-		"robustness": {"Fault robustness", func() error {
-			r, err := experiments.Robustness(cfg, spec, nil, topo)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			return nil
+		"robustness": {"Fault robustness", false, func() (any, error) {
+			return experiments.Robustness(cfg, spec, nil, topo)
 		}},
 	}
-	order := []string{"fig8", "fig9", "fig10", "stability", "predict", "robustness"}
-
+	order := []string{what}
 	if what == "all" {
-		for _, k := range order {
-			if err := jobs[k].fn(); err != nil {
+		order = []string{"fig8", "fig9", "fig10", "stability", "predict", "robustness"}
+	}
+	needPipeline := false
+	for _, k := range order {
+		j, ok := jobs[k]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q (want %s)", what, experimentNames())
+		}
+		needPipeline = needPipeline || j.pipeline
+	}
+	if needPipeline {
+		fmt.Printf("collection phase on %s...\n", cfg.CollectTopo.Name)
+		var err error
+		if p, err = experiments.NewPipeline(cfg); err != nil {
+			return err
+		}
+		fmt.Printf("pipeline ready in %v (%d runs per configuration)\n\n", time.Since(start).Round(time.Millisecond), cfg.Runs)
+	}
+	for _, k := range order {
+		out, err := jobs[k].fn()
+		if err != nil {
+			if what == "all" {
 				return fmt.Errorf("%s: %w", jobs[k].name, err)
 			}
+			return err
 		}
-		fmt.Printf("total: %v\n", time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-	j, ok := jobs[what]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (want fig8, fig9, fig10, stability, predict, robustness, quality or all)", what)
-	}
-	if err := j.fn(); err != nil {
-		return err
+		fmt.Println(out)
 	}
 	fmt.Printf("total: %v\n", time.Since(start).Round(time.Millisecond))
 	return nil

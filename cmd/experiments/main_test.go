@@ -94,6 +94,9 @@ func TestUsageErrors(t *testing.T) {
 		{"-quick -j 8 -cache-dir /tmp/figcache fig8", ""},
 		{"golint-bench", ""},
 		{"-out /tmp/bench_golint.json -check BENCH_golint.json golint-bench", ""},
+		// An unknown experiment is rejected before any work, alone.
+		{"fig99", `unknown experiment "fig99" (want all, bench, fig10, fig8, fig9, golint-bench, predict, quality, robustness, stability)`},
+		{"-inject loss=1 fig99 extra", `unknown experiment "fig99" (want all, bench, fig10, fig8, fig9, golint-bench, predict, quality, robustness, stability)`},
 	}
 	// Every flag is read by some experiment, or no invocation could set it.
 	read := map[string]bool{"j": true, "cache-dir": true}

@@ -25,6 +25,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -120,13 +121,13 @@ func defineFlags(fs *flag.FlagSet) *options {
 func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-	mode := o.mode()
-	if unread := unreadFlags(flag.CommandLine, mode); len(unread) > 0 {
-		for _, name := range unread {
-			fmt.Fprintf(os.Stderr, "layouttool: -%s is not read in %s mode\n", name, mode)
+	if msgs := usageErrors(flag.CommandLine, o); len(msgs) > 0 {
+		for _, m := range msgs {
+			fmt.Fprintln(os.Stderr, "layouttool:", m)
 		}
 		os.Exit(2)
 	}
+	mode := o.mode()
 	if *o.jobs > 0 {
 		parallel.SetLimit(*o.jobs)
 	}
@@ -195,6 +196,25 @@ var modeFlags = map[string]string{
 	"rank":     "rank program collect-machine seed collect-scripts k1 k2 inject strict quality",
 	"program":  "program struct collect-machine mode seed k1 k2 topk split dot inject strict measure quality",
 	"built-in": "struct collect-machine mode seed collect-scripts k1 k2 topk no-alias-analysis split profile trace dump dot inject strict quality",
+}
+
+// usageErrors returns the command line's usage errors, found before any
+// work starts: each flag set on fs that the selected mode never reads, and
+// a -mode other than auto, best or both in a mode that reads it.
+func usageErrors(fs *flag.FlagSet, o *options) []string {
+	mode := o.mode()
+	var msgs []string
+	for _, name := range unreadFlags(fs, mode) {
+		msgs = append(msgs, fmt.Sprintf("-%s is not read in %s mode", name, mode))
+	}
+	if slices.Contains(strings.Fields(modeFlags[mode]), "mode") {
+		switch *o.layoutMode {
+		case "auto", "best", "both":
+		default:
+			msgs = append(msgs, fmt.Sprintf("unknown -mode %q (want auto, best or both)", *o.layoutMode))
+		}
+	}
+	return msgs
 }
 
 // unreadFlags returns the flags set on fs that mode never reads, so a
@@ -752,9 +772,6 @@ func run(structLabel, collectOn, mode string, seed, scripts int64, k1, k2 float6
 		fmt.Printf("constraint clusters: %d\n", len(clusters.Clusters))
 		fmt.Print(best.Dump())
 		fmt.Printf("\n-- movement from baseline --\n%s", report.Diff(orig, best))
-	}
-	if mode != "auto" && mode != "best" && mode != "both" {
-		return nil, fmt.Errorf("unknown mode %q", mode)
 	}
 	if split {
 		st := suite.Struct(ks).Type

@@ -242,7 +242,13 @@ func TestRunValidation(t *testing.T) {
 	if _, err := run("A", "vax", "auto", 1, 1, 1, 1, 20, false, false, "", "", "", "", none(t), false); err == nil {
 		t.Fatal("unknown machine accepted")
 	}
-	if _, err := run("A", "bus4", "sideways", 1, 1, 1, 1, 20, false, false, "", "", "", "", none(t), false); err == nil {
+	// An unknown -mode is a usage error, caught before collection.
+	fs := flag.NewFlagSet("layouttool", flag.ContinueOnError)
+	o := defineFlags(fs)
+	if err := fs.Parse([]string{"-struct", "A", "-collect-machine", "bus4", "-mode", "sideways"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(usageErrors(fs, o)) == 0 {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -305,6 +311,28 @@ func TestFlagsUnreadByMode(t *testing.T) {
 		}
 		if got := strings.Join(unreadFlags(fs, c.mode), " "); got != c.unread {
 			t.Errorf("%s: unread flags %q, want %q", c.args, got, c.unread)
+		}
+	}
+	// -mode is checked, next to the unread flags, in the modes that read
+	// it; a mode that does not read it reports it as unread instead.
+	const badMode = `unknown -mode "bogus" (want auto, best or both)`
+	for _, c := range []struct{ args, want string }{
+		{"-program " + slp + " -struct conn -collect-machine bus4 -mode bogus", badMode},
+		{"-struct B -collect-machine bus4 -mode bogus", badMode},
+		{"-struct B -mode bogus -measure 2", "-measure is not read in built-in mode; " + badMode},
+		{"-rank -mode bogus", "-mode is not read in rank mode"},
+		{"-lint -mode bogus", "-mode is not read in lint mode"},
+		{"-program " + slp + " -struct conn -mode best", ""},
+		{"-struct B -mode auto", ""},
+		{"-struct B", ""},
+	} {
+		fs := flag.NewFlagSet("layouttool", flag.ContinueOnError)
+		o := defineFlags(fs)
+		if err := fs.Parse(strings.Fields(c.args)); err != nil {
+			t.Fatalf("%s: %v", c.args, err)
+		}
+		if got := strings.Join(usageErrors(fs, o), "; "); got != c.want {
+			t.Errorf("%s: usage errors %q, want %q", c.args, got, c.want)
 		}
 	}
 	// The removed simulation-mode switch is an unknown flag.

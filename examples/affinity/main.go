@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := affinity.Build(prog, pf, s, affinity.Options{})
+	g := affinity.Build(prog, pf, s)
 
 	fmt.Printf("Figure 4 parameters: n=%d, N=%d\n\n", n, N)
 	fmt.Print(g.Dump())

@@ -15,11 +15,10 @@
 //
 // The paper's CycleGain approximations (§3.1) are applied here: only
 // intra-procedural paths are considered (groups never span procedures) and
-// MemoryDistance is assumed below threshold within a group. The idealized
-// model's store discount ("a store target gains nothing", §2) is available
-// as the DiscountStores option; the implemented pipeline of §4.1 — whose
-// Figure 5 keeps the write-write edge f1–f2 — does not apply it, so the
-// default here matches Figure 5.
+// MemoryDistance is assumed below threshold within a group. Loads and
+// stores both count: the idealized model's store discount ("a store target
+// gains nothing", §2) is not applied, as in the implemented pipeline of
+// §4.1, whose Figure 5 keeps the write-write edge f1–f2.
 package affinity
 
 import (
@@ -30,29 +29,6 @@ import (
 	"structlayout/internal/ir"
 	"structlayout/internal/profile"
 )
-
-// Options selects heuristic variants; the zero value is the paper's
-// configuration.
-type Options struct {
-	// PlainGroupWeight disables the Minimum Heuristic and weights every
-	// pair in a group by the group's execution frequency (the CGO'06
-	// heuristic the paper refines). Ablation: BenchmarkAblationMinHeuristic.
-	PlainGroupWeight bool
-	// DiscountStores applies the idealized model's rule that a pair whose
-	// accesses are all stores gains nothing from co-location ("store
-	// misses ... are mostly harmless", §2). Ablation knob; off by default
-	// to match the implemented pipeline and Figure 5.
-	DiscountStores bool
-	// MemoryDistanceThreshold, when positive, enables the idealized
-	// model's MemoryDistance test (§2): a group whose code touches more
-	// than this many bytes of non-struct memory per occurrence contributes
-	// no CycleGain — by the time the second field is accessed, the first
-	// one's line has been evicted. The paper's implementation ignores MD
-	// ("we assume that the MemoryDistance between fields of the same
-	// affinity group is always below the threshold T", §3.1), so the
-	// default 0 disables it.
-	MemoryDistanceThreshold int64
-}
 
 // GroupKind tells which granularity produced a group.
 type GroupKind uint8
@@ -83,10 +59,6 @@ type Group struct {
 	// Counts holds each member field's dynamic access counts inside the
 	// group.
 	Counts map[int]profile.Counts
-	// MemoryDistance estimates the bytes of non-struct memory the group's
-	// code touches per occurrence (per loop iteration / per block
-	// execution): the paper's MD, used by the optional threshold test.
-	MemoryDistance int64
 }
 
 // Graph is the affinity graph of one struct: nodes are fields, edges are
@@ -113,7 +85,7 @@ func PairKey(a, b int) [2]int {
 
 // Build computes the affinity graph of st over the whole program, using
 // the profile for frequencies.
-func Build(p *ir.Program, pf *profile.Profile, st *ir.StructType, opts Options) *Graph {
+func Build(p *ir.Program, pf *profile.Profile, st *ir.StructType) *Graph {
 	g := &Graph{
 		Struct:  st,
 		Weights: make(map[[2]int]float64),
@@ -122,7 +94,7 @@ func Build(p *ir.Program, pf *profile.Profile, st *ir.StructType, opts Options) 
 		Writes:  make(map[int]float64),
 	}
 	for _, pr := range p.Procs {
-		buildProc(g, pr, pf, st, opts)
+		buildProc(g, pr, pf, st)
 	}
 	// Program-wide hotness and read/write counts.
 	for _, b := range p.Blocks() {
@@ -149,20 +121,14 @@ func Build(p *ir.Program, pf *profile.Profile, st *ir.StructType, opts Options) 
 // blocks whose innermost loop is that loop) and one per straight-line block
 // outside loops. Loops group their own blocks only — a nested loop is its
 // own, hotter granularity.
-func buildProc(g *Graph, pr *ir.Procedure, pf *profile.Profile, st *ir.StructType, opts Options) {
+func buildProc(g *Graph, pr *ir.Procedure, pf *profile.Profile, st *ir.StructType) {
 	for _, l := range pr.Loops {
 		counts := make(map[int]profile.Counts)
-		var memBytes float64
-		ec := pf.LoopEC(l)
 		for _, b := range l.Blocks {
 			addBlockCounts(counts, b, pf, st)
-			if ec > 0 {
-				// Per-iteration share of the block's memory traffic.
-				memBytes += blockMemBytes(b) * pf.BlockCount(b) / ec
-			}
 		}
 		if len(counts) > 0 {
-			g.addGroup(Group{Kind: LoopGroup, Where: l.Name(), Weight: ec, Counts: counts, MemoryDistance: int64(memBytes)}, opts)
+			g.addGroup(Group{Kind: LoopGroup, Where: l.Name(), Weight: pf.LoopEC(l), Counts: counts})
 		}
 	}
 	for _, b := range pr.Blocks {
@@ -172,34 +138,9 @@ func buildProc(g *Graph, pr *ir.Procedure, pf *profile.Profile, st *ir.StructTyp
 		counts := make(map[int]profile.Counts)
 		addBlockCounts(counts, b, pf, st)
 		if len(counts) > 0 {
-			g.addGroup(Group{Kind: StraightLineGroup, Where: b.Name(), Weight: pf.BlockCount(b), Counts: counts, MemoryDistance: int64(blockMemBytes(b))}, opts)
+			g.addGroup(Group{Kind: StraightLineGroup, Where: b.Name(), Weight: pf.BlockCount(b), Counts: counts})
 		}
 	}
-}
-
-// blockMemBytes estimates the distinct non-struct memory a block touches
-// per execution: a streaming sweep advances by its stride, a random access
-// lands on a fresh line in expectation, a fixed access revisits one spot.
-func blockMemBytes(b *ir.BasicBlock) float64 {
-	var n float64
-	for _, in := range b.Instrs {
-		if in.Op != ir.OpMem {
-			continue
-		}
-		switch in.Pattern {
-		case ir.MemSeq:
-			stride := in.Stride
-			if stride == 0 {
-				stride = 8
-			}
-			n += float64(stride)
-		case ir.MemRand:
-			n += 128 // one fresh cache line in expectation
-		case ir.MemFixed:
-			// Revisits the same location: no new footprint.
-		}
-	}
-	return n
 }
 
 // addBlockCounts accumulates the block's dynamic field counts for st.
@@ -222,14 +163,11 @@ func addBlockCounts(counts map[int]profile.Counts, b *ir.BasicBlock, pf *profile
 	}
 }
 
-// addGroup folds a group's pairwise contributions into the graph.
-func (g *Graph) addGroup(gr Group, opts Options) {
+// addGroup folds a group's pairwise contributions into the graph, each
+// pair weighted by the Minimum Heuristic (§4.1): the smaller of the two
+// fields' access counts in the group.
+func (g *Graph) addGroup(gr Group) {
 	g.Groups = append(g.Groups, gr)
-	if opts.MemoryDistanceThreshold > 0 && gr.MemoryDistance >= opts.MemoryDistanceThreshold {
-		// §2: CycleGain is zero when the intervening memory traffic would
-		// evict the first field's line before the second is reached.
-		return
-	}
 	fields := make([]int, 0, len(gr.Counts))
 	for f := range gr.Counts {
 		fields = append(fields, f)
@@ -238,21 +176,9 @@ func (g *Graph) addGroup(gr Group, opts Options) {
 	for i := 0; i < len(fields); i++ {
 		for j := i + 1; j < len(fields); j++ {
 			fi, fj := fields[i], fields[j]
-			ci, cj := gr.Counts[fi], gr.Counts[fj]
-			if opts.DiscountStores && ci.Reads == 0 && cj.Reads == 0 {
-				// A pair that is only ever stored gains nothing from
-				// co-location (§2: store misses rarely stall).
-				continue
-			}
-			var w float64
-			if opts.PlainGroupWeight {
-				w = gr.Weight
-			} else {
-				// Minimum Heuristic (§4.1).
-				w = ci.Total()
-				if t := cj.Total(); t < w {
-					w = t
-				}
+			w := gr.Counts[fi].Total()
+			if t := gr.Counts[fj].Total(); t < w {
+				w = t
 			}
 			if w > 0 {
 				g.Weights[PairKey(fi, fj)] += w

@@ -45,7 +45,7 @@ func figure4(t testing.TB, n, N int64) (*ir.Program, *ir.StructType, *profile.Pr
 func TestFigure5AffinityGraph(t *testing.T) {
 	const n, N = 10, 100
 	p, s, pf := figure4(t, n, N)
-	g := Build(p, pf, s, Options{})
+	g := Build(p, pf, s)
 
 	f1, f2, f3 := 0, 1, 2
 	// Straight-line group {f1,f2}: weight n (min(n,n)).
@@ -75,20 +75,6 @@ func TestFigure5AffinityGraph(t *testing.T) {
 	}
 }
 
-func TestPlainGroupWeightAblation(t *testing.T) {
-	const n, N = 10, 100
-	p, s, pf := figure4(t, n, N)
-	g := Build(p, pf, s, Options{PlainGroupWeight: true})
-	// Plain CGO'06 weighting: loop group weight EC(L) = nN for every pair.
-	if got := g.Weight(0, 2); got != n*N {
-		t.Fatalf("plain w(f1,f3) = %v, want %v", got, n*N)
-	}
-	// Straight-line block weight = n.
-	if got := g.Weight(0, 1); got != n {
-		t.Fatalf("plain w(f1,f2) = %v, want %v", got, n)
-	}
-}
-
 func TestMinimumHeuristicBoundsPlain(t *testing.T) {
 	// Minimum-heuristic weights never exceed group-count-based weights when
 	// a field is accessed once per iteration.
@@ -106,19 +92,32 @@ func TestMinimumHeuristicBoundsPlain(t *testing.T) {
 	p.MustFinalize()
 	pf, _ := profile.StaticEstimate(p, []string{"f"})
 
-	min := Build(p, pf, s, Options{})
-	plain := Build(p, pf, s, Options{PlainGroupWeight: true})
+	g := Build(p, pf, s)
 	// b executes only 10% of iterations; the minimum heuristic must see
-	// that, the plain heuristic cannot ("both hot and cold basic blocks
-	// inside the loop are weighted equally").
-	if wm, wp := min.Weight(0, 1), plain.Weight(0, 1); wm >= wp {
-		t.Fatalf("min heuristic (%v) should be below plain (%v)", wm, wp)
+	// that, while the plain CGO'06 heuristic weights every pair by the
+	// loop group's Weight ("both hot and cold basic blocks inside the
+	// loop are weighted equally").
+	var loop *Group
+	for i := range g.Groups {
+		if g.Groups[i].Kind == LoopGroup {
+			loop = &g.Groups[i]
+		}
 	}
-	if got := min.Weight(0, 1); got != 100 {
+	if loop == nil || loop.Weight != 1000 {
+		t.Fatalf("loop group = %+v, want weight 1000", loop)
+	}
+	if wm := g.Weight(0, 1); wm >= loop.Weight {
+		t.Fatalf("min heuristic (%v) should be below the plain group weight (%v)", wm, loop.Weight)
+	}
+	if got := g.Weight(0, 1); got != 100 {
 		t.Fatalf("min weight = %v, want 100", got)
 	}
 }
 
+// TestStoreOnlyPairContributesNothing: only the idealized model's store
+// discount (§2) makes a store-only pair contribute nothing. The implemented
+// pipeline, whose Figure 5 keeps the write-write edge f1–f2, weights the
+// pair like any other, and so does Build.
 func TestStoreOnlyPairContributesNothing(t *testing.T) {
 	p := ir.NewProgram("stores")
 	s := ir.NewStruct("S", ir.I64("a"), ir.I64("b"))
@@ -132,13 +131,9 @@ func TestStoreOnlyPairContributesNothing(t *testing.T) {
 	p.MustFinalize()
 	pf, _ := profile.StaticEstimate(p, []string{"f"})
 
-	g := Build(p, pf, s, Options{DiscountStores: true})
-	if got := g.Weight(0, 1); got != 0 {
-		t.Fatalf("store-only pair weight = %v, want 0", got)
-	}
-	withStores := Build(p, pf, s, Options{})
-	if got := withStores.Weight(0, 1); got != 50 {
-		t.Fatalf("default (Figure 5) weight = %v, want 50", got)
+	g := Build(p, pf, s)
+	if got := g.Weight(0, 1); got != 50 {
+		t.Fatalf("store-only pair weight = %v, want 50 (Figure 5 keeps write-write edges)", got)
 	}
 }
 
@@ -157,7 +152,7 @@ func TestNestedLoopsFormSeparateGroups(t *testing.T) {
 	b.Done()
 	p.MustFinalize()
 	pf, _ := profile.StaticEstimate(p, []string{"f"})
-	g := Build(p, pf, s, Options{})
+	g := Build(p, pf, s)
 
 	// b,c pair in the inner loop: counts 1000 each.
 	if got := g.Weight(1, 2); got != 1000 {
@@ -195,7 +190,7 @@ func TestIntraProceduralOnly(t *testing.T) {
 	caller.Done()
 	p.MustFinalize()
 	pf, _ := profile.StaticEstimate(p, []string{"caller"})
-	g := Build(p, pf, s, Options{})
+	g := Build(p, pf, s)
 	if got := g.Weight(0, 1); got != 0 {
 		t.Fatalf("cross-procedure affinity = %v, want 0", got)
 	}
@@ -216,54 +211,11 @@ func TestHottestFirst(t *testing.T) {
 
 func TestDumpReport(t *testing.T) {
 	p, s, pf := figure4(t, 3, 7)
-	g := Build(p, pf, s, Options{})
+	g := Build(p, pf, s)
 	d := g.Dump()
 	for _, want := range []string{"affinity graph for struct S", "field f3", "edge f1 -- f3", "group loop"} {
 		if !strings.Contains(d, want) {
 			t.Fatalf("dump missing %q:\n%s", want, d)
 		}
-	}
-}
-
-func TestMemoryDistanceThreshold(t *testing.T) {
-	// Figure 1 meets §2's MemoryDistance: a loop reads f1, sweeps a large
-	// buffer, then reads f2. With the threshold enabled, the sweep kills
-	// the f1-f2 gain; the paper's default (threshold off) keeps it.
-	p := ir.NewProgram("md")
-	s := ir.NewStruct("S", ir.I64("f1"), ir.I64("f2"))
-	p.AddStruct(s)
-	p.AddRegion("big", 1<<22, false)
-	b := p.NewProc("f")
-	b.Loop(100, func(b *ir.Builder) {
-		b.Read(s, "f1", ir.LoopVar())
-		b.MemSweep("big", ir.Read, 65536) // 64 KiB of fresh data per iteration
-		b.Read(s, "f2", ir.LoopVar())
-	})
-	b.Done()
-	p.MustFinalize()
-	pf, _ := profile.StaticEstimate(p, []string{"f"})
-
-	plain := Build(p, pf, s, Options{})
-	if got := plain.Weight(0, 1); got != 100 {
-		t.Fatalf("threshold disabled: w = %v, want 100", got)
-	}
-	md := Build(p, pf, s, Options{MemoryDistanceThreshold: 32768})
-	if got := md.Weight(0, 1); got != 0 {
-		t.Fatalf("threshold enabled: w = %v, want 0", got)
-	}
-	// A lenient threshold keeps the edge.
-	loose := Build(p, pf, s, Options{MemoryDistanceThreshold: 1 << 20})
-	if got := loose.Weight(0, 1); got != 100 {
-		t.Fatalf("loose threshold: w = %v, want 100", got)
-	}
-	// The group records its MD estimate for reports.
-	found := false
-	for _, gr := range md.Groups {
-		if gr.Kind == LoopGroup && gr.MemoryDistance >= 65536 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("loop group's MemoryDistance not recorded")
 	}
 }

@@ -108,8 +108,6 @@ type AccessResult struct {
 	WriterLen  int32
 	// Invalidations is the number of remote copies invalidated.
 	Invalidations int
-	// Supplier is the CPU that supplied the line (-1 = memory or none).
-	Supplier int
 }
 
 // Stats aggregates counters, globally and per CPU.
@@ -439,7 +437,6 @@ func min64(a, b int64) int64 {
 func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, res *AccessResult) {
 	st := &s.perCPU[cpu]
 	st.Accesses++
-	res.Supplier = -1
 
 	setIdx := line & s.setMask
 	c := &s.caches[cpu]
@@ -546,7 +543,7 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, res *
 	var newState State
 	if write {
 		// Read-for-ownership: fetch and invalidate everyone else.
-		fetchLat := s.fetchLatency(cpu, li, res, st)
+		fetchLat := s.fetchLatency(cpu, li, st)
 		invLat, inv := s.invalidateOthers(cpu, li, st)
 		if invLat > fetchLat {
 			fetchLat = invLat
@@ -557,7 +554,7 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, res *
 		li.owner = int32(cpu)
 		li.recordWrite(cpu, lo, hi)
 	} else {
-		res.Latency = s.fetchLatency(cpu, li, res, st)
+		res.Latency = s.fetchLatency(cpu, li, st)
 		if li.owner >= 0 {
 			// Downgrade the owner to Shared; Modified data is written back.
 			ownerCPU := int(li.owner)
@@ -580,15 +577,13 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, res *
 	li.invalidated.clear(cpu)
 }
 
-// fetchLatency computes where the line comes from and the resulting cost,
-// setting res.Supplier.
-func (s *System) fetchLatency(cpu int, li *lineInfo, res *AccessResult, st *Stats) int64 {
+// fetchLatency computes where the line comes from and the resulting cost:
+// the owner's cache, else the nearest sharer's, else memory.
+func (s *System) fetchLatency(cpu int, li *lineInfo, st *Stats) int64 {
 	if li.owner >= 0 && int(li.owner) != cpu {
-		res.Supplier = int(li.owner)
 		return s.topo.TransferLatency(int(li.owner), cpu)
 	}
 	if nearest := s.nearestSharer(cpu, li.sharers); nearest >= 0 {
-		res.Supplier = nearest
 		return s.topo.TransferLatency(nearest, cpu)
 	}
 	st.MemFetches++
@@ -727,7 +722,7 @@ func (s *System) ReadHit(cpu int, addr int64, res *AccessResult) bool {
 	st := &s.perCPU[cpu]
 	st.Accesses++
 	st.Hits++
-	*res = AccessResult{Latency: s.topo.HitLatency, Supplier: -1}
+	*res = AccessResult{Latency: s.topo.HitLatency}
 	return true
 }
 

@@ -44,8 +44,8 @@ func TestReadSharing(t *testing.T) {
 	s := newSD(t)
 	s.Access(0, 0x2000, 8, false)
 	r := s.Access(1, 0x2000, 8, false)
-	if r.Supplier != 0 {
-		t.Fatalf("supplier = %d, want 0", r.Supplier)
+	if want := s.topo.TransferLatency(0, 1); r.Latency != want {
+		t.Fatalf("latency = %d, want %d (supplied by CPU 0's cache)", r.Latency, want)
 	}
 	if s.StateOf(0, 0x2000) != Shared || s.StateOf(1, 0x2000) != Shared {
 		t.Fatal("both copies should be Shared")
@@ -100,8 +100,8 @@ func TestModifiedSupplyWritesBack(t *testing.T) {
 		t.Fatal("writer not Modified")
 	}
 	r := s.Access(1, 0x5000, 8, false)
-	if r.Supplier != 0 {
-		t.Fatalf("supplier = %d", r.Supplier)
+	if want := s.topo.TransferLatency(0, 1); r.Latency != want {
+		t.Fatalf("latency = %d, want %d (supplied by CPU 0's cache)", r.Latency, want)
 	}
 	if s.StateOf(0, 0x5000) != Shared || s.StateOf(1, 0x5000) != Shared {
 		t.Fatal("after remote read both should be Shared")

@@ -44,8 +44,8 @@ func TestFastPathRemoteInvalidationBetweenRepeats(t *testing.T) {
 func TestFastPathRemoteDowngradeBetweenRepeats(t *testing.T) {
 	sys := fpSystem(t)
 	sys.Access(0, 0, 8, true)
-	if r := sys.Access(1, 0, 8, false); r.Supplier != 0 {
-		t.Fatalf("remote read should be supplied by owner, got %d", r.Supplier)
+	if r, want := sys.Access(1, 0, 8, false), sys.topo.TransferLatency(0, 1); r.Latency != want {
+		t.Fatalf("remote read latency = %d, want %d (supplied by the owner's cache)", r.Latency, want)
 	}
 	if got := sys.StateOf(0, 0); got != Shared {
 		t.Fatalf("owner state after remote read = %v, want S", got)

@@ -37,8 +37,6 @@ import (
 type Options struct {
 	// LineSize is the coherence-line size (default 128, the Itanium L2).
 	LineSize int
-	// Affinity selects CycleGain heuristic variants.
-	Affinity affinity.Options
 	// FLG holds k1/k2 and the alias oracle.
 	FLG flg.Options
 	// SliceCycles is the concurrency interval (default 1 ms at 1.2 GHz,
@@ -333,7 +331,7 @@ func (a *Analysis) buildFLG(structName string) (*flg.Graph, *staticshare.PriorRe
 	if st == nil {
 		return nil, nil, fmt.Errorf("core: unknown struct %q", structName)
 	}
-	ag := affinity.Build(a.Prog, a.Profile, st, a.Opts.Affinity)
+	ag := affinity.Build(a.Prog, a.Profile, st)
 	g := flg.Build(ag, a.Concurrency, a.FMF, a.Opts.FLG)
 	if a.Static != nil && (a.Concurrency == nil || a.QualityVerdict() == quality.Degraded) {
 		pr := a.Static.ApplyPrior(g)

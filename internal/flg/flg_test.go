@@ -37,7 +37,7 @@ func buildScenario(t testing.TB) (*ir.Program, *ir.StructType, *affinity.Graph, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag := affinity.Build(p, pf, s, affinity.Options{})
+	ag := affinity.Build(p, pf, s)
 	fmf := fieldmap.Build(p)
 
 	// Locate the two field-bearing blocks.
@@ -120,7 +120,7 @@ func TestReadOnlyConcurrencyNoLoss(t *testing.T) {
 	r2.Done()
 	p.MustFinalize()
 	pf, _ := profile.StaticEstimate(p, []string{"r1", "r2"})
-	ag := affinity.Build(p, pf, s, affinity.Options{})
+	ag := affinity.Build(p, pf, s)
 	fmf := fieldmap.Build(p)
 	var blks []ir.BlockID
 	for _, b := range p.Blocks() {

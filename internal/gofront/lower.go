@@ -11,8 +11,8 @@ import (
 // lowerFunc lowers one function body into an IR procedure. Deferred
 // mutex releases are emitted at the end of the body (LIFO), matching Go
 // function-exit semantics closely enough for lock-region analysis; a
-// body that lowers to nothing gets a unit compute so the CFG stays
-// well-formed.
+// body that lowers to nothing gets a unit compute, so every procedure
+// has at least one straight-line block.
 func (e *extractor) lowerFunc(fn *goFunc) {
 	b := e.prog.NewProc(fn.proc)
 	e.deferred = e.deferred[:0]

@@ -11,10 +11,10 @@ import (
 // programs with equal canonical forms behave identically under the
 // interpreter and every analysis: the walk covers struct shapes, regions,
 // and the full structured AST of every procedure — including branch
-// probabilities and loop trip counts, which the CFG Dump omits.
+// probabilities and which statements sit in which arm, which Dump omits.
 //
 // The walk is over the builder-facing AST (Procedure.Body), not the lowered
-// CFG, so it works on both finalized and unfinalized programs and is
+// blocks, so it works on both finalized and unfinalized programs and is
 // independent of block-numbering details. Floats render via the shortest
 // round-trip formatting, so distinct probabilities never collide.
 func Canonical(p *Program) string {

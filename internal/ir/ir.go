@@ -10,8 +10,10 @@
 //   - record (struct) types with C-like field sizes and alignments,
 //   - procedures built from a structured AST (straight-line code, counted
 //     loops, probabilistic branches, calls, lock operations),
-//   - a lowering pass that produces a basic-block control-flow graph with a
-//     loop nest and one synthetic source line per basic block,
+//   - a lowering pass that produces basic blocks with one synthetic source
+//     line each, the loop nest, and the structured execution tree the
+//     interpreter walks (loops come straight from the structured AST, so
+//     no control-flow graph is built or searched),
 //   - per-instruction field-access records (read/write).
 //
 // The execution engine (internal/exec) interprets the same IR, so profile
@@ -281,9 +283,12 @@ func (p *Program) mustMutable() {
 	}
 }
 
-// Finalize lowers every procedure to its CFG, assigns global block IDs and
-// source lines, resolves call targets, and validates the result. After
-// Finalize the program is immutable.
+// Finalize lowers every procedure to its blocks, loop nest and execution
+// tree, assigns global block IDs and source lines, and rejects programs
+// the interpreter cannot run: misplaced sync statements, empty loop
+// bodies, calls or spawns of undefined procedures, negative shared or
+// parameter instances, and recursion. After Finalize the program is
+// immutable.
 func (p *Program) Finalize() error {
 	if p.finalized {
 		return nil
@@ -294,7 +299,7 @@ func (p *Program) Finalize() error {
 	// Deterministic order: procedures in registration order.
 	nextLine := 1
 	for _, pr := range p.Procs {
-		if err := pr.lower(p, &nextLine); err != nil {
+		if err := pr.lower(&nextLine); err != nil {
 			return fmt.Errorf("ir: lowering %s: %w", pr.Name, err)
 		}
 		for _, b := range pr.Blocks {
@@ -325,7 +330,7 @@ func (p *Program) Finalize() error {
 			}
 		}
 	}
-	if err := p.validate(); err != nil {
+	if err := p.checkCallGraph(); err != nil {
 		return err
 	}
 	p.finalized = true
@@ -447,6 +452,47 @@ func (p *Program) checkSyncStmts() error {
 	}
 	for _, pr := range p.Procs {
 		if err := calledSync(pr, pr.Body); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkCallGraph rejects recursion (direct or mutual), traversing call
+// and spawn edges alike: the interpreter would not terminate on
+// recursion, and a task that (transitively) spawns its own entry
+// procedure would make the fork/join skeleton infinite.
+func (p *Program) checkCallGraph() error {
+	const (
+		white = iota
+		grey
+		black
+	)
+	color := make(map[string]int, len(p.Procs))
+	var visit func(name string, path []string) error
+	visit = func(name string, path []string) error {
+		switch color[name] {
+		case grey:
+			return fmt.Errorf("ir: recursive call cycle: %v -> %s", path, name)
+		case black:
+			return nil
+		}
+		color[name] = grey
+		pr := p.procByName[name]
+		for _, b := range pr.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == OpCall || in.Op == OpSpawn {
+					if err := visit(in.Callee, append(path, name)); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		color[name] = black
+		return nil
+	}
+	for _, pr := range p.Procs {
+		if err := visit(pr.Name, nil); err != nil {
 			return err
 		}
 	}

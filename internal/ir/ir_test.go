@@ -85,8 +85,8 @@ func TestFigure4Lowering(t *testing.T) {
 		t.Fatalf("got %d loops, want 1", len(pr.Loops))
 	}
 	l := pr.Loops[0]
-	if l.TripCount != 100 || l.Depth != 1 {
-		t.Fatalf("loop trip=%d depth=%d", l.TripCount, l.Depth)
+	if l.TripCount != 100 || l.Header.Loop != l {
+		t.Fatalf("loop trip=%d, header in loop %v", l.TripCount, l.Header.Loop)
 	}
 	// Straight-line block before the loop holds the two stores.
 	var pre *BasicBlock
@@ -109,15 +109,9 @@ func TestFigure4Lowering(t *testing.T) {
 	if body == nil || len(body.Instrs) != 4 {
 		t.Fatalf("expected one 4-instruction loop-body block")
 	}
-	// Back edge from body to header exists.
-	found := false
-	for _, s := range body.Succs {
-		if s == l.Header {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("missing back edge body->header")
+	// The loop holds its header and the body block, in that order.
+	if len(l.Blocks) != 2 || l.Blocks[0] != l.Header || l.Blocks[1] != body {
+		t.Fatalf("loop blocks = %v, want header then body", l.Blocks)
 	}
 }
 
@@ -150,7 +144,9 @@ func TestGlobalBlockIDs(t *testing.T) {
 	}
 }
 
-func TestNestedLoopsAndNaturalLoops(t *testing.T) {
+// nestedLoopsProgram nests three loops, with an access before the
+// inner loops and one after them.
+func nestedLoopsProgram() *Program {
 	p := NewProgram("nest")
 	s := figure4Struct()
 	p.AddStruct(s)
@@ -166,40 +162,41 @@ func TestNestedLoopsAndNaturalLoops(t *testing.T) {
 		b.Read(s, "f3", Shared(0))
 	})
 	b.Done()
-	p.MustFinalize() // validate() cross-checks natural loops
+	return p.MustFinalize()
+}
 
-	pr := p.Proc("f")
+func TestNestedLoops(t *testing.T) {
+	pr := nestedLoopsProgram().Proc("f")
 	if len(pr.Loops) != 3 {
 		t.Fatalf("got %d loops, want 3", len(pr.Loops))
 	}
-	if pr.Loops[0].Depth != 1 || pr.Loops[1].Depth != 2 || pr.Loops[2].Depth != 3 {
-		t.Fatalf("depths = %d,%d,%d", pr.Loops[0].Depth, pr.Loops[1].Depth, pr.Loops[2].Depth)
-	}
-	if pr.Loops[1].Parent != pr.Loops[0] || pr.Loops[2].Parent != pr.Loops[1] {
-		t.Fatal("parent links wrong")
-	}
-	nl := pr.NaturalLoops()
-	if len(nl) != 3 {
-		t.Fatalf("natural loops = %d, want 3", len(nl))
-	}
-	// Outer natural loop contains all blocks of inner loops.
-	var outer *NaturalLoop
-	for _, l := range nl {
-		if l.Header == pr.Loops[0].Header {
-			outer = l
+	for i, want := range []int64{10, 20, 30} {
+		if got := pr.Loops[i].TripCount; got != want {
+			t.Fatalf("loop %d trip = %d, want %d", i, got, want)
 		}
 	}
-	if outer == nil {
-		t.Fatal("outer natural loop missing")
+	// Each access block sits in its innermost loop; the read after the
+	// inner loops returns to the outer one.
+	var got []*Loop
+	for _, blk := range pr.Blocks {
+		if len(blk.Instrs) > 0 {
+			got = append(got, blk.Loop)
+		}
 	}
-	for _, blk := range pr.Loops[2].Blocks {
-		if !outer.Body[blk] {
-			t.Fatalf("inner block %s not in outer natural loop", blk.Name())
+	want := []*Loop{pr.Loops[0], pr.Loops[1], pr.Loops[2], pr.Loops[0]}
+	if len(got) != len(want) {
+		t.Fatalf("%d access blocks, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access block %d is not filed under %s", i, want[i].Name())
 		}
 	}
 }
 
-func TestIfLowering(t *testing.T) {
+// ifProgram reads f1, writes f2 or f3 behind a 0.25 branch, and reads f1
+// again.
+func ifProgram() *Program {
 	p := NewProgram("branch")
 	s := figure4Struct()
 	p.AddStruct(s)
@@ -211,27 +208,32 @@ func TestIfLowering(t *testing.T) {
 	)
 	b.Read(s, "f1", Shared(0))
 	b.Done()
-	p.MustFinalize()
+	return p.MustFinalize()
+}
 
-	pr := p.Proc("f")
-	// Find the cond block: synthetic with 2 successors.
-	var cond *BasicBlock
-	for _, blk := range pr.Blocks {
-		if blk.Synthetic && len(blk.Succs) == 2 {
-			cond = blk
+func TestIfLowering(t *testing.T) {
+	pr := ifProgram().Proc("f")
+	// Tree: entry, the first read, the branch, the second read, exit.
+	if len(pr.Tree) != 5 {
+		t.Fatalf("tree has %d nodes, want 5", len(pr.Tree))
+	}
+	br, ok := pr.Tree[2].(*ExecIf)
+	if !ok {
+		t.Fatalf("third node is %T, want *ExecIf", pr.Tree[2])
+	}
+	if br.Prob != 0.25 || !br.Cond.Synthetic || !br.Join.Synthetic {
+		t.Fatalf("branch prob=%v, cond synthetic=%t, join synthetic=%t", br.Prob, br.Cond.Synthetic, br.Join.Synthetic)
+	}
+	for arm, nodes := range map[string][]ExecNode{"then": br.Then, "else": br.Else} {
+		if len(nodes) != 1 {
+			t.Fatalf("%s arm has %d nodes, want 1", arm, len(nodes))
+		}
+		if blk, ok := nodes[0].(*ExecBlock); !ok || len(blk.Block.Instrs) != 1 || blk.Block.Instrs[0].Acc != Write {
+			t.Fatalf("%s arm is not one block holding one write", arm)
 		}
 	}
-	if cond == nil {
-		t.Fatal("no 2-successor cond block found")
-	}
-	idom := pr.Dominators()
-	for _, succ := range cond.Succs {
-		if !Dominates(idom, cond, succ) {
-			t.Fatalf("cond does not dominate arm %s", succ.Name())
-		}
-	}
-	if len(pr.NaturalLoops()) != 0 {
-		t.Fatal("branch-only CFG should have no natural loops")
+	if len(pr.Loops) != 0 {
+		t.Fatal("branch-only procedure has loops")
 	}
 }
 
@@ -366,11 +368,10 @@ func TestRegions(t *testing.T) {
 	p.AddRegion("heap", 1, false)
 }
 
-// TestDominatorProperties: on arbitrary structured programs, the entry
-// dominates every block and every block dominates itself; loop headers
-// dominate their bodies.
-func TestDominatorProperties(t *testing.T) {
-	p := NewProgram("domprops")
+// mixedProgram nests a loop holding a branch inside one arm of a branch,
+// followed by a second loop.
+func mixedProgram() *Program {
+	p := NewProgram("mixed")
 	s := figure4Struct()
 	p.AddStruct(s)
 	b := p.NewProc("f")
@@ -386,35 +387,5 @@ func TestDominatorProperties(t *testing.T) {
 	)
 	b.Loop(2, func(b *Builder) { b.Read(s, "f1", Shared(0)) })
 	b.Done()
-	p.MustFinalize()
-
-	pr := p.Proc("f")
-	idom := pr.Dominators()
-	for _, blk := range pr.Blocks {
-		if !Dominates(idom, pr.Entry, blk) {
-			t.Fatalf("entry does not dominate %s", blk.Name())
-		}
-		if !Dominates(idom, blk, blk) {
-			t.Fatalf("%s does not dominate itself", blk.Name())
-		}
-	}
-	for _, l := range pr.Loops {
-		for _, blk := range l.AllBlocks() {
-			if !Dominates(idom, l.Header, blk) {
-				t.Fatalf("loop header %s does not dominate body block %s", l.Header.Name(), blk.Name())
-			}
-		}
-	}
-	// Reverse postorder visits every block exactly once, entry first.
-	rpo := pr.ReversePostorder()
-	if rpo[0] != pr.Entry || len(rpo) != len(pr.Blocks) {
-		t.Fatalf("RPO wrong: first=%s len=%d/%d", rpo[0].Name(), len(rpo), len(pr.Blocks))
-	}
-	seen := map[*BasicBlock]bool{}
-	for _, blk := range rpo {
-		if seen[blk] {
-			t.Fatalf("RPO repeats %s", blk.Name())
-		}
-		seen[blk] = true
-	}
+	return p.MustFinalize()
 }

@@ -10,29 +10,25 @@ type lowerer struct {
 	loops    []*Loop // loop stack, innermost last
 }
 
-// lower converts the structured body into a CFG, loop nest and execution
-// tree. Called by Program.Finalize.
-func (pr *Procedure) lower(p *Program, nextLine *int) error {
+// lower converts the structured body into blocks, a loop nest and an
+// execution tree. Called by Program.Finalize.
+func (pr *Procedure) lower(nextLine *int) error {
 	if pr.Blocks != nil {
 		return fmt.Errorf("procedure %s lowered twice", pr.Name)
 	}
 	lo := &lowerer{proc: pr, file: pr.Name + ".c", nextLine: nextLine}
 
-	pr.Entry = lo.newBlock(true)
-	entry, exitBlk, nodes, err := lo.lowerList(pr.Body, pr.Entry)
+	entry := lo.newBlock(true)
+	nodes, err := lo.lowerList(pr.Body)
 	if err != nil {
 		return err
 	}
-	pr.Exit = lo.newBlock(true)
-	// entry == pr.Entry when the body is empty; otherwise the first body
-	// block was linked from pr.Entry inside lowerList.
-	_ = entry
-	lo.edge(exitBlk, pr.Exit)
+	exit := lo.newBlock(true)
 
 	pr.Tree = make([]ExecNode, 0, len(nodes)+2)
-	pr.Tree = append(pr.Tree, &ExecBlock{Block: pr.Entry})
+	pr.Tree = append(pr.Tree, &ExecBlock{Block: entry})
 	pr.Tree = append(pr.Tree, nodes...)
-	pr.Tree = append(pr.Tree, &ExecBlock{Block: pr.Exit})
+	pr.Tree = append(pr.Tree, &ExecBlock{Block: exit})
 	return nil
 }
 
@@ -56,39 +52,25 @@ func (lo *lowerer) newBlock(synthetic bool) *BasicBlock {
 	return b
 }
 
-func (lo *lowerer) edge(from, to *BasicBlock) {
-	from.Succs = append(from.Succs, to)
-	to.Preds = append(to.Preds, from)
-}
-
 // syncBlock lowers one sync statement (spawn/join/send/recv) into a
 // dedicated straight-line block holding exactly that instruction. The
 // dedicated block gives the happens-before layer a crisp boundary: every
 // block of the procedure lies entirely before or entirely after each
 // synchronization point.
-func (lo *lowerer) syncBlock(last, open **BasicBlock, nodes *[]ExecNode, in Instr) {
-	*open = nil
+func (lo *lowerer) syncBlock(in Instr) *ExecBlock {
 	b := lo.newBlock(false)
 	b.Instrs = append(b.Instrs, in)
-	lo.edge(*last, b)
-	*last = b
-	*nodes = append(*nodes, &ExecBlock{Block: b})
+	return &ExecBlock{Block: b}
 }
 
-// lowerList lowers a statement list. last is the block that falls through
-// into the list; the returned exit is the block that falls through out of
-// it (== last for an empty list).
-func (lo *lowerer) lowerList(stmts []Stmt, last *BasicBlock) (entry, exit *BasicBlock, nodes []ExecNode, err error) {
-	entry = last
+// lowerList lowers a statement list into its execution-tree nodes.
+func (lo *lowerer) lowerList(stmts []Stmt) (nodes []ExecNode, err error) {
 	var open *BasicBlock // current straight-line block accepting instructions
 
 	ensureOpen := func() *BasicBlock {
 		if open == nil {
-			b := lo.newBlock(false)
-			lo.edge(last, b)
-			last = b
-			open = b
-			nodes = append(nodes, &ExecBlock{Block: b})
+			open = lo.newBlock(false)
+			nodes = append(nodes, &ExecBlock{Block: open})
 		}
 		return open
 	}
@@ -114,73 +96,52 @@ func (lo *lowerer) lowerList(stmts []Stmt, last *BasicBlock) (entry, exit *Basic
 			b := ensureOpen()
 			b.Instrs = append(b.Instrs, Instr{Op: OpCall, Callee: s.Callee})
 		case *SpawnStmt:
-			lo.syncBlock(&last, &open, &nodes, Instr{Op: OpSpawn, Handle: s.Handle, Callee: s.Callee, SpawnCPU: s.CPU, SpawnParams: s.Params})
+			open = nil
+			nodes = append(nodes, lo.syncBlock(Instr{Op: OpSpawn, Handle: s.Handle, Callee: s.Callee, SpawnCPU: s.CPU, SpawnParams: s.Params}))
 		case *JoinStmt:
-			lo.syncBlock(&last, &open, &nodes, Instr{Op: OpJoin, Handle: s.Handle})
+			open = nil
+			nodes = append(nodes, lo.syncBlock(Instr{Op: OpJoin, Handle: s.Handle}))
 		case *SendStmt:
-			lo.syncBlock(&last, &open, &nodes, Instr{Op: OpSend, Chan: s.Chan})
+			open = nil
+			nodes = append(nodes, lo.syncBlock(Instr{Op: OpSend, Chan: s.Chan}))
 		case *RecvStmt:
-			lo.syncBlock(&last, &open, &nodes, Instr{Op: OpRecv, Chan: s.Chan})
+			open = nil
+			nodes = append(nodes, lo.syncBlock(Instr{Op: OpRecv, Chan: s.Chan}))
 		case *LoopStmt:
 			if len(s.Body) == 0 {
-				return nil, nil, nil, fmt.Errorf("empty loop body in %s", lo.proc.Name)
+				return nil, fmt.Errorf("empty loop body in %s", lo.proc.Name)
 			}
 			open = nil
-			var parent *Loop
-			if n := len(lo.loops); n > 0 {
-				parent = lo.loops[n-1]
-			}
 			loop := &Loop{
 				Index:     len(lo.proc.Loops),
 				Proc:      lo.proc,
-				Parent:    parent,
-				Depth:     len(lo.loops) + 1,
 				TripCount: s.Count,
-				stmt:      s,
 			}
 			lo.proc.Loops = append(lo.proc.Loops, loop)
-			if parent != nil {
-				parent.Children = append(parent.Children, loop)
-			}
 			lo.loops = append(lo.loops, loop)
-			header := lo.newBlock(true)
-			loop.Header = header
-			lo.edge(last, header)
-			_, bodyExit, bodyNodes, berr := lo.lowerList(s.Body, header)
-			if berr != nil {
-				return nil, nil, nil, berr
+			loop.Header = lo.newBlock(true)
+			body, err := lo.lowerList(s.Body)
+			if err != nil {
+				return nil, err
 			}
-			lo.edge(bodyExit, header) // back edge
 			lo.loops = lo.loops[:len(lo.loops)-1]
-			last = header
-			nodes = append(nodes, &ExecLoop{Loop: loop, Count: s.Count, Body: bodyNodes})
+			nodes = append(nodes, &ExecLoop{Loop: loop, Count: s.Count, Body: body})
 		case *IfStmt:
 			open = nil
 			cond := lo.newBlock(true)
-			lo.edge(last, cond)
-			_, thenExit, thenNodes, terr := lo.lowerList(s.Then, cond)
-			if terr != nil {
-				return nil, nil, nil, terr
+			then, err := lo.lowerList(s.Then)
+			if err != nil {
+				return nil, err
 			}
-			_, elseExit, elseNodes, eerr := lo.lowerList(s.Else, cond)
-			if eerr != nil {
-				return nil, nil, nil, eerr
+			els, err := lo.lowerList(s.Else)
+			if err != nil {
+				return nil, err
 			}
 			join := lo.newBlock(true)
-			if thenExit == cond && elseExit == cond {
-				// Both arms empty: single fallthrough edge.
-				lo.edge(cond, join)
-			} else {
-				lo.edge(thenExit, join)
-				if elseExit != thenExit {
-					lo.edge(elseExit, join)
-				}
-			}
-			last = join
-			nodes = append(nodes, &ExecIf{Prob: s.Prob, Cond: cond, Join: join, Then: thenNodes, Else: elseNodes})
+			nodes = append(nodes, &ExecIf{Prob: s.Prob, Cond: cond, Join: join, Then: then, Else: els})
 		default:
-			return nil, nil, nil, fmt.Errorf("unknown statement type %T in %s", s, lo.proc.Name)
+			return nil, fmt.Errorf("unknown statement type %T in %s", s, lo.proc.Name)
 		}
 	}
-	return entry, last, nodes, nil
+	return nodes, nil
 }

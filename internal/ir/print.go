@@ -6,7 +6,8 @@ import (
 )
 
 // Dump renders the lowered program for debugging and golden tests: each
-// procedure's blocks with line numbers, loop depth, instructions and edges.
+// procedure's blocks with line numbers, innermost loops and instructions,
+// then its loops.
 func (p *Program) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program %s\n", p.Name)
@@ -26,19 +27,19 @@ func (p *Program) Dump() string {
 	return b.String()
 }
 
-// Dump renders one procedure's CFG.
+// Dump renders one procedure's blocks and loops.
 func (pr *Procedure) Dump() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "proc %s (entry=#%d exit=#%d)\n", pr.Name, pr.Entry.Index, pr.Exit.Index)
+	fmt.Fprintf(&b, "proc %s\n", pr.Name)
 	for _, blk := range pr.Blocks {
 		tags := ""
 		if blk.Synthetic {
 			tags += " synthetic"
 		}
 		if blk.Loop != nil {
-			tags += fmt.Sprintf(" loop=%s depth=%d", blk.Loop.Name(), blk.Loop.Depth)
+			tags += " loop=" + blk.Loop.Name()
 		}
-		fmt.Fprintf(&b, "  #%d line=%s%s ->%s\n", blk.Index, blk.Line, tags, succList(blk))
+		fmt.Fprintf(&b, "  #%d line=%s%s\n", blk.Index, blk.Line, tags)
 		for _, in := range blk.Instrs {
 			fmt.Fprintf(&b, "    %s\n", in)
 		}
@@ -47,15 +48,4 @@ func (pr *Procedure) Dump() string {
 		fmt.Fprintf(&b, "  loop %s header=#%d trip=%d blocks=%d\n", l.Name(), l.Header.Index, l.TripCount, len(l.Blocks))
 	}
 	return b.String()
-}
-
-func succList(b *BasicBlock) string {
-	if len(b.Succs) == 0 {
-		return " (none)"
-	}
-	var sb strings.Builder
-	for _, s := range b.Succs {
-		fmt.Fprintf(&sb, " #%d", s.Index)
-	}
-	return sb.String()
 }

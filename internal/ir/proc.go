@@ -6,11 +6,12 @@ import "fmt"
 // Profiles, samples and concurrency maps key on BlockID.
 type BlockID int32
 
-// BasicBlock is a maximal straight-line run of instructions plus the
-// synthetic control blocks (loop headers, branch/join points) produced by
-// lowering. Every block carries exactly one synthetic source line; the
-// field-mapping file and the concurrency map both key on that line,
-// mirroring the paper's IP→source→block correlation (§4.3).
+// BasicBlock is a maximal straight-line run of instructions, or one of the
+// synthetic control blocks (procedure entry and exit, loop headers,
+// branch and join points) produced by lowering. Every block carries
+// exactly one synthetic source line; the field-mapping file and the
+// concurrency map both key on that line, mirroring the paper's
+// IP→source→block correlation (§4.3).
 type BasicBlock struct {
 	// Index is the block's position within its procedure.
 	Index int
@@ -20,8 +21,6 @@ type BasicBlock struct {
 	Proc *Procedure
 	// Instrs are the executable instructions; empty for synthetic blocks.
 	Instrs []Instr
-	// Succs and Preds are the CFG edges.
-	Succs, Preds []*BasicBlock
 	// Loop is the innermost loop containing this block, nil if none.
 	Loop *Loop
 	// Line is the block's synthetic source line.
@@ -48,7 +47,7 @@ func (b *BasicBlock) FieldInstrs() []Instr {
 	return out
 }
 
-// Loop is a natural loop produced by lowering a LoopStmt.
+// Loop is the lowering of one LoopStmt.
 type Loop struct {
 	// Index is the loop's position within its procedure (preorder).
 	Index int
@@ -56,39 +55,23 @@ type Loop struct {
 	Global int
 	// Proc is the owning procedure.
 	Proc *Procedure
-	// Parent is the enclosing loop, nil for top-level loops.
-	Parent *Loop
-	// Children are directly nested loops.
-	Children []*Loop
-	// Depth is the nesting depth; 1 for outermost loops.
-	Depth int
 	// Header is the synthetic header block (the trip-count test).
 	Header *BasicBlock
-	// Blocks are the blocks whose innermost containing loop is this loop
-	// (blocks of nested loops live in the nested loop's Blocks).
+	// Blocks are the blocks whose innermost containing loop is this loop,
+	// header first (blocks of nested loops live in the nested loop's
+	// Blocks).
 	Blocks []*BasicBlock
 	// TripCount is the static per-entry iteration count.
 	TripCount int64
-
-	stmt *LoopStmt
 }
 
 // Name renders proc$index.
 func (l *Loop) Name() string { return fmt.Sprintf("%s$L%d", l.Proc.Name, l.Index) }
 
-// AllBlocks returns the loop's blocks including nested loops', preorder.
-func (l *Loop) AllBlocks() []*BasicBlock {
-	out := append([]*BasicBlock(nil), l.Blocks...)
-	for _, c := range l.Children {
-		out = append(out, c.AllBlocks()...)
-	}
-	return out
-}
-
 // ExecNode is a node of the structured execution tree the interpreter
-// walks. Lowering produces one tree per procedure whose leaves reference
-// the CFG blocks, so interpretation and CFG-based analysis agree exactly on
-// block execution counts.
+// walks. Lowering produces one tree per procedure whose nodes reference
+// the procedure's blocks, so interpretation and block-based analysis agree
+// exactly on block execution counts.
 type ExecNode interface{ execNode() }
 
 // ExecBlock executes one basic block's instructions.
@@ -115,15 +98,16 @@ func (*ExecLoop) execNode()  {}
 func (*ExecIf) execNode()    {}
 
 // Procedure is a single function: a structured body plus, after lowering,
-// its CFG, loop nest and execution tree.
+// its blocks, loop nest and execution tree.
 type Procedure struct {
 	Name string
 	// Body is the structured AST the builder produced.
 	Body []Stmt
-	// Blocks is the lowered CFG in creation order; Blocks[0] is the entry.
+	// Blocks are the lowered blocks in creation order, which is the order
+	// a preorder walk of Tree meets them (an ExecLoop's header before its
+	// body, an ExecIf's Cond before its arms and Join after them): the
+	// synthetic entry block first, the synthetic exit block last.
 	Blocks []*BasicBlock
-	// Entry and Exit delimit the CFG.
-	Entry, Exit *BasicBlock
 	// Loops lists all loops preorder (outer before inner).
 	Loops []*Loop
 	// Tree is the structured execution tree for the interpreter.

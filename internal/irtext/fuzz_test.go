@@ -2,6 +2,8 @@ package irtext
 
 import (
 	"testing"
+
+	"structlayout/internal/ir"
 )
 
 // FuzzParse checks that arbitrary input never panics the parser, and that
@@ -26,7 +28,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("formatted output rejected: %v\ninput: %q\nformatted:\n%s", err, src, text)
 		}
-		if again.Prog.Dump() != file.Prog.Dump() {
+		if again.Prog.Dump() != file.Prog.Dump() || ir.Canonical(again.Prog) != ir.Canonical(file.Prog) {
 			t.Fatalf("round trip changed program for input %q", src)
 		}
 	})

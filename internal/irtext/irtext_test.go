@@ -3,6 +3,8 @@ package irtext
 import (
 	"strings"
 	"testing"
+
+	"structlayout/internal/ir"
 )
 
 const demo = `
@@ -113,6 +115,9 @@ func TestRoundTrip(t *testing.T) {
 	if got, want := f2.Prog.Dump(), f1.Prog.Dump(); got != want {
 		t.Fatalf("round trip changed the program:\n--- first ---\n%s\n--- second ---\n%s", want, got)
 	}
+	if got, want := ir.Canonical(f2.Prog), ir.Canonical(f1.Prog); got != want {
+		t.Fatalf("round trip changed the program's canonical form:\n--- first ---\n%s\n--- second ---\n%s", want, got)
+	}
 	if len(f2.Threads) != len(f1.Threads) || f2.Arenas["conn"] != f1.Arenas["conn"] {
 		t.Fatal("round trip lost harness declarations")
 	}
@@ -153,6 +158,11 @@ func TestParseErrors(t *testing.T) {
 		{"negative param instance", `program p  struct S { a i64 }  proc f { read S.a param -1 }`, "negative instance param[-1]"},
 		{"negative shared lock", `program p  struct S { l i64 }  proc f { lock S.l shared -1 unlock S.l shared -1 }`, "negative instance shared[-1]"},
 		{"negative thread param", `program p  proc f { compute 1 }  thread 0 f params 2 -3 iters 1`, "must be non-negative"},
+		{"spawn in loop", `program p  proc w { compute 1 }  proc f { loop 2 { spawn h 1 w } }`, "nested inside a loop"},
+		{"join in branch", `program p  proc w { compute 1 }  proc f { spawn h 1 w  if 0.5 { join h } }`, "nested inside a branch"},
+		{"join without spawn", `program p  proc f { join h }`, `join "h" does not follow a spawn`},
+		{"joined twice", `program p  proc w { compute 1 }  proc f { spawn h 1 w  join h  join h }`, `handle "h" joined twice`},
+		{"call to task entry", `program p  proc w { compute 1 }  proc t { spawn h 1 w  join h }  proc f { call t }`, "task entries must not be called"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
