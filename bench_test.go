@@ -228,14 +228,6 @@ func BenchmarkAblationK2(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOneClusterPerLine uses the idealized one-cluster-per-
-// line packing instead of separation-aware first fit.
-func BenchmarkAblationOneClusterPerLine(b *testing.B) {
-	ablationAutoA(b, func(cfg *experiments.Config) {
-		cfg.Tool.OneClusterPerLine = true
-	})
-}
-
 // BenchmarkConcurrencyCompute measures the CodeConcurrency computation
 // itself over a real collected trace, at the default and a coarser slice.
 func BenchmarkConcurrencyCompute(b *testing.B) {

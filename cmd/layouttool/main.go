@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -61,10 +62,6 @@ type options struct {
 	dotOut      *string
 	seed        *int64
 	scripts     *int64
-	k1          *float64
-	k2          *float64
-	topK        *int
-	noAlias     *bool
 	profileIn   *string
 	traceIn     *string
 	dumpDir     *string
@@ -95,10 +92,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 		dotOut:      fs.String("dot", "", "write the struct's Field Layout Graph as Graphviz DOT to this file"),
 		seed:        fs.Int64("seed", 20070311, "collection seed"),
 		scripts:     fs.Int64("collect-scripts", 12, "SDET scripts per thread during collection"),
-		k1:          fs.Float64("k1", 4, "CycleGain scale constant"),
-		k2:          fs.Float64("k2", 1, "CycleLoss scale constant"),
-		topK:        fs.Int("topk", 20, "positive edges kept by the incremental mode"),
-		noAlias:     fs.Bool("no-alias-analysis", false, "disable the alias-analysis CycleLoss mitigation"),
 		profileIn:   fs.String("profile", "", "read the profile from this JSON file instead of collecting"),
 		traceIn:     fs.String("trace", "", "read the sample trace from this JSON file instead of collecting"),
 		dumpDir:     fs.String("dump", "", "write profile.json, trace.json, concmap.txt and fmf.txt to this directory"),
@@ -153,11 +146,11 @@ func main() {
 	var analysis *core.Analysis
 	switch mode {
 	case "rank":
-		analysis, err = runRank(*o.programIn, *o.collectOn, *o.seed, *o.scripts, *o.k1, *o.k2, spec, *o.strict)
+		analysis, err = runRank(*o.programIn, *o.collectOn, *o.seed, *o.scripts, spec, *o.strict)
 	case "program":
-		analysis, err = runProgramFile(*o.programIn, *o.structLabel, *o.collectOn, *o.layoutMode, *o.seed, *o.k1, *o.k2, *o.topK, *o.split, *o.dotOut, spec, *o.strict, *o.measureRuns)
+		analysis, err = runProgramFile(*o.programIn, *o.structLabel, *o.collectOn, *o.layoutMode, *o.seed, *o.split, *o.dotOut, spec, *o.strict, *o.measureRuns)
 	default:
-		analysis, err = run(*o.structLabel, *o.collectOn, *o.layoutMode, *o.seed, *o.scripts, *o.k1, *o.k2, *o.topK, *o.noAlias, *o.split, *o.profileIn, *o.traceIn, *o.dumpDir, *o.dotOut, spec, *o.strict)
+		analysis, err = run(*o.structLabel, *o.collectOn, *o.layoutMode, *o.seed, *o.scripts, *o.split, *o.profileIn, *o.traceIn, *o.dumpDir, *o.dotOut, spec, *o.strict)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "layouttool:", err)
@@ -193,9 +186,9 @@ var modeFlags = map[string]string{
 	"cache-gc": "cache-gc cache-gc-age cache-gc-bytes",
 	"go-lint":  "go-lint lint-json",
 	"lint":     "lint lint-dir lint-json program collect-machine seed collect-scripts",
-	"rank":     "rank program collect-machine seed collect-scripts k1 k2 inject strict quality",
-	"program":  "program struct collect-machine mode seed k1 k2 topk split dot inject strict measure quality",
-	"built-in": "struct collect-machine mode seed collect-scripts k1 k2 topk no-alias-analysis split profile trace dump dot inject strict quality",
+	"rank":     "rank program collect-machine seed collect-scripts inject strict quality",
+	"program":  "program struct collect-machine mode seed split dot inject strict measure quality",
+	"built-in": "struct collect-machine mode seed collect-scripts split profile trace dump dot inject strict quality",
 }
 
 // usageErrors returns the command line's usage errors, found before any
@@ -498,7 +491,7 @@ func lintBuiltin(collectOn string, seed, scripts int64) ([]staticshare.Finding, 
 
 // runRank prints the whole-program struct ranking (the §5.1 key-structure
 // identification step) for the built-in workload or a DSL program.
-func runRank(programIn, collectOn string, seed, scripts int64, k1, k2 float64, spec *faults.Spec, strict bool) (*core.Analysis, error) {
+func runRank(programIn, collectOn string, seed, scripts int64, spec *faults.Spec, strict bool) (*core.Analysis, error) {
 	topo, err := machine.ByName(collectOn)
 	if err != nil {
 		return nil, err
@@ -523,7 +516,7 @@ func runRank(programIn, collectOn string, seed, scripts int64, k1, k2 float64, s
 			SliceCycles: cycles/64 + 1,
 			Strict:      strict,
 			FMF:         spec.ApplyFMF(fieldmap.Build(file.Prog), file.Prog),
-			FLG:         flg.Options{K1: k1, K2: k2},
+			FLG:         flg.Calibrated(),
 			Static:      &sc,
 		})
 		if err != nil {
@@ -540,14 +533,7 @@ func runRank(programIn, collectOn string, seed, scripts int64, k1, k2 float64, s
 		if err != nil {
 			return nil, err
 		}
-		analysis, err = core.NewAnalysis(suite.Prog, spec.ApplyProfile(pf), spec.ApplyTrace(trace), core.Options{
-			LineSize:    int(params.Cache.LineSize),
-			SliceCycles: workload.CollectSliceCycles,
-			Strict:      strict,
-			FMF:         spec.ApplyFMF(fieldmap.Build(suite.Prog), suite.Prog),
-			FLG:         flg.Options{K1: k1, K2: k2, AliasOracle: workload.PrivateAliasOracle(suite.Prog)},
-			Static:      suite.StaticConfig(topo, seed),
-		})
+		analysis, err = core.NewAnalysis(suite.Prog, spec.ApplyProfile(pf), spec.ApplyTrace(trace), builtinOptions(suite, topo, seed, spec, strict))
 		if err != nil {
 			return nil, err
 		}
@@ -561,7 +547,7 @@ func runRank(programIn, collectOn string, seed, scripts int64, k1, k2 float64, s
 }
 
 // runProgramFile drives the tool over a user-supplied irtext program.
-func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2 float64, topK int, split bool, dotOut string, spec *faults.Spec, strict bool, measureRuns int) (*core.Analysis, error) {
+func runProgramFile(path, structName, collectOn, mode string, seed int64, split bool, dotOut string, spec *faults.Spec, strict bool, measureRuns int) (*core.Analysis, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -594,13 +580,12 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2
 	fmt.Printf("collected %d samples over %d cycles\n", len(trace.Samples), cycles)
 	sc := staticshare.FileConfig(file)
 	analysis, err := core.NewAnalysis(file.Prog, pf, trace, core.Options{
-		LineSize:     cfg.LineSize(),
-		SliceCycles:  cycles/64 + 1, // ~64 slices over the run
-		TopKPositive: topK,
-		Strict:       strict,
-		FMF:          spec.ApplyFMF(fieldmap.Build(file.Prog), file.Prog),
-		FLG:          flg.Options{K1: k1, K2: k2},
-		Static:       &sc,
+		LineSize:    cfg.LineSize(),
+		SliceCycles: cycles/64 + 1, // ~64 slices over the run
+		Strict:      strict,
+		FMF:         spec.ApplyFMF(fieldmap.Build(file.Prog), file.Prog),
+		FLG:         flg.Calibrated(),
+		Static:      &sc,
 	})
 	if err != nil {
 		return nil, err
@@ -632,7 +617,7 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2
 		fmt.Printf("\n-- movement from declaration order --\n%s", report.Diff(orig, best))
 	}
 	if split {
-		adv, err := transform.Split(file.Prog, pf, st, transform.Options{LineSize: cfg.LineSize()})
+		adv, err := transform.Split(file.Prog, pf, st, cfg.LineSize())
 		if err != nil {
 			return nil, err
 		}
@@ -653,7 +638,7 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, k1, k2
 		}
 		fmt.Printf("measuring per-struct automatic layouts on %s (%d runs each, -j %d)...\n",
 			topo.Name, measureRuns, parallel.Limit())
-		ev, err := driver.Evaluate(file, cfg, base, variants, measureRuns, analysis.Quality)
+		ev, err := driver.EvaluateCtx(context.Background(), file, cfg, base, variants, measureRuns, analysis.Quality)
 		if err != nil {
 			return nil, err
 		}
@@ -680,7 +665,7 @@ func writeDOT(analysis *core.Analysis, structName, path string) error {
 	return nil
 }
 
-func run(structLabel, collectOn, mode string, seed, scripts int64, k1, k2 float64, topK int, noAlias, split bool, profileIn, traceIn, dumpDir, dotOut string, spec *faults.Spec, strict bool) (*core.Analysis, error) {
+func run(structLabel, collectOn, mode string, seed, scripts int64, split bool, profileIn, traceIn, dumpDir, dotOut string, spec *faults.Spec, strict bool) (*core.Analysis, error) {
 	ks := (&labelSet{}).lookup(structLabel)
 	if ks == "" {
 		return nil, fmt.Errorf("unknown struct %q (want A..E)", structLabel)
@@ -722,19 +707,7 @@ func run(structLabel, collectOn, mode string, seed, scripts int64, k1, k2 float6
 		fmt.Printf("collected %d samples\n", len(trace.Samples))
 	}
 
-	opts := core.Options{
-		LineSize:     lineSize,
-		SliceCycles:  workload.CollectSliceCycles,
-		TopKPositive: topK,
-		Strict:       strict,
-		FMF:          spec.ApplyFMF(fieldmap.Build(suite.Prog), suite.Prog),
-		FLG:          flg.Options{K1: k1, K2: k2},
-		Static:       suite.StaticConfig(topo, seed),
-	}
-	if !noAlias {
-		opts.FLG.AliasOracle = workload.PrivateAliasOracle(suite.Prog)
-	}
-	analysis, err := core.NewAnalysis(suite.Prog, spec.ApplyProfile(pf), spec.ApplyTrace(trace), opts)
+	analysis, err := core.NewAnalysis(suite.Prog, spec.ApplyProfile(pf), spec.ApplyTrace(trace), builtinOptions(suite, topo, seed, spec, strict))
 	if err != nil {
 		return nil, err
 	}
@@ -775,13 +748,29 @@ func run(structLabel, collectOn, mode string, seed, scripts int64, k1, k2 float6
 	}
 	if split {
 		st := suite.Struct(ks).Type
-		adv, err := transform.Split(suite.Prog, pf, st, transform.Options{LineSize: lineSize})
+		adv, err := transform.Split(suite.Prog, pf, st, lineSize)
 		if err != nil {
 			return nil, err
 		}
 		fmt.Println(adv)
 	}
 	return analysis, nil
+}
+
+// builtinOptions configures the analysis of the built-in workload the way
+// the experiments pipeline does, alias oracle included, plus the static
+// sharing pass and the fault spec's FMF damage.
+func builtinOptions(suite *workload.Suite, topo *machine.Topology, seed int64, spec *faults.Spec, strict bool) core.Options {
+	opts := core.Options{
+		LineSize:    int(suite.Params.Cache.LineSize),
+		SliceCycles: workload.CollectSliceCycles,
+		Strict:      strict,
+		FMF:         spec.ApplyFMF(fieldmap.Build(suite.Prog), suite.Prog),
+		FLG:         flg.Calibrated(),
+		Static:      suite.StaticConfig(topo, seed),
+	}
+	opts.FLG.AliasOracle = workload.PrivateAliasOracle(suite.Prog)
+	return opts
 }
 
 // labelSet validates struct labels.

@@ -27,7 +27,7 @@ func none(t *testing.T) *faults.Spec {
 func TestRunBuiltinStruct(t *testing.T) {
 	// Short collection, both modes, with dumps.
 	dir := t.TempDir()
-	analysis, err := run("B", "bus4", "both", 7, 2, 4, 1, 20, false, true, "", "", dir, filepath.Join(dir, "flg.dot"), none(t), false)
+	analysis, err := run("B", "bus4", "both", 7, 2, true, "", "", dir, filepath.Join(dir, "flg.dot"), none(t), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRunBuiltinStruct(t *testing.T) {
 		}
 	}
 	// Replay from the dumped profile+trace.
-	if _, err := run("B", "bus4", "auto", 7, 2, 4, 1, 20, false, false,
+	if _, err := run("B", "bus4", "auto", 7, 2, false,
 		filepath.Join(dir, "profile.json"), filepath.Join(dir, "trace.json"), "", "", none(t), false); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -64,13 +64,13 @@ thread 3 m iters 3
 		t.Fatal(err)
 	}
 	// -measure 2 exercises the multi-struct measurement loop end to end.
-	if _, err := runProgramFile(path, "s", "bus4", "both", 3, 4, 1, 20, true, "", none(t), false, 2); err != nil {
+	if _, err := runProgramFile(path, "s", "bus4", "both", 3, true, "", none(t), false, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runProgramFile(path, "nope", "bus4", "auto", 3, 4, 1, 20, false, "", none(t), false, 0); err == nil {
+	if _, err := runProgramFile(path, "nope", "bus4", "auto", 3, false, "", none(t), false, 0); err == nil {
 		t.Fatal("unknown struct accepted")
 	}
-	if _, err := runProgramFile(path, "s", "nowhere", "auto", 3, 4, 1, 20, false, "", none(t), false, 0); err == nil {
+	if _, err := runProgramFile(path, "s", "nowhere", "auto", 3, false, "", none(t), false, 0); err == nil {
 		t.Fatal("unknown machine accepted")
 	}
 }
@@ -95,7 +95,7 @@ thread 1 m iters 4
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runProgramFile(path, "s", "bus4", "auto", 3, 4, 1, 20, false, "", spec, false, 0); err != nil {
+	if _, err := runProgramFile(path, "s", "bus4", "auto", 3, false, "", spec, false, 0); err != nil {
 		t.Fatalf("graceful mode errored on injected faults: %v", err)
 	}
 }
@@ -230,16 +230,16 @@ func TestLintTreeParallelDeterminism(t *testing.T) {
 }
 
 func TestRunRankMode(t *testing.T) {
-	if _, err := runRank("", "bus4", 3, 2, 4, 1, none(t), false); err != nil {
+	if _, err := runRank("", "bus4", 3, 2, none(t), false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := run("Z", "bus4", "auto", 1, 1, 1, 1, 20, false, false, "", "", "", "", none(t), false); err == nil {
+	if _, err := run("Z", "bus4", "auto", 1, 1, false, "", "", "", "", none(t), false); err == nil {
 		t.Fatal("unknown label accepted")
 	}
-	if _, err := run("A", "vax", "auto", 1, 1, 1, 1, 20, false, false, "", "", "", "", none(t), false); err == nil {
+	if _, err := run("A", "vax", "auto", 1, 1, false, "", "", "", "", none(t), false); err == nil {
 		t.Fatal("unknown machine accepted")
 	}
 	// An unknown -mode is a usage error, caught before collection.
@@ -265,10 +265,10 @@ func TestFlagsUnreadByMode(t *testing.T) {
 		// Flags the mode silently ignored before.
 		{"-program " + slp + " -struct conn -dump out", "program", "dump"},
 		{"-program " + slp + " -profile /nonexistent.json", "program", "profile"},
-		{"-program " + slp + " -no-alias-analysis", "program", "no-alias-analysis"},
+		{"-program " + slp + " -lint-json out.json", "program", "lint-json"},
 		{"-program " + slp + " -collect-scripts 2", "program", "collect-scripts"},
 		{"-struct B -measure 2", "built-in", "measure"},
-		{"-rank -mode auto -topk 5 -split -dot g.dot -dump out", "rank", "dot dump mode split topk"},
+		{"-rank -mode auto -measure 5 -split -dot g.dot -dump out", "rank", "dot dump measure mode split"},
 		{"-lint -program " + slp + " -quality", "lint", "quality"},
 		{"-go-lint ./x -program " + slp, "go-lint", "program"},
 		{"-cache-gc -cache-dir c -lint", "cache-gc", "lint"},
@@ -335,12 +335,15 @@ func TestFlagsUnreadByMode(t *testing.T) {
 			t.Errorf("%s: usage errors %q, want %q", c.args, got, c.want)
 		}
 	}
-	// The removed simulation-mode switch is an unknown flag.
-	fs := flag.NewFlagSet("layouttool", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	defineFlags(fs)
-	if err := fs.Parse([]string{"-struct", "B", "-sim", "exact"}); err == nil {
-		t.Error("-sim parsed as a flag")
+	// The removed simulation-mode switch and analysis constants are
+	// unknown flags.
+	for _, args := range [][]string{{"-sim", "exact"}, {"-k1", "4"}, {"-k2", "1"}, {"-topk", "20"}, {"-no-alias-analysis"}} {
+		fs := flag.NewFlagSet("layouttool", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		defineFlags(fs)
+		if err := fs.Parse(append([]string{"-struct", "B"}, args...)); err == nil {
+			t.Errorf("%s parsed as a flag", args[0])
+		}
 	}
 }
 
@@ -352,14 +355,14 @@ func TestRunInjectedFaultsDegradeGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysis, err := run("B", "bus4", "auto", 7, 2, 4, 1, 20, false, false, "", "", "", "", spec, false)
+	analysis, err := run("B", "bus4", "auto", 7, 2, false, "", "", "", "", spec, false)
 	if err != nil {
 		t.Fatalf("graceful mode errored on injected faults: %v", err)
 	}
 	if got := qualityGate(analysis); got == 0 {
 		t.Fatalf("severity-0.6 faults passed the quality gate (exit %d, %s)", got, analysis.Quality)
 	}
-	if _, err := run("B", "bus4", "auto", 7, 2, 4, 1, 20, false, false, "", "", "", "", spec, true); err == nil {
+	if _, err := run("B", "bus4", "auto", 7, 2, false, "", "", "", "", spec, true); err == nil {
 		t.Fatal("strict mode accepted heavily faulted input")
 	}
 }
@@ -376,7 +379,7 @@ func TestQualityGateVerdicts(t *testing.T) {
 		{quality.SuspectBelow - 0.01, 3},
 		{quality.DegradedBelow - 0.01, 4},
 	}
-	a, err := run("B", "bus4", "auto", 7, 2, 4, 1, 20, false, false, "", "", "", "", none(t), false)
+	a, err := run("B", "bus4", "auto", 7, 2, false, "", "", "", "", none(t), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,10 +58,12 @@ func main() {
 	fmt.Print(g.Dump())
 
 	fmt.Println("\nFigure 5 cross-check:")
+	mismatches := 0
 	check := func(what string, got, want float64) {
 		status := "ok"
 		if got != want {
 			status = "MISMATCH"
+			mismatches++
 		}
 		fmt.Printf("  %-28s got %8.6g  want %8.6g  [%s]\n", what, got, want, status)
 	}
@@ -74,4 +76,7 @@ func main() {
 	check("W(f3) = nN", g.Writes[2], n*N)
 	check("R(f2) = 0", g.Reads[1], 0)
 	check("W(f2) = n", g.Writes[1], n)
+	if mismatches > 0 {
+		log.Fatalf("%d Figure 5 check(s) mismatched", mismatches)
+	}
 }

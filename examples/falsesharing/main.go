@@ -83,8 +83,8 @@ func main() {
 	for i := range clusters {
 		clusters[i] = []int{i}
 	}
-	spread, err := layout.PackClusters(st, "one-counter-per-line", clusters, 128,
-		layout.PackOptions{OneClusterPerLine: true})
+	apart := func(int, int) bool { return true } // no two counters share a line
+	spread, err := layout.PackClusters(st, "one-counter-per-line", clusters, 128, apart)
 	if err != nil {
 		log.Fatal(err)
 	}

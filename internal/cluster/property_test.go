@@ -99,9 +99,7 @@ func TestPackPropertySeparation(t *testing.T) {
 		n := int(rawN%20) + 2
 		g := randomGraph(n, seed)
 		res := Greedy(g, 128)
-		lay, err := layout.PackClusters(g.Struct, "prop", res.Clusters, 128, layout.PackOptions{
-			Separate: SeparatePredicate(g, res.Clusters),
-		})
+		lay, err := layout.PackClusters(g.Struct, "prop", res.Clusters, 128, SeparatePredicate(g, res.Clusters))
 		if err != nil {
 			return false
 		}

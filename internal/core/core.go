@@ -42,12 +42,6 @@ type Options struct {
 	// SliceCycles is the concurrency interval (default 1 ms at 1.2 GHz,
 	// scaled down by callers running short simulations).
 	SliceCycles int64
-	// TopKPositive is the important-edge budget of the incremental mode
-	// (the paper uses 20).
-	TopKPositive int
-	// OneClusterPerLine packs each cluster onto its own line instead of
-	// first-fit packing with separation constraints.
-	OneClusterPerLine bool
 	// FMF, when non-nil, replaces the field mapping file the analysis
 	// would derive from the program — the paper's pipeline reads the FMF
 	// from disk, so it can be stale or truncated relative to the program.
@@ -72,9 +66,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.SliceCycles == 0 {
 		o.SliceCycles = concurrency.DefaultSliceCycles
-	}
-	if o.TopKPositive == 0 {
-		o.TopKPositive = 20
 	}
 }
 
@@ -104,15 +95,8 @@ type Analysis struct {
 func (a *Analysis) Degraded() bool { return a.Diag.Degraded() }
 
 // QualityVerdict grades the analysis: the score-based verdict, escalated
-// to Degraded whenever the diagnostics log recorded a defined fallback
-// (a fallback is certain damage; the score alone only suspects it).
-func (a *Analysis) QualityVerdict() quality.Verdict {
-	v := a.Quality.Verdict()
-	if a.Degraded() && v < quality.Degraded {
-		v = quality.Degraded
-	}
-	return v
-}
+// to Degraded whenever the diagnostics log recorded a defined fallback.
+func (a *Analysis) QualityVerdict() quality.Verdict { return report.Verdict(a.Quality, a.Diag) }
 
 // NewAnalysis assembles an analysis from collected data. trace may be nil
 // (no concurrency collection: the tool degrades to locality-only layout,
@@ -351,10 +335,7 @@ func (a *Analysis) Suggest(structName string, original *layout.Layout) (*Suggest
 		return nil, err
 	}
 	res := cluster.Greedy(g, a.Opts.LineSize)
-	lay, err := layout.PackClusters(g.Struct, "flg-auto", res.Clusters, a.Opts.LineSize, layout.PackOptions{
-		OneClusterPerLine: a.Opts.OneClusterPerLine,
-		Separate:          cluster.SeparatePredicate(g, res.Clusters),
-	})
+	lay, err := layout.PackClusters(g.Struct, "flg-auto", res.Clusters, a.Opts.LineSize, cluster.SeparatePredicate(g, res.Clusters))
 	if err != nil {
 		return nil, err
 	}
@@ -378,7 +359,6 @@ func (a *Analysis) Suggest(structName string, original *layout.Layout) (*Suggest
 			Clustering:  res,
 			Suggested:   lay,
 			Original:    original,
-			TopEdges:    10,
 			Diagnostics: a.Diag,
 			Quality:     a.Quality,
 			Static:      static,
@@ -400,6 +380,10 @@ func (a *Analysis) Lint(layouts map[string]*layout.Layout) []staticshare.Finding
 	return fs
 }
 
+// topKPositive is the incremental mode's budget of positive edges (§5.2
+// keeps all negative edges and the top 20 positive ones).
+const topKPositive = 20
+
 // Best runs the incremental mode of §5.2: important edges only, cluster the
 // subgraph, and alter the original layout so the constraints are met.
 func (a *Analysis) Best(structName string, original *layout.Layout) (*layout.Layout, cluster.Result, error) {
@@ -407,7 +391,7 @@ func (a *Analysis) Best(structName string, original *layout.Layout) (*layout.Lay
 	if err != nil {
 		return nil, cluster.Result{}, err
 	}
-	important := g.ImportantEdges(a.Opts.TopKPositive)
+	important := g.ImportantEdges(topKPositive)
 	sub := g.Subgraph(important)
 	res := cluster.GreedySubgraph(sub, a.Opts.LineSize)
 	lay, err := layout.ApplyConstraints(original, "incremental", res.Clusters)

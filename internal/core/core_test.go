@@ -238,31 +238,8 @@ func TestNewAnalysisValidation(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	o.fillDefaults()
-	if o.LineSize != 128 || o.TopKPositive != 20 || o.SliceCycles <= 0 {
+	if o.LineSize != 128 || o.SliceCycles <= 0 {
 		t.Fatalf("defaults = %+v", o)
-	}
-}
-
-func TestOneClusterPerLineOption(t *testing.T) {
-	p, s := scenario(t)
-	pf, trace := collect(t, p, s)
-	a, err := NewAnalysis(p, pf, trace, Options{LineSize: 128, SliceCycles: 2000, OneClusterPerLine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sugg, err := a.Suggest("S", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Idealized one-line-per-cluster mode can only use more lines.
-	aDefault, _ := NewAnalysis(p, pf, trace, Options{LineSize: 128, SliceCycles: 2000})
-	sDefault, err := aDefault.Suggest("S", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sugg.Auto.NumLines() < sDefault.Auto.NumLines() {
-		t.Fatalf("one-cluster-per-line used fewer lines (%d) than packed (%d)",
-			sugg.Auto.NumLines(), sDefault.Auto.NumLines())
 	}
 }
 

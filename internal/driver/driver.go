@@ -145,9 +145,9 @@ func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.R
 		// The injectors model measurement error, so they sit on the
 		// collection boundary: every collected artifact a Run hands out is
 		// already faulted, whichever path asked for it (Collect, a direct
-		// Run with sampling, or Evaluate's measurement loop — whose MeasureCtx
-		// nils Inject per run because throughput is simulated, not
-		// collected). The simulated run itself is never perturbed.
+		// Run with sampling, or EvaluateCtx's measurement loop — whose
+		// MeasureCtx nils Inject per run because throughput is simulated,
+		// not collected). The simulated run itself is never perturbed.
 		res.Profile = cfg.Inject.ApplyProfile(res.Profile)
 		res.Trace = cfg.Inject.ApplyTrace(res.Trace)
 	}
@@ -222,22 +222,17 @@ type EvalResult struct {
 	Quality *quality.Assessment
 }
 
-// Evaluate is the driver's multi-struct measurement loop — the §5.1
+// EvaluateCtx is the driver's multi-struct measurement loop — the §5.1
 // protocol for DSL programs: measure the file under the base layouts, then
 // re-measure with each struct's variant applied individually. The baseline
 // and every struct cell are independent measurements, so they fan out over
 // the worker pool; rows assemble in sorted struct order, keeping the table
 // byte-identical at any -j. q, when non-nil, is the quality assessment of
 // the collection that produced the variants; it is attached to the result
-// and rendered alongside the table.
-func Evaluate(f *irtext.File, cfg Config, base, variants map[string]*layout.Layout, runs int, q *quality.Assessment) (*EvalResult, error) {
-	return EvaluateCtx(context.Background(), f, cfg, base, variants, runs, q)
-}
-
-// EvaluateCtx is Evaluate under a context: cancellation stops dequeuing
-// both whole measurement cells and the runs inside each cell (see
-// MeasureCtx), so a timed-out caller stops consuming workers at the next
-// run boundary instead of measuring the full table to completion.
+// and rendered alongside the table. Cancellation stops dequeuing both
+// whole measurement cells and the runs inside each cell (see MeasureCtx),
+// so a timed-out caller stops consuming workers at the next run boundary
+// instead of measuring the full table to completion.
 func EvaluateCtx(ctx context.Context, f *irtext.File, cfg Config, base, variants map[string]*layout.Layout, runs int, q *quality.Assessment) (*EvalResult, error) {
 	names := make([]string, 0, len(variants))
 	for name := range variants {

@@ -389,7 +389,7 @@ func TestEvaluateMultiStruct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Evaluate(f, cfg, base, map[string]*layout.Layout{"conn": rev}, 3, nil)
+	ev, err := EvaluateCtx(context.Background(), f, cfg, base, map[string]*layout.Layout{"conn": rev}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestMeasureMemoized(t *testing.T) {
 	}
 	// A layout change must change the key too.
 	st := f.Prog.Struct("conn")
-	alt, err := layout.PackClusters(st, "alt", [][]int{{4, 3, 2, 1, 0}}, 128, layout.PackOptions{})
+	alt, err := layout.PackClusters(st, "alt", [][]int{{4, 3, 2, 1, 0}}, 128, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,13 +82,13 @@ func TestFalseSharingCostsCycles(t *testing.T) {
 	topo := machine.Superdome128()
 	// Dense layout: all four counters in one 128B line.
 	dense := func(s *ir.StructType) *layout.Layout { return origLayout(t, s) }
-	// Spread layout: one counter per line via one-cluster-per-line packing.
+	// Spread layout: one counter per line (every cluster pair separated).
 	spread := func(s *ir.StructType) *layout.Layout {
 		clusters := make([][]int, len(s.Fields))
 		for i := range clusters {
 			clusters[i] = []int{i}
 		}
-		l, err := layout.PackClusters(s, "spread", clusters, 128, layout.PackOptions{OneClusterPerLine: true})
+		l, err := layout.PackClusters(s, "spread", clusters, 128, func(int, int) bool { return true })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestMemoryDistanceEffect(t *testing.T) {
 		} else {
 			var err error
 			lay, err = layout.PackClusters(s, "apart", [][]int{{0}, {1}}, 128,
-				layout.PackOptions{OneClusterPerLine: true})
+				func(int, int) bool { return true })
 			if err != nil {
 				t.Fatal(err)
 			}

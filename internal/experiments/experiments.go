@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"structlayout/internal/core"
+	"structlayout/internal/faults"
 	"structlayout/internal/flg"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
@@ -27,7 +28,7 @@ import (
 
 // Config parameterizes the reproduction.
 type Config struct {
-	// Params are the workload knobs.
+	// Params are the workload's run length and evaluation cache.
 	Params workload.Params
 	// CollectTopo is the machine used for profile+concurrency collection;
 	// the paper uses its 16-way machine.
@@ -55,13 +56,7 @@ func DefaultConfig() Config {
 		Tool: core.Options{
 			LineSize:    int(p.Cache.LineSize),
 			SliceCycles: workload.CollectSliceCycles,
-			// k1/k2 balance profiled CycleGain against sampled CycleLoss.
-			// Profile counts run ~2-3 orders of magnitude above sample
-			// counts; k1=4 keeps moderate real affinities (e.g. a lock
-			// with the fields it guards) from being shattered by tiny
-			// sampled concurrency, while leaving gain-free pairs (the
-			// per-class statistics counters) fully separated.
-			FLG: flg.Options{K1: 4, K2: 1},
+			FLG:         flg.Calibrated(),
 		},
 	}
 }
@@ -82,57 +77,33 @@ type Pipeline struct {
 }
 
 // NewPipeline runs collection and the layout tool for all five structs.
+// The analysis is the robustness sweep's at the zero fault spec, where
+// every injector returns its input unchanged.
 func NewPipeline(cfg Config) (*Pipeline, error) {
-	suite, err := workload.NewSuite(cfg.Params)
+	sw, err := newSweep(cfg)
 	if err != nil {
 		return nil, err
 	}
-	lineSize := int(cfg.Params.Cache.LineSize)
-	baselines := suite.BaselineLayouts(lineSize)
-
-	// Collection phase: longer run under baseline layouts.
-	collectParams := cfg.Params
-	if cfg.CollectScripts > 0 {
-		collectParams.ScriptsPerThread = cfg.CollectScripts
-	}
-	collectSuite, err := workload.NewSuite(collectParams)
+	suggs, analysis, err := sw.analyze(faults.New(cfg.BaseSeed))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	pf, trace, err := collectSuite.Collect(cfg.CollectTopo, collectSuite.BaselineLayouts(lineSize), cfg.BaseSeed)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: collection: %w", err)
-	}
-
-	toolOpts := cfg.Tool
-	toolOpts.LineSize = lineSize
-	if toolOpts.FLG.AliasOracle == nil {
-		toolOpts.FLG.AliasOracle = workload.PrivateAliasOracle(collectSuite.Prog)
-	}
-	analysis, err := core.NewAnalysis(collectSuite.Prog, pf, trace, toolOpts)
-	if err != nil {
-		return nil, err
-	}
-
 	p := &Pipeline{
 		Cfg:       cfg,
-		Suite:     suite,
+		Suite:     sw.suite,
 		Analysis:  analysis,
-		Baselines: baselines,
+		Baselines: sw.baselines,
 		Auto:      make(workload.Layouts),
 		Hotness:   make(workload.Layouts),
 		Best:      make(workload.Layouts),
 		Reports:   make(map[string]string),
 	}
-	hotCounts := profile.ProgramFieldCounts(collectSuite.Prog, pf)
+	lineSize := int(cfg.Params.Cache.LineSize)
+	hotCounts := profile.ProgramFieldCounts(sw.collectSuite.Prog, sw.pf)
 	for _, label := range workload.Labels() {
-		ks := suite.Struct(label)
-		sugg, err := analysis.Suggest(ks.Type.Name, baselines[label])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: suggest %s: %w", label, err)
-		}
-		p.Auto[label] = sugg.Auto
-		p.Reports[label] = sugg.Report.String()
+		ks := sw.suite.Struct(label)
+		p.Auto[label] = suggs[label].Auto
+		p.Reports[label] = suggs[label].Report.String()
 
 		hot := make(map[int]float64, len(ks.Type.Fields))
 		for fi := range ks.Type.Fields {
@@ -144,7 +115,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		}
 		p.Hotness[label] = hotLay
 
-		best, _, err := analysis.Best(ks.Type.Name, baselines[label])
+		best, _, err := analysis.Best(ks.Type.Name, sw.baselines[label])
 		if err != nil {
 			return nil, fmt.Errorf("experiments: best %s: %w", label, err)
 		}

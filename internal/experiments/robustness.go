@@ -90,7 +90,7 @@ func Robustness(cfg Config, base *faults.Spec, severities []float64, topo *machi
 	}
 	suite, baselines, trace := sw.suite, sw.baselines, sw.trace
 
-	cleanAutos, _, err := sw.analyze(base.Scale(0))
+	clean, _, err := sw.analyze(base.Scale(0))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: robustness clean analysis: %w", err)
 	}
@@ -98,6 +98,7 @@ func Robustness(cfg Config, base *faults.Spec, severities []float64, topo *machi
 	if err != nil {
 		return nil, err
 	}
+	cleanAutos := autoLayouts(clean)
 	cleanMeas, err := suite.Measure(topo, withAll(baselines, cleanAutos), cfg.Runs, cfg.BaseSeed)
 	if err != nil {
 		return nil, err
@@ -115,11 +116,12 @@ func Robustness(cfg Config, base *faults.Spec, severities []float64, topo *machi
 		sev := severities[i]
 		sp := base.Scale(sev)
 		row := RobustnessRow{Severity: sev, Spec: sp.String(), Samples: len(sp.ApplyTrace(trace).Samples)}
-		autos, a, err := sw.analyze(sp)
+		suggs, a, err := sw.analyze(sp)
 		if err != nil {
 			row.Err = err.Error()
 			return row, nil
 		}
+		autos := autoLayouts(suggs)
 		row.Degraded = a.Degraded()
 		row.Diags = a.Diag.Len()
 		row.Quality = a.Quality.Score
@@ -141,8 +143,9 @@ func Robustness(cfg Config, base *faults.Spec, severities []float64, topo *machi
 }
 
 // sweep holds one clean collection of the built-in workload plus everything
-// needed to replay the analysis under scaled fault specs. Robustness (which
-// also measures throughput) and QualityCalibration (analyze-only) share it.
+// needed to replay the analysis under scaled fault specs. NewPipeline (at
+// the zero spec), Robustness (which also measures throughput) and
+// QualityCalibration (analyze-only) share it.
 type sweep struct {
 	suite, collectSuite *workload.Suite
 	baselines           workload.Layouts
@@ -170,7 +173,7 @@ func newSweep(cfg Config) (*sweep, error) {
 	}
 	sw.pf, sw.trace, err = sw.collectSuite.Collect(cfg.CollectTopo, sw.collectSuite.BaselineLayouts(lineSize), cfg.BaseSeed)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: robustness collection: %w", err)
+		return nil, fmt.Errorf("experiments: collection: %w", err)
 	}
 	sw.fullFMF = fieldmap.Build(sw.collectSuite.Prog)
 
@@ -183,24 +186,33 @@ func newSweep(cfg Config) (*sweep, error) {
 }
 
 // analyze replays the analysis pipeline over the shared collection with the
-// given fault spec applied, and derives every struct's automatic layout.
-func (sw *sweep) analyze(sp *faults.Spec) (workload.Layouts, *core.Analysis, error) {
+// given fault spec applied, and returns every struct's suggestion by label.
+func (sw *sweep) analyze(sp *faults.Spec) (map[string]*core.Suggestion, *core.Analysis, error) {
 	opts := sw.toolOpts
 	opts.FMF = sp.ApplyFMF(sw.fullFMF, sw.collectSuite.Prog)
 	a, err := core.NewAnalysis(sw.collectSuite.Prog, sp.ApplyProfile(sw.pf), sp.ApplyTrace(sw.trace), opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	autos := make(workload.Layouts, len(workload.Labels()))
+	suggs := make(map[string]*core.Suggestion, len(workload.Labels()))
 	for _, label := range workload.Labels() {
 		ks := sw.suite.Struct(label)
 		sugg, err := a.Suggest(ks.Type.Name, sw.baselines[label])
 		if err != nil {
 			return nil, nil, fmt.Errorf("suggest %s: %w", label, err)
 		}
+		suggs[label] = sugg
+	}
+	return suggs, a, nil
+}
+
+// autoLayouts picks each suggestion's automatic layout.
+func autoLayouts(suggs map[string]*core.Suggestion) workload.Layouts {
+	autos := make(workload.Layouts, len(suggs))
+	for label, sugg := range suggs {
 		autos[label] = sugg.Auto
 	}
-	return autos, a, nil
+	return autos
 }
 
 // QualityPoint is one severity's measurement-quality outcome.

@@ -45,6 +45,15 @@ type Options struct {
 	Diag *diag.Log
 }
 
+// Calibrated returns the k1/k2 every tool surface runs with (the
+// experiments, layoutd and layouttool). They balance profiled CycleGain
+// against sampled CycleLoss: profile counts run ~2-3 orders of magnitude
+// above sample counts, and k1=4 keeps moderate real affinities (e.g. a
+// lock with the fields it guards) from being shattered by tiny sampled
+// concurrency, while leaving gain-free pairs (the per-class statistics
+// counters) fully separated.
+func Calibrated() Options { return Options{K1: 4, K2: 1} }
+
 func (o *Options) fillDefaults() {
 	if o.K1 == 0 {
 		o.K1 = 1

@@ -108,24 +108,16 @@ func SortByHotness(st *ir.StructType, hotness map[int]float64, lineSize int) (*L
 	return FromOrder(st, "sort-by-hotness", order, lineSize)
 }
 
-// PackOptions controls cluster materialization.
-type PackOptions struct {
-	// OneClusterPerLine forces every cluster onto its own cache line
-	// (the paper's idealized model). When false, clusters pack first-fit
-	// into lines but never co-resident with a cluster they must be
-	// separated from.
-	OneClusterPerLine bool
-	// Separate reports whether two clusters (by index) must not share a
-	// cache line — typically "a negative FLG edge connects them". May be
-	// nil when no separation constraints exist.
-	Separate func(ci, cj int) bool
-}
-
 // PackClusters lays out a cluster partition. Clusters are placed in the
 // given order; each cluster's fields stay contiguous and within one cache
 // line (the clustering algorithm guarantees each cluster fits in a line).
+// Clusters pack first-fit into lines, but never onto a line holding a
+// cluster they must be separated from: separate reports whether two
+// clusters (by index) must not share a cache line — typically "a negative
+// FLG edge connects them" — and may be nil when no separation constraints
+// exist. A predicate that always holds puts every cluster on its own line.
 // Padding is inserted when a cluster starts a new line.
-func PackClusters(st *ir.StructType, name string, clusters [][]int, lineSize int, opts PackOptions) (*Layout, error) {
+func PackClusters(st *ir.StructType, name string, clusters [][]int, lineSize int, separate func(ci, cj int) bool) (*Layout, error) {
 	var flat []int
 	for _, c := range clusters {
 		flat = append(flat, c...)
@@ -154,13 +146,10 @@ func PackClusters(st *ir.StructType, name string, clusters [][]int, lineSize int
 		for _, fi := range c {
 			end = align(end, st.Fields[fi].Align) + st.Fields[fi].Size
 		}
-		newLine := opts.OneClusterPerLine && start%lineSize != 0
-		if !newLine && end > (start/lineSize+1)*lineSize && start%lineSize != 0 {
-			newLine = true
-		}
-		if !newLine && opts.Separate != nil {
+		newLine := end > (start/lineSize+1)*lineSize && start%lineSize != 0
+		if !newLine && separate != nil {
 			for _, cj := range lineOccupants[start/lineSize] {
-				if opts.Separate(ci, cj) || opts.Separate(cj, ci) {
+				if separate(ci, cj) || separate(cj, ci) {
 					newLine = true
 					break
 				}

@@ -100,7 +100,7 @@ func TestSortByHotness(t *testing.T) {
 func TestPackClustersSeparateLines(t *testing.T) {
 	st := mixedStruct()
 	clusters := [][]int{{1, 4}, {0, 2, 3}, {5, 6, 7}}
-	l, err := PackClusters(st, "packed", clusters, 128, PackOptions{OneClusterPerLine: true})
+	l, err := PackClusters(st, "packed", clusters, 128, apart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +119,30 @@ func TestPackClustersSeparateLines(t *testing.T) {
 	if l.NumLines() != 3 {
 		t.Fatalf("lines = %d, want 3", l.NumLines())
 	}
+
+	// The falsesharing example's spread layout: eight 8-byte counters,
+	// one singleton cluster each, one counter per 128-byte line.
+	ctrs := make([]ir.Field, 8)
+	single := make([][]int, len(ctrs))
+	for i := range ctrs {
+		ctrs[i] = ir.I64(fmt.Sprintf("ctr%d", i))
+		single[i] = []int{i}
+	}
+	spread, err := PackClusters(ir.NewStruct("counters", ctrs...), "spread", single, 128, apart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, off := range spread.Offsets {
+		if off != 128*i {
+			t.Fatalf("offsets %v, want 0, 128, ..., 896", spread.Offsets)
+		}
+	}
 }
 
 func TestPackClustersFirstFit(t *testing.T) {
 	st := mixedStruct()
 	clusters := [][]int{{1, 4}, {0, 2, 3}, {5, 6, 7}}
-	l, err := PackClusters(st, "packed", clusters, 128, PackOptions{})
+	l, err := PackClusters(st, "packed", clusters, 128, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +156,7 @@ func TestPackClustersSeparationPredicate(t *testing.T) {
 	st := mixedStruct()
 	clusters := [][]int{{1, 4}, {0, 2, 3}, {5, 6, 7}}
 	sep := func(a, b int) bool { return (a == 0 && b == 1) || (a == 1 && b == 0) }
-	l, err := PackClusters(st, "packed", clusters, 128, PackOptions{Separate: sep})
+	l, err := PackClusters(st, "packed", clusters, 128, sep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +171,7 @@ func TestPackClustersSeparationPredicate(t *testing.T) {
 
 func TestPackClustersTooBig(t *testing.T) {
 	st := ir.NewStruct("Big", ir.Arr("a", 20, 8, 8), ir.I64("b"))
-	if _, err := PackClusters(st, "x", [][]int{{0, 1}}, 128, PackOptions{}); err == nil {
+	if _, err := PackClusters(st, "x", [][]int{{0, 1}}, 128, nil); err == nil {
 		t.Fatal("oversized cluster accepted")
 	}
 }
@@ -289,8 +307,7 @@ func TestEmitC(t *testing.T) {
 		ir.I64("a"), ir.I32("b"), ir.I16("c"), ir.I8("d"),
 		ir.Arr("buf", 3, 8, 8), ir.Pad("resv", 5),
 	)
-	l, err := PackClusters(st, "emit", [][]int{{0}, {1, 2, 3}, {4, 5}}, 64,
-		layoutPackSeparateAll())
+	l, err := PackClusters(st, "emit", [][]int{{0}, {1, 2, 3}, {4, 5}}, 64, apart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,10 +334,8 @@ func TestEmitC(t *testing.T) {
 	}
 }
 
-// layoutPackSeparateAll forces one cluster per line for the emit test.
-func layoutPackSeparateAll() PackOptions {
-	return PackOptions{OneClusterPerLine: true}
-}
+// apart separates every pair of clusters: one cluster per line.
+func apart(int, int) bool { return true }
 
 // TestEmitCPaddingAccountsForEverything: declared members plus pads cover
 // the full struct size with no overlap (parse sizes back out of the text).

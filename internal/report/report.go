@@ -28,8 +28,6 @@ type Report struct {
 	Suggested *layout.Layout
 	// Original is the pre-existing layout, for the side-by-side diff.
 	Original *layout.Layout
-	// TopEdges bounds how many large-weight edges are listed each way.
-	TopEdges int
 	// Diagnostics carries the analysis pipeline's data-quality log; when
 	// it records a degradation the advisory is visibly flagged, because a
 	// layout suggested without (say) concurrency evidence cannot promise
@@ -51,13 +49,21 @@ func (r *Report) Degraded() bool { return r.Diagnostics.Degraded() }
 
 // QualityVerdict grades the advisory's evidence: the score-based verdict,
 // escalated to Degraded when the diagnostics log recorded a fallback.
-func (r *Report) QualityVerdict() quality.Verdict {
-	v := r.Quality.Verdict()
-	if r.Degraded() && v < quality.Degraded {
+func (r *Report) QualityVerdict() quality.Verdict { return Verdict(r.Quality, r.Diagnostics) }
+
+// Verdict grades evidence: q's score-based verdict, escalated to Degraded
+// whenever log recorded a defined fallback (a fallback is certain damage;
+// the score alone only suspects it).
+func Verdict(q *quality.Assessment, log *diag.Log) quality.Verdict {
+	v := q.Verdict()
+	if log.Degraded() && v < quality.Degraded {
 		v = quality.Degraded
 	}
 	return v
 }
+
+// topEdges bounds how many large-weight edges the advisory lists each way.
+const topEdges = 10
 
 // String renders the full advisory text.
 func (r *Report) String() string {
@@ -82,14 +88,10 @@ func (r *Report) String() string {
 		fmt.Fprintln(&sb)
 	}
 
-	top := r.TopEdges
-	if top <= 0 {
-		top = 10
-	}
 	fmt.Fprintf(&sb, "\n-- large positive edges (co-locate) --\n")
 	pos := 0
 	for _, e := range r.Graph.Edges() {
-		if e.Weight() <= 0 || pos >= top {
+		if e.Weight() <= 0 || pos >= topEdges {
 			break
 		}
 		pos++
@@ -98,7 +100,7 @@ func (r *Report) String() string {
 	}
 	fmt.Fprintf(&sb, "\n-- large negative edges (separate: potential false sharing) --\n")
 	negs := r.Graph.NegativeEdges()
-	for i := 0; i < len(negs) && i < top; i++ {
+	for i := 0; i < len(negs) && i < topEdges; i++ {
 		e := negs[len(negs)-1-i] // most negative first
 		fmt.Fprintf(&sb, "  %-20s x %-20s  %.6g (gain %.6g, loss %.6g)\n",
 			st.Fields[e.F1].Name, st.Fields[e.F2].Name, e.Weight(), e.Gain, e.Loss)

@@ -26,8 +26,7 @@ func fixture(t testing.TB) (*flg.Graph, cluster.Result, *layout.Layout, *layout.
 		Affinity: ag,
 	}
 	res := cluster.Greedy(g, 128)
-	lay, err := layout.PackClusters(st, "flg-auto", res.Clusters, 128,
-		layout.PackOptions{Separate: cluster.SeparatePredicate(g, res.Clusters)})
+	lay, err := layout.PackClusters(st, "flg-auto", res.Clusters, 128, cluster.SeparatePredicate(g, res.Clusters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func fixture(t testing.TB) (*flg.Graph, cluster.Result, *layout.Layout, *layout.
 
 func TestReportContents(t *testing.T) {
 	g, res, lay, orig := fixture(t)
-	r := &Report{Graph: g, Clustering: res, Suggested: lay, Original: orig, TopEdges: 5}
+	r := &Report{Graph: g, Clustering: res, Suggested: lay, Original: orig}
 	text := r.String()
 	for _, want := range []string{
 		"layout advisory for struct S",

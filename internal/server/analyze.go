@@ -334,7 +334,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		LineSize: lineSize,
 		Strict:   req.Strict,
 		FMF:      spec.ApplyFMF(fieldmap.Build(file.Prog), file.Prog),
-		FLG:      flg.Options{K1: 4, K2: 1},
+		FLG:      flg.Calibrated(),
 		Static:   &sc,
 	}
 	if cycles > 0 {

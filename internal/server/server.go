@@ -52,10 +52,6 @@ type Config struct {
 	// static-prior-only rung (default 250ms): collection is abandoned
 	// early enough that the bottom rung still answers inside the deadline.
 	StaticReserve time.Duration
-	// CollectCostGuess seeds the collection-cost estimate before any
-	// collection has run (default 300ms). The estimate is an EWMA of
-	// observed collection times and drives the full-vs-static choice.
-	CollectCostGuess time.Duration
 	// DefaultMachine is the collection machine when a request names none
 	// (default "way16").
 	DefaultMachine string
@@ -79,9 +75,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.StaticReserve <= 0 {
 		c.StaticReserve = 250 * time.Millisecond
-	}
-	if c.CollectCostGuess <= 0 {
-		c.CollectCostGuess = 300 * time.Millisecond
 	}
 	if c.DefaultMachine == "" {
 		c.DefaultMachine = "way16"
@@ -134,7 +127,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{cfg: cfg, slots: make(chan struct{}, cfg.Workers)}
-	s.costEWMA.Store(math.Float64bits(cfg.CollectCostGuess.Seconds()))
+	s.costEWMA.Store(math.Float64bits(collectCostGuess.Seconds()))
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/analyze", s.guard("analyze", s.handleAnalyze))
 	s.mux.HandleFunc("/v1/lint", s.guard("lint", s.handleLint))
@@ -278,6 +271,11 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (release func
 	}
 	return release, true
 }
+
+// collectCostGuess seeds the collection-cost estimate before any
+// collection has run. The estimate is an EWMA of observed collection
+// times and drives the full-vs-static choice.
+const collectCostGuess = 300 * time.Millisecond
 
 // collectCost returns the smoothed observed collection duration.
 func (s *Server) collectCost() time.Duration {

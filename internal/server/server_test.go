@@ -240,9 +240,10 @@ func TestAnalyzeGivenRung(t *testing.T) {
 }
 
 func TestAnalyzeStaticRungOnTightBudget(t *testing.T) {
-	// A cost guess far above any deadline forces the bottom rung without
-	// relying on wall-clock behaviour.
-	s := New(Config{CollectCostGuess: time.Hour})
+	// A static reserve that leaves ~100ms of a 2s deadline for collection,
+	// below the 300ms cost guess, forces the bottom rung without relying
+	// on wall-clock behaviour.
+	s := New(Config{StaticReserve: 1900 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"structlayout/internal/affinity"
 	"structlayout/internal/ir"
 	"structlayout/internal/layout"
 	"structlayout/internal/profile"
@@ -45,30 +46,14 @@ type SplitAdvice struct {
 	CutWeight float64
 }
 
-// Options tunes the advisory.
-type Options struct {
-	// ColdFraction: a field is cold when its dynamic reference count is at
-	// most this fraction of the struct's hottest field (default 0.01).
-	ColdFraction float64
-	// LineSize for footprint accounting (default 128).
-	LineSize int
-	// AffinityWeights, when non-nil, supplies pair weights used to compute
-	// the split's cut cost (e.g. affinity.Graph.Weights).
-	AffinityWeights map[[2]int]float64
-}
+// coldFraction: a field is cold when its dynamic reference count is at
+// most this fraction of the struct's hottest field.
+const coldFraction = 0.01
 
-func (o *Options) fillDefaults() {
-	if o.ColdFraction == 0 {
-		o.ColdFraction = 0.01
-	}
-	if o.LineSize == 0 {
-		o.LineSize = 128
-	}
-}
-
-// Split computes the hot/cold advisory for one struct from a profile.
-func Split(p *ir.Program, pf *profile.Profile, st *ir.StructType, opts Options) (*SplitAdvice, error) {
-	opts.fillDefaults()
+// Split computes the hot/cold advisory for one struct from a profile, with
+// footprints counted in lines of lineSize bytes and the cut weighted by
+// the struct's affinity graph over the same program and profile.
+func Split(p *ir.Program, pf *profile.Profile, st *ir.StructType, lineSize int) (*SplitAdvice, error) {
 	counts := profile.ProgramFieldCounts(p, pf)
 	hotness := make([]float64, len(st.Fields))
 	var max float64
@@ -79,7 +64,7 @@ func Split(p *ir.Program, pf *profile.Profile, st *ir.StructType, opts Options) 
 		}
 	}
 	adv := &SplitAdvice{Struct: st}
-	threshold := max * opts.ColdFraction
+	threshold := max * coldFraction
 	for fi, f := range st.Fields {
 		switch {
 		case hotness[fi] == 0:
@@ -100,8 +85,8 @@ func Split(p *ir.Program, pf *profile.Profile, st *ir.StructType, opts Options) 
 	if len(adv.Cold) > 0 {
 		hotBytesWithPtr += 8
 	}
-	adv.HotLines = (hotBytesWithPtr + opts.LineSize - 1) / opts.LineSize
-	orig, err := layout.Original(st, opts.LineSize)
+	adv.HotLines = (hotBytesWithPtr + lineSize - 1) / lineSize
+	orig, err := layout.Original(st, lineSize)
 	if err != nil {
 		return nil, err
 	}
@@ -109,13 +94,10 @@ func Split(p *ir.Program, pf *profile.Profile, st *ir.StructType, opts Options) 
 	if adv.HotLines == 0 {
 		adv.HotLines = 1
 	}
+	ag := affinity.Build(p, pf, st)
 	for _, h := range adv.Hot {
 		for _, c := range adv.Cold {
-			k := [2]int{h, c}
-			if k[0] > k[1] {
-				k[0], k[1] = k[1], k[0]
-			}
-			adv.CutWeight += opts.AffinityWeights[k]
+			adv.CutWeight += ag.Weight(h, c)
 		}
 	}
 	sort.Ints(adv.Hot)

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,9 +9,9 @@ import (
 	"structlayout/internal/profile"
 )
 
-func mustSplit(t testing.TB, p *ir.Program, pf *profile.Profile, st *ir.StructType, opts Options) *SplitAdvice {
+func mustSplit(t testing.TB, p *ir.Program, pf *profile.Profile, st *ir.StructType) *SplitAdvice {
 	t.Helper()
-	adv, err := Split(p, pf, st, opts)
+	adv, err := Split(p, pf, st, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func hotColdProgram(t testing.TB) (*ir.Program, *ir.StructType, *profile.Profile
 
 func TestSplitPartitionsByHeat(t *testing.T) {
 	p, s, pf := hotColdProgram(t)
-	adv := mustSplit(t, p, pf, s, Options{})
+	adv := mustSplit(t, p, pf, s)
 	hotSet := map[int]bool{}
 	for _, fi := range adv.Hot {
 		hotSet[fi] = true
@@ -76,26 +77,53 @@ func TestSplitPartitionsByHeat(t *testing.T) {
 	}
 }
 
-func TestSplitThresholdKnob(t *testing.T) {
-	p, s, pf := hotColdProgram(t)
-	// A generous threshold keeps warm hot.
-	adv := mustSplit(t, p, pf, s, Options{ColdFraction: 0.001})
-	for _, fi := range adv.Cold {
-		if fi == s.FieldIndex("warm") {
-			t.Fatal("warm should be hot at 0.1% threshold")
-		}
+func TestSplitColdThreshold(t *testing.T) {
+	// The cut sits at 1% of the hottest field's 10000 references: 100
+	// references is cold, 101 is hot.
+	p := ir.NewProgram("threshold")
+	s := ir.NewStruct("S", ir.I64("hot"), ir.I64("at"), ir.I64("above"))
+	p.AddStruct(s)
+	b := p.NewProc("main")
+	b.Loop(10000, func(b *ir.Builder) { b.Read(s, "hot", ir.Shared(0)) })
+	b.Loop(100, func(b *ir.Builder) { b.Read(s, "at", ir.Shared(0)) })
+	b.Loop(101, func(b *ir.Builder) { b.Read(s, "above", ir.Shared(0)) })
+	b.Done()
+	p.MustFinalize()
+	pf, err := profile.StaticEstimate(p, []string{"main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := mustSplit(t, p, pf, s)
+	if want := []int{s.FieldIndex("at")}; !reflect.DeepEqual(adv.Cold, want) {
+		t.Fatalf("cold = %v, want %v", adv.Cold, want)
 	}
 }
 
 func TestSplitCutWeight(t *testing.T) {
-	p, s, pf := hotColdProgram(t)
-	weights := map[[2]int]float64{
-		{s.FieldIndex("hot_a"), s.FieldIndex("warm")}:  42, // crosses the cut
-		{s.FieldIndex("hot_a"), s.FieldIndex("hot_b")}: 7,  // stays hot-side
+	// cold_x is referenced in 50 of hot's 10000 loop iterations: cold, but
+	// in hot's affinity group, so the split cuts their Minimum-Heuristic
+	// weight min(10000, 50).
+	p := ir.NewProgram("cut")
+	s := ir.NewStruct("S", ir.I64("hot"), ir.I64("cold_x"), ir.I64("alone"))
+	p.AddStruct(s)
+	b := p.NewProc("main")
+	b.Loop(10000, func(b *ir.Builder) {
+		b.Read(s, "hot", ir.Shared(0))
+		b.If(0.005, func(b *ir.Builder) { b.Read(s, "cold_x", ir.Shared(0)) })
+	})
+	b.Read(s, "alone", ir.Shared(0))
+	b.Done()
+	p.MustFinalize()
+	pf, err := profile.StaticEstimate(p, []string{"main"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	adv := mustSplit(t, p, pf, s, Options{AffinityWeights: weights})
-	if adv.CutWeight != 42 {
-		t.Fatalf("cut weight = %v, want 42", adv.CutWeight)
+	adv := mustSplit(t, p, pf, s)
+	if want := []int{s.FieldIndex("cold_x"), s.FieldIndex("alone")}; !reflect.DeepEqual(adv.Cold, want) {
+		t.Fatalf("cold = %v, want %v", adv.Cold, want)
+	}
+	if adv.CutWeight != 50 {
+		t.Fatalf("cut weight = %v, want 50", adv.CutWeight)
 	}
 }
 
@@ -111,7 +139,7 @@ func TestSplitAllHot(t *testing.T) {
 	b.Done()
 	p.MustFinalize()
 	pf, _ := profile.StaticEstimate(p, []string{"main"})
-	adv := mustSplit(t, p, pf, s, Options{})
+	adv := mustSplit(t, p, pf, s)
 	if len(adv.Cold) != 0 || adv.Worthwhile() {
 		t.Fatalf("uniformly hot struct should not split: %+v", adv)
 	}
@@ -119,7 +147,7 @@ func TestSplitAllHot(t *testing.T) {
 
 func TestAdvisoryText(t *testing.T) {
 	p, s, pf := hotColdProgram(t)
-	text := mustSplit(t, p, pf, s, Options{}).String()
+	text := mustSplit(t, p, pf, s).String()
 	for _, want := range []string{"hot/cold split advisory", "dead (never referenced): dead_y dead_z", "verdict: worthwhile"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("advisory missing %q:\n%s", want, text)

@@ -141,22 +141,24 @@ func CollectMemo(k memo.Key, prog *ir.Program, collect func() (*exec.Result, err
 }
 
 // hashConfig adds every measurement-relevant suite input: the program
-// identity, all workload parameters (the IR program is constructed from
-// them), cache geometry, topology and the layout set.
+// identity, the workload shape and parameters (the IR program is
+// constructed from them), cache geometry, topology and the layout set.
+// The shape constants keep the records they had as settable fields, the
+// zero cross-VM read count included, so keys stay put.
 func (s *Suite) hashConfig(h *memo.Hasher, topo *machine.Topology, ls Layouts) {
 	h.Str("prog", s.Prog.Name)
 	p := s.Params
-	h.Int("p.scan", p.ScanInstances)
-	h.Int("p.bursts", p.SyscallBursts)
-	h.F64("p.seqwrite", p.SeqWriteProb)
-	h.F64("p.loadwrite", p.LoadWriteProb)
-	h.Int("p.crossvm", int64(p.CrossVMReads))
-	h.Int("p.probes", p.LookupProbes)
-	h.Int("p.mmscan", p.MMScan)
-	h.Int("p.ioscan", p.IOScan)
-	h.Int("p.usersweep", p.UserSweep)
+	h.Int("p.scan", scanInstances)
+	h.Int("p.bursts", syscallBursts)
+	h.F64("p.seqwrite", seqWriteProb)
+	h.F64("p.loadwrite", loadWriteProb)
+	h.Int("p.crossvm", 0)
+	h.Int("p.probes", lookupProbes)
+	h.Int("p.mmscan", mmScan)
+	h.Int("p.ioscan", ioScan)
+	h.Int("p.usersweep", userSweep)
 	h.Int("p.scripts", p.ScriptsPerThread)
-	h.Int("p.mounts", int64(p.NumMounts))
+	h.Int("p.mounts", numMounts)
 	h.CacheConfig("cache", p.Cache)
 	h.Topology("topo", topo)
 	// Arena layouts: hash the effective layout for every label, including

@@ -8,42 +8,40 @@ import (
 	"structlayout/internal/ir"
 )
 
-// Params are the workload's tunable knobs. They control the mix of kernel
-// paths a script executes and therefore how strongly each layout property
-// (spatial locality, false sharing, footprint) shows up in throughput.
-// Defaults are calibrated so the figure shapes of the paper reproduce on
-// the simulated machines.
-type Params struct {
-	// ScanInstances is how many proc_entry instances the table scan walks.
-	ScanInstances int64
-	// SyscallBursts is how many syscalls each script issues.
-	SyscallBursts int64
-	// SeqWriteProb is the probability a syscall bumps pt_seq (the planted
+// The SDET shape: the mix of kernel paths a script executes and therefore
+// how strongly each layout property (spatial locality, false sharing,
+// footprint) shows up in throughput. The values are calibrated so the
+// figure shapes of the paper reproduce on the simulated machines.
+const (
+	// scanInstances is how many proc_entry instances the table scan walks.
+	scanInstances = 384
+	// syscallBursts is how many syscalls each script issues.
+	syscallBursts = 96
+	// seqWriteProb is the probability a syscall bumps pt_seq (the planted
 	// hot-line write hazard of struct A).
-	SeqWriteProb float64
-	// LoadWriteProb is the probability a scheduler-class syscall updates
+	seqWriteProb = 0.005
+	// loadWriteProb is the probability a scheduler-class syscall updates
 	// the global load average pt_load. Low enough that the sampled
 	// CycleLoss edge stays small next to pt_load's read affinity with the
 	// hot state — the bait for the greedy clusterer.
-	LoadWriteProb float64
-	// CrossVMReads is how many times the syscall path touches pt_vm0 of
-	// its own process entry, creating a cross-group affinity edge that
-	// tempts the greedy clusterer into splitting the VM group (off by
-	// default; kept as an ablation knob).
-	CrossVMReads int
-	// LookupProbes is the vnode hash-chain probe count per lookup.
-	LookupProbes int64
-	// MMScan and IOScan are the memobj/bufhdr walk lengths.
-	MMScan int64
-	// IOScan see MMScan.
-	IOScan int64
-	// UserSweep is the per-script private-memory sweep length (models the
+	loadWriteProb = 0.05
+	// lookupProbes is the vnode hash-chain probe count per lookup.
+	lookupProbes = 48
+	// mmScan and ioScan are the memobj/bufhdr walk lengths.
+	mmScan = 24
+	ioScan = 24
+	// userSweep is the per-script private-memory sweep length (models the
 	// benchmark's user-mode code trashing the cache between syscalls).
-	UserSweep int64
+	userSweep = 48
+	// numMounts is how many shared mount-point vnodes take refcount hits.
+	numMounts = 4
+)
+
+// Params are the workload settings callers vary: the run length and the
+// evaluation cache.
+type Params struct {
 	// ScriptsPerThread is the SDET scripts each simulated CPU completes.
 	ScriptsPerThread int64
-	// NumMounts is how many shared mount-point vnodes take refcount hits.
-	NumMounts int
 	// Cache is the per-CPU cache geometry used in evaluation runs.
 	Cache coherence.Config
 }
@@ -51,40 +49,17 @@ type Params struct {
 // DefaultParams returns the calibrated configuration.
 func DefaultParams() Params {
 	return Params{
-		ScanInstances:    384,
-		SyscallBursts:    96,
-		SeqWriteProb:     0.005,
-		LoadWriteProb:    0.05,
-		CrossVMReads:     0,
-		LookupProbes:     48,
-		MMScan:           24,
-		IOScan:           24,
-		UserSweep:        48,
 		ScriptsPerThread: 3,
-		NumMounts:        4,
 		// 128 KiB per CPU: the slice of the 6 MB Itanium L3 effectively
 		// available to these structures under full SDET pressure.
 		Cache: coherence.Config{LineSize: 128, Sets: 128, Ways: 8},
 	}
 }
 
-// Validate sanity-checks the knobs.
+// Validate sanity-checks the settings.
 func (p Params) Validate() error {
-	if p.ScanInstances <= 0 || p.SyscallBursts <= 0 || p.LookupProbes <= 0 ||
-		p.MMScan <= 0 || p.IOScan <= 0 || p.UserSweep <= 0 || p.ScriptsPerThread <= 0 {
-		return fmt.Errorf("workload: non-positive loop knob in %+v", p)
-	}
-	if p.SeqWriteProb < 0 || p.SeqWriteProb > 1 {
-		return fmt.Errorf("workload: SeqWriteProb %v out of range", p.SeqWriteProb)
-	}
-	if p.LoadWriteProb < 0 || p.LoadWriteProb > 1 {
-		return fmt.Errorf("workload: LoadWriteProb %v out of range", p.LoadWriteProb)
-	}
-	if p.NumMounts <= 0 {
-		return fmt.Errorf("workload: NumMounts must be positive")
-	}
-	if p.CrossVMReads < 0 {
-		return fmt.Errorf("workload: negative CrossVMReads")
+	if p.ScriptsPerThread <= 0 {
+		return fmt.Errorf("workload: non-positive ScriptsPerThread %d", p.ScriptsPerThread)
 	}
 	return p.Cache.Validate()
 }
@@ -101,7 +76,7 @@ const (
 	ParamMemObj = 3
 )
 
-// Suite is the assembled benchmark: program, structs, knobs.
+// Suite is the assembled benchmark: program, structs, settings.
 type Suite struct {
 	Prog    *ir.Program
 	Params  Params
@@ -153,14 +128,11 @@ func NewSuite(p Params) (*Suite, error) {
 		if k < NumStatClasses/2 {
 			bd.Read(a, "pt_load", ir.Shared(0))
 		}
-		for i := 0; i < p.CrossVMReads; i++ {
-			bd.Read(a, "pt_vm0", ir.Param(ParamProc))
-		}
-		bd.If(p.SeqWriteProb, func(bd *ir.Builder) {
+		bd.If(seqWriteProb, func(bd *ir.Builder) {
 			bd.Write(a, "pt_seq", ir.Shared(0))
 		})
 		if k >= NumStatClasses/2 {
-			bd.If(p.LoadWriteProb, func(bd *ir.Builder) {
+			bd.If(loadWriteProb, func(bd *ir.Builder) {
 				bd.Write(a, "pt_load", ir.Shared(0))
 			})
 		}
@@ -174,7 +146,7 @@ func NewSuite(p Params) (*Suite, error) {
 	// spatial affinity (Figure 1's pattern).
 	{
 		bd := prog.NewProc("proc_scan")
-		bd.Loop(p.ScanInstances, func(bd *ir.Builder) {
+		bd.Loop(scanInstances, func(bd *ir.Builder) {
 			for i := 0; i < 6; i++ {
 				bd.Read(a, fmt.Sprintf("pt_vm%d", i), ir.LoopVar())
 			}
@@ -194,7 +166,7 @@ func NewSuite(p Params) (*Suite, error) {
 	// false-sharing hazard).
 	{
 		bd := prog.NewProc("vfs_lookup")
-		bd.Loop(p.LookupProbes, func(bd *ir.Builder) {
+		bd.Loop(lookupProbes, func(bd *ir.Builder) {
 			bd.Read(b, "vn_hash", ir.LoopVar())
 			bd.Read(b, "vn_type", ir.LoopVar()) // reject non-matching entries
 			bd.Read(b, "vn_next", ir.LoopVar())
@@ -230,7 +202,7 @@ func NewSuite(p Params) (*Suite, error) {
 	// mm_fault: walks memory objects reading the lookup group together.
 	{
 		bd := prog.NewProc("mm_fault")
-		bd.Loop(p.MMScan, func(bd *ir.Builder) {
+		bd.Loop(mmScan, func(bd *ir.Builder) {
 			for i := 0; i < 4; i++ {
 				bd.Read(c, fmt.Sprintf("mo_h%d", i), ir.LoopVar())
 			}
@@ -271,7 +243,7 @@ func NewSuite(p Params) (*Suite, error) {
 	// io_submit: buffer-header walk (struct E's affinity group).
 	{
 		bd := prog.NewProc("io_submit")
-		bd.Loop(p.IOScan, func(bd *ir.Builder) {
+		bd.Loop(ioScan, func(bd *ir.Builder) {
 			for i := 0; i < 5; i++ {
 				bd.Read(e, fmt.Sprintf("bh_h%d", i), ir.LoopVar())
 			}
@@ -288,7 +260,7 @@ func NewSuite(p Params) (*Suite, error) {
 	for k := 0; k < NumStatClasses; k++ {
 		bd := prog.NewProc(fmt.Sprintf("script_%d", k))
 		kk := k
-		bd.Loop(p.SyscallBursts, func(bd *ir.Builder) {
+		bd.Loop(syscallBursts, func(bd *ir.Builder) {
 			bd.Call(fmt.Sprintf("syscall_enter_%d", kk))
 		})
 		bd.Call("vfs_lookup")
@@ -296,7 +268,7 @@ func NewSuite(p Params) (*Suite, error) {
 		bd.Call("mm_fault")
 		bd.Call("sched_tick")
 		bd.Call("io_submit")
-		bd.Loop(p.UserSweep, func(bd *ir.Builder) {
+		bd.Loop(userSweep, func(bd *ir.Builder) {
 			bd.MemSweep("userbuf", ir.Write, 1024)
 			bd.Compute(30)
 		})
@@ -377,8 +349,8 @@ func (s *Suite) ThreadParams(cpu int, seed int64) []int {
 	// own entries start above it so no thread's per-entry lock lives in
 	// the globally read instance.
 	params[ParamProc] = cpu + 8
-	params[ParamVnode] = s.Params.NumMounts + cpu*3
-	params[ParamMount] = cpu % s.Params.NumMounts
+	params[ParamVnode] = numMounts + cpu*3
+	params[ParamMount] = cpu % numMounts
 	params[ParamMemObj] = cpu * 5
 	return params
 }

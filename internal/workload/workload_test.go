@@ -109,24 +109,9 @@ func TestSuiteConstruction(t *testing.T) {
 
 func TestParamsValidation(t *testing.T) {
 	bad := DefaultParams()
-	bad.ScanInstances = 0
+	bad.ScriptsPerThread = 0
 	if _, err := NewSuite(bad); err == nil {
-		t.Fatal("zero ScanInstances accepted")
-	}
-	bad = DefaultParams()
-	bad.SeqWriteProb = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Fatal("bad SeqWriteProb accepted")
-	}
-	bad = DefaultParams()
-	bad.LoadWriteProb = -0.1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("bad LoadWriteProb accepted")
-	}
-	bad = DefaultParams()
-	bad.NumMounts = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero NumMounts accepted")
+		t.Fatal("zero ScriptsPerThread accepted")
 	}
 	bad = DefaultParams()
 	bad.Cache.Sets = 3
@@ -149,13 +134,13 @@ func TestThreadParamsPrivateInstancesDistinct(t *testing.T) {
 			t.Fatalf("vnode instance %d reused", ps[ParamVnode])
 		}
 		seenVnode[ps[ParamVnode]] = true
-		if ps[ParamVnode] < s.Params.NumMounts {
+		if ps[ParamVnode] < numMounts {
 			t.Fatalf("vnode instance %d collides with mounts", ps[ParamVnode])
 		}
 		if ps[ParamProc] == 0 {
 			t.Fatal("no thread may own the shared proc entry (instance 0)")
 		}
-		if ps[ParamMount] < 0 || ps[ParamMount] >= s.Params.NumMounts {
+		if ps[ParamMount] < 0 || ps[ParamMount] >= numMounts {
 			t.Fatalf("mount index %d out of range", ps[ParamMount])
 		}
 	}

@@ -120,7 +120,7 @@ func NewRunner(p *Program, cfg RunConfig) (*Runner, error) { return exec.NewRunn
 type (
 	// Analysis bundles collected data for the layout tool.
 	Analysis = core.Analysis
-	// ToolOptions configures the tool (k1/k2, line size, edge budget).
+	// ToolOptions configures the tool (k1/k2, line size, concurrency slice).
 	ToolOptions = core.Options
 	// Suggestion is the tool's output for one struct.
 	Suggestion = core.Suggestion
