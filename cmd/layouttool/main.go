@@ -16,6 +16,9 @@
 // programs; here the workload is compiled in, and the intermediate products
 // (profile, concurrency map, field mapping file, sample trace) can be
 // written with -dump for inspection or for replay via -profile/-trace.
+// With -program the same steps run over a struct of an irtext program
+// (docs/DSL.md): the two modes differ only in how they load, collect and
+// configure, and share the advisory that follows.
 package main
 
 import (
@@ -136,7 +139,7 @@ func main() {
 	case "go-lint":
 		os.Exit(runGoLint(*o.goLint, *o.lintJSON, *o.cacheDir))
 	case "lint":
-		os.Exit(runLint(*o.programIn, *o.lintDir, *o.lintJSON, *o.collectOn, *o.seed, *o.scripts))
+		os.Exit(runLint(*o.programIn, *o.lintDir, *o.lintJSON, *o.collectOn, *o.scripts))
 	}
 	spec, err := faults.ParseSpec(*o.injectSpec)
 	if err != nil {
@@ -185,7 +188,7 @@ func (o *options) mode() string {
 var modeFlags = map[string]string{
 	"cache-gc": "cache-gc cache-gc-age cache-gc-bytes",
 	"go-lint":  "go-lint lint-json",
-	"lint":     "lint lint-dir lint-json program collect-machine seed collect-scripts",
+	"lint":     "lint lint-dir lint-json program collect-machine collect-scripts",
 	"rank":     "rank program collect-machine seed collect-scripts inject strict quality",
 	"program":  "program struct collect-machine mode seed split dot inject strict measure quality",
 	"built-in": "struct collect-machine mode seed collect-scripts split profile trace dump dot inject strict quality",
@@ -261,7 +264,7 @@ func runCacheGC(cacheDir string, maxAge time.Duration, maxBytes int64) int {
 // measurement — over a DSL program, a directory of them, or the built-in
 // workload, and maps the outcome to an exit code the same way -quality
 // does: 0 clean, 3 findings, 1 analysis error.
-func runLint(programIn, lintDir, lintJSON, collectOn string, seed, scripts int64) int {
+func runLint(programIn, lintDir, lintJSON, collectOn string, scripts int64) int {
 	var findings []staticshare.Finding
 	var err error
 	switch {
@@ -270,7 +273,7 @@ func runLint(programIn, lintDir, lintJSON, collectOn string, seed, scripts int64
 	case programIn != "":
 		findings, err = lintProgramFile(programIn)
 	default:
-		findings, err = lintBuiltin(collectOn, seed, scripts)
+		findings, err = lintBuiltin(collectOn, scripts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "layouttool:", err)
@@ -464,29 +467,22 @@ func lintTree(root string) ([]staticshare.Finding, error) {
 }
 
 // lintBuiltin lints the built-in SDET workload against its hand-tuned
-// baseline layouts, under the same thread/arena assignments the
-// measurement harness uses.
-func lintBuiltin(collectOn string, seed, scripts int64) ([]staticshare.Finding, error) {
+// baseline layouts, under the harness its runs use on the collection
+// machine.
+func lintBuiltin(collectOn string, scripts int64) ([]staticshare.Finding, error) {
 	topo, err := machine.ByName(collectOn)
 	if err != nil {
 		return nil, err
 	}
-	params := workload.DefaultParams()
-	params.ScriptsPerThread = scripts
-	suite, err := workload.NewSuite(params)
+	suite, err := builtinSuite(scripts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := staticshare.Analyze(suite.Prog, *suite.StaticConfig(topo, seed))
+	res, err := staticshare.Analyze(suite.Prog, staticshare.FileConfig(suite.File(topo)))
 	if err != nil {
 		return nil, err
 	}
-	lineSize := int(params.Cache.LineSize)
-	layouts := make(map[string]*layout.Layout, len(workload.Labels()))
-	for _, label := range workload.Labels() {
-		layouts[suite.Struct(label).Type.Name] = suite.Struct(label).Baseline(lineSize)
-	}
-	return res.Lint(layouts), nil
+	return res.Lint(suite.StructLayouts(nil)), nil
 }
 
 // runRank prints the whole-program struct ranking (the §5.1 key-structure
@@ -498,42 +494,29 @@ func runRank(programIn, collectOn string, seed, scripts int64, spec *faults.Spec
 	}
 	var analysis *core.Analysis
 	if programIn != "" {
-		src, err := os.ReadFile(programIn)
+		file, err := loadProgram(programIn, topo)
 		if err != nil {
 			return nil, err
 		}
-		file, err := irtext.Parse(string(src))
+		cfg := driver.Config{Topo: topo, Seed: seed, Inject: spec}
+		pf, trace, cycles, err := driver.CollectCached(file, cfg)
 		if err != nil {
 			return nil, err
 		}
-		pf, trace, cycles, err := driver.CollectCached(file, driver.Config{Topo: topo, Seed: seed, Inject: spec})
-		if err != nil {
-			return nil, err
-		}
-		sc := staticshare.FileConfig(file)
-		analysis, err = core.NewAnalysis(file.Prog, pf, trace, core.Options{
-			LineSize:    128,
-			SliceCycles: cycles/64 + 1,
-			Strict:      strict,
-			FMF:         spec.ApplyFMF(fieldmap.Build(file.Prog), file.Prog),
-			FLG:         flg.Calibrated(),
-			Static:      &sc,
-		})
+		analysis, err = core.NewAnalysis(file.Prog, pf, trace, driver.AnalysisOptions(file, cfg.LineSize(), cycles, spec, strict))
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		params := workload.DefaultParams()
-		params.ScriptsPerThread = scripts
-		suite, err := workload.NewSuite(params)
+		suite, err := builtinSuite(scripts)
 		if err != nil {
 			return nil, err
 		}
-		pf, trace, err := suite.Collect(topo, suite.BaselineLayouts(int(params.Cache.LineSize)), seed)
+		pf, trace, err := suite.Collect(topo, suite.BaselineLayouts(int(suite.Params.Cache.LineSize)), seed)
 		if err != nil {
 			return nil, err
 		}
-		analysis, err = core.NewAnalysis(suite.Prog, spec.ApplyProfile(pf), spec.ApplyTrace(trace), builtinOptions(suite, topo, seed, spec, strict))
+		analysis, err = core.NewAnalysis(suite.Prog, spec.ApplyProfile(pf), spec.ApplyTrace(trace), builtinOptions(suite, topo, spec, strict))
 		if err != nil {
 			return nil, err
 		}
@@ -546,8 +529,9 @@ func runRank(programIn, collectOn string, seed, scripts int64, spec *faults.Spec
 	return analysis, nil
 }
 
-// runProgramFile drives the tool over a user-supplied irtext program.
-func runProgramFile(path, structName, collectOn, mode string, seed int64, split bool, dotOut string, spec *faults.Spec, strict bool, measureRuns int) (*core.Analysis, error) {
+// loadProgram reads and parses a -program file and checks that its
+// threads fit the collection machine.
+func loadProgram(path string, topo *machine.Topology) (*irtext.File, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -556,11 +540,20 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, split 
 	if err != nil {
 		return nil, err
 	}
+	if err := driver.ValidateThreads(file, topo); err != nil {
+		return nil, err
+	}
+	return file, nil
+}
+
+// runProgramFile drives the tool over a user-supplied irtext program.
+func runProgramFile(path, structName, collectOn, mode string, seed int64, split bool, dotOut string, spec *faults.Spec, strict bool, measureRuns int) (*core.Analysis, error) {
 	topo, err := machine.ByName(collectOn)
 	if err != nil {
 		return nil, err
 	}
-	if err := driver.ValidateThreads(file, topo); err != nil {
+	file, err := loadProgram(path, topo)
+	if err != nil {
 		return nil, err
 	}
 	st := file.Prog.Struct(structName)
@@ -578,15 +571,7 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, split 
 		return nil, err
 	}
 	fmt.Printf("collected %d samples over %d cycles\n", len(trace.Samples), cycles)
-	sc := staticshare.FileConfig(file)
-	analysis, err := core.NewAnalysis(file.Prog, pf, trace, core.Options{
-		LineSize:    cfg.LineSize(),
-		SliceCycles: cycles/64 + 1, // ~64 slices over the run
-		Strict:      strict,
-		FMF:         spec.ApplyFMF(fieldmap.Build(file.Prog), file.Prog),
-		FLG:         flg.Calibrated(),
-		Static:      &sc,
-	})
+	analysis, err := core.NewAnalysis(file.Prog, pf, trace, driver.AnalysisOptions(file, cfg.LineSize(), cycles, spec, strict))
 	if err != nil {
 		return nil, err
 	}
@@ -594,34 +579,8 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, split 
 	if err != nil {
 		return nil, err
 	}
-	if dotOut != "" {
-		if err := writeDOT(analysis, structName, dotOut); err != nil {
-			return nil, err
-		}
-	}
-	if mode == "auto" || mode == "both" {
-		sugg, err := analysis.Suggest(structName, orig)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(sugg.Report.String())
-	}
-	if mode == "best" || mode == "both" {
-		best, clusters, err := analysis.Best(structName, orig)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("==== incremental (\"best\") layout for struct %s ====\n", structName)
-		fmt.Printf("constraint clusters: %d\n", len(clusters.Clusters))
-		fmt.Print(best.Dump())
-		fmt.Printf("\n-- movement from declaration order --\n%s", report.Diff(orig, best))
-	}
-	if split {
-		adv, err := transform.Split(file.Prog, pf, st, cfg.LineSize())
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(adv)
+	if err := advise(analysis, pf, orig, "declaration order", mode, split, dotOut); err != nil {
+		return nil, err
 	}
 	if measureRuns > 0 {
 		base, err := driver.OriginalLayouts(file, cfg.LineSize())
@@ -647,6 +606,45 @@ func runProgramFile(path, structName, collectOn, mode string, seed int64, split 
 	return analysis, nil
 }
 
+// advise prints the advisory for the struct orig lays out, in either
+// mode: its FLG as DOT (-dot), the automatic and the incremental layout
+// (-mode), and the hot/cold splitting advisory (-split). orig is the
+// layout the advice starts from, named by from ("baseline" or
+// "declaration order"); pf is the profile the analysis started from.
+func advise(analysis *core.Analysis, pf *profile.Profile, orig *layout.Layout, from, mode string, split bool, dotOut string) error {
+	st := orig.Struct
+	if dotOut != "" {
+		if err := writeDOT(analysis, st.Name, dotOut); err != nil {
+			return err
+		}
+	}
+	if mode == "auto" || mode == "both" {
+		sugg, err := analysis.Suggest(st.Name, orig)
+		if err != nil {
+			return err
+		}
+		fmt.Println(sugg.Report.String())
+	}
+	if mode == "best" || mode == "both" {
+		best, clusters, err := analysis.Best(st.Name, orig)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("==== incremental (\"best\") layout for struct %s ====\n", st.Name)
+		fmt.Printf("constraint clusters: %d\n", len(clusters.Clusters))
+		fmt.Print(best.Dump())
+		fmt.Printf("\n-- movement from %s --\n%s", from, report.Diff(orig, best))
+	}
+	if split {
+		adv, err := transform.Split(analysis.Prog, pf, st, orig.LineSize)
+		if err != nil {
+			return err
+		}
+		fmt.Println(adv)
+	}
+	return nil
+}
+
 // writeDOT renders a struct's FLG for Graphviz.
 func writeDOT(analysis *core.Analysis, structName, path string) error {
 	g, err := analysis.BuildFLG(structName)
@@ -666,23 +664,18 @@ func writeDOT(analysis *core.Analysis, structName, path string) error {
 }
 
 func run(structLabel, collectOn, mode string, seed, scripts int64, split bool, profileIn, traceIn, dumpDir, dotOut string, spec *faults.Spec, strict bool) (*core.Analysis, error) {
-	ks := (&labelSet{}).lookup(structLabel)
-	if ks == "" {
+	if !slices.Contains(workload.Labels(), structLabel) {
 		return nil, fmt.Errorf("unknown struct %q (want A..E)", structLabel)
 	}
 	topo, err := machine.ByName(collectOn)
 	if err != nil {
 		return nil, err
 	}
-
-	params := workload.DefaultParams()
-	params.ScriptsPerThread = scripts
-	suite, err := workload.NewSuite(params)
+	suite, err := builtinSuite(scripts)
 	if err != nil {
 		return nil, err
 	}
-	lineSize := int(params.Cache.LineSize)
-	baselines := suite.BaselineLayouts(lineSize)
+	baselines := suite.BaselineLayouts(int(suite.Params.Cache.LineSize))
 
 	var pf *profile.Profile
 	var trace *sampling.Trace
@@ -707,7 +700,8 @@ func run(structLabel, collectOn, mode string, seed, scripts int64, split bool, p
 		fmt.Printf("collected %d samples\n", len(trace.Samples))
 	}
 
-	analysis, err := core.NewAnalysis(suite.Prog, spec.ApplyProfile(pf), spec.ApplyTrace(trace), builtinOptions(suite, topo, seed, spec, strict))
+	faulted := spec.ApplyProfile(pf)
+	analysis, err := core.NewAnalysis(suite.Prog, faulted, spec.ApplyTrace(trace), builtinOptions(suite, topo, spec, strict))
 	if err != nil {
 		return nil, err
 	}
@@ -721,68 +715,35 @@ func run(structLabel, collectOn, mode string, seed, scripts int64, split bool, p
 		}
 		fmt.Printf("wrote analysis artifacts to %s\n", dumpDir)
 	}
-
-	structName := suite.Struct(ks).Type.Name
-	orig := baselines[ks]
-	if dotOut != "" {
-		if err := writeDOT(analysis, structName, dotOut); err != nil {
-			return nil, err
-		}
-	}
-	if mode == "auto" || mode == "both" {
-		sugg, err := analysis.Suggest(structName, orig)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(sugg.Report.String())
-	}
-	if mode == "best" || mode == "both" {
-		best, clusters, err := analysis.Best(structName, orig)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("==== incremental (\"best\") layout for struct %s ====\n", structName)
-		fmt.Printf("constraint clusters: %d\n", len(clusters.Clusters))
-		fmt.Print(best.Dump())
-		fmt.Printf("\n-- movement from baseline --\n%s", report.Diff(orig, best))
-	}
-	if split {
-		st := suite.Struct(ks).Type
-		adv, err := transform.Split(suite.Prog, pf, st, lineSize)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(adv)
+	if err := advise(analysis, faulted, baselines[structLabel], "baseline", mode, split, dotOut); err != nil {
+		return nil, err
 	}
 	return analysis, nil
 }
 
+// builtinSuite builds the SDET suite with the given scripts per thread.
+func builtinSuite(scripts int64) (*workload.Suite, error) {
+	params := workload.DefaultParams()
+	params.ScriptsPerThread = scripts
+	return workload.NewSuite(params)
+}
+
 // builtinOptions configures the analysis of the built-in workload the way
 // the experiments pipeline does, alias oracle included, plus the static
-// sharing pass and the fault spec's FMF damage.
-func builtinOptions(suite *workload.Suite, topo *machine.Topology, seed int64, spec *faults.Spec, strict bool) core.Options {
+// sharing pass over the suite's harness on topo and the fault spec's FMF
+// damage.
+func builtinOptions(suite *workload.Suite, topo *machine.Topology, spec *faults.Spec, strict bool) core.Options {
+	sc := staticshare.FileConfig(suite.File(topo))
 	opts := core.Options{
 		LineSize:    int(suite.Params.Cache.LineSize),
 		SliceCycles: workload.CollectSliceCycles,
 		Strict:      strict,
 		FMF:         spec.ApplyFMF(fieldmap.Build(suite.Prog), suite.Prog),
 		FLG:         flg.Calibrated(),
-		Static:      suite.StaticConfig(topo, seed),
+		Static:      &sc,
 	}
 	opts.FLG.AliasOracle = workload.PrivateAliasOracle(suite.Prog)
 	return opts
-}
-
-// labelSet validates struct labels.
-type labelSet struct{}
-
-func (labelSet) lookup(s string) string {
-	for _, l := range workload.Labels() {
-		if l == s {
-			return l
-		}
-	}
-	return ""
 }
 
 func readProfile(path string, suite *workload.Suite) (*profile.Profile, error) {

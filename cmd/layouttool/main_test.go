@@ -9,9 +9,11 @@ import (
 	"testing"
 
 	"structlayout/internal/faults"
+	"structlayout/internal/machine"
 	"structlayout/internal/parallel"
 	"structlayout/internal/quality"
 	"structlayout/internal/staticshare"
+	"structlayout/internal/transform"
 )
 
 // none is the identity fault spec the CLI parses from an empty -inject.
@@ -270,6 +272,7 @@ func TestFlagsUnreadByMode(t *testing.T) {
 		{"-struct B -measure 2", "built-in", "measure"},
 		{"-rank -mode auto -measure 5 -split -dot g.dot -dump out", "rank", "dot dump measure mode split"},
 		{"-lint -program " + slp + " -quality", "lint", "quality"},
+		{"-lint -seed 5", "lint", "seed"},
 		{"-go-lint ./x -program " + slp, "go-lint", "program"},
 		{"-cache-gc -cache-dir c -lint", "cache-gc", "lint"},
 		// Invocations the README, docs and CI use.
@@ -388,5 +391,69 @@ func TestQualityGateVerdicts(t *testing.T) {
 		if got := qualityGate(a); got != c.want {
 			t.Fatalf("score %.2f: exit %d, want %d", c.score, got, c.want)
 		}
+	}
+}
+
+// captureStdout returns what fn prints to standard output.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	defer func() { os.Stdout = saved }()
+	fn()
+	w.Close()
+	return <-out
+}
+
+// TestBuiltinSplitReadsFaultedProfile: built-in -split advises from the
+// profile the analysis starts from, so a profcorrupt spec reaches it, as
+// it does in program mode.
+func TestBuiltinSplitReadsFaultedProfile(t *testing.T) {
+	spec, err := faults.ParseSpec("profcorrupt=1,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, scripts = 20070311, 2
+	var runErr error
+	out := captureStdout(t, func() {
+		_, runErr = run("A", "bus4", "auto", seed, scripts, true, "", "", "", "", spec, false)
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	suite, err := builtinSuite(scripts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, _, err := suite.Collect(machine.Bus4(), suite.BaselineLayouts(128), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := suite.Struct("A").Type
+	faulted, err := transform.Split(suite.Prog, spec.ApplyProfile(pf), st, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := transform.Split(suite.Prog, pf, st, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faulted.String() == clean.String() {
+		t.Fatal("profcorrupt left the split advisory unchanged; the test shows nothing")
+	}
+	if !strings.Contains(out, faulted.String()) {
+		t.Fatalf("-split did not print the advisory of the faulted profile:\n%s", out)
+	}
+	if adv := faulted.String(); !strings.Contains(adv, "hot: 22 fields") || !strings.Contains(adv, " pt_stat2 ") {
+		t.Errorf("faulted split advisory moved: want 22 hot fields and pt_stat2 dead:\n%s", faulted)
 	}
 }

@@ -82,10 +82,11 @@ func TestStaticPriorSeparatesWriteSharedOnEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := staticshare.FileConfig(suite.File(topo))
 	a, err := NewAnalysis(suite.Prog, pf, nil, Options{
 		LineSize:    lineSize,
 		SliceCycles: workload.CollectSliceCycles,
-		Static:      suite.StaticConfig(topo, 7),
+		Static:      &sc,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,10 @@
-// Package driver runs programs parsed from the irtext DSL: it stands in
-// for the build-and-run harness around the paper's tool when the input is
-// a user-supplied program rather than the built-in SDET workload. Given a
-// parsed file (program + arena and thread declarations), it performs the
-// collection phase (profiled, PMU-sampled run) and evaluation runs under
-// arbitrary layouts.
+// Package driver runs a program together with its run harness, an
+// irtext.File: one parsed from the DSL, lowered from Go by gofront, or the
+// built-in SDET suite's (workload.Suite.File). It stands in for the
+// build-and-run harness around the paper's tool: given the file (program
+// plus arena and thread declarations), it performs the collection phase
+// (profiled, PMU-sampled run) and evaluation runs under arbitrary layouts,
+// and configures the analysis of a collection.
 package driver
 
 import (
@@ -12,14 +13,18 @@ import (
 	"sort"
 
 	"structlayout/internal/coherence"
+	"structlayout/internal/core"
 	"structlayout/internal/exec"
 	"structlayout/internal/faults"
+	"structlayout/internal/fieldmap"
+	"structlayout/internal/flg"
 	"structlayout/internal/irtext"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
 	"structlayout/internal/parallel"
 	"structlayout/internal/quality"
 	"structlayout/internal/sampling"
+	"structlayout/internal/staticshare"
 	"structlayout/internal/workload"
 )
 
@@ -53,6 +58,26 @@ func (c Config) LineSize() int {
 	return int(c.Cache.LineSize)
 }
 
+// AnalysisOptions configures the analysis of a collection of f that ran
+// for cycles: the field mapping file through the fault spec's damage, the
+// calibrated FLG weights, the static sharing pass over f's harness, and
+// about 64 concurrency slices over the run (the default slice length when
+// cycles is 0, as for a supplied profile).
+func AnalysisOptions(f *irtext.File, lineSize int, cycles int64, spec *faults.Spec, strict bool) core.Options {
+	sc := staticshare.FileConfig(f)
+	opts := core.Options{
+		LineSize: lineSize,
+		Strict:   strict,
+		FMF:      spec.ApplyFMF(fieldmap.Build(f.Prog), f.Prog),
+		FLG:      flg.Calibrated(),
+		Static:   &sc,
+	}
+	if cycles > 0 {
+		opts.SliceCycles = cycles/64 + 1
+	}
+	return opts
+}
+
 // OriginalLayouts materializes declaration-order layouts for every declared
 // arena.
 func OriginalLayouts(f *irtext.File, lineSize int) (map[string]*layout.Layout, error) {
@@ -77,65 +102,14 @@ func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.R
 	if len(f.Threads) == 0 {
 		return nil, fmt.Errorf("driver: program %s declares no threads", f.Prog.Name)
 	}
-	r, err := exec.NewRunner(f.Prog, exec.Config{
+	r, err := workload.NewRunner(f, exec.Config{
 		Topo:     cfg.Topo,
 		Cache:    cfg.Cache,
 		Seed:     cfg.Seed,
 		Sampling: cfg.Sampling,
-	})
+	}, layouts)
 	if err != nil {
 		return nil, err
-	}
-	lineSize := int(cfg.Cache.LineSize)
-	// Every struct accessed needs an arena; declared arenas use their
-	// count, accessed-but-undeclared structs default to one instance.
-	// Arena addresses depend on definition order, so declared arenas are
-	// defined in struct declaration order, never in map order.
-	declared := make(map[string]bool, len(f.Arenas))
-	for _, st := range f.Prog.Structs {
-		count, ok := f.Arenas[st.Name]
-		if !ok {
-			continue
-		}
-		lay := layouts[st.Name]
-		if lay == nil {
-			lay, err = layout.Original(st, lineSize)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := r.DefineArena(lay, count); err != nil {
-			return nil, err
-		}
-		declared[st.Name] = true
-	}
-	for _, b := range f.Prog.Blocks() {
-		for _, in := range b.FieldInstrs() {
-			if declared[in.Struct.Name] {
-				continue
-			}
-			lay := layouts[in.Struct.Name]
-			if lay == nil {
-				lay, err = layout.Original(in.Struct, lineSize)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if err := r.DefineArena(lay, 1); err != nil {
-				return nil, err
-			}
-			declared[in.Struct.Name] = true
-		}
-	}
-	for _, td := range f.Threads {
-		if td.CPU >= cfg.Topo.NumCPUs() {
-			// Skip threads beyond this machine's CPU count, so one file
-			// can target several machine sizes.
-			continue
-		}
-		if err := r.AddThread(td.CPU, td.Proc, td.Params, td.Iters); err != nil {
-			return nil, err
-		}
 	}
 	res, err := r.Run()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"structlayout/internal/coherence"
@@ -18,6 +19,7 @@ import (
 	"structlayout/internal/memo"
 	"structlayout/internal/parallel"
 	"structlayout/internal/sampling"
+	"structlayout/internal/workload"
 )
 
 func mustOriginal(t testing.TB, st *ir.StructType, lineSize int) *layout.Layout {
@@ -590,5 +592,39 @@ func TestMemoKeyPins(t *testing.T) {
 		if k != want[kind] {
 			t.Errorf("%s key %s, pinned %s", kind, k, want[kind])
 		}
+	}
+}
+
+// TestRunSuiteFile: the built-in suite's harness runs through Run like
+// any parsed file, with results identical to the suite's own RunOnce,
+// exact and under the collection sampler.
+func TestRunSuiteFile(t *testing.T) {
+	suite, err := workload.NewSuite(workload.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := machine.Bus4()
+	base := suite.BaselineLayouts(int(suite.Params.Cache.LineSize))
+	const seed = 20070311
+	smp := workload.CollectSampling(seed)
+	for _, c := range []struct {
+		name     string
+		sampling *sampling.Config
+	}{{"exact", nil}, {"collect", &smp}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Topo: topo, Cache: suite.Params.Cache, Seed: seed, Sampling: c.sampling}
+			got, err := Run(suite.File(topo), cfg, suite.StructLayouts(base))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := suite.RunOnce(topo, base, seed, c.sampling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Run of the suite's file: %d cycles %+v, RunOnce: %d cycles %+v",
+					got.Cycles, got.Coherence, want.Cycles, want.Coherence)
+			}
+		})
 	}
 }

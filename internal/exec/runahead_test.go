@@ -10,7 +10,6 @@ import (
 	"structlayout/internal/coherence"
 	"structlayout/internal/driver"
 	"structlayout/internal/exec"
-	"structlayout/internal/ir"
 	"structlayout/internal/irtext"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
@@ -32,26 +31,11 @@ const (
 // and read the round count.
 func sdetRunner(t *testing.T, s *workload.Suite, topo *machine.Topology, ls workload.Layouts, seed int64, slow bool) *exec.Runner {
 	t.Helper()
-	r, err := exec.NewRunner(s.Prog, exec.Config{Topo: topo, Cache: s.Params.Cache, Seed: seed})
+	r, err := workload.NewRunner(s.File(topo), exec.Config{Topo: topo, Cache: s.Params.Cache, Seed: seed}, s.StructLayouts(ls))
 	if err != nil {
 		t.Fatal(err)
 	}
 	exec.SetSlowPath(r, slow)
-	for _, label := range workload.Labels() {
-		ks := s.Struct(label)
-		count := ks.ArenaCount
-		if label == "D" && count < topo.NumCPUs() {
-			count = topo.NumCPUs()
-		}
-		if err := r.DefineArena(ls[label], count); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for cpu := 0; cpu < topo.NumCPUs(); cpu++ {
-		if err := r.AddThread(cpu, s.EntryFor(cpu), s.ThreadParams(cpu, seed), s.Params.ScriptsPerThread); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return r
 }
 
@@ -186,45 +170,11 @@ var engineModes = []struct {
 // the one-op-per-turn reference, and returns the scheduler round count
 // with the result.
 func dslRun(f *irtext.File, cfg driver.Config, slow bool) (*exec.Result, int64, error) {
-	r, err := exec.NewRunner(f.Prog, exec.Config{Topo: cfg.Topo, Cache: cfg.Cache, Seed: cfg.Seed, Sampling: cfg.Sampling})
+	r, err := workload.NewRunner(f, exec.Config{Topo: cfg.Topo, Cache: cfg.Cache, Seed: cfg.Seed, Sampling: cfg.Sampling}, nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	exec.SetSlowPath(r, slow)
-	lineSize := int(cfg.Cache.LineSize)
-	defined := make(map[string]bool)
-	define := func(st *ir.StructType, count int) error {
-		if defined[st.Name] {
-			return nil
-		}
-		defined[st.Name] = true
-		lay, err := layout.Original(st, lineSize)
-		if err != nil {
-			return err
-		}
-		return r.DefineArena(lay, count)
-	}
-	for _, st := range f.Prog.Structs {
-		if count, ok := f.Arenas[st.Name]; ok {
-			if err := define(st, count); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	for _, b := range f.Prog.Blocks() {
-		for _, in := range b.FieldInstrs() {
-			if err := define(in.Struct, 1); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	for _, td := range f.Threads {
-		if td.CPU < cfg.Topo.NumCPUs() {
-			if err := r.AddThread(td.CPU, td.Proc, td.Params, td.Iters); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
 	res, err := r.Run()
 	return res, exec.Rounds(r), err
 }

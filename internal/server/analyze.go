@@ -16,8 +16,6 @@ import (
 	"structlayout/internal/diag"
 	"structlayout/internal/driver"
 	"structlayout/internal/faults"
-	"structlayout/internal/fieldmap"
-	"structlayout/internal/flg"
 	"structlayout/internal/irtext"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
@@ -329,18 +327,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sc := staticshare.FileConfig(file)
-	opts := core.Options{
-		LineSize: lineSize,
-		Strict:   req.Strict,
-		FMF:      spec.ApplyFMF(fieldmap.Build(file.Prog), file.Prog),
-		FLG:      flg.Calibrated(),
-		Static:   &sc,
-	}
-	if cycles > 0 {
-		opts.SliceCycles = cycles/64 + 1
-	}
-	analysis, err := core.NewAnalysis(file.Prog, pf, trace, opts)
+	analysis, err := core.NewAnalysis(file.Prog, pf, trace, driver.AnalysisOptions(file, lineSize, cycles, spec, req.Strict))
 	if err != nil {
 		if req.Strict {
 			// Strict mode turns degraded measurements into refusals by

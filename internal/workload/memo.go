@@ -21,8 +21,9 @@ import (
 // harness, layouts, topology, run count, seeds), so both memoize through
 // the process-wide memo.Shared() cache. This file holds the one
 // implementation of the measurement protocol and of the collection cache;
-// the built-in suite (below) and DSL programs (package driver) differ only
-// in how they key a cell and how they execute one run. The figure loops
+// the built-in suite (below) and DSL programs (package driver) run through
+// the one runner assembly (NewRunner) and differ only in how they key a
+// cell and seed its runs. The figure loops
 // measure the same baseline cell per machine in several configurations
 // (Figure 8 and Figure 10 share all their Superdome128 "auto" cells, the
 // robustness sweep re-measures the Figure 9 baseline), and a warm disk
@@ -162,17 +163,8 @@ func (s *Suite) hashConfig(h *memo.Hasher, topo *machine.Topology, ls Layouts) {
 	h.CacheConfig("cache", p.Cache)
 	h.Topology("topo", topo)
 	// Arena layouts: hash the effective layout for every label, including
-	// baseline fallbacks, exactly as newRunner resolves them.
-	lineSize := int(p.Cache.LineSize)
-	eff := make(Layouts, len(s.byLabel))
-	for _, label := range Labels() {
-		lay := ls[label]
-		if lay == nil {
-			lay = s.byLabel[label].Baseline(lineSize)
-		}
-		eff[label] = lay
-	}
-	h.Layouts("layouts", eff)
+	// baseline fallbacks, exactly as RunOnce resolves them.
+	h.Layouts("layouts", s.effective(ls))
 }
 
 func (s *Suite) measureKey(topo *machine.Topology, ls Layouts, n int, baseSeed int64) memo.Key {

@@ -4,6 +4,8 @@ import (
 	"context"
 
 	"structlayout/internal/exec"
+	"structlayout/internal/ir"
+	"structlayout/internal/irtext"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
 	"structlayout/internal/profile"
@@ -58,46 +60,112 @@ func (ls Layouts) WithLayout(label string, lay *layout.Layout) Layouts {
 	return out
 }
 
-// newRunner assembles an exec.Runner for one run, with a PMU collector
-// attached when smp is non-nil.
-func (s *Suite) newRunner(topo *machine.Topology, ls Layouts, seed int64, smp *sampling.Config) (*exec.Runner, error) {
-	r, err := exec.NewRunner(s.Prog, exec.Config{
-		Topo:     topo,
-		Cache:    s.Params.Cache,
-		Seed:     seed,
-		Sampling: smp,
-	})
-	if err != nil {
-		return nil, err
-	}
-	lineSize := int(s.Params.Cache.LineSize)
-	// Arena addresses depend on definition order; iterate labels in fixed
-	// order so identical configurations replay identically.
-	for _, label := range Labels() {
-		ks := s.byLabel[label]
-		lay := ls[label]
-		if lay == nil {
-			lay = ks.Baseline(lineSize)
-		}
+// File states SDET's run harness on one machine as the irtext.File a DSL
+// program declares: the five kernel arenas, with D padded to one runqueue
+// per CPU, and one script thread per CPU running its stat class's script
+// with its parameter vector for ScriptsPerThread iterations.
+func (s *Suite) File(topo *machine.Topology) *irtext.File {
+	f := &irtext.File{Prog: s.Prog, Arenas: make(map[string]int, len(s.byLabel))}
+	for _, ks := range s.byLabel {
 		count := ks.ArenaCount
 		if ks.Label == "D" && count < topo.NumCPUs() {
 			count = topo.NumCPUs() // per-CPU runqueues need one per CPU
 		}
-		if err := r.DefineArena(lay, count); err != nil {
-			return nil, err
-		}
+		f.Arenas[ks.Type.Name] = count
 	}
 	for cpu := 0; cpu < topo.NumCPUs(); cpu++ {
-		if err := r.AddThread(cpu, s.EntryFor(cpu), s.ThreadParams(cpu, seed), s.Params.ScriptsPerThread); err != nil {
-			return nil, err
+		f.Threads = append(f.Threads, irtext.ThreadDecl{
+			CPU:    cpu,
+			Proc:   s.EntryFor(cpu),
+			Params: s.ThreadParams(cpu),
+			Iters:  s.Params.ScriptsPerThread,
+		})
+	}
+	return f
+}
+
+// NewRunner assembles, but does not start, one run of f's harness: every
+// declared arena, a one-instance arena for each struct the program
+// accesses without declaring one, and every declared thread whose CPU
+// cfg.Topo has (so one file can target several machine sizes). layouts is
+// keyed by struct name; a struct it lacks gets its declaration-order
+// layout.
+func NewRunner(f *irtext.File, cfg exec.Config, layouts map[string]*layout.Layout) (*exec.Runner, error) {
+	r, err := exec.NewRunner(f.Prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	lineSize := int(cfg.Cache.LineSize)
+	defined := make(map[string]bool, len(f.Arenas))
+	define := func(st *ir.StructType, count int) error {
+		defined[st.Name] = true
+		lay := layouts[st.Name]
+		if lay == nil {
+			orig, err := layout.Original(st, lineSize)
+			if err != nil {
+				return err
+			}
+			lay = orig
+		}
+		return r.DefineArena(lay, count)
+	}
+	// Arena addresses depend on definition order, so declared arenas are
+	// defined in struct declaration order, never in map order.
+	for _, st := range f.Prog.Structs {
+		if count, ok := f.Arenas[st.Name]; ok {
+			if err := define(st, count); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, b := range f.Prog.Blocks() {
+		for _, in := range b.FieldInstrs() {
+			if !defined[in.Struct.Name] {
+				if err := define(in.Struct, 1); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	for _, td := range f.Threads {
+		if td.CPU < cfg.Topo.NumCPUs() {
+			if err := r.AddThread(td.CPU, td.Proc, td.Params, td.Iters); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return r, nil
 }
 
-// RunOnce executes one run and returns the raw result.
+// effective returns ls with every label it lacks set to its baseline
+// layout: the layouts a run of ls actually uses.
+func (s *Suite) effective(ls Layouts) Layouts {
+	lineSize := int(s.Params.Cache.LineSize)
+	eff := make(Layouts, len(s.byLabel))
+	for label, ks := range s.byLabel {
+		lay := ls[label]
+		if lay == nil {
+			lay = ks.Baseline(lineSize)
+		}
+		eff[label] = lay
+	}
+	return eff
+}
+
+// StructLayouts returns the layouts a run of ls uses, keyed by struct
+// name as a File's runner wants them.
+func (s *Suite) StructLayouts(ls Layouts) map[string]*layout.Layout {
+	out := make(map[string]*layout.Layout, len(s.byLabel))
+	for label, lay := range s.effective(ls) {
+		out[s.byLabel[label].Type.Name] = lay
+	}
+	return out
+}
+
+// RunOnce executes one run and returns the raw result, with a PMU
+// collector attached when smp is non-nil.
 func (s *Suite) RunOnce(topo *machine.Topology, ls Layouts, seed int64, smp *sampling.Config) (*exec.Result, error) {
-	r, err := s.newRunner(topo, ls, seed, smp)
+	r, err := NewRunner(s.File(topo), exec.Config{Topo: topo, Cache: s.Params.Cache, Seed: seed, Sampling: smp}, s.StructLayouts(ls))
 	if err != nil {
 		return nil, err
 	}

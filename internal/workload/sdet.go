@@ -343,7 +343,7 @@ func PrivateAliasOracle(prog *ir.Program) func(b1, b2 ir.BlockID) bool {
 // ThreadParams assigns a CPU's parameter vector. Assignments are stable
 // across runs (run-to-run variance comes from branch draws and random
 // memory offsets, like rerunning SDET on warm hardware).
-func (s *Suite) ThreadParams(cpu int, seed int64) []int {
+func (s *Suite) ThreadParams(cpu int) []int {
 	params := make([]int, 4)
 	// Instance 0 of proc_entry is the shared kernel-global entry; threads'
 	// own entries start above it so no thread's per-entry lock lives in

@@ -3,7 +3,9 @@
 // qualitative properties of the HP-UX structs A–E, a multi-process
 // SDET-like script workload that stresses them, hand-tuned baseline
 // layouts, and the measurement protocol (warm-up + N runs, outlier-trimmed
-// mean of the scripts/hour throughput).
+// mean of the scripts/hour throughput). The suite states its run harness
+// as the irtext.File a DSL program declares (Suite.File), and NewRunner is
+// the one runner assembly for every such file.
 //
 // The real structs are proprietary; these are synthesized to match the
 // paper's published characteristics:

@@ -3,9 +3,11 @@ package workload
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"structlayout/internal/ir"
+	"structlayout/internal/irtext"
 	"structlayout/internal/machine"
 )
 
@@ -125,7 +127,7 @@ func TestThreadParamsPrivateInstancesDistinct(t *testing.T) {
 	seenProc := map[int]bool{}
 	seenVnode := map[int]bool{}
 	for cpu := 0; cpu < 128; cpu++ {
-		ps := s.ThreadParams(cpu, 1)
+		ps := s.ThreadParams(cpu)
 		if seenProc[ps[ParamProc]] {
 			t.Fatalf("proc instance %d reused", ps[ParamProc])
 		}
@@ -327,6 +329,56 @@ func TestMemoKeyPins(t *testing.T) {
 	for kind, k := range got {
 		if k != want[kind] {
 			t.Errorf("%s key %s, pinned %s", kind, k, want[kind])
+		}
+	}
+}
+
+// TestSuiteFile pins SDET's harness as a File states it: one arena per
+// kernel struct (runqueues padded to one per CPU) and one script thread
+// per CPU with its parameter vector.
+func TestSuiteFile(t *testing.T) {
+	for _, topo := range []*machine.Topology{machine.Bus4(), machine.Superdome128()} {
+		s := newSuite(t)
+		f := s.File(topo)
+		if f.Prog != s.Prog {
+			t.Fatalf("%s: file does not carry the suite's program", topo.Name)
+		}
+		if len(f.Arenas) != len(Labels()) {
+			t.Fatalf("%s: %d arenas, want %d", topo.Name, len(f.Arenas), len(Labels()))
+		}
+		for _, label := range Labels() {
+			ks := s.Struct(label)
+			want := ks.ArenaCount
+			if label == "D" {
+				want = max(ks.ArenaCount, topo.NumCPUs())
+			}
+			if got := f.Arenas[ks.Type.Name]; got != want {
+				t.Errorf("%s: arena %s (%s) holds %d, want %d", topo.Name, label, ks.Type.Name, got, want)
+			}
+		}
+		if len(f.Threads) != topo.NumCPUs() {
+			t.Fatalf("%s: %d threads, want one per CPU", topo.Name, len(f.Threads))
+		}
+		for i, td := range f.Threads {
+			want := irtext.ThreadDecl{
+				CPU:    i,
+				Proc:   fmt.Sprintf("script_%d", i%8),
+				Params: []int{i + 8, 4 + 3*i, i % 4, 5 * i},
+				Iters:  s.Params.ScriptsPerThread,
+			}
+			if !reflect.DeepEqual(td, want) {
+				t.Fatalf("%s: thread %d = %+v, want %+v", topo.Name, i, td, want)
+			}
+		}
+		// A kernel arena smaller than the machine pads only the runqueues.
+		s.Struct("D").ArenaCount = 2
+		s.Struct("A").ArenaCount = 2
+		f = s.File(topo)
+		if got := f.Arenas[s.Struct("D").Type.Name]; got != topo.NumCPUs() {
+			t.Errorf("%s: 2-instance runqueue arena holds %d, want %d", topo.Name, got, topo.NumCPUs())
+		}
+		if got := f.Arenas[s.Struct("A").Type.Name]; got != 2 {
+			t.Errorf("%s: 2-instance proc arena holds %d, want 2", topo.Name, got)
 		}
 	}
 }
