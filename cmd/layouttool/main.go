@@ -94,7 +94,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 		rank:        fs.Bool("rank", false, "rank all structs by optimization potential instead of advising one"),
 		dotOut:      fs.String("dot", "", "write the struct's Field Layout Graph as Graphviz DOT to this file"),
 		seed:        fs.Int64("seed", 20070311, "collection seed"),
-		scripts:     fs.Int64("collect-scripts", 12, "SDET scripts per thread during collection"),
+		scripts:     fs.Int64("collect-scripts", defaultScripts, "SDET scripts per thread during collection"),
 		profileIn:   fs.String("profile", "", "read the profile from this JSON file instead of collecting"),
 		traceIn:     fs.String("trace", "", "read the sample trace from this JSON file instead of collecting"),
 		dumpDir:     fs.String("dump", "", "write profile.json, trace.json, concmap.txt and fmf.txt to this directory"),
@@ -138,8 +138,8 @@ func main() {
 		os.Exit(runCacheGC(*o.cacheDir, *o.cacheGCAge, *o.cacheGCSize))
 	case "go-lint":
 		os.Exit(runGoLint(*o.goLint, *o.lintJSON, *o.cacheDir))
-	case "lint":
-		os.Exit(runLint(*o.programIn, *o.lintDir, *o.lintJSON, *o.collectOn, *o.scripts))
+	case "lint", "program lint":
+		os.Exit(runLint(*o.programIn, *o.lintDir, *o.lintJSON, *o.collectOn))
 	}
 	spec, err := faults.ParseSpec(*o.injectSpec)
 	if err != nil {
@@ -165,7 +165,8 @@ func main() {
 }
 
 // mode names the task the command line selects, checked in this order:
-// cache-gc, go-lint, lint, rank, program (a -program analysis) or
+// cache-gc, go-lint, program lint (-lint-dir, or -lint with -program),
+// lint (the built-in suite), rank, program (a -program analysis) or
 // built-in (a built-in SDET struct).
 func (o *options) mode() string {
 	switch {
@@ -173,7 +174,9 @@ func (o *options) mode() string {
 		return "cache-gc"
 	case *o.goLint != "":
 		return "go-lint"
-	case *o.lintMode || *o.lintDir != "":
+	case *o.lintDir != "" || *o.lintMode && *o.programIn != "":
+		return "program lint"
+	case *o.lintMode:
 		return "lint"
 	case *o.rank:
 		return "rank"
@@ -184,14 +187,17 @@ func (o *options) mode() string {
 }
 
 // modeFlags lists the flags each mode reads; -j and -cache-dir are read
-// in every mode.
+// in every mode. Built-in lint reads the collection machine, whose CPU
+// count sets the suite's threads, but not -collect-scripts: the script
+// count scales every static frequency alike and moves no finding.
 var modeFlags = map[string]string{
-	"cache-gc": "cache-gc cache-gc-age cache-gc-bytes",
-	"go-lint":  "go-lint lint-json",
-	"lint":     "lint lint-dir lint-json program collect-machine collect-scripts",
-	"rank":     "rank program collect-machine seed collect-scripts inject strict quality",
-	"program":  "program struct collect-machine mode seed split dot inject strict measure quality",
-	"built-in": "struct collect-machine mode seed collect-scripts split profile trace dump dot inject strict quality",
+	"cache-gc":     "cache-gc cache-gc-age cache-gc-bytes",
+	"go-lint":      "go-lint lint-json",
+	"program lint": "lint lint-dir lint-json program",
+	"lint":         "lint lint-json collect-machine",
+	"rank":         "rank program collect-machine seed collect-scripts inject strict quality",
+	"program":      "program struct collect-machine mode seed split dot inject strict measure quality",
+	"built-in":     "struct collect-machine mode seed collect-scripts split profile trace dump dot inject strict quality",
 }
 
 // usageErrors returns the command line's usage errors, found before any
@@ -264,7 +270,7 @@ func runCacheGC(cacheDir string, maxAge time.Duration, maxBytes int64) int {
 // measurement — over a DSL program, a directory of them, or the built-in
 // workload, and maps the outcome to an exit code the same way -quality
 // does: 0 clean, 3 findings, 1 analysis error.
-func runLint(programIn, lintDir, lintJSON, collectOn string, scripts int64) int {
+func runLint(programIn, lintDir, lintJSON, collectOn string) int {
 	var findings []staticshare.Finding
 	var err error
 	switch {
@@ -273,7 +279,7 @@ func runLint(programIn, lintDir, lintJSON, collectOn string, scripts int64) int 
 	case programIn != "":
 		findings, err = lintProgramFile(programIn)
 	default:
-		findings, err = lintBuiltin(collectOn, scripts)
+		findings, err = lintBuiltin(collectOn)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "layouttool:", err)
@@ -467,14 +473,14 @@ func lintTree(root string) ([]staticshare.Finding, error) {
 }
 
 // lintBuiltin lints the built-in SDET workload against its hand-tuned
-// baseline layouts, under the harness its runs use on the collection
-// machine.
-func lintBuiltin(collectOn string, scripts int64) ([]staticshare.Finding, error) {
+// baseline layouts, under the harness its collection runs use on the
+// collection machine at the default script count.
+func lintBuiltin(collectOn string) ([]staticshare.Finding, error) {
 	topo, err := machine.ByName(collectOn)
 	if err != nil {
 		return nil, err
 	}
-	suite, err := builtinSuite(scripts)
+	suite, err := builtinSuite(defaultScripts)
 	if err != nil {
 		return nil, err
 	}
@@ -720,6 +726,10 @@ func run(structLabel, collectOn, mode string, seed, scripts int64, split bool, p
 	}
 	return analysis, nil
 }
+
+// defaultScripts is -collect-scripts' default: the SDET scripts per
+// thread of a built-in collection, and of built-in lint's harness.
+const defaultScripts = 12
 
 // builtinSuite builds the SDET suite with the given scripts per thread.
 func builtinSuite(scripts int64) (*workload.Suite, error) {

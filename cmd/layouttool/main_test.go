@@ -271,8 +271,13 @@ func TestFlagsUnreadByMode(t *testing.T) {
 		{"-program " + slp + " -collect-scripts 2", "program", "collect-scripts"},
 		{"-struct B -measure 2", "built-in", "measure"},
 		{"-rank -mode auto -measure 5 -split -dot g.dot -dump out", "rank", "dot dump measure mode split"},
-		{"-lint -program " + slp + " -quality", "lint", "quality"},
+		{"-lint -program " + slp + " -quality", "program lint", "quality"},
 		{"-lint -seed 5", "lint", "seed"},
+		{"-lint -collect-scripts 50", "lint", "collect-scripts"},
+		{"-lint -collect-machine bus4 -collect-scripts 2", "lint", "collect-scripts"},
+		{"-lint -program " + slp + " -collect-machine superdome128", "program lint", "collect-machine"},
+		{"-lint -program " + slp + " -collect-scripts 1", "program lint", "collect-scripts"},
+		{"-lint-dir examples/lint -collect-machine bus4 -collect-scripts 2", "program lint", "collect-machine collect-scripts"},
 		{"-go-lint ./x -program " + slp, "go-lint", "program"},
 		{"-cache-gc -cache-dir c -lint", "cache-gc", "lint"},
 		// Invocations the README, docs and CI use.
@@ -282,9 +287,9 @@ func TestFlagsUnreadByMode(t *testing.T) {
 		{"-program " + slp + " -struct conn -collect-machine bus4 -measure 2 -cache-dir c -j 2", "program", ""},
 		{"-program " + slp + " -struct conn -measure 2 -split", "program", ""},
 		{"-rank -program " + slp, "rank", ""},
-		{"-lint -program " + slp + " -lint-json out.json", "lint", ""},
-		{"-lint-dir examples/lint -lint-json -", "lint", ""},
-		{"-lint -collect-machine bus4 -collect-scripts 2", "lint", ""},
+		{"-lint -program " + slp + " -lint-json out.json", "program lint", ""},
+		{"-lint-dir examples/lint -lint-json -", "program lint", ""},
+		{"-lint -collect-machine bus4 -lint-json -", "lint", ""},
 		{"-go-lint examples/corpus/... -cache-dir c -lint-json out.json", "go-lint", ""},
 		{"-cache-gc -cache-dir c -cache-gc-age 1h -cache-gc-bytes 100", "cache-gc", ""},
 	}

@@ -1,8 +1,9 @@
 // Package connpool is a connection pool whose wait counter is bumped
 // with an unguarded atomic on the same line as the lock word and the
 // locked free/inuse state. Two workers share the primary pool; a third
-// brings its own, which splits the lock across instances and drags the
-// whole group into the per-thread-lock check.
+// brings its own. Each worker locks the pool it was handed, so the lock
+// word is write-shared with the counter and with the state it guards,
+// while free and inuse, written only under the lock, may stay together.
 package connpool
 
 import (

@@ -585,8 +585,8 @@ func TestMemoKeyPins(t *testing.T) {
 	}
 	got := map[string]string{"measure": fmt.Sprintf("%x", mk[:]), "collect": fmt.Sprintf("%x", ck[:])}
 	want := map[string]string{
-		"measure": "75a3fae7ea1a9362be540ad3494480cca6205da2e6b29e9c3ee993257a27fbce",
-		"collect": "aff8caf329d01d3b13d82170c93ddc6425acff7342ede5293fa89dda68d211f5",
+		"measure": "e6dc0f7c7868f6e0b98f8e284f8ae04841425ec1823a07af2984eec0cc3364b7",
+		"collect": "6951b11f0197a3172b132d274dc949cc3dd474b71a41be5e5543c33fb9ebac05",
 	}
 	for kind, k := range got {
 		if k != want[kind] {

@@ -1,10 +1,7 @@
 package driver
 
 import (
-	"sort"
-
 	"structlayout/internal/exec"
-	"structlayout/internal/ir"
 	"structlayout/internal/irtext"
 	"structlayout/internal/layout"
 	"structlayout/internal/memo"
@@ -18,75 +15,16 @@ import (
 // nils the sampling config and fault spec per run by contract — so they
 // memoize through workload.MeasureMemo exactly like the built-in suite's
 // measurements, and collections through workload.CollectMemo. This file
-// holds only their keys. What unblocked this is ir.Canonical:
-// an arbitrary parsed program now has a deterministic, semantically
-// complete serialization to hash, where the built-in suite could hash its
-// few scalar parameters instead.
-
-// hashFileConfig hashes everything MeasureCtx and Collect share: the
-// canonical program, the run harness (arenas, threads), the machine, the
-// cache geometry, the seed, and the effective layout of every struct. ok
-// is false when some input resists canonical hashing (nil topology,
-// un-layoutable struct); callers then skip the cache and compute directly.
-func hashFileConfig(h *memo.Hasher, f *irtext.File, cfg Config, layouts map[string]*layout.Layout) bool {
-	if cfg.Topo == nil || f.Prog == nil {
-		return false
-	}
-	h.Str("prog", ir.Canonical(f.Prog))
-	names := make([]string, 0, len(f.Arenas))
-	for name := range f.Arenas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h.Int("arenas.n", int64(len(names)))
-	for _, name := range names {
-		h.Str("arena", name)
-		h.Int("arena.count", int64(f.Arenas[name]))
-	}
-	h.Int("threads.n", int64(len(f.Threads)))
-	for _, td := range f.Threads {
-		h.Int("t.cpu", int64(td.CPU))
-		h.Str("t.proc", td.Proc)
-		params := make([]int64, len(td.Params))
-		for i, p := range td.Params {
-			params[i] = int64(p)
-		}
-		h.Ints("t.params", params)
-		h.Int("t.iters", td.Iters)
-	}
-	h.Topology("topo", cfg.Topo)
-	h.CacheConfig("cache", cfg.Cache)
-	h.Int("seed", cfg.Seed)
-	// Hash the effective layout of every struct, resolving fallbacks the
-	// way Run does (declaration order when no layout is supplied). Structs
-	// the program never touches hash their defaults too — a superset of
-	// what influences the result is still canonical.
-	lineSize := int(cfg.Cache.LineSize)
-	eff := make(map[string]*layout.Layout, len(f.Prog.Structs))
-	for _, st := range f.Prog.Structs {
-		lay := layouts[st.Name]
-		if lay == nil {
-			var err error
-			lay, err = layout.Original(st, lineSize)
-			if err != nil {
-				return false
-			}
-		}
-		eff[st.Name] = lay
-	}
-	h.Layouts("layouts", eff)
-	return true
-}
+// holds only their keys, built on workload.HashFile like the suite's.
 
 // measureKey keys one MeasureCtx call.
 func measureKey(f *irtext.File, cfg Config, layouts map[string]*layout.Layout, n int) (memo.Key, bool) {
 	h := memo.NewHasher()
 	h.Str("kind", "driver.measure")
-	if !hashFileConfig(h, f, cfg, layouts) {
+	if !workload.HashFile(h, f, cfg.Topo, cfg.Cache, cfg.Seed, layouts) {
 		return memo.Key{}, false
 	}
 	h.Int("runs", int64(n))
-	h.ExactSim()
 	// MeasureCtx is clean by contract: fault injection applies to collected
 	// artifacts, never to throughput runs. Record that in the key.
 	h.FaultSpec("inject", nil)
@@ -100,7 +38,7 @@ func collectKey(f *irtext.File, cfg Config) (memo.Key, bool) {
 	cfg.fillDefaults()
 	h := memo.NewHasher()
 	h.Str("kind", "driver.collect")
-	if !hashFileConfig(h, f, cfg, nil) {
+	if !workload.HashFile(h, f, cfg.Topo, cfg.Cache, cfg.Seed, nil) {
 		return memo.Key{}, false
 	}
 	sc := cfg.Sampling

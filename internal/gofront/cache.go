@@ -22,8 +22,9 @@ import (
 // cacheSchema versions the cached-report encoding and the analysis
 // semantics behind it. Bump on any change to extraction, lowering,
 // classification or the serialized shape — stale entries then miss
-// instead of replaying wrong results.
-const cacheSchema = 1
+// instead of replaying wrong results. 2: a lock taken through a pointer
+// parameter or receiver names that pointer's instance.
+const cacheSchema = 2
 
 // reportKey derives the content-addressed cache key for one package's
 // lint report.

@@ -183,6 +183,65 @@ func add() {
 	}
 }
 
+// TestLockThroughPointerParam pins that a lock taken through a pointer
+// parameter or receiver gets that pointer's instance, like the field
+// accesses under it: every goroutine locks g.mu, so the lock serializes
+// them and shares g's line with the data, in both call forms and with
+// the deferred unlock too.
+func TestLockThroughPointerParam(t *testing.T) {
+	for name, spawn := range map[string]string{
+		"ptrparam": "go bump(&g)",
+		"receiver": "go g.bump()",
+	} {
+		t.Run(name, func(t *testing.T) {
+			src := `
+package stats
+
+import "sync"
+
+type Stats struct {
+	mu   sync.Mutex
+	hits int64
+}
+
+var g Stats
+
+func Run() {
+	for i := 0; i < 4; i++ {
+		SPAWN
+	}
+}
+
+func bump(s *Stats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.hits++
+}
+
+func (s *Stats) bump() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.hits++
+}
+`
+			rep := lintSrc(t, name, strings.Replace(src, "SPAWN", spawn, 1))
+			text := irtext.Format(rep.Model.File)
+			if strings.Contains(text, "percpu") {
+				t.Errorf("lock or access resolved per CPU:\n%s", text)
+			}
+			if !strings.Contains(text, "lock Stats.mu param ") || !strings.Contains(text, "unlock Stats.mu param ") {
+				t.Errorf("lock not taken through the parameter:\n%s", text)
+			}
+			if hasCode(rep.Findings, staticshare.CodePerThreadLock) {
+				t.Errorf("a lock every goroutine shares reported as per-thread: %+v", rep.Findings)
+			}
+			if !hasCode(rep.Findings, staticshare.CodeFalseSharing) {
+				t.Errorf("mu and hits share g's line, but no false-sharing finding: %+v", rep.Findings)
+			}
+		})
+	}
+}
+
 // TestCapturedLocalBecomesShared pins closure capture: a struct local
 // captured by a spawned literal is a shared instance, not frame-private.
 func TestCapturedLocalBecomesShared(t *testing.T) {

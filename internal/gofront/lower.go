@@ -99,7 +99,7 @@ func (e *extractor) lowerStmt(b *ir.Builder, fn *goFunc, stmt ast.Stmt) {
 			e.emitted++
 		}
 	case *ast.DeferStmt:
-		if call, ok := e.mutexCall(s.Call); ok && !call.acquire {
+		if call, ok := e.mutexCall(fn, s.Call); ok && !call.acquire {
 			// Deferred unlock: runs at function exit.
 			c := call
 			e.deferred = append(e.deferred, func(b *ir.Builder) {
@@ -212,9 +212,12 @@ type mutexCallInfo struct {
 
 // mutexCall recognizes x.mu.Lock/Unlock/RLock/RUnlock() on a mutex field
 // of a lowered struct and mu.Lock() on a bare package/captured mutex
-// var. RLock counts as an acquire: the lock word is genuinely written,
-// and reader-reader exclusion only ever under-reports sharing hazards.
-func (e *extractor) mutexCall(call *ast.CallExpr) (mutexCallInfo, bool) {
+// var. The lock's instance follows its base x the way a field access's
+// does in fn, so a lock taken through a pointer parameter or receiver
+// names that pointer's instance. RLock counts as an acquire: the lock
+// word is genuinely written, and reader-reader exclusion only ever
+// under-reports sharing hazards.
+func (e *extractor) mutexCall(fn *goFunc, call *ast.CallExpr) (mutexCallInfo, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return mutexCallInfo{}, false
@@ -231,7 +234,7 @@ func (e *extractor) mutexCall(call *ast.CallExpr) (mutexCallInfo, bool) {
 	// x.mu.Lock(): mu a mutex field of a lowered struct.
 	if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
 		if def, field, base := e.mutexField(inner); def != nil {
-			return mutexCallInfo{st: def, field: field, inst: e.instOf(nil, base), acquire: acquire}, true
+			return mutexCallInfo{st: def, field: field, inst: e.instOf(fn, base), acquire: acquire}, true
 		}
 	}
 	// mu.Lock(): a bare mutex var lowered into the synthetic locks
@@ -300,7 +303,7 @@ func (e *extractor) lowerExpr(b *ir.Builder, fn *goFunc, expr ast.Expr) {
 // regions, same-package calls become IR calls (unless dropped to break
 // recursion), everything else just evaluates its arguments.
 func (e *extractor) lowerCall(b *ir.Builder, fn *goFunc, call *ast.CallExpr) {
-	if mc, ok := e.mutexCall(call); ok {
+	if mc, ok := e.mutexCall(fn, call); ok {
 		if mc.acquire {
 			b.Lock(mc.st.IR, mc.field, mc.inst)
 		} else {
@@ -379,9 +382,7 @@ func (e *extractor) lowerWrite(b *ir.Builder, fn *goFunc, lhs ast.Expr) {
 	}
 }
 
-// instOf resolves the instance a selector base designates. fn may be nil
-// when resolving outside any function position (mutex fields reached
-// through globals).
+// instOf resolves the instance a selector base designates in fn.
 func (e *extractor) instOf(fn *goFunc, base ast.Expr) ir.InstExpr {
 	for {
 		switch x := base.(type) {
@@ -402,14 +403,12 @@ func (e *extractor) instOf(fn *goFunc, base ast.Expr) ir.InstExpr {
 			if idx, ok := e.instIdx[v]; ok && idx >= 0 {
 				return ir.Shared(idx)
 			}
-			if fn != nil {
-				if slot, ok := fn.paramSlot[v]; ok {
-					if _, isPtr := v.Type().(*types.Pointer); isPtr {
-						return ir.Param(slot)
-					}
-					// Value receiver/parameter: the callee owns a copy.
-					return ir.PerCPU()
+			if slot, ok := fn.paramSlot[v]; ok {
+				if _, isPtr := v.Type().(*types.Pointer); isPtr {
+					return ir.Param(slot)
 				}
+				// Value receiver/parameter: the callee owns a copy.
+				return ir.PerCPU()
 			}
 			if !e.isPackageLevel(v) && !v.IsField() {
 				return ir.PerCPU() // uncaptured local: frame-private

@@ -14,7 +14,11 @@
 //     line each, the loop nest, and the structured execution tree the
 //     interpreter walks (loops come straight from the structured AST, so
 //     no control-flow graph is built or searched),
-//   - per-instruction field-access records (read/write).
+//   - per-instruction field-access records (read/write),
+//   - one call order (Program.CallOrder): every procedure once, callers
+//     before callees. The interprocedural passes (internal/locks,
+//     internal/staticshare) propagate their facts in it, so, as in
+//     SYZYGY, the call graph is walked once for all of them.
 //
 // The execution engine (internal/exec) interprets the same IR, so profile
 // counts, PMU-style samples and the field-mapping file all refer to one
@@ -23,6 +27,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -199,6 +204,7 @@ type Program struct {
 	regionByName map[string]*Region
 	blocks       []*BasicBlock // all blocks, indexed by global BlockID
 	loops        []*Loop       // all loops, indexed by global loop ID
+	callOrder    []*Procedure  // callers before callees, set by Finalize
 	finalized    bool
 }
 
@@ -268,6 +274,11 @@ func (p *Program) Block(id BlockID) *BasicBlock { return p.blocks[id] }
 // NumLoops returns the number of loops in the finalized program.
 func (p *Program) NumLoops() int { return len(p.loops) }
 
+// CallOrder returns every procedure once, callers before callees: the
+// order the interprocedural passes propagate facts down the call graph
+// in. It is nil until Finalize accepts the program.
+func (p *Program) CallOrder() []*Procedure { return p.callOrder }
+
 func (p *Program) addProc(pr *Procedure) {
 	p.mustMutable()
 	if _, dup := p.procByName[pr.Name]; dup {
@@ -284,11 +295,11 @@ func (p *Program) mustMutable() {
 }
 
 // Finalize lowers every procedure to its blocks, loop nest and execution
-// tree, assigns global block IDs and source lines, and rejects programs
-// the interpreter cannot run: misplaced sync statements, empty loop
-// bodies, calls or spawns of undefined procedures, negative shared or
-// parameter instances, and recursion. After Finalize the program is
-// immutable.
+// tree, assigns global block IDs and source lines, rejects programs the
+// interpreter cannot run (misplaced sync statements, empty loop bodies,
+// calls or spawns of undefined procedures, negative shared or parameter
+// instances, and recursion), and orders the procedures callers-first for
+// CallOrder. After Finalize the program is immutable.
 func (p *Program) Finalize() error {
 	if p.finalized {
 		return nil
@@ -333,6 +344,7 @@ func (p *Program) Finalize() error {
 	if err := p.checkCallGraph(); err != nil {
 		return err
 	}
+	p.callOrder = p.orderCalls()
 	p.finalized = true
 	return nil
 }
@@ -497,6 +509,45 @@ func (p *Program) checkCallGraph() error {
 		}
 	}
 	return nil
+}
+
+// orderCalls returns the reverse postorder of a depth-first walk over
+// call edges that starts from procedures in registration order and
+// visits each procedure's callees in registration order. checkCallGraph
+// has rejected recursion, so every call edge points forward in it.
+func (p *Program) orderCalls() []*Procedure {
+	index := make(map[string]int, len(p.Procs))
+	for i, pr := range p.Procs {
+		index[pr.Name] = i
+	}
+	visited := make([]bool, len(p.Procs))
+	post := make([]*Procedure, 0, len(p.Procs))
+	var visit func(i int)
+	visit = func(i int) {
+		visited[i] = true
+		var callees []int
+		for _, b := range p.Procs[i].Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == OpCall {
+					callees = append(callees, index[in.Callee])
+				}
+			}
+		}
+		sort.Ints(callees)
+		for _, j := range callees {
+			if !visited[j] {
+				visit(j)
+			}
+		}
+		post = append(post, p.Procs[i])
+	}
+	for i := range p.Procs {
+		if !visited[i] {
+			visit(i)
+		}
+	}
+	slices.Reverse(post)
+	return post
 }
 
 // MustFinalize is Finalize that panics on error, for statically known-good

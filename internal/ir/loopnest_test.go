@@ -23,6 +23,20 @@ import (
 // visited with that loop innermost, and Procedure.Loops must be the
 // ExecLoop preorder with TripCount equal to Count.
 func TestLoopNest(t *testing.T) {
+	for name, p := range repoPrograms(t) {
+		for _, pr := range p.Procs {
+			if err := checkLoopNest(pr); err != "" {
+				t.Errorf("%s: %s: %s", name, pr.Name, err)
+			}
+		}
+	}
+}
+
+// repoPrograms returns the hand-built programs of ir_test.go, the SDET
+// suite and every .slp program in the repository, keyed by name (a .slp
+// program by its repository path).
+func repoPrograms(t *testing.T) map[string]*ir.Program {
+	t.Helper()
 	progs := map[string]*ir.Program{}
 	for _, p := range ir.LoweringPrograms() {
 		progs[p.Name] = p
@@ -63,14 +77,7 @@ func TestLoopNest(t *testing.T) {
 	if progs["examples/dslprogram/webserver.slp"] == nil {
 		t.Fatalf("no .slp programs found under %s", root)
 	}
-
-	for name, p := range progs {
-		for _, pr := range p.Procs {
-			if err := checkLoopNest(pr); err != "" {
-				t.Errorf("%s: %s: %s", name, pr.Name, err)
-			}
-		}
-	}
+	return progs
 }
 
 // checkLoopNest returns the first way pr's blocks and loops disagree with

@@ -2,7 +2,7 @@
 // work (§7: "We will seek to improve the affinity information by a variety
 // of means, in particular ... by lock analysis"). It computes, for every
 // field-touching instruction, the set of spinlocks definitely held when it
-// executes, interprocedurally over the acyclic call graph.
+// executes, interprocedurally in the program's call order (callers first).
 //
 // Its consumer is the static sharing analysis (internal/staticshare): two
 // accesses both performed under the same *shared-instance* lock can never
@@ -14,7 +14,6 @@ package locks
 
 import (
 	"fmt"
-	"sort"
 
 	"structlayout/internal/ir"
 )
@@ -58,14 +57,16 @@ func (in *Info) HeldAt(b ir.BlockID, seq int) []Key { return in.heldAt[instrRef{
 // (every path releases what it acquires).
 func (in *Info) Balanced(proc string) bool { return in.balanced[proc] }
 
-// Analyze runs the analysis. entries names the procedures threads may start
-// in; they (and procedures with no call sites) are analyzed with an empty
-// entry lock set. Procedures reached only through calls inherit the
+// Analyze runs the analysis over a finalized program, visiting procedures
+// in its call order (callers first); a program Finalize has not accepted
+// is an error. entries names the procedures threads may start in; they
+// (and procedures with no call sites) are analyzed with an empty entry
+// lock set. Procedures reached only through calls inherit the
 // intersection of their call sites' held sets.
 //
-// Damaged or partial programs (nil tree nodes, instructions without a
-// struct, calls to undefined procedures, cyclic call graphs) never panic:
-// the analysis either tolerates the damage, treating the affected path as
+// Damage applied after Finalize (nil tree nodes, instructions without a
+// struct, calls to undefined procedures) never panics: the analysis
+// either tolerates the damage, treating the affected path as
 // unanalyzable, or returns an error the caller can degrade on — the
 // pipeline's contract is to fall back to no exclusion facts with a
 // lock-analysis-failed finding rather than abort the run.
@@ -77,6 +78,9 @@ func Analyze(p *ir.Program, entries []string) (info *Info, err error) {
 	}()
 	if p == nil {
 		return nil, fmt.Errorf("locks: nil program")
+	}
+	if p.CallOrder() == nil {
+		return nil, fmt.Errorf("locks: program not finalized")
 	}
 	isEntry := make(map[string]bool, len(entries))
 	for _, e := range entries {
@@ -90,15 +94,7 @@ func Analyze(p *ir.Program, entries []string) (info *Info, err error) {
 		balanced: make(map[string]bool),
 	}
 	a := &analyzer{prog: p, info: info, callCtx: make(map[string][]lockSet)}
-
-	order, err := topoOrder(p)
-	if err != nil {
-		return nil, err
-	}
-	for _, pr := range order {
-		if pr == nil {
-			continue
-		}
+	for _, pr := range p.CallOrder() {
 		entrySet := lockSet{}
 		if !isEntry[pr.Name] {
 			if ctxs, ok := a.callCtx[pr.Name]; ok && len(ctxs) > 0 {
@@ -266,62 +262,4 @@ func (a *analyzer) record(b ir.BlockID, seq int, held lockSet) {
 		return
 	}
 	a.info.heldAt[instrRef{b, seq}] = held.clone()
-}
-
-// topoOrder returns procedures with callers before callees (valid because
-// ir.Finalize rejects recursion). Ties break by name for determinism.
-func topoOrder(p *ir.Program) ([]*ir.Procedure, error) {
-	callees := make(map[string]map[string]bool)
-	callers := make(map[string]int)
-	for _, pr := range p.Procs {
-		callers[pr.Name] += 0
-		for _, b := range pr.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall {
-					continue
-				}
-				if callees[pr.Name] == nil {
-					callees[pr.Name] = make(map[string]bool)
-				}
-				if !callees[pr.Name][in.Callee] {
-					callees[pr.Name][in.Callee] = true
-					callers[in.Callee]++
-				}
-			}
-		}
-	}
-	var ready []string
-	for name, n := range callers {
-		if n == 0 {
-			ready = append(ready, name)
-		}
-	}
-	sort.Strings(ready)
-	var order []*ir.Procedure
-	resolved := 0
-	for len(ready) > 0 {
-		name := ready[0]
-		ready = ready[1:]
-		// Calls to undefined procedures (possible on damaged or partial
-		// programs — Finalize rejects them, but the analysis must not rely
-		// on a finalized input) contribute nothing to held sets; drop them
-		// from the order instead of dereferencing nil.
-		if pr := p.Proc(name); pr != nil {
-			order = append(order, pr)
-			resolved++
-		}
-		var next []string
-		for callee := range callees[name] {
-			callers[callee]--
-			if callers[callee] == 0 {
-				next = append(next, callee)
-			}
-		}
-		sort.Strings(next)
-		ready = append(ready, next...)
-	}
-	if resolved != len(p.Procs) {
-		return nil, fmt.Errorf("locks: call graph not acyclic")
-	}
-	return order, nil
 }

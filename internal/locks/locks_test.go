@@ -262,6 +262,23 @@ func TestAnalyzeNilProgram(t *testing.T) {
 	}
 }
 
+// TestAnalyzeUnfinalized: a program Finalize never saw has no call order
+// and no blocks; Analyze returns an error instead of empty facts.
+func TestAnalyzeUnfinalized(t *testing.T) {
+	p := ir.NewProgram("unfinalized")
+	s := ir.NewStruct("S", ir.I64("lk"), ir.I64("a"))
+	p.AddStruct(s)
+	w := p.NewProc("w")
+	w.Lock(s, "lk", ir.Shared(0))
+	w.Call("helper")
+	w.Unlock(s, "lk", ir.Shared(0))
+	w.Done()
+	p.NewProc("helper").Write(s, "a", ir.Shared(0)).Done()
+	if info, err := Analyze(p, []string{"w"}); err == nil || info != nil {
+		t.Fatalf("unfinalized program: info %v, err %v; want an error", info, err)
+	}
+}
+
 // TestAnalyzeDamagedCFGNoPanic mutates a finalized program the way
 // measurement-fault tests damage CFGs; Analyze must degrade to an error
 // (or a conservative result) instead of panicking.

@@ -132,19 +132,6 @@ func (h *Hasher) CacheConfig(tag string, c coherence.Config) {
 	h.Int(tag+".linesize", c.LineSize)
 	h.Int(tag+".sets", int64(c.Sets))
 	h.Int(tag+".ways", int64(c.Ways))
-	// MESI's old protocol value: keeps every existing key and disk entry valid.
-	h.Int(tag+".protocol", 0)
-}
-
-// ExactSim adds the simulation-mode records of a measurement: the zero
-// mode and sampling parameters the exact engine always hashed, from when a
-// second, interval-sampled mode existed. Keeps every existing key and disk
-// entry valid.
-func (h *Hasher) ExactSim() {
-	h.Int("sim.mode", 0)
-	h.Int("sim.window", 0)
-	h.Int("sim.period", 0)
-	h.Int("sim.seed", 0)
 }
 
 // FaultSpec adds a fault-injection spec via its canonical String form

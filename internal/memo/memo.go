@@ -1,6 +1,6 @@
 // Package memo is a content-addressed measurement cache. A simulated
-// measurement is a pure function of its configuration — workload
-// parameters, layouts, machine topology, cache geometry, run count, seeds,
+// measurement is a pure function of its configuration — program and run
+// harness, layouts, machine topology, cache geometry, run count, seeds,
 // fault spec — so its result can be keyed by a canonical hash of that
 // configuration and reused instead of re-simulated. The experiments
 // pipeline measures the same (workload, layout, machine, seed) cell many
@@ -41,11 +41,15 @@ import (
 // or encoding of cached values changes. It is hashed into every key.
 //
 // Version history:
+//   - 3: the built-in suite's keys hash its program and harness as a
+//     DSL program's do (workload.HashFile), and the records that kept
+//     version-2 keys stable (the exact engine's zero simulation-mode
+//     records, the cache geometry's zero protocol) are gone.
 //   - 2: measurement keys carry the simulation mode and sampling
 //     parameters, and the scheduler's strict (time, id) shared-operation
 //     ordering changed every simulated interleaving.
 //   - 1: initial schema.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // Stats counts cache outcomes. Counters only increase; subtract two
 // snapshots to attribute traffic to a pipeline stage.

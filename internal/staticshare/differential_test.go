@@ -101,12 +101,12 @@ func TestSummaryLintEqualsExactOnGoldens(t *testing.T) {
 }
 
 // TestSummaryEqualsExactSynthetic stresses the equivalence on synthetic
-// programs that exercise the corners the goldens miss: recursion (SCC
-// components), unknown arena counts, param bindings, sweeps, and
-// frequency mixes from nested loops and branches.
+// programs that exercise the corners the goldens miss: a call diamond,
+// unknown arena counts, param bindings, sweeps, and frequency mixes from
+// nested loops and branches.
 func TestSummaryEqualsExactSynthetic(t *testing.T) {
-	// (Recursive programs would exercise multi-node SCCs, but ir.Finalize
-	// rejects call cycles, so that path stays defensive-only.)
+	// (No program here recurses: ir.Finalize rejects call cycles, and both
+	// paths propagate down the call order it fixes.)
 	programs := map[string]string{
 		"diamond-freq": `
 program diamond

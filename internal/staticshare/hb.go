@@ -353,12 +353,10 @@ func isSyncBlock(b *ir.BasicBlock) bool {
 
 // propagateCalleeSegs computes, for every multi-segment entry proc, the
 // set of its segments each (transitive) callee can execute in: the
-// segment of the call block for direct calls, unioned through the call
-// graph callers-first. Callees contain no sync statements, so a proc's
-// set is uniform across its own blocks.
+// segment of the call block for direct calls, unioned down the call
+// order. Callees contain no sync statements, so a proc's set is uniform
+// across its own blocks.
 func (h *hbState) propagateCalleeSegs(p *ir.Program) {
-	g := buildCallGraph(p)
-	comps := g.sccTopo()
 	for entry, n := range h.segCount {
 		if n <= 1 {
 			continue
@@ -374,27 +372,20 @@ func (h *hbState) propagateCalleeSegs(p *ir.Program) {
 				dst[s] = true
 			}
 		}
-		for _, c := range comps {
-			for _, v := range c {
-				pr := g.procs[v]
-				var from map[int]bool
-				if pr.Name == entry {
-					from = nil // per-block, handled at the call site below
-				} else if sets[pr.Name] == nil {
-					continue // not reachable from this entry
-				} else {
-					from = sets[pr.Name]
-				}
-				for _, b := range pr.Blocks {
-					for _, in := range b.Instrs {
-						if in.Op != ir.OpCall {
-							continue
-						}
-						if from == nil {
-							add(in.Callee, map[int]bool{h.blockSeg[b.Global]: true})
-						} else {
-							add(in.Callee, from)
-						}
+		for _, pr := range p.CallOrder() {
+			from := sets[pr.Name]
+			if pr.Name != entry && from == nil {
+				continue // not reachable from this entry
+			}
+			for _, b := range pr.Blocks {
+				for _, in := range b.Instrs {
+					if in.Op != ir.OpCall {
+						continue
+					}
+					if pr.Name == entry {
+						add(in.Callee, map[int]bool{h.blockSeg[b.Global]: true})
+					} else {
+						add(in.Callee, from)
 					}
 				}
 			}

@@ -239,8 +239,9 @@ type Result struct {
 	hb        *hbState // happens-before graph; nil without sync statements
 }
 
-// Analyze runs the full analysis. Damaged inputs degrade instead of
-// panicking: a failed lock analysis leaves Locks nil (no exclusion
+// Analyze runs the full analysis of a finalized program; a program
+// Finalize has not accepted is an error. Damaged inputs degrade instead
+// of panicking: a failed lock analysis leaves Locks nil (no exclusion
 // facts), and any internal inconsistency surfaces as an error — the same
 // contract internal/core applies to the trace and FMF fallbacks.
 func Analyze(p *ir.Program, cfg Config) (res *Result, err error) {
@@ -251,6 +252,9 @@ func Analyze(p *ir.Program, cfg Config) (res *Result, err error) {
 	}()
 	if p == nil {
 		return nil, errors.New("staticshare: nil program")
+	}
+	if p.CallOrder() == nil {
+		return nil, errors.New("staticshare: program not finalized")
 	}
 	for _, t := range cfg.Threads {
 		if p.Proc(t.Proc) == nil {

@@ -329,6 +329,22 @@ func TestAnalyzeDamagedProgramNoPanic(t *testing.T) {
 	// Either outcome is fine; panicking is not (recover turns it into err).
 }
 
+// TestAnalyzeUnfinalized: a program Finalize never saw has no call order
+// and no blocks; Analyze returns an error instead of a result with no
+// facts.
+func TestAnalyzeUnfinalized(t *testing.T) {
+	p := ir.NewProgram("unfinalized")
+	s := ir.NewStruct("S", ir.I64("a"), ir.I64("b"))
+	p.AddStruct(s)
+	p.NewProc("w0").Call("helper").Write(s, "a", ir.Shared(0)).Done()
+	p.NewProc("w1").Write(s, "b", ir.Shared(0)).Done()
+	p.NewProc("helper").Read(s, "b", ir.Shared(0)).Done()
+	cfg := Config{Threads: []Thread{{CPU: 0, Proc: "w0", Iters: 1}, {CPU: 1, Proc: "w1", Iters: 1}}}
+	if r, err := Analyze(p, cfg); err == nil || r != nil {
+		t.Fatalf("unfinalized program: result %v, err %v; want an error", r, err)
+	}
+}
+
 // uncountedProg writes two distinct fixed instance indices of one struct
 // from two threads; the arena count is whatever the caller declares.
 func uncountedProg(t *testing.T) *ir.Program {

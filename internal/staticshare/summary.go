@@ -16,10 +16,8 @@
 // differential tests pin exactly that.
 //
 // The interprocedural propagations (thread reachability and entry
-// frequency) run bottom-up over the call graph's SCC condensation in
-// callers-before-callees order, with the per-component fixed point
-// degenerating to a single visit on the acyclic graphs finalized
-// programs have.
+// frequency) visit each procedure once, in the callers-first order
+// ir.Program.CallOrder fixes at Finalize.
 package staticshare
 
 import (
@@ -32,159 +30,38 @@ import (
 	"structlayout/internal/parallel"
 )
 
-// callGraph is the procedure-level call graph with deduplicated edges —
-// the input to the SCC condensation both interprocedural propagations
-// run over.
-type callGraph struct {
-	procs []*ir.Procedure
-	index map[string]int
-	succ  [][]int
-}
-
-func buildCallGraph(p *ir.Program) *callGraph {
-	g := &callGraph{procs: p.Procs, index: make(map[string]int, len(p.Procs))}
-	for i, pr := range p.Procs {
-		g.index[pr.Name] = i
-	}
-	g.succ = make([][]int, len(p.Procs))
-	for i, pr := range p.Procs {
-		var seen map[int]bool
-		for _, b := range pr.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall {
-					continue
-				}
-				j, ok := g.index[in.Callee]
-				if !ok || seen[j] {
-					continue
-				}
-				if seen == nil {
-					seen = make(map[int]bool)
-				}
-				seen[j] = true
-				g.succ[i] = append(g.succ[i], j)
-			}
-		}
-		sort.Ints(g.succ[i])
-	}
-	return g
-}
-
-// sccTopo returns the strongly connected components of the call graph in
-// condensation topological order (callers before callees), via Tarjan's
-// algorithm. Finalized programs are acyclic, so every component is a
-// single procedure; damaged or frontend-recursive programs get genuine
-// multi-node components the propagations treat as one unit.
-func (g *callGraph) sccTopo() [][]int {
-	n := len(g.procs)
-	idx := make([]int, n)
-	low := make([]int, n)
-	onstack := make([]bool, n)
-	for i := range idx {
-		idx[i] = -1
-	}
-	var stack []int
-	var comps [][]int
-	next := 0
-	var strong func(v int)
-	strong = func(v int) {
-		idx[v], low[v] = next, next
-		next++
-		stack = append(stack, v)
-		onstack[v] = true
-		for _, w := range g.succ[v] {
-			if idx[w] == -1 {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onstack[w] && idx[w] < low[v] {
-				low[v] = idx[w]
-			}
-		}
-		if low[v] == idx[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onstack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Ints(comp)
-			comps = append(comps, comp)
-		}
-	}
-	for v := 0; v < n; v++ {
-		if idx[v] == -1 {
-			strong(v)
-		}
-	}
-	// Tarjan emits components callees-first; reverse for callers-first.
-	for i, j := 0, len(comps)-1; i < j; i, j = i+1, j-1 {
-		comps[i], comps[j] = comps[j], comps[i]
-	}
-	return comps
-}
-
-// componentOf maps each procedure index to its component index.
-func componentOf(n int, comps [][]int) []int {
-	comp := make([]int, n)
-	for ci, c := range comps {
-		for _, v := range c {
-			comp[v] = ci
-		}
-	}
-	return comp
-}
-
-// computeReach propagates thread sets down the SCC condensation:
-// reach[proc] becomes the sorted set of thread indices whose execution
-// can enter proc. Within a component the fixed point is just the union
-// of the members' inflow (every member reaches every other), so one
-// union per component replaces the old whole-graph iteration-to-fixpoint.
+// computeReach propagates thread sets down the call order: reach[proc]
+// becomes the sorted set of thread indices whose execution can enter
+// proc. Callers come first, so a procedure's inflow is complete when the
+// walk reaches it.
 func (r *Result) computeReach() {
-	g := buildCallGraph(r.Prog)
-	comps := g.sccTopo()
-	comp := componentOf(len(g.procs), comps)
-	inflow := make([]map[int]bool, len(g.procs))
-	at := func(i int) map[int]bool {
-		if inflow[i] == nil {
-			inflow[i] = make(map[int]bool)
+	inflow := make(map[string]map[int]bool)
+	add := func(proc string, ti int) {
+		if inflow[proc] == nil {
+			inflow[proc] = make(map[int]bool)
 		}
-		return inflow[i]
+		inflow[proc][ti] = true
 	}
 	for ti, t := range r.Threads {
-		if i, ok := g.index[t.Proc]; ok {
-			at(i)[ti] = true
-		}
+		add(t.Proc, ti)
 	}
-	for ci, c := range comps {
-		merged := make(map[int]bool)
-		for _, v := range c {
-			for ti := range inflow[v] {
-				merged[ti] = true
-			}
-		}
-		if len(merged) == 0 {
+	for _, pr := range r.Prog.CallOrder() {
+		in := inflow[pr.Name]
+		if len(in) == 0 {
 			continue
 		}
-		sorted := make([]int, 0, len(merged))
-		for ti := range merged {
+		sorted := make([]int, 0, len(in))
+		for ti := range in {
 			sorted = append(sorted, ti)
 		}
 		sort.Ints(sorted)
-		for _, v := range c {
-			r.reach[g.procs[v].Name] = sorted
-			for _, w := range g.succ[v] {
-				if comp[w] == ci {
-					continue
-				}
-				dst := at(w)
-				for ti := range merged {
-					dst[ti] = true
+		r.reach[pr.Name] = sorted
+		for _, b := range pr.Blocks {
+			for _, c := range b.Instrs {
+				if c.Op == ir.OpCall {
+					for _, ti := range sorted {
+						add(c.Callee, ti)
+					}
 				}
 			}
 		}
@@ -195,12 +72,7 @@ func (r *Result) computeReach() {
 // block's frequency per single entry of its procedure (loop trip counts ×
 // branch probabilities) and fills procFreq with the interprocedural entry
 // frequency: thread iteration counts propagated through call sites in
-// condensation order, callers before callees. Intra-component (recursive)
-// call edges contribute no frequency — recursion has no static trip
-// count, matching the Go frontend's recursion-edge dropping — so acyclic
-// programs get exactly the old callers-before-callees propagation, while
-// cyclic (damaged) programs now degrade per component instead of losing
-// interprocedural frequencies program-wide.
+// call order, callers before callees.
 func (r *Result) computeFreq() map[ir.BlockID]float64 {
 	local := make(map[ir.BlockID]float64)
 	for _, pr := range r.Prog.Procs {
@@ -214,25 +86,14 @@ func (r *Result) computeFreq() map[ir.BlockID]float64 {
 		}
 		r.procFreq[t.Proc] += float64(iters)
 	}
-	g := buildCallGraph(r.Prog)
-	comps := g.sccTopo()
-	comp := componentOf(len(g.procs), comps)
-	for ci, c := range comps {
-		for _, v := range c {
-			pr := g.procs[v]
-			f := r.procFreq[pr.Name]
-			if f == 0 {
-				continue
-			}
-			for _, b := range pr.Blocks {
-				for _, in := range b.Instrs {
-					if in.Op != ir.OpCall {
-						continue
-					}
-					j, ok := g.index[in.Callee]
-					if !ok || comp[j] == ci {
-						continue
-					}
+	for _, pr := range r.Prog.CallOrder() {
+		f := r.procFreq[pr.Name]
+		if f == 0 {
+			continue
+		}
+		for _, b := range pr.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpCall {
 					r.procFreq[in.Callee] += f * local[b.Global]
 				}
 			}

@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 
+	"structlayout/internal/coherence"
 	"structlayout/internal/exec"
 	"structlayout/internal/ir"
+	"structlayout/internal/irtext"
+	"structlayout/internal/layout"
 	"structlayout/internal/machine"
 	"structlayout/internal/memo"
 	"structlayout/internal/parallel"
@@ -20,10 +24,11 @@ import (
 // Measurements and collections are pure functions of (program, run
 // harness, layouts, topology, run count, seeds), so both memoize through
 // the process-wide memo.Shared() cache. This file holds the one
-// implementation of the measurement protocol and of the collection cache;
-// the built-in suite (below) and DSL programs (package driver) run through
-// the one runner assembly (NewRunner) and differ only in how they key a
-// cell and seed its runs. The figure loops
+// implementation of the measurement protocol, of the collection cache and
+// of the file hash both key their cells with (HashFile); the built-in
+// suite (below) and DSL programs (package driver) run through the one
+// runner assembly (NewRunner) and differ only in their keys' kind tags
+// and in how they seed their runs. The figure loops
 // measure the same baseline cell per machine in several configurations
 // (Figure 8 and Figure 10 share all their Superdome128 "auto" cells, the
 // robustness sweep re-measures the Figure 9 baseline), and a warm disk
@@ -141,39 +146,75 @@ func CollectMemo(k memo.Key, prog *ir.Program, collect func() (*exec.Result, err
 	return res.Profile, res.Trace, res.Cycles, nil
 }
 
-// hashConfig adds every measurement-relevant suite input: the program
-// identity, the workload shape and parameters (the IR program is
-// constructed from them), cache geometry, topology and the layout set.
-// The shape constants keep the records they had as settable fields, the
-// zero cross-VM read count included, so keys stay put.
-func (s *Suite) hashConfig(h *memo.Hasher, topo *machine.Topology, ls Layouts) {
-	h.Str("prog", s.Prog.Name)
-	p := s.Params
-	h.Int("p.scan", scanInstances)
-	h.Int("p.bursts", syscallBursts)
-	h.F64("p.seqwrite", seqWriteProb)
-	h.F64("p.loadwrite", loadWriteProb)
-	h.Int("p.crossvm", 0)
-	h.Int("p.probes", lookupProbes)
-	h.Int("p.mmscan", mmScan)
-	h.Int("p.ioscan", ioScan)
-	h.Int("p.usersweep", userSweep)
-	h.Int("p.scripts", p.ScriptsPerThread)
-	h.Int("p.mounts", numMounts)
-	h.CacheConfig("cache", p.Cache)
+// HashFile adds everything a run of f's harness depends on besides the
+// run count and sampling: the canonical program, the arenas, the threads
+// and their parameters, the machine, the cache geometry, the seed, and
+// the effective layout of every struct. layouts is keyed by struct name;
+// a struct it lacks hashes its declaration-order layout, the one
+// NewRunner falls back to. ok is false when some input resists canonical
+// hashing (nil topology or program, un-layoutable struct); callers then
+// skip the cache and compute directly. The built-in suite and DSL
+// programs key their cells with it, each under its own kind tag.
+func HashFile(h *memo.Hasher, f *irtext.File, topo *machine.Topology, cache coherence.Config, seed int64, layouts map[string]*layout.Layout) bool {
+	if topo == nil || f.Prog == nil {
+		return false
+	}
+	h.Str("prog", ir.Canonical(f.Prog))
+	names := make([]string, 0, len(f.Arenas))
+	for name := range f.Arenas {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h.Int("arenas.n", int64(len(names)))
+	for _, name := range names {
+		h.Str("arena", name)
+		h.Int("arena.count", int64(f.Arenas[name]))
+	}
+	h.Int("threads.n", int64(len(f.Threads)))
+	for _, td := range f.Threads {
+		h.Int("t.cpu", int64(td.CPU))
+		h.Str("t.proc", td.Proc)
+		params := make([]int64, len(td.Params))
+		for i, p := range td.Params {
+			params[i] = int64(p)
+		}
+		h.Ints("t.params", params)
+		h.Int("t.iters", td.Iters)
+	}
 	h.Topology("topo", topo)
-	// Arena layouts: hash the effective layout for every label, including
-	// baseline fallbacks, exactly as RunOnce resolves them.
-	h.Layouts("layouts", s.effective(ls))
+	h.CacheConfig("cache", cache)
+	h.Int("seed", seed)
+	// Structs the program never touches hash their defaults too: a
+	// superset of what influences the result is still canonical.
+	lineSize := int(cache.LineSize)
+	eff := make(map[string]*layout.Layout, len(f.Prog.Structs))
+	for _, st := range f.Prog.Structs {
+		lay := layouts[st.Name]
+		if lay == nil {
+			var err error
+			if lay, err = layout.Original(st, lineSize); err != nil {
+				return false
+			}
+		}
+		eff[st.Name] = lay
+	}
+	h.Layouts("layouts", eff)
+	return true
+}
+
+// suiteKey starts a suite cell's key: its kind tag and the suite's
+// harness on topo under the layouts ls runs with. The suite's program,
+// topology and baseline-completed layouts always hash.
+func (s *Suite) suiteKey(kind string, topo *machine.Topology, ls Layouts, seed int64) *memo.Hasher {
+	h := memo.NewHasher()
+	h.Str("kind", kind)
+	HashFile(h, s.File(topo), topo, s.Params.Cache, seed, s.StructLayouts(ls))
+	return h
 }
 
 func (s *Suite) measureKey(topo *machine.Topology, ls Layouts, n int, baseSeed int64) memo.Key {
-	h := memo.NewHasher()
-	h.Str("kind", "measure")
-	s.hashConfig(h, topo, ls)
+	h := s.suiteKey("measure", topo, ls, baseSeed)
 	h.Int("runs", int64(n))
-	h.Int("seed", baseSeed)
-	h.ExactSim()
 	// Measure is clean by contract (fault injection applies to collections,
 	// never to throughput runs); record that in the key so a future faulted
 	// variant can never collide with it.
@@ -182,10 +223,7 @@ func (s *Suite) measureKey(topo *machine.Topology, ls Layouts, n int, baseSeed i
 }
 
 func (s *Suite) collectKey(topo *machine.Topology, ls Layouts, seed int64) memo.Key {
-	h := memo.NewHasher()
-	h.Str("kind", "collect")
-	s.hashConfig(h, topo, ls)
-	h.Int("seed", seed)
+	h := s.suiteKey("collect", topo, ls, seed)
 	// The sampling parameters are constants but participate in the key:
 	// changing them changes every trace. The sampling seed derives from
 	// seed, hashed above.

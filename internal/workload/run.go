@@ -137,27 +137,18 @@ func NewRunner(f *irtext.File, cfg exec.Config, layouts map[string]*layout.Layou
 	return r, nil
 }
 
-// effective returns ls with every label it lacks set to its baseline
-// layout: the layouts a run of ls actually uses.
-func (s *Suite) effective(ls Layouts) Layouts {
+// StructLayouts returns the layouts a run of ls uses, keyed by struct
+// name as a File's runner wants them: ls's layout for each label, or the
+// label's baseline where ls has none.
+func (s *Suite) StructLayouts(ls Layouts) map[string]*layout.Layout {
 	lineSize := int(s.Params.Cache.LineSize)
-	eff := make(Layouts, len(s.byLabel))
+	out := make(map[string]*layout.Layout, len(s.byLabel))
 	for label, ks := range s.byLabel {
 		lay := ls[label]
 		if lay == nil {
 			lay = ks.Baseline(lineSize)
 		}
-		eff[label] = lay
-	}
-	return eff
-}
-
-// StructLayouts returns the layouts a run of ls uses, keyed by struct
-// name as a File's runner wants them.
-func (s *Suite) StructLayouts(ls Layouts) map[string]*layout.Layout {
-	out := make(map[string]*layout.Layout, len(s.byLabel))
-	for label, lay := range s.effective(ls) {
-		out[s.byLabel[label].Type.Name] = lay
+		out[ks.Type.Name] = lay
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"structlayout/internal/ir"
@@ -323,13 +324,42 @@ func TestMemoKeyPins(t *testing.T) {
 	ck := s.collectKey(machine.Way16(), ls, 1)
 	got := map[string]string{"measure": fmt.Sprintf("%x", mk[:]), "collect": fmt.Sprintf("%x", ck[:])}
 	want := map[string]string{
-		"measure": "8a67ff50ab006773294e2bace841ce79ea0916640dcbe632f2e62b084a8408f1",
-		"collect": "45346da31587b9393604fc7053e575888e5232c0b188ea7a3be97e28f4e82623",
+		"measure": "92be960dbc637e44fcd1ba3b8fe09bfbe926e139df98a243039ee1f4755aae66",
+		"collect": "3ec7ef0196ddc2200db8613e3a36a5ad26839c073f06a89dd18e68285ae8f1c5",
 	}
 	for kind, k := range got {
 		if k != want[kind] {
 			t.Errorf("%s key %s, pinned %s", kind, k, want[kind])
 		}
+	}
+}
+
+// TestMemoKeysHashProgram: the suite's keys cover its program, so a
+// suite whose program differs in one statement keys its cells apart and
+// a warm cache cannot replay an edited program's old numbers.
+func TestMemoKeysHashProgram(t *testing.T) {
+	s := newSuite(t)
+	topo := machine.Bus4()
+	src := irtext.Format(s.File(topo))
+	const stmt = "    compute 80\n" // vfs_lookup's per-lookup work
+	if n := strings.Count(src, stmt); n != 1 {
+		t.Fatalf("%d statements %q in the suite's program, want 1", n, stmt)
+	}
+	f, err := irtext.Parse(strings.Replace(src, stmt, "    compute 800\n", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := newSuite(t)
+	edited.Prog = f.Prog
+	ls := s.BaselineLayouts(128)
+	if s.measureKey(topo, ls, 3, 1) == edited.measureKey(topo, ls, 3, 1) {
+		t.Error("an edited program shares the suite's measure key")
+	}
+	if s.collectKey(topo, ls, 1) == edited.collectKey(topo, ls, 1) {
+		t.Error("an edited program shares the suite's collect key")
+	}
+	if s.measureKey(topo, ls, 3, 1) != newSuite(t).measureKey(topo, ls, 3, 1) {
+		t.Error("two equal suites key one cell apart")
 	}
 }
 
