@@ -60,8 +60,8 @@ type benchReport struct {
 // runBench times every stage of `experiments all` twice — a cold serial
 // pass at -j 1, then a cold parallel pass at the configured -j (the gated
 // headline) — microbenchmarks the coherence simulator, and writes the
-// report. With a baseline (-check) it fails when total wall-clock, any
-// stage, or ns/access regresses past its gate.
+// report to out when it is set. With a baseline (-check) it fails when
+// total wall-clock, any stage, or ns/access regresses past its gate.
 func runBench(cfg experiments.Config, short bool, out, check string) error {
 	if short {
 		cfg.Runs = 2

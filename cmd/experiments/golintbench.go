@@ -1,6 +1,7 @@
 // golintbench.go times the Go-package static linter over the committed
-// real-world corpus (examples/corpus + examples/gofront) and writes
-// BENCH_golint.json. Two stages run back to back —
+// real-world corpus (examples/corpus + examples/gofront) and writes the
+// report to -out (BENCH_golint.json when regenerating the baseline). Two
+// stages run back to back —
 //
 //	summary-cold  the production path: summary-based classification,
 //	              pooled importers, parallel, cold cache (every package
@@ -46,9 +47,9 @@ type golintReport struct {
 }
 
 // runGoLintBench times the cold and warm linter passes and writes the
-// report. Gates that need no baseline (findings parity, zero warm
-// misses) always apply; -check layers the wall-clock regression gates on
-// top.
+// report to out when it is set. Gates that need no baseline (findings
+// parity, zero warm misses) always apply; -check layers the wall-clock
+// regression gates on top.
 func runGoLintBench(out, check string) error {
 	jobs := parallel.Limit()
 	rep := &golintReport{

@@ -7,10 +7,14 @@
 //	experiments robustness fault-severity sweep: layout quality vs corrupted inputs
 //	experiments quality    analyze-only sweep calibrating the quality-score thresholds
 //	experiments all        everything
-//	experiments bench      time the pipeline and write BENCH_pipeline.json
+//	experiments bench      time the pipeline
 //	experiments golint-bench  time the Go-package linter over the corpus
-//	                          and write BENCH_golint.json (run from the
-//	                          repository root)
+//	                          (run from the repository root)
+//
+// Both benchmarks write their report only to an explicit -out file and
+// gate against an explicit -check baseline; an -out naming the -check
+// file is a usage error, so a run never overwrites the baseline it is
+// gated against.
 //
 // Flags go before the experiment name. An argument after it, or a flag the
 // chosen experiment never reads, is a usage error (exit 2); -j and
@@ -30,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -65,7 +70,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 		machName: fs.String("machine", "", "measurement machine for the robustness sweep: bus4, way16 or superdome128 (default bus4)"),
 		jobs:     fs.Int("j", 0, "max parallel measured runs (default GOMAXPROCS)"),
 		short:    fs.Bool("short", false, "bench: reduced configuration for CI smoke runs"),
-		benchOut: fs.String("out", "BENCH_pipeline.json", "bench: write the timing report to this file"),
+		benchOut: fs.String("out", "", "bench, golint-bench: write the timing report to this file (never the -check baseline)"),
 		check:    fs.String("check", "", "bench: fail if wall-clock regresses >25% against this baseline report"),
 		cacheDir: fs.String("cache-dir", "", "persist the measurement cache here; warm re-runs reuse identical measurements"),
 	}
@@ -123,17 +128,7 @@ func main() {
 	case "bench":
 		err = runBench(cfg, *o.short, *o.benchOut, *o.check)
 	case "golint-bench":
-		out := *o.benchOut
-		outSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "out" {
-				outSet = true
-			}
-		})
-		if !outSet {
-			out = "BENCH_golint.json"
-		}
-		err = runGoLintBench(out, *o.check)
+		err = runGoLintBench(*o.benchOut, *o.check)
 	case "quality":
 		err = runQuality(cfg, spec)
 	default:
@@ -204,7 +199,21 @@ func usageErrors(fs *flag.FlagSet, what string) []string {
 			msgs = append(msgs, fmt.Sprintf("-%s is overridden by -%s", f.Name, overriddenBy[f.Name]))
 		}
 	})
+	if out, check := fs.Lookup("out").Value.String(), fs.Lookup("check").Value.String(); out != "" && check != "" && sameFile(out, check) {
+		msgs = append(msgs, fmt.Sprintf("-out %s would overwrite the -check baseline", out))
+	}
 	return msgs
+}
+
+// sameFile reports whether two paths name one file: equal once cleaned,
+// or, when both exist, the same file on disk.
+func sameFile(a, b string) bool {
+	if filepath.Clean(a) == filepath.Clean(b) {
+		return true
+	}
+	ia, errA := os.Stat(a)
+	ib, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(ia, ib)
 }
 
 // runQuality prints the analyze-only calibration sweep behind the quality

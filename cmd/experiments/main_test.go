@@ -70,6 +70,13 @@ func TestUsageErrors(t *testing.T) {
 		{"-runs 5 fig8", ""},
 		{"-quick=false -runs 5 fig8", ""},
 		{"-runs 5 bench", ""},
+		// A report never overwrites the baseline it is gated against.
+		{"-short -check BENCH_pipeline.json -out BENCH_pipeline.json bench", "-out BENCH_pipeline.json would overwrite the -check baseline"},
+		{"-short -check BENCH_pipeline.json -out ./BENCH_pipeline.json bench", "-out ./BENCH_pipeline.json would overwrite the -check baseline"},
+		{"-check BENCH_golint.json -out BENCH_golint.json golint-bench", "-out BENCH_golint.json would overwrite the -check baseline"},
+		{"-short -out BENCH_pipeline.json bench", ""},
+		{"-out BENCH_golint.json golint-bench", ""},
+		{"-short -check BENCH_pipeline.json bench", ""},
 		// Invocations the README, docs and CI use.
 		{"", ""},
 		{"all", ""},

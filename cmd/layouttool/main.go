@@ -148,7 +148,7 @@ func main() {
 	}
 	var analysis *core.Analysis
 	switch mode {
-	case "rank":
+	case "rank", "program rank":
 		analysis, err = runRank(*o.programIn, *o.collectOn, *o.seed, *o.scripts, spec, *o.strict)
 	case "program":
 		analysis, err = runProgramFile(*o.programIn, *o.structLabel, *o.collectOn, *o.layoutMode, *o.seed, *o.split, *o.dotOut, spec, *o.strict, *o.measureRuns)
@@ -166,8 +166,9 @@ func main() {
 
 // mode names the task the command line selects, checked in this order:
 // cache-gc, go-lint, program lint (-lint-dir, or -lint with -program),
-// lint (the built-in suite), rank, program (a -program analysis) or
-// built-in (a built-in SDET struct).
+// lint (the built-in suite), program rank (-rank with -program), rank
+// (the built-in suite), program (a -program analysis) or built-in (a
+// built-in SDET struct).
 func (o *options) mode() string {
 	switch {
 	case *o.cacheGC:
@@ -178,6 +179,8 @@ func (o *options) mode() string {
 		return "program lint"
 	case *o.lintMode:
 		return "lint"
+	case *o.rank && *o.programIn != "":
+		return "program rank"
 	case *o.rank:
 		return "rank"
 	case *o.programIn != "":
@@ -189,13 +192,16 @@ func (o *options) mode() string {
 // modeFlags lists the flags each mode reads; -j and -cache-dir are read
 // in every mode. Built-in lint reads the collection machine, whose CPU
 // count sets the suite's threads, but not -collect-scripts: the script
-// count scales every static frequency alike and moves no finding.
+// count scales every static frequency alike and moves no finding. A
+// program runs its own declared iterations, so no program mode reads
+// -collect-scripts.
 var modeFlags = map[string]string{
 	"cache-gc":     "cache-gc cache-gc-age cache-gc-bytes",
 	"go-lint":      "go-lint lint-json",
 	"program lint": "lint lint-dir lint-json program",
 	"lint":         "lint lint-json collect-machine",
-	"rank":         "rank program collect-machine seed collect-scripts inject strict quality",
+	"program rank": "rank program collect-machine seed inject strict quality",
+	"rank":         "rank collect-machine seed collect-scripts inject strict quality",
 	"program":      "program struct collect-machine mode seed split dot inject strict measure quality",
 	"built-in":     "struct collect-machine mode seed collect-scripts split profile trace dump dot inject strict quality",
 }

@@ -271,6 +271,8 @@ func TestFlagsUnreadByMode(t *testing.T) {
 		{"-program " + slp + " -collect-scripts 2", "program", "collect-scripts"},
 		{"-struct B -measure 2", "built-in", "measure"},
 		{"-rank -mode auto -measure 5 -split -dot g.dot -dump out", "rank", "dot dump measure mode split"},
+		{"-rank -program " + slp + " -collect-machine bus4 -collect-scripts 50", "program rank", "collect-scripts"},
+		{"-rank -program " + slp + " -collect-scripts 1 -profile p.json", "program rank", "collect-scripts profile"},
 		{"-lint -program " + slp + " -quality", "program lint", "quality"},
 		{"-lint -seed 5", "lint", "seed"},
 		{"-lint -collect-scripts 50", "lint", "collect-scripts"},
@@ -286,7 +288,9 @@ func TestFlagsUnreadByMode(t *testing.T) {
 		{"-struct B -inject all=0.25,seed=20070311 -quality -strict", "built-in", ""},
 		{"-program " + slp + " -struct conn -collect-machine bus4 -measure 2 -cache-dir c -j 2", "program", ""},
 		{"-program " + slp + " -struct conn -measure 2 -split", "program", ""},
-		{"-rank -program " + slp, "rank", ""},
+		{"-rank -program " + slp, "program rank", ""},
+		{"-rank -program " + slp + " -collect-machine bus4 -seed 3 -inject loss=0.5 -strict -quality", "program rank", ""},
+		{"-rank -collect-machine bus4 -collect-scripts 2", "rank", ""},
 		{"-lint -program " + slp + " -lint-json out.json", "program lint", ""},
 		{"-lint-dir examples/lint -lint-json -", "program lint", ""},
 		{"-lint -collect-machine bus4 -lint-json -", "lint", ""},

@@ -23,7 +23,6 @@ var exportAllowlist = map[string]string{
 	// they cannot move into an export_test.go.
 	"structlayout/internal/coherence.SmallCache":          "tiny cache for exec, driver and memo tests",
 	"structlayout/internal/ir.Program.Dump":               "program dump for irtext tests",
-	"structlayout/internal/irtext.Format":                 "DSL printer for exec and gofront tests",
 	"structlayout/internal/layout.Layout.LineAlignedSize": "arena stride for exec tests",
 	"structlayout/internal/staticshare.Result.HBDegraded": "happens-before state for core tests",
 	"structlayout/internal/staticshare/mhpcheck.":         "soundness oracle; only tests and CI drive it",

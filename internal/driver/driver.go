@@ -148,11 +148,11 @@ func Collect(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*ex
 // program name), a pure function of the run index, so the measurement is
 // byte-identical at any -j. Fault specs never apply here: -inject models
 // measurement error in the collected data, not in the program under test.
-// Measurements memoize through workload.MeasureMemo, keyed by the
-// canonical IR serialization plus the full run harness (see memo.go in
-// this package); repeated cells — the multi-struct evaluation loop
-// re-measures its baseline per struct variant set, warm disk caches span
-// processes — replay instead of re-simulating.
+// Measurements memoize through workload.MeasureMemo, keyed by
+// workload.MeasureKey over the file as irtext.Format prints it, the
+// machine, cache, seed, layouts and run count; repeated cells — the
+// multi-struct evaluation loop re-measures its baseline per struct variant
+// set, warm disk caches span processes — replay instead of re-simulating.
 //
 // A cancelled or timed-out ctx stops dequeuing remaining runs (runs
 // already simulating finish — a single run is never interrupted
@@ -171,7 +171,7 @@ func MeasureCtx(ctx context.Context, f *irtext.File, cfg Config, layouts map[str
 		}
 		return workload.Throughput(cfg.Topo, res), nil
 	}
-	k, ok := measureKey(f, cfg, layouts, n)
+	k, ok := workload.MeasureKey("driver.measure", f, cfg.Topo, cfg.Cache, cfg.Seed, layouts, n)
 	if !ok {
 		return workload.MeasureRuns(ctx, n, run)
 	}

@@ -439,13 +439,17 @@ func TestMeasureMemoized(t *testing.T) {
 	if m3.Mean == m1.Mean {
 		t.Log("different seed produced an equal mean (possible but unlikely); key separation is asserted below")
 	}
-	kcfg, kcfg2 := cfg, cfg2
-	kcfg.fillDefaults()
-	kcfg2.fillDefaults()
-	k1, ok1 := measureKey(f, kcfg, nil, 3)
-	k2, ok2 := measureKey(f, kcfg2, nil, 3)
+	key := func(cfg Config, layouts map[string]*layout.Layout) (memo.Key, bool) {
+		cfg.fillDefaults()
+		return workload.MeasureKey("driver.measure", f, cfg.Topo, cfg.Cache, cfg.Seed, layouts, 3)
+	}
+	k1, ok1 := key(cfg, nil)
+	k2, ok2 := key(cfg2, nil)
 	if !ok1 || !ok2 || k1 == k2 {
 		t.Fatal("seed change did not change the measurement key")
+	}
+	if !memo.Shared().Contains(k1) || !memo.Shared().Contains(k2) {
+		t.Fatal("MeasureCtx cached its cells under other keys")
 	}
 	// A layout change must change the key too.
 	st := f.Prog.Struct("conn")
@@ -453,13 +457,16 @@ func TestMeasureMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k3, ok3 := measureKey(f, kcfg, map[string]*layout.Layout{"conn": alt}, 3)
+	k3, ok3 := key(cfg, map[string]*layout.Layout{"conn": alt})
 	if !ok3 || k3 == k1 {
 		t.Fatal("layout change did not change the measurement key")
 	}
 	// Unkeyable configurations degrade to direct computation.
-	if _, ok := measureKey(f, Config{}, nil, 3); ok {
+	if _, ok := key(Config{}, nil); ok {
 		t.Fatal("nil topology should not produce a key")
+	}
+	if _, ok := workload.MeasureKey("driver.measure", &irtext.File{}, cfg.Topo, coherence.DefaultItanium(), 1, nil, 3); ok {
+		t.Fatal("nil program should not produce a key")
 	}
 }
 
@@ -575,18 +582,18 @@ func TestMemoKeyPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk, ok := measureKey(f, cfg, base, 2)
+	mk, ok := workload.MeasureKey("driver.measure", f, cfg.Topo, cfg.Cache, cfg.Seed, base, 2)
 	if !ok {
 		t.Fatal("webserver.slp measurement has no key")
 	}
-	ck, ok := collectKey(f, cfg)
+	ck, ok := workload.CollectKey(f, cfg.Topo, cfg.Cache, cfg.Seed, nil, nil, nil)
 	if !ok {
 		t.Fatal("webserver.slp collection has no key")
 	}
 	got := map[string]string{"measure": fmt.Sprintf("%x", mk[:]), "collect": fmt.Sprintf("%x", ck[:])}
 	want := map[string]string{
-		"measure": "e6dc0f7c7868f6e0b98f8e284f8ae04841425ec1823a07af2984eec0cc3364b7",
-		"collect": "6951b11f0197a3172b132d274dc949cc3dd474b71a41be5e5543c33fb9ebac05",
+		"measure": "6ffc5ae5844797adfd9fb0618ec30169c97dc8a2410bcb815e890c639ff46f12",
+		"collect": "9763fb2eca862e0601b3c74b3c1c9c5c912a0a30859407764722de35fd71d49f",
 	}
 	for kind, k := range got {
 		if k != want[kind] {

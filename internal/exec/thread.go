@@ -281,12 +281,8 @@ func (r *Runner) memAddr(t *thread, in *decInstr) (int64, error) {
 	switch in.pattern {
 	case ir.MemSeq:
 		cur := t.cursors[in.regionIdx]
-		stride := in.stride
-		if stride == 0 {
-			stride = 8
-		}
 		off = cur % span
-		t.cursors[in.regionIdx] = cur + stride
+		t.cursors[in.regionIdx] = cur + in.stride
 	case ir.MemFixed:
 		off = in.offset % span
 	case ir.MemRand:

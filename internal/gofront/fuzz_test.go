@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"structlayout/internal/ir"
 	"structlayout/internal/irtext"
 	"structlayout/internal/staticshare"
 )
@@ -121,7 +120,7 @@ func FuzzGoFront(f *testing.F) {
 		if err != nil {
 			t.Fatalf("lowered program does not re-parse: %v\n%s", err, text)
 		}
-		if ir.Canonical(again.Prog) != ir.Canonical(m.File.Prog) {
+		if again.Prog.Dump() != m.File.Prog.Dump() || irtext.Format(again) != text {
 			t.Fatalf("lowered program changed through irtext:\n%s", text)
 		}
 		render := func() string {

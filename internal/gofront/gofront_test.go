@@ -102,6 +102,43 @@ func TestExamplesGolden(t *testing.T) {
 	}
 }
 
+// TestSuggestionPadsOnlyMidLine: a group that ends exactly on a line
+// boundary needs no pad before the next one. Here the first group (hits
+// and the fifteen unshared counters) fills one 128-byte line, so misses
+// starts a fresh line without a pad row.
+func TestSuggestionPadsOnlyMidLine(t *testing.T) {
+	rep := lintSrc(t, "linestart", `
+package linestart
+
+type Stats struct {
+	hits   int64
+	misses int64
+	c1, c2, c3, c4, c5, c6, c7, c8         int64
+	c9, c10, c11, c12, c13, c14, c15       int64
+}
+
+var g Stats
+
+func Run() {
+	go hit()
+	go miss()
+}
+
+func hit()  { g.hits++ }
+func miss() { g.misses++ }
+`)
+	if len(rep.Suggestions) != 1 {
+		t.Fatalf("%d suggestions, want 1: %+v", len(rep.Suggestions), rep.Findings)
+	}
+	diff := rep.Suggestions[0].Diff
+	if strings.Contains(diff, "+\t_ ") {
+		t.Errorf("suggestion pads a seam that falls on a line boundary:\n%s", diff)
+	}
+	if !strings.Contains(diff, "+\tc15    int64\n+\tmisses int64\n") {
+		t.Errorf("misses does not follow the full first line:\n%s", diff)
+	}
+}
+
 // TestExtractStructsAndThreads pins the extraction basics on a small
 // synthetic package.
 func TestExtractStructsAndThreads(t *testing.T) {

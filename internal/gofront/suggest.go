@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"strings"
 
+	"structlayout/internal/layout"
 	"structlayout/internal/staticshare"
 )
 
@@ -47,11 +48,14 @@ func suggestStruct(def *StructDef, pairs map[[2]int]staticshare.PairInfo, lineSi
 	if n < 2 || len(pairs) == 0 {
 		return nil
 	}
+	decl, err := layout.Original(def.IR, lineSize)
+	if err != nil {
+		return nil
+	}
 	conflict := make([][]bool, n)
 	for i := range conflict {
 		conflict[i] = make([]bool, n)
 	}
-	declLines := fieldLines(def, identityOrder(n), lineSize)
 	hot := false
 	for k, info := range pairs {
 		if info.Class != staticshare.WriteShared || !info.Certain {
@@ -62,7 +66,7 @@ func suggestStruct(def *StructDef, pairs map[[2]int]staticshare.PairInfo, lineSi
 			continue
 		}
 		conflict[i][j], conflict[j][i] = true, true
-		if declLines[i] == declLines[j] {
+		if decl.LineOf(i) == decl.LineOf(j) {
 			hot = true // a conflicting pair shares a line as declared
 		}
 	}
@@ -98,29 +102,6 @@ place:
 	return &Suggestion{Struct: def.GoName, Diff: renderDiff(def, groups, lineSize)}
 }
 
-func identityOrder(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// fieldLines computes, for a field order, the coherence line index each
-// field's offset falls on (sequential align-up layout, the same model
-// layout.Original uses for declaration order).
-func fieldLines(def *StructDef, order []int, lineSize int) map[int]int {
-	lines := make(map[int]int, len(order))
-	off := 0
-	for _, i := range order {
-		f := def.IR.Fields[i]
-		off = alignUp(off, f.Align)
-		lines[i] = off / lineSize
-		off += f.Size
-	}
-	return lines
-}
-
 func alignUp(off, align int) int {
 	if align <= 1 {
 		return off
@@ -129,8 +110,8 @@ func alignUp(off, align int) int {
 }
 
 // renderDiff renders the declared order against the grouped order as a
-// unified-style diff of the struct body, with explicit pad fields at
-// the group seams.
+// unified-style diff of the struct body, with an explicit pad field at
+// each group seam that does not already fall on a line boundary.
 func renderDiff(def *StructDef, groups [][]int, lineSize int) string {
 	type row struct{ name, typ string }
 	oldRows := make([]row, 0, len(def.IR.Fields))
@@ -139,14 +120,10 @@ func renderDiff(def *StructDef, groups [][]int, lineSize int) string {
 	}
 	var newRows []row
 	off := 0
-	for g, group := range groups {
-		if g > 0 {
-			// Pad to the next line boundary so this group cannot share a
-			// line with the previous one.
-			pad := alignUp(off, lineSize) - off
-			if pad == 0 {
-				pad = lineSize
-			}
+	for _, group := range groups {
+		// Pad to the next line boundary so this group cannot share a
+		// line with the previous one (the first group starts at 0).
+		if pad := alignUp(off, lineSize) - off; pad > 0 {
 			newRows = append(newRows, row{"_", fmt.Sprintf("[%d]byte", pad)})
 			off += pad
 		}

@@ -89,13 +89,14 @@ func (b *Builder) Unlock(st *StructType, field string, inst InstExpr) *Builder {
 }
 
 // MemSweep emits a sequential region access (streaming traffic) with the
-// given stride.
+// given stride, which Finalize requires to be at least 1.
 func (b *Builder) MemSweep(region string, acc AccessKind, stride int64) *Builder {
 	b.checkRegion(region)
 	return b.emit(&MemStmt{Region: region, Acc: acc, Pattern: MemSeq, Stride: stride})
 }
 
-// MemAt emits an access to a fixed offset within a region.
+// MemAt emits an access to a fixed offset within a region, which
+// Finalize requires to be non-negative.
 func (b *Builder) MemAt(region string, acc AccessKind, offset int64) *Builder {
 	b.checkRegion(region)
 	return b.emit(&MemStmt{Region: region, Acc: acc, Pattern: MemFixed, Offset: offset})

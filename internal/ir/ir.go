@@ -298,8 +298,9 @@ func (p *Program) mustMutable() {
 // tree, assigns global block IDs and source lines, rejects programs the
 // interpreter cannot run (misplaced sync statements, empty loop bodies,
 // calls or spawns of undefined procedures, negative shared or parameter
-// instances, and recursion), and orders the procedures callers-first for
-// CallOrder. After Finalize the program is immutable.
+// instances, region accesses at a negative offset or sweeping with a
+// stride below 1, and recursion), and orders the procedures
+// callers-first for CallOrder. After Finalize the program is immutable.
 func (p *Program) Finalize() error {
 	if p.finalized {
 		return nil
@@ -337,6 +338,12 @@ func (p *Program) Finalize() error {
 				}
 				if k := in.Inst.Kind; (k == InstShared || k == InstParam) && in.Inst.Index < 0 && in.Struct != nil {
 					return fmt.Errorf("ir: %s accesses %s.%s at negative instance %s", pr.Name, in.Struct.Name, in.Struct.Fields[in.Field].Name, in.Inst)
+				}
+				if in.Op == OpMem && in.Pattern == MemFixed && in.Offset < 0 {
+					return fmt.Errorf("ir: %s accesses region %s at negative offset %d", pr.Name, in.Region, in.Offset)
+				}
+				if in.Op == OpMem && in.Pattern == MemSeq && in.Stride <= 0 {
+					return fmt.Errorf("ir: %s sweeps region %s with non-positive stride %d", pr.Name, in.Region, in.Stride)
 				}
 			}
 		}

@@ -285,6 +285,32 @@ func TestEmptyLoopRejected(t *testing.T) {
 	}
 }
 
+// TestRegionAccessOutsideRegionRejected: a fixed access at a negative
+// offset or a sweep whose stride is below 1 would address memory before
+// its region, so Finalize rejects it, naming the procedure and region.
+func TestRegionAccessOutsideRegionRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		emit func(b *Builder)
+		want string
+	}{
+		{"negative offset", func(b *Builder) { b.MemAt("buf", Write, -200) }, "f accesses region buf at negative offset -200"},
+		{"zero stride", func(b *Builder) { b.MemSweep("buf", Read, 0) }, "f sweeps region buf with non-positive stride 0"},
+		{"negative stride", func(b *Builder) { b.MemSweep("buf", Write, -64) }, "f sweeps region buf with non-positive stride -64"},
+		{"in bounds", func(b *Builder) { b.MemAt("buf", Write, 0); b.MemSweep("buf", Read, 1) }, ""},
+	} {
+		p := NewProgram("regions")
+		p.AddRegion("buf", 256, false)
+		b := p.NewProc("f")
+		c.emit(b)
+		b.Done()
+		err := p.Finalize()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: Finalize error %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestDumpSmoke(t *testing.T) {
 	p := figure4Program(7)
 	d := p.Dump()

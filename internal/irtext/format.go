@@ -135,11 +135,7 @@ func formatStmts(b *strings.Builder, stmts []ir.Stmt, depth int) {
 			}
 			switch s.Pattern {
 			case ir.MemSeq:
-				stride := s.Stride
-				if stride == 0 {
-					stride = 8
-				}
-				fmt.Fprintf(b, "%smemsweep %s %s %d\n", ind, s.Region, acc, stride)
+				fmt.Fprintf(b, "%smemsweep %s %s %d\n", ind, s.Region, acc, s.Stride)
 			case ir.MemFixed:
 				fmt.Fprintf(b, "%smemat %s %s %d\n", ind, s.Region, acc, s.Offset)
 			case ir.MemRand:

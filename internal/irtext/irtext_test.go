@@ -1,10 +1,11 @@
 package irtext
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"structlayout/internal/ir"
 )
 
 const demo = `
@@ -102,28 +103,43 @@ func TestParseDemo(t *testing.T) {
 	}
 }
 
+// TestRoundTrip: the demo and every committed .slp file survive a
+// format/reparse round trip with their ASTs intact, and formatting the
+// reparse gives the same text.
 func TestRoundTrip(t *testing.T) {
-	f1, err := Parse(demo)
-	if err != nil {
-		t.Fatal(err)
+	srcs := map[string]string{"demo": demo}
+	for _, root := range []string{"../../examples", "../../internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !strings.HasSuffix(path, ".slp") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			srcs[path] = string(src)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	text := Format(f1)
-	f2, err := Parse(text)
-	if err != nil {
-		t.Fatalf("reparse failed: %v\n%s", err, text)
+	if len(srcs) < 14 {
+		t.Fatalf("found %d programs, want the demo and the 13 committed .slp files", len(srcs))
 	}
-	if got, want := f2.Prog.Dump(), f1.Prog.Dump(); got != want {
-		t.Fatalf("round trip changed the program:\n--- first ---\n%s\n--- second ---\n%s", want, got)
-	}
-	if got, want := ir.Canonical(f2.Prog), ir.Canonical(f1.Prog); got != want {
-		t.Fatalf("round trip changed the program's canonical form:\n--- first ---\n%s\n--- second ---\n%s", want, got)
-	}
-	if len(f2.Threads) != len(f1.Threads) || f2.Arenas["conn"] != f1.Arenas["conn"] {
-		t.Fatal("round trip lost harness declarations")
-	}
-	// Idempotence: formatting the reparse gives identical text.
-	if Format(f2) != text {
-		t.Fatal("Format not idempotent")
+	for name, src := range srcs {
+		f1, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		text := Format(f1)
+		f2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%s: reparse failed: %v\n%s", name, err, text)
+		}
+		if d := diffFiles(f1, f2); d != "" {
+			t.Fatalf("%s: round trip changed the file: %s\n%s", name, d, text)
+		}
+		if Format(f2) != text {
+			t.Fatalf("%s: Format not idempotent", name)
+		}
 	}
 }
 
@@ -157,6 +173,9 @@ func TestParseErrors(t *testing.T) {
 		{"recursion", `program p  proc f { call f }`, "recursive"},
 		{"negative param instance", `program p  struct S { a i64 }  proc f { read S.a param -1 }`, "negative instance param[-1]"},
 		{"negative shared lock", `program p  struct S { l i64 }  proc f { lock S.l shared -1 unlock S.l shared -1 }`, "negative instance shared[-1]"},
+		{"negative memat offset", `program p  region r1 256 shared  region r2 256 shared  proc f { memat r2 write -200 }`, "f accesses region r2 at negative offset -200"},
+		{"zero memsweep stride", `program A region userbuf 4096 shared proc f { memsweep userbuf write 0 }`, "f sweeps region userbuf with non-positive stride 0"},
+		{"negative memsweep stride", `program p  region r 256 perthread  proc f { memsweep r read -8 }`, "f sweeps region r with non-positive stride -8"},
 		{"negative thread param", `program p  proc f { compute 1 }  thread 0 f params 2 -3 iters 1`, "must be non-negative"},
 		{"spawn in loop", `program p  proc w { compute 1 }  proc f { loop 2 { spawn h 1 w } }`, "nested inside a loop"},
 		{"join in branch", `program p  proc w { compute 1 }  proc f { spawn h 1 w  if 0.5 { join h } }`, "nested inside a branch"},

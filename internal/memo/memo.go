@@ -41,6 +41,12 @@ import (
 // or encoding of cached values changes. It is hashed into every key.
 //
 // Version history:
+//   - 4: every key hashes the file as irtext.Format prints it (program,
+//     arenas and threads in one record) in place of a second, IR-level
+//     program text and separate arena and thread records; the suite and
+//     the driver share one collection cell, which records the sampling
+//     seed and fault spec for both, and measurements stop writing a
+//     constant clean fault spec.
 //   - 3: the built-in suite's keys hash its program and harness as a
 //     DSL program's do (workload.HashFile), and the records that kept
 //     version-2 keys stable (the exact engine's zero simulation-mode
@@ -49,7 +55,7 @@ import (
 //     parameters, and the scheduler's strict (time, id) shared-operation
 //     ordering changed every simulated interleaving.
 //   - 1: initial schema.
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // Stats counts cache outcomes. Counters only increase; subtract two
 // snapshots to attribute traffic to a pipeline stage.

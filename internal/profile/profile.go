@@ -114,13 +114,16 @@ func ProgramFieldCounts(p *ir.Program, pf *Profile) FieldCounts {
 // each procedure is assumed to be called once per call site (entry
 // procedures once overall), loops multiply by their trip count, branches by
 // their probability. This mirrors a compiler's static frequency estimator
-// and lets the tool run without a collect phase.
+// and lets the tool run without a collect phase. p must be finalized.
 func StaticEstimate(p *ir.Program, entries []string) (*Profile, error) {
+	if p.CallOrder() == nil {
+		return nil, fmt.Errorf("profile: program %s not finalized", p.Name)
+	}
 	pf := New(p)
 	// Expected call multiplicity per procedure: entries get 1; callees get
-	// the sum over call sites of the caller's site frequency. Requires the
-	// acyclic call graph Finalize guarantees; process in topological order
-	// via memoized recursion over the tree walk below.
+	// the sum over call sites of the caller's site frequency. Callers come
+	// before their callees in CallOrder, so each procedure's weight is
+	// complete when the walk reaches it.
 	procWeight := make(map[string]float64, len(p.Procs))
 	for _, e := range entries {
 		if p.Proc(e) == nil {
@@ -128,46 +131,15 @@ func StaticEstimate(p *ir.Program, entries []string) (*Profile, error) {
 		}
 		procWeight[e] += 1
 	}
-	// Iterate procedures in registration order; the ir call-graph check
-	// rejects recursion, but callees may precede callers in registration
-	// order, so propagate until fixpoint (bounded by proc count).
-	for iter := 0; iter < len(p.Procs)+1; iter++ {
-		next := make(map[string]float64, len(procWeight))
-		for _, e := range entries {
-			next[e] += 1
-		}
-		for _, pr := range p.Procs {
-			w := procWeight[pr.Name]
-			if w == 0 {
-				continue
-			}
-			addCallWeights(pr.Tree, w, next)
-		}
-		if weightsEqual(procWeight, next) {
-			break
-		}
-		procWeight = next
-	}
-	for _, pr := range p.Procs {
+	for _, pr := range p.CallOrder() {
 		w := procWeight[pr.Name]
 		if w == 0 {
 			continue
 		}
+		addCallWeights(pr.Tree, w, procWeight)
 		walkStatic(pr.Tree, w, pf)
 	}
 	return pf, nil
-}
-
-func weightsEqual(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // addCallWeights accumulates callee weights for calls under nodes executed

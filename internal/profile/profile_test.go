@@ -119,6 +119,18 @@ func TestStaticEstimateUnknownEntry(t *testing.T) {
 	}
 }
 
+// TestStaticEstimateUnfinalized: a program Finalize has not accepted has
+// no call order to walk, so the estimate is refused.
+func TestStaticEstimateUnfinalized(t *testing.T) {
+	p := ir.NewProgram("raw")
+	b := p.NewProc("f")
+	b.Compute(1)
+	b.Done()
+	if _, err := StaticEstimate(p, []string{"f"}); err == nil {
+		t.Fatal("estimated an unfinalized program")
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	p, _ := buildFig4(t, 5)
 	a, _ := StaticEstimate(p, []string{"snippet"})

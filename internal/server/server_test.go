@@ -522,17 +522,22 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestNegativeInstanceRejected: a DSL access or lock at a negative
-// shared or parameter instance is a bad program (400), not an engine
-// panic, and the server keeps serving.
+// shared or parameter instance, or a region access that would land
+// before its region, is a bad program (400), not an engine panic or a
+// write to a neighbouring region, and the server keeps serving.
 func TestNegativeInstanceRejected(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	for i, stmt := range []string{
+	stmts := []string{
 		"write stats.s_reqs param -1",
 		"read stats.s_reqs shared -2",
 		"lock stats.s_lock shared -1\n    unlock stats.s_lock shared -1",
-	} {
+		"memat buf write -200",
+		"memsweep buf read 0",
+	}
+	for i, stmt := range stmts {
 		prog := strings.Replace(testProgram(fmt.Sprintf("negative%d", i)), "write stats.s_reqs shared 0", stmt, 1)
+		prog = strings.Replace(prog, "proc bump {", "region buf 256 shared\n\nproc bump {", 1)
 		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(mustJSON(t, AnalyzeRequest{Program: prog, Seed: 91})))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -546,8 +551,8 @@ func TestNegativeInstanceRejected(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("valid request after the rejections: status %d (%s)", rec.Code, rec.Body)
 	}
-	if st := s.Stats(); st.Panics != 0 || st.BadRequest != 3 {
-		t.Fatalf("stats: %+v, want 0 panics and 3 bad requests", st)
+	if st := s.Stats(); st.Panics != 0 || st.BadRequest != uint64(len(stmts)) {
+		t.Fatalf("stats: %+v, want 0 panics and %d bad requests", st, len(stmts))
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"structlayout/internal/coherence"
 	"structlayout/internal/exec"
+	"structlayout/internal/faults"
 	"structlayout/internal/ir"
 	"structlayout/internal/irtext"
 	"structlayout/internal/layout"
@@ -25,10 +25,10 @@ import (
 // harness, layouts, topology, run count, seeds), so both memoize through
 // the process-wide memo.Shared() cache. This file holds the one
 // implementation of the measurement protocol, of the collection cache and
-// of the file hash both key their cells with (HashFile); the built-in
-// suite (below) and DSL programs (package driver) run through the one
-// runner assembly (NewRunner) and differ only in their keys' kind tags
-// and in how they seed their runs. The figure loops
+// of their keys (MeasureKey, CollectKey, both over HashFile); the built-in
+// suite and DSL programs (package driver) run through the one runner
+// assembly (NewRunner) and differ only in how they seed their measured
+// runs, which their measure keys' kind tags name. The figure loops
 // measure the same baseline cell per machine in several configurations
 // (Figure 8 and Figure 10 share all their Superdome128 "auto" cells, the
 // robustness sweep re-measures the Figure 9 baseline), and a warm disk
@@ -147,40 +147,18 @@ func CollectMemo(k memo.Key, prog *ir.Program, collect func() (*exec.Result, err
 }
 
 // HashFile adds everything a run of f's harness depends on besides the
-// run count and sampling: the canonical program, the arenas, the threads
-// and their parameters, the machine, the cache geometry, the seed, and
-// the effective layout of every struct. layouts is keyed by struct name;
-// a struct it lacks hashes its declaration-order layout, the one
-// NewRunner falls back to. ok is false when some input resists canonical
+// run count and sampling: the file as irtext.Format prints it (program,
+// arenas, threads and their parameters), the machine, the cache geometry,
+// the seed, and the effective layout of every struct. layouts is keyed by
+// struct name; a struct it lacks hashes its declaration-order layout, the
+// one NewRunner falls back to. ok is false when some input resists
 // hashing (nil topology or program, un-layoutable struct); callers then
-// skip the cache and compute directly. The built-in suite and DSL
-// programs key their cells with it, each under its own kind tag.
+// skip the cache and compute directly.
 func HashFile(h *memo.Hasher, f *irtext.File, topo *machine.Topology, cache coherence.Config, seed int64, layouts map[string]*layout.Layout) bool {
 	if topo == nil || f.Prog == nil {
 		return false
 	}
-	h.Str("prog", ir.Canonical(f.Prog))
-	names := make([]string, 0, len(f.Arenas))
-	for name := range f.Arenas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h.Int("arenas.n", int64(len(names)))
-	for _, name := range names {
-		h.Str("arena", name)
-		h.Int("arena.count", int64(f.Arenas[name]))
-	}
-	h.Int("threads.n", int64(len(f.Threads)))
-	for _, td := range f.Threads {
-		h.Int("t.cpu", int64(td.CPU))
-		h.Str("t.proc", td.Proc)
-		params := make([]int64, len(td.Params))
-		for i, p := range td.Params {
-			params[i] = int64(p)
-		}
-		h.Ints("t.params", params)
-		h.Int("t.iters", td.Iters)
-	}
+	h.Str("file", irtext.Format(f))
 	h.Topology("topo", topo)
 	h.CacheConfig("cache", cache)
 	h.Int("seed", seed)
@@ -202,34 +180,38 @@ func HashFile(h *memo.Hasher, f *irtext.File, topo *machine.Topology, cache cohe
 	return true
 }
 
-// suiteKey starts a suite cell's key: its kind tag and the suite's
-// harness on topo under the layouts ls runs with. The suite's program,
-// topology and baseline-completed layouts always hash.
-func (s *Suite) suiteKey(kind string, topo *machine.Topology, ls Layouts, seed int64) *memo.Hasher {
+// MeasureKey keys one measurement: n runs of f's harness under layouts,
+// each seeded from seed. kind names how the caller derives run i's seed
+// ("measure" for the suite, "driver.measure" for the driver), so two
+// seeding schemes never share a cell.
+func MeasureKey(kind string, f *irtext.File, topo *machine.Topology, cache coherence.Config, seed int64, layouts map[string]*layout.Layout, n int) (memo.Key, bool) {
 	h := memo.NewHasher()
 	h.Str("kind", kind)
-	HashFile(h, s.File(topo), topo, s.Params.Cache, seed, s.StructLayouts(ls))
-	return h
-}
-
-func (s *Suite) measureKey(topo *machine.Topology, ls Layouts, n int, baseSeed int64) memo.Key {
-	h := s.suiteKey("measure", topo, ls, baseSeed)
+	if !HashFile(h, f, topo, cache, seed, layouts) {
+		return memo.Key{}, false
+	}
 	h.Int("runs", int64(n))
-	// Measure is clean by contract (fault injection applies to collections,
-	// never to throughput runs); record that in the key so a future faulted
-	// variant can never collide with it.
-	h.FaultSpec("inject", nil)
-	return h.Sum()
+	return h.Sum(), true
 }
 
-func (s *Suite) collectKey(topo *machine.Topology, ls Layouts, seed int64) memo.Key {
-	h := s.suiteKey("collect", topo, ls, seed)
-	// The sampling parameters are constants but participate in the key:
-	// changing them changes every trace. The sampling seed derives from
-	// seed, hashed above.
-	sc := CollectSampling(seed)
-	h.Int("interval", sc.IntervalCycles)
-	h.Int("drift", sc.DriftMaxCycles)
-	h.F64("loss", sc.LossProb)
-	return h.Sum()
+// CollectKey keys one collection: a run of f's harness under layouts,
+// sampled by smp (CollectSampling(seed) when nil), with spec's damage
+// applied to the collected artifacts. The suite and the driver collect
+// one file alike, so they share the cells.
+func CollectKey(f *irtext.File, topo *machine.Topology, cache coherence.Config, seed int64, layouts map[string]*layout.Layout, smp *sampling.Config, spec *faults.Spec) (memo.Key, bool) {
+	h := memo.NewHasher()
+	h.Str("kind", "collect")
+	if !HashFile(h, f, topo, cache, seed, layouts) {
+		return memo.Key{}, false
+	}
+	if smp == nil {
+		sc := CollectSampling(seed)
+		smp = &sc
+	}
+	h.Int("s.interval", smp.IntervalCycles)
+	h.Int("s.drift", smp.DriftMaxCycles)
+	h.F64("s.loss", smp.LossProb)
+	h.Int("s.seed", smp.Seed)
+	h.FaultSpec("inject", spec)
+	return h.Sum(), true
 }

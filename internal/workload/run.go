@@ -199,7 +199,9 @@ func (m Measurement) SpeedupOver(base Measurement) float64 {
 // machines) is simulated once per process — or once ever, with a disk
 // cache.
 func (s *Suite) Measure(topo *machine.Topology, ls Layouts, n int, baseSeed int64) (Measurement, error) {
-	return MeasureMemo(context.Background(), s.measureKey(topo, ls, n, baseSeed), n,
+	// The suite always keys: StructLayouts lays out every struct it declares.
+	k, _ := MeasureKey("measure", s.File(topo), topo, s.Params.Cache, baseSeed, s.StructLayouts(ls), n)
+	return MeasureMemo(context.Background(), k, n,
 		func(_ context.Context, i int) (float64, error) {
 			res, err := s.RunOnce(topo, ls, baseSeed+int64(i)*1009+1, nil)
 			if err != nil {
@@ -217,7 +219,8 @@ func (s *Suite) Measure(topo *machine.Topology, ls Layouts, n int, baseSeed int6
 // Profile/Trace pair, so callers that mutate their collection (fault
 // injection, sanitizing) never alias cache-held state.
 func (s *Suite) Collect(topo *machine.Topology, ls Layouts, seed int64) (*profile.Profile, *sampling.Trace, error) {
-	pf, tr, _, err := CollectMemo(s.collectKey(topo, ls, seed), s.Prog, func() (*exec.Result, error) {
+	k, _ := CollectKey(s.File(topo), topo, s.Params.Cache, seed, s.StructLayouts(ls), nil, nil) // always keys, as in Measure
+	pf, tr, _, err := CollectMemo(k, s.Prog, func() (*exec.Result, error) {
 		smp := CollectSampling(seed)
 		return s.RunOnce(topo, ls, seed, &smp)
 	})

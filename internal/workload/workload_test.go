@@ -10,6 +10,7 @@ import (
 	"structlayout/internal/ir"
 	"structlayout/internal/irtext"
 	"structlayout/internal/machine"
+	"structlayout/internal/memo"
 )
 
 func newSuite(t testing.TB) *Suite {
@@ -314,18 +315,31 @@ func TestBaselineFingerprints(t *testing.T) {
 	}
 }
 
+// suiteKeys returns the keys Suite.Measure (3 runs from seed 1) and
+// Suite.Collect (seed 1) give the suite's baseline layouts on topo, with f
+// in place of the suite's file.
+func suiteKeys(t *testing.T, s *Suite, f *irtext.File, topo *machine.Topology) [2]memo.Key {
+	t.Helper()
+	ls := s.StructLayouts(s.BaselineLayouts(128))
+	mk, mok := MeasureKey("measure", f, topo, s.Params.Cache, 1, ls, 3)
+	ck, cok := CollectKey(f, topo, s.Params.Cache, 1, ls, nil, nil)
+	if !mok || !cok {
+		t.Fatalf("%s has no key", f.Prog.Name)
+	}
+	return [2]memo.Key{mk, ck}
+}
+
 // TestMemoKeyPins pins the measure and collect keys of one fixed built-in
 // configuration. A moved key orphans every disk-cache entry written under
 // the old one, so a pin changes only together with memo.SchemaVersion.
 func TestMemoKeyPins(t *testing.T) {
 	s := newSuite(t)
-	ls := s.BaselineLayouts(128)
-	mk := s.measureKey(machine.Superdome128(), ls, 3, 1)
-	ck := s.collectKey(machine.Way16(), ls, 1)
+	mk := suiteKeys(t, s, s.File(machine.Superdome128()), machine.Superdome128())[0]
+	ck := suiteKeys(t, s, s.File(machine.Way16()), machine.Way16())[1]
 	got := map[string]string{"measure": fmt.Sprintf("%x", mk[:]), "collect": fmt.Sprintf("%x", ck[:])}
 	want := map[string]string{
-		"measure": "92be960dbc637e44fcd1ba3b8fe09bfbe926e139df98a243039ee1f4755aae66",
-		"collect": "3ec7ef0196ddc2200db8613e3a36a5ad26839c073f06a89dd18e68285ae8f1c5",
+		"measure": "d4677f679b0b78b14e3099b5eefd88d718d4613ae4411da29db52c97622f99f6",
+		"collect": "d41f0c4ee52e087a5587b383bd1be149c5c1a24a686d6060988b65cdfb7dc683",
 	}
 	for kind, k := range got {
 		if k != want[kind] {
@@ -334,32 +348,45 @@ func TestMemoKeyPins(t *testing.T) {
 	}
 }
 
-// TestMemoKeysHashProgram: the suite's keys cover its program, so a
-// suite whose program differs in one statement keys its cells apart and
-// a warm cache cannot replay an edited program's old numbers.
+// TestMemoKeysHashProgram: the suite's keys hash its program and harness
+// as irtext.Format prints them, so the suite parsed back from that text
+// keys the same cells, and an edit to its program or its harness keys
+// them apart: a warm cache never replays an edited program's old numbers.
 func TestMemoKeysHashProgram(t *testing.T) {
 	s := newSuite(t)
 	topo := machine.Bus4()
 	src := irtext.Format(s.File(topo))
-	const stmt = "    compute 80\n" // vfs_lookup's per-lookup work
-	if n := strings.Count(src, stmt); n != 1 {
-		t.Fatalf("%d statements %q in the suite's program, want 1", n, stmt)
+	parse := func(src string) *irtext.File {
+		t.Helper()
+		f, err := irtext.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
-	f, err := irtext.Parse(strings.Replace(src, stmt, "    compute 800\n", 1))
-	if err != nil {
-		t.Fatal(err)
+	built := suiteKeys(t, s, s.File(topo), topo)
+	if suiteKeys(t, s, parse(src), topo) != built {
+		t.Error("the suite parsed back from its text keys other cells than the built suite")
 	}
-	edited := newSuite(t)
-	edited.Prog = f.Prog
-	ls := s.BaselineLayouts(128)
-	if s.measureKey(topo, ls, 3, 1) == edited.measureKey(topo, ls, 3, 1) {
-		t.Error("an edited program shares the suite's measure key")
-	}
-	if s.collectKey(topo, ls, 1) == edited.collectKey(topo, ls, 1) {
-		t.Error("an edited program shares the suite's collect key")
-	}
-	if s.measureKey(topo, ls, 3, 1) != newSuite(t).measureKey(topo, ls, 3, 1) {
+	if suiteKeys(t, s, newSuite(t).File(topo), topo) != built {
 		t.Error("two equal suites key one cell apart")
+	}
+	for _, e := range []struct{ name, old, new string }{
+		{"compute cycles", "    compute 80\n", "    compute 800\n"}, // vfs_lookup's per-lookup work
+		{"branch probability", "if 0.98 {", "if 0.97 {"},
+		{"trip count", "loop 384 {", "loop 385 {"},
+		{"field name", "pt_stat2 ", "pt_statx "}, // the declaration and every access
+		{"arena count", "arena proc_entry 512\n", "arena proc_entry 513\n"},
+		{"thread parameter", "thread 1 script_1 params 9 7 1 5 ", "thread 1 script_1 params 9 7 1 6 "},
+	} {
+		if !strings.Contains(src, e.old) {
+			t.Fatalf("%s: the suite's text holds no %q", e.name, e.old)
+		}
+		edited := suiteKeys(t, s, parse(strings.ReplaceAll(src, e.old, e.new)), topo)
+		if edited[0] == built[0] || edited[1] == built[1] {
+			t.Errorf("%s: an edited file shares the suite's keys (measure %v, collect %v)",
+				e.name, edited[0] == built[0], edited[1] == built[1])
+		}
 	}
 }
 
