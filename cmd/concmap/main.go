@@ -33,8 +33,8 @@ func main() {
 		out     = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
-	if *traceIn == "" {
-		fmt.Fprintln(os.Stderr, "concmap: -trace is required")
+	if msg := usageError(*traceIn, *slice, *top); msg != "" {
+		fmt.Fprintln(os.Stderr, "concmap:", msg)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -42,6 +42,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "concmap:", err)
 		os.Exit(1)
 	}
+}
+
+// usageError names the first flag whose value run cannot honour: a
+// nonpositive -slice would fall back to concurrency's default slice
+// length and a negative -top would print the full map, both silently.
+func usageError(traceIn string, slice int64, top int) string {
+	switch {
+	case traceIn == "":
+		return "-trace is required"
+	case slice <= 0:
+		return fmt.Sprintf("-slice %d: want a positive cycle count", slice)
+	case top < 0:
+		return fmt.Sprintf("-top %d: want 0 (the full map) or a positive count", top)
+	}
+	return ""
 }
 
 func run(traceIn string, slice int64, top int, out string) error {

@@ -57,6 +57,30 @@ func TestConcmapMissingTrace(t *testing.T) {
 	}
 }
 
+// TestConcmapUsageErrors: a missing -trace, a nonpositive -slice and a
+// negative -top are usage errors naming the flag (the CLI exits 2), not
+// silent fallbacks to the default slice or the full map.
+func TestConcmapUsageErrors(t *testing.T) {
+	cases := []struct {
+		trace string
+		slice int64
+		top   int
+		want  string
+	}{
+		{"", workload.CollectSliceCycles, 0, "-trace is required"},
+		{"t.json", 0, 0, "-slice 0: want a positive cycle count"},
+		{"t.json", -5, 5, "-slice -5: want a positive cycle count"},
+		{"t.json", workload.CollectSliceCycles, -3, "-top -3: want 0 (the full map) or a positive count"},
+		{"t.json", workload.CollectSliceCycles, 0, ""},
+		{"t.json", 1, 5, ""},
+	}
+	for _, c := range cases {
+		if got := usageError(c.trace, c.slice, c.top); got != c.want {
+			t.Errorf("usageError(%q, %d, %d) = %q, want %q", c.trace, c.slice, c.top, got, c.want)
+		}
+	}
+}
+
 // TestConcmapSurvivesMalformedTraces: every malformed input must come back
 // as an error (the CLI exits 1), never a panic — including semantically
 // hostile samples that pass the structural decoder, like block ids far

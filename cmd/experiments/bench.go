@@ -201,10 +201,9 @@ const (
 )
 
 // checkRegression compares against a committed baseline report: the total
-// wall-clock gates at totalGateRatio, and each stage present in both
-// reports gates at stageGateRatio once its baseline time clears the noise
-// floor — so one stage regressing 2× can no longer hide inside a total
-// that other stages' improvements pulled back under the limit.
+// wall-clock gates at totalGateRatio, and each stage through
+// stageFailures — so one stage regressing 2× can no longer hide inside a
+// total that other stages' improvements pulled back under the limit.
 func checkRegression(rep *benchReport, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -228,20 +227,7 @@ func checkRegression(rep *benchReport, path string) error {
 		failures = append(failures, fmt.Sprintf("total regressed %.0f%% (limit %.0f%%)",
 			(ratio-1)*100, (totalGateRatio-1)*100))
 	}
-	baseStages := make(map[string]float64, len(base.Stages))
-	for _, st := range base.Stages {
-		baseStages[st.Name] = st.Seconds
-	}
-	for _, st := range rep.Stages {
-		bs, ok := baseStages[st.Name]
-		if !ok || bs < stageGateFloor {
-			continue
-		}
-		if r := st.Seconds / bs; r > stageGateRatio {
-			failures = append(failures, fmt.Sprintf("stage %s regressed %.2fx (%.2fs vs %.2fs, limit %.2fx)",
-				st.Name, r, st.Seconds, bs, stageGateRatio))
-		}
-	}
+	failures = append(failures, stageFailures(rep.Stages, base.Stages)...)
 	if base.NsPerAccess > 0 && rep.NsPerAccess > 0 {
 		if r := rep.NsPerAccess / base.NsPerAccess; r > nsGateRatio {
 			failures = append(failures, fmt.Sprintf("ns/access regressed %.2fx (%.1f vs %.1f, limit %.2fx)",
@@ -252,6 +238,35 @@ func checkRegression(rep *benchReport, path string) error {
 		return fmt.Errorf("bench: %s", strings.Join(failures, "; "))
 	}
 	return nil
+}
+
+// stageFailures gates each run stage against the baseline stage of the
+// same name at stageGateRatio, once the baseline time clears the noise
+// floor. A stage on one side only fails too, named: a renamed or new
+// stage would otherwise go ungated.
+func stageFailures(stages, base []benchStage) []string {
+	baseStages := make(map[string]float64, len(base))
+	for _, st := range base {
+		baseStages[st.Name] = st.Seconds
+	}
+	var failures []string
+	ran := make(map[string]bool, len(stages))
+	for _, st := range stages {
+		ran[st.Name] = true
+		switch bs, ok := baseStages[st.Name]; {
+		case !ok:
+			failures = append(failures, fmt.Sprintf("stage %s is not in the baseline", st.Name))
+		case bs >= stageGateFloor && st.Seconds/bs > stageGateRatio:
+			failures = append(failures, fmt.Sprintf("stage %s regressed %.2fx (%.2fs vs %.2fs, limit %.2fx)",
+				st.Name, st.Seconds/bs, st.Seconds, bs, stageGateRatio))
+		}
+	}
+	for _, st := range base {
+		if !ran[st.Name] {
+			failures = append(failures, fmt.Sprintf("baseline stage %s did not run", st.Name))
+		}
+	}
+	return failures
 }
 
 // benchCoherence measures the simulator's per-access cost the same way the

@@ -3,11 +3,10 @@
 // report to -out (BENCH_golint.json when regenerating the baseline). Two
 // stages run back to back —
 //
-//	summary-cold  the production path: summary-based classification,
-//	              pooled importers, parallel, cold cache (every package
-//	              misses once)
-//	summary-warm  the same run again: every package must replay from
-//	              the cache with zero re-analysis
+//	cold  the production path: pooled importers, parallel, cold cache
+//	      (every package misses once)
+//	warm  the same run again: every package must replay from the cache
+//	      with zero re-analysis
 //
 // and the bench asserts, unconditionally: the warm findings are
 // byte-identical to the cold ones, and the warm pass misses nothing.
@@ -61,7 +60,7 @@ func runGoLintBench(out, check string) error {
 	cache := memo.New()
 
 	opts := gofront.Options{Cache: cache}
-	stages := []string{"summary-cold", "summary-warm"}
+	stages := []string{"cold", "warm"}
 	findingsJSON := make(map[string]string, len(stages))
 	for _, name := range stages {
 		before := cache.Stats()
@@ -91,14 +90,14 @@ func runGoLintBench(out, check string) error {
 		})
 		fmt.Printf("  %-13s %6.2fs  (-j %d, %d package(s), memo %d hit / %d miss)\n",
 			name, secs, jobs, analyzed, d.Hits(), d.Misses)
-		if name == "summary-warm" {
+		if name == "warm" {
 			rep.WarmMisses = d.Misses
 		}
 	}
 
 	// The gates that need no baseline.
 	var failures []string
-	if findingsJSON["summary-cold"] != findingsJSON["summary-warm"] {
+	if findingsJSON["cold"] != findingsJSON["warm"] {
 		failures = append(failures, "warm replay changed the findings")
 	}
 	fmt.Printf("warm misses: %d\n", rep.WarmMisses)
@@ -134,8 +133,7 @@ func runGoLintBench(out, check string) error {
 }
 
 // checkGoLintRegression gates stage wall-clock against the committed
-// baseline, with the same ratio/noise-floor policy as the pipeline
-// bench.
+// baseline, with the pipeline bench's per-stage policy (stageFailures).
 func checkGoLintRegression(rep *golintReport, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -145,22 +143,7 @@ func checkGoLintRegression(rep *golintReport, path string) error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("golint baseline %s: %w", path, err)
 	}
-	baseStages := make(map[string]float64, len(base.Stages))
-	for _, st := range base.Stages {
-		baseStages[st.Name] = st.Seconds
-	}
-	var failures []string
-	for _, st := range rep.Stages {
-		bs, ok := baseStages[st.Name]
-		if !ok || bs < stageGateFloor {
-			continue
-		}
-		if r := st.Seconds / bs; r > stageGateRatio {
-			failures = append(failures, fmt.Sprintf("stage %s regressed %.2fx (%.2fs vs %.2fs, limit %.2fx)",
-				st.Name, r, st.Seconds, bs, stageGateRatio))
-		}
-	}
-	if len(failures) > 0 {
+	if failures := stageFailures(rep.Stages, base.Stages); len(failures) > 0 {
 		return fmt.Errorf("%s", strings.Join(failures, "; "))
 	}
 	return nil

@@ -17,8 +17,11 @@
 // gated against.
 //
 // Flags go before the experiment name. An argument after it, or a flag the
-// chosen experiment never reads, is a usage error (exit 2); -j and
-// -cache-dir are read by every experiment.
+// chosen experiment never reads, is a usage error (exit 2). -j is read by
+// every experiment, and -cache-dir by every one but golint-bench, which
+// times a private cache of its own. bench rejects -cache-dir together with
+// -check: its gated parallel pass would replay the disk entries the
+// serial pass had just written, a warm run gated against a cold baseline.
 //
 // Measured runs fan out over a worker pool (-j, default GOMAXPROCS); every
 // figure is byte-identical at any -j because seeds derive from run indices
@@ -72,7 +75,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 		short:    fs.Bool("short", false, "bench: reduced configuration for CI smoke runs"),
 		benchOut: fs.String("out", "", "bench, golint-bench: write the timing report to this file (never the -check baseline)"),
 		check:    fs.String("check", "", "bench: fail if wall-clock regresses >25% against this baseline report"),
-		cacheDir: fs.String("cache-dir", "", "persist the measurement cache here; warm re-runs reuse identical measurements"),
+		cacheDir: fs.String("cache-dir", "", "persist the measurement cache here; warm re-runs reuse identical measurements (not golint-bench, nor bench with -check)"),
 	}
 }
 
@@ -140,18 +143,18 @@ func main() {
 	}
 }
 
-// experimentFlags lists the flags each experiment reads; -j and
-// -cache-dir are read by every experiment.
+// experimentFlags lists the flags each experiment reads; -j is read by
+// every experiment.
 var experimentFlags = map[string]string{
-	"fig8":         "runs quick seed",
-	"fig9":         "runs quick seed",
-	"fig10":        "runs quick seed",
-	"stability":    "seed",
-	"predict":      "seed",
-	"robustness":   "runs quick seed inject machine",
-	"all":          "runs quick seed inject machine",
-	"quality":      "seed inject",
-	"bench":        "runs quick seed short out check",
+	"fig8":         "runs quick seed cache-dir",
+	"fig9":         "runs quick seed cache-dir",
+	"fig10":        "runs quick seed cache-dir",
+	"stability":    "seed cache-dir",
+	"predict":      "seed cache-dir",
+	"robustness":   "runs quick seed inject machine cache-dir",
+	"all":          "runs quick seed inject machine cache-dir",
+	"quality":      "seed inject cache-dir",
+	"bench":        "runs quick seed short out check cache-dir",
 	"golint-bench": "out check",
 }
 
@@ -178,7 +181,7 @@ func usageErrors(fs *flag.FlagSet, what string) []string {
 	for _, arg := range fs.Args()[min(1, fs.NArg()):] {
 		msgs = append(msgs, fmt.Sprintf("unexpected argument %q after %s (flags go before the experiment name)", arg, what))
 	}
-	reads := map[string]bool{"j": true, "cache-dir": true}
+	reads := map[string]bool{"j": true}
 	for _, name := range strings.Fields(names) {
 		reads[name] = true
 	}
@@ -199,8 +202,12 @@ func usageErrors(fs *flag.FlagSet, what string) []string {
 			msgs = append(msgs, fmt.Sprintf("-%s is overridden by -%s", f.Name, overriddenBy[f.Name]))
 		}
 	})
-	if out, check := fs.Lookup("out").Value.String(), fs.Lookup("check").Value.String(); out != "" && check != "" && sameFile(out, check) {
+	out, check := fs.Lookup("out").Value.String(), fs.Lookup("check").Value.String()
+	if out != "" && check != "" && sameFile(out, check) {
 		msgs = append(msgs, fmt.Sprintf("-out %s would overwrite the -check baseline", out))
+	}
+	if what == "bench" && check != "" && fs.Lookup("cache-dir").Value.String() != "" {
+		msgs = append(msgs, "-cache-dir with -check would gate a replay of the serial pass, not a cold run")
 	}
 	return msgs
 }

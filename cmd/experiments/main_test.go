@@ -48,6 +48,35 @@ func TestBenchCheckRegression(t *testing.T) {
 	}
 }
 
+// TestStageMissingOnOneSideFails: a stage the baseline lacks, or a
+// baseline stage the run lacks, fails both checks by name, so renaming a
+// stage cannot leave it ungated.
+func TestStageMissingOnOneSideFails(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	if err := os.WriteFile(base, []byte(`{"runs": 2, "short": true, "total_seconds": 10,
+		"stages": [{"name": "fig8", "seconds": 4}, {"name": "summary-cold", "seconds": 2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	same := []benchStage{{Name: "fig8", Seconds: 4}, {Name: "summary-cold", Seconds: 2}}
+	renamed := []benchStage{{Name: "fig8", Seconds: 4}, {Name: "cold", Seconds: 2}}
+	const want = "stage cold is not in the baseline; baseline stage summary-cold did not run"
+	if err := checkRegression(&benchReport{Runs: 2, Short: true, TotalSeconds: 10, Stages: same}, base); err != nil {
+		t.Fatalf("unchanged stages rejected: %v", err)
+	}
+	if err := checkGoLintRegression(&golintReport{Stages: same}, base); err != nil {
+		t.Fatalf("unchanged golint stages rejected: %v", err)
+	}
+	err := checkRegression(&benchReport{Runs: 2, Short: true, TotalSeconds: 10, Stages: renamed}, base)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("renamed bench stage: got %v, want an error containing %q", err, want)
+	}
+	err = checkGoLintRegression(&golintReport{Stages: renamed}, base)
+	if err == nil || err.Error() != want {
+		t.Errorf("renamed golint stage: got %v, want %q", err, want)
+	}
+}
+
 // TestUsageErrors: an argument after the experiment name, or a flag the
 // experiment never reads, is a usage error naming it, while every
 // invocation the README, docs and CI use passes.
@@ -77,6 +106,10 @@ func TestUsageErrors(t *testing.T) {
 		{"-short -out BENCH_pipeline.json bench", ""},
 		{"-out BENCH_golint.json golint-bench", ""},
 		{"-short -check BENCH_pipeline.json bench", ""},
+		// golint-bench times a private cache, and a gated bench must run
+		// cold: a -cache-dir would be ignored or void the gate.
+		{"-cache-dir /tmp/golintcache golint-bench", "-cache-dir is not read by golint-bench"},
+		{"-short -cache-dir /tmp/memocache -check BENCH_pipeline.json bench", "-cache-dir with -check would gate a replay of the serial pass, not a cold run"},
 		// Invocations the README, docs and CI use.
 		{"", ""},
 		{"all", ""},
@@ -106,7 +139,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-inject loss=1 fig99 extra", `unknown experiment "fig99" (want all, bench, fig10, fig8, fig9, golint-bench, predict, quality, robustness, stability)`},
 	}
 	// Every flag is read by some experiment, or no invocation could set it.
-	read := map[string]bool{"j": true, "cache-dir": true}
+	read := map[string]bool{"j": true}
 	for _, names := range experimentFlags {
 		for _, name := range strings.Fields(names) {
 			read[name] = true

@@ -9,12 +9,12 @@ import (
 	"structlayout/internal/staticshare"
 )
 
-// TestCorpusSummaryEqualsExact extends the differential gate through the
-// Go frontend: every corpus and example package is loaded and lowered by
-// gofront, then linted by the summary path and by the exact oracle. The
-// findings JSON and the reordering suggestions derived from each
-// classification must be byte-identical.
-func TestCorpusSummaryEqualsExact(t *testing.T) {
+// TestCorpusVerdictMemoEqualsOracle extends the differential gate
+// through the Go frontend: every corpus and example package is loaded
+// and lowered by gofront, then linted by the memoized walk and by the
+// oracle. The findings JSON and the reordering suggestions derived from
+// each classification must be byte-identical.
+func TestCorpusVerdictMemoEqualsOracle(t *testing.T) {
 	if _, err := os.Stat("../../examples/corpus"); err != nil {
 		t.Skip("examples/corpus not present")
 	}
@@ -35,15 +35,15 @@ func TestCorpusSummaryEqualsExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: extract: %v", pkg.Dir, err)
 		}
-		sumF, sumRes, err := staticshare.LintFile(model.File, lineSize)
+		memoF, memoRes, err := staticshare.LintFile(model.File, lineSize)
 		if err != nil {
-			t.Fatalf("%s: summary lint: %v", pkg.Dir, err)
+			t.Fatalf("%s: lint: %v", pkg.Dir, err)
 		}
 		exactF, exactRes, err := staticshare.LintFileExact(model.File, lineSize)
 		if err != nil {
-			t.Fatalf("%s: exact lint: %v", pkg.Dir, err)
+			t.Fatalf("%s: oracle lint: %v", pkg.Dir, err)
 		}
-		sj, err := staticshare.MarshalFindings(sumF)
+		mj, err := staticshare.MarshalFindings(memoF)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,13 +51,13 @@ func TestCorpusSummaryEqualsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(sj) != string(ej) {
-			t.Errorf("%s: findings differ\nsummary: %s\nexact:   %s", pkg.Dir, sj, ej)
+		if string(mj) != string(ej) {
+			t.Errorf("%s: findings differ\nmemo:   %s\noracle: %s", pkg.Dir, mj, ej)
 		}
-		sumS := gofront.Suggest(model, sumRes, lineSize)
+		memoS := gofront.Suggest(model, memoRes, lineSize)
 		exactS := gofront.Suggest(model, exactRes, lineSize)
-		if !reflect.DeepEqual(sumS, exactS) {
-			t.Errorf("%s: suggestions differ\nsummary: %+v\nexact:   %+v", pkg.Dir, sumS, exactS)
+		if !reflect.DeepEqual(memoS, exactS) {
+			t.Errorf("%s: suggestions differ\nmemo:   %+v\noracle: %+v", pkg.Dir, memoS, exactS)
 		}
 	}
 }

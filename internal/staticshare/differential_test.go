@@ -8,10 +8,15 @@ import (
 	"testing"
 
 	"structlayout/internal/irtext"
+	"structlayout/internal/machine"
+	"structlayout/internal/workload"
 )
 
-// goldenPrograms returns every committed .slp program: the DSL goldens,
-// the example programs, and the gofront lowered goldens.
+// goldenPrograms returns every committed .slp program (the DSL goldens,
+// the example programs, the engine's runahead fixtures and the gofront
+// lowered goldens) plus the built-in SDET suite's program file on Bus4,
+// Way16 and Superdome128: the only inputs with 16 to 128 threads,
+// per-CPU arenas and locks on parameter instances.
 func goldenPrograms(t *testing.T) map[string]*irtext.File {
 	t.Helper()
 	var paths []string
@@ -19,6 +24,7 @@ func goldenPrograms(t *testing.T) map[string]*irtext.File {
 		"../../examples/lint/*.slp",
 		"../../examples/dslprogram/*.slp",
 		"../driver/testdata/*.slp",
+		"../exec/testdata/runahead/*.slp",
 		"../gofront/testdata/*.slp",
 	} {
 		m, err := filepath.Glob(pattern)
@@ -31,7 +37,7 @@ func goldenPrograms(t *testing.T) map[string]*irtext.File {
 	if len(paths) < 5 {
 		t.Fatalf("found only %d golden .slp programs: %v", len(paths), paths)
 	}
-	files := make(map[string]*irtext.File, len(paths))
+	files := make(map[string]*irtext.File, len(paths)+3)
 	for _, p := range paths {
 		src, err := os.ReadFile(p)
 		if err != nil {
@@ -43,70 +49,88 @@ func goldenPrograms(t *testing.T) map[string]*irtext.File {
 		}
 		files[p] = f
 	}
+	suite, err := workload.NewSuite(workload.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []*machine.Topology{machine.Bus4(), machine.Way16(), machine.Superdome128()} {
+		files["sdet/"+topo.Name] = suite.File(topo)
+	}
 	return files
 }
 
-// TestSummaryEqualsExactOnGoldens is the differential gate for the
-// summary-based classifier: on every committed golden program the
-// summary path must produce classifications bit-identical to the exact
-// per-access-pair walk — classes, certainty, evidence indices, and the
-// float Weights, with no tolerance.
-func TestSummaryEqualsExactOnGoldens(t *testing.T) {
+// TestVerdictMemoEqualsOracleOnGoldens is the differential gate for
+// the verdict memo: on every golden program classify must produce
+// classifications bit-identical to the un-memoized oracle walk —
+// classes, certainty, evidence indices, and the float Weights, with no
+// tolerance.
+func TestVerdictMemoEqualsOracleOnGoldens(t *testing.T) {
 	for path, f := range goldenPrograms(t) {
 		cfg := FileConfig(f)
-		sum, err := Analyze(f.Prog, cfg)
+		memo, err := Analyze(f.Prog, cfg)
 		if err != nil {
-			t.Fatalf("%s: summary analyze: %v", path, err)
+			t.Fatalf("%s: analyze: %v", path, err)
 		}
 		exact, err := analyzeExact(f.Prog, cfg)
 		if err != nil {
-			t.Fatalf("%s: exact analyze: %v", path, err)
+			t.Fatalf("%s: oracle analyze: %v", path, err)
 		}
-		if !reflect.DeepEqual(sum.Pairs, exact.Pairs) {
-			t.Errorf("%s: summary and exact classifications differ\nsummary: %+v\nexact:   %+v",
-				path, sum.Pairs, exact.Pairs)
+		if !reflect.DeepEqual(memo.Pairs, exact.Pairs) {
+			t.Errorf("%s: memoized and oracle classifications differ\nmemo:   %+v\noracle: %+v",
+				path, memo.Pairs, exact.Pairs)
 		}
-		if !reflect.DeepEqual(sum.Accesses, exact.Accesses) {
-			t.Errorf("%s: collected accesses differ between paths", path)
+		if !reflect.DeepEqual(memo.Accesses, exact.Accesses) {
+			t.Errorf("%s: collected accesses differ between walks", path)
 		}
 	}
 }
 
-// TestSummaryLintEqualsExactOnGoldens extends the differential gate
-// through the linter: the ranked findings (including weights and the
-// per-thread-lock check, which has its own memoized group walk) must be
-// byte-identical between the two paths.
-func TestSummaryLintEqualsExactOnGoldens(t *testing.T) {
+// TestVerdictMemoLintEqualsOracleOnGoldens extends the differential
+// gate through the linter: the ranked findings (including weights and
+// the per-thread-lock check, whose verdicts are memoized by conflict key
+// too) must be byte-identical between the two walks.
+func TestVerdictMemoLintEqualsOracleOnGoldens(t *testing.T) {
 	for path, f := range goldenPrograms(t) {
-		sumF, _, err := LintFile(f, 128)
-		if err != nil {
-			t.Fatalf("%s: summary lint: %v", path, err)
-		}
-		exactF, _, err := lintFileExact(f, 128)
-		if err != nil {
-			t.Fatalf("%s: exact lint: %v", path, err)
-		}
-		sj, err := MarshalFindings(sumF)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ej, err := MarshalFindings(exactF)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(sj) != string(ej) {
-			t.Errorf("%s: lint findings differ\nsummary: %s\nexact:   %s", path, sj, ej)
-		}
+		assertLintEqualsOracle(t, path, f)
 	}
 }
 
-// TestSummaryEqualsExactSynthetic stresses the equivalence on synthetic
-// programs that exercise the corners the goldens miss: a call diamond,
-// unknown arena counts, param bindings, sweeps, and frequency mixes from
-// nested loops and branches.
-func TestSummaryEqualsExactSynthetic(t *testing.T) {
-	// (No program here recurses: ir.Finalize rejects call cycles, and both
-	// paths propagate down the call order it fixes.)
+// assertLintEqualsOracle requires LintFile and the oracle linter to give
+// DeepEqual classifications and byte-equal findings JSON.
+func assertLintEqualsOracle(t *testing.T, name string, f *irtext.File) {
+	t.Helper()
+	memoF, memoRes, err := LintFile(f, 128)
+	if err != nil {
+		t.Fatalf("%s: lint: %v", name, err)
+	}
+	exactF, exactRes, err := lintFileExact(f, 128)
+	if err != nil {
+		t.Fatalf("%s: oracle lint: %v", name, err)
+	}
+	if !reflect.DeepEqual(memoRes.Pairs, exactRes.Pairs) {
+		t.Fatalf("%s: memoized and oracle classifications differ\nmemo:   %+v\noracle: %+v",
+			name, memoRes.Pairs, exactRes.Pairs)
+	}
+	mj, err := MarshalFindings(memoF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ej, err := MarshalFindings(exactF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(mj) != string(ej) {
+		t.Fatalf("%s: lint findings differ\nmemo:   %s\noracle: %s", name, mj, ej)
+	}
+}
+
+// TestVerdictMemoEqualsOracleSynthetic stresses the equivalence on
+// synthetic programs that exercise the corners the goldens miss: a call
+// diamond, unknown arena counts, param bindings, sweeps, and frequency
+// mixes from nested loops and branches.
+func TestVerdictMemoEqualsOracleSynthetic(t *testing.T) {
+	// (No program here recurses: ir.Finalize rejects call cycles, and
+	// the analysis propagates down the call order it fixes.)
 	programs := map[string]string{
 		"diamond-freq": `
 program diamond
@@ -177,68 +201,17 @@ thread 1 s
 			// unknown-count path is actually exercised.
 			delete(cfg.Arenas, "U")
 		}
-		sum, err := Analyze(f.Prog, cfg)
+		memo, err := Analyze(f.Prog, cfg)
 		if err != nil {
-			t.Fatalf("%s: summary analyze: %v", name, err)
+			t.Fatalf("%s: analyze: %v", name, err)
 		}
 		exact, err := analyzeExact(f.Prog, cfg)
 		if err != nil {
-			t.Fatalf("%s: exact analyze: %v", name, err)
+			t.Fatalf("%s: oracle analyze: %v", name, err)
 		}
-		if !reflect.DeepEqual(sum.Pairs, exact.Pairs) {
-			t.Errorf("%s: summary and exact classifications differ\nsummary: %+v\nexact:   %+v",
-				name, sum.Pairs, exact.Pairs)
+		if !reflect.DeepEqual(memo.Pairs, exact.Pairs) {
+			t.Errorf("%s: memoized and oracle classifications differ\nmemo:   %+v\noracle: %+v",
+				name, memo.Pairs, exact.Pairs)
 		}
-	}
-}
-
-// TestProcSummariesBuilt pins the summary-path plumbing: each procedure
-// with field-touching instructions gets exactly one summary, and
-// signature-identical accesses land in one group.
-func TestProcSummariesBuilt(t *testing.T) {
-	src := `
-program summaries
-struct S {
-    a i64
-    b i64
-}
-proc w {
-    write S.a shared 0
-    write S.a shared 0
-    read S.b shared 0
-}
-proc q {
-    call w
-}
-arena S 1
-thread 0 w iters 1
-thread 1 q iters 1
-`
-	f, err := irtext.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Analyze(f.Prog, FileConfig(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := res.ProcSummaryOf("w")
-	if ps == nil {
-		t.Fatal("no summary for proc w")
-	}
-	// Two identical S.a writes collapse into one group of count 2, plus
-	// the S.b read: two groups.
-	if len(ps.Groups) != 2 {
-		t.Fatalf("got %d groups, want 2: %+v", len(ps.Groups), ps.Groups)
-	}
-	var total int64
-	for _, c := range ps.Groups[0].LocalFreq {
-		total += c
-	}
-	if ps.Groups[0].Field != 0 || !ps.Groups[0].Write || total != 2 {
-		t.Errorf("group 0 = %+v (member total %d), want the two S.a writes", ps.Groups[0], total)
-	}
-	if res.ProcSummaryOf("q") != nil {
-		t.Error("proc q touches no fields but has a summary")
 	}
 }

@@ -7,17 +7,16 @@ import (
 	"structlayout/internal/irtext"
 )
 
-// analyzeExact is Analyze with the summary classification replaced by the
-// exact per-access-pair walk: every fact before classification (tasks,
+// analyzeExact is Analyze with the classification replaced by the
+// un-memoized walk: every fact before classification (tasks,
 // happens-before, reach, frequencies, locks, accesses) is Analyze's own,
-// and only Pairs is recomputed, with no procedure summaries left behind.
+// and only Pairs is recomputed.
 func analyzeExact(p *ir.Program, cfg Config) (*Result, error) {
 	r, err := Analyze(p, cfg)
 	if err != nil {
 		return nil, err
 	}
 	r.Pairs = make(map[string]map[[2]int]PairInfo)
-	r.summaries = nil
 	r.classifyExact()
 	return r, nil
 }
@@ -31,11 +30,11 @@ func lintFileExact(f *irtext.File, lineSize int) ([]Finding, *Result, error) {
 	return res.Lint(originalLayouts(f, lineSize)), res, nil
 }
 
-// classifyExact is the original per-access-pair classification walk, the
-// oracle the summary path is differentially tested against: O(accesses²)
-// pairs per struct, the thread/lock/instance verdict re-derived for every
-// pair. It feeds the same order-canonical aggregator as classifySummary,
-// so both paths produce bit-identical PairInfos.
+// classifyExact is the oracle classify is differentially tested against:
+// the same per-access-pair walk, serial, with the thread/lock/instance
+// verdict re-derived for every pair instead of looked up by conflict
+// key. Equal PairInfos from the two check the memo's one assumption:
+// that a verdict depends on nothing but the two accesses' keys.
 func (r *Result) classifyExact() {
 	names := make([]string, 0, len(r.byStruct))
 	for name := range r.byStruct {
@@ -78,16 +77,4 @@ func (r *Result) classifyExact() {
 			r.Pairs[name] = pairs
 		}
 	}
-}
-
-// addPair records one access pair of the exact walk: w is
-// min(freq1, freq2).
-func (g *pairAgg) addPair(class PairClass, certain bool, w float64, a1, a2 int) {
-	g.bump(class, certain, a1, a2)
-	h := g.hist[class]
-	if h == nil {
-		h = make(map[float64]int64)
-		g.hist[class] = h
-	}
-	h[w]++
 }

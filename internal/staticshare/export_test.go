@@ -2,7 +2,7 @@ package staticshare
 
 import "structlayout/internal/diag"
 
-// LintFileExact exposes the exact-walk linter to the external test
+// LintFileExact exposes the oracle linter to the external test
 // package, which lowers Go packages through gofront (an import the
 // internal tests cannot take without a cycle).
 var LintFileExact = lintFileExact
@@ -35,7 +35,3 @@ func (r *Result) HBAcyclic() bool {
 func (r *Result) Pair(structName string, f1, f2 int) PairInfo {
 	return r.Pairs[structName][pairKey(f1, f2)]
 }
-
-// ProcSummaryOf returns the footprint summary computed for a procedure,
-// nil when the procedure has no field-touching instructions.
-func (r *Result) ProcSummaryOf(proc string) *ProcSummary { return r.summaries[proc] }

@@ -531,12 +531,11 @@ func (r *Result) SpawnedTask(parent int, handle string) (int, bool) {
 	return ti, ok
 }
 
-// segKeyOf canonically encodes, for grouping, everything the
-// happens-before verdicts of an access depend on beyond its thread set:
-// per reaching thread, the segments its block can execute in. Programs
-// without sync statements (or degraded ones) encode as "", so their
-// grouping — and therefore the summary path's verdict memoization — is
-// unchanged from the pre-HB analysis.
+// segKeyOf canonically encodes, for the access's conflictKey, everything
+// the happens-before verdicts of an access depend on beyond its thread
+// set: per reaching thread, the segments its block can execute in.
+// Programs without sync statements (or degraded ones) encode as "", as
+// hbExcluded orders nothing in them.
 func (r *Result) segKeyOf(threads []int, b ir.BlockID) string {
 	h := r.hb
 	if h == nil || h.degraded {

@@ -358,10 +358,12 @@ func TestHBExclusiveFeedsMHP(t *testing.T) {
 	}
 }
 
-// TestSummaryEqualsExactOnHBPrograms extends the differential gate to
-// join-aware classification: on every HB-bearing source in this file
-// the summary path must be bit-identical to the exact oracle.
-func TestSummaryEqualsExactOnHBPrograms(t *testing.T) {
+// TestVerdictMemoEqualsOracleOnHBPrograms extends the differential gate
+// to join-aware classification: on every HB-bearing source in this file
+// the memoized walk must be bit-identical to the oracle, so the
+// happens-before segments in the conflict key separate every pair of
+// accesses the ordering tells apart.
+func TestVerdictMemoEqualsOracleOnHBPrograms(t *testing.T) {
 	srcs := map[string]string{
 		"forkjoin": hbForkJoinSrc,
 		"pipeline": hbPipelineSrc,
@@ -370,28 +372,28 @@ func TestSummaryEqualsExactOnHBPrograms(t *testing.T) {
 		"postsend": strings.Replace(hbPipelineSrc, "    write S.a shared 0\n    send c\n", "    send c\n    write S.a shared 0\n", 1),
 	}
 	for name, src := range srcs {
-		sum := analyzeSrc(t, src, false)
+		memo := analyzeSrc(t, src, false)
 		exact := analyzeSrc(t, src, true)
-		assertPairsEqual(t, name, sum, exact)
+		assertPairsEqual(t, name, memo, exact)
 	}
 }
 
 // assertPairsEqual compares classifications field by field.
-func assertPairsEqual(t *testing.T, name string, sum, exact *Result) {
+func assertPairsEqual(t *testing.T, name string, memo, exact *Result) {
 	t.Helper()
-	if len(sum.Pairs) != len(exact.Pairs) {
-		t.Errorf("%s: summary has %d structs, exact %d", name, len(sum.Pairs), len(exact.Pairs))
+	if len(memo.Pairs) != len(exact.Pairs) {
+		t.Errorf("%s: memoized walk has %d structs, oracle %d", name, len(memo.Pairs), len(exact.Pairs))
 		return
 	}
 	for st, ep := range exact.Pairs {
-		sp := sum.Pairs[st]
-		if len(sp) != len(ep) {
-			t.Errorf("%s/%s: summary has %d pairs, exact %d", name, st, len(sp), len(ep))
+		mp := memo.Pairs[st]
+		if len(mp) != len(ep) {
+			t.Errorf("%s/%s: memoized walk has %d pairs, oracle %d", name, st, len(mp), len(ep))
 			continue
 		}
 		for k, ev := range ep {
-			if sv, ok := sp[k]; !ok || sv != ev {
-				t.Errorf("%s/%s %v: summary %+v, exact %+v", name, st, k, sp[k], ev)
+			if mv, ok := mp[k]; !ok || mv != ev {
+				t.Errorf("%s/%s %v: memoized %+v, oracle %+v", name, st, k, mp[k], ev)
 			}
 		}
 	}

@@ -161,11 +161,10 @@ func (r *Result) lintLockImbalance() []Finding {
 // while every "protecting" lock resolves to distinct instances across the
 // conflicting threads: the classic bug of guarding shared data with a
 // per-thread (or per-object) lock. The lockedButShared verdict depends
-// only on the two accesses' conflict keys (instance expression, reaching
-// threads, held set), so it is derived once per same-field signature
-// pair instead of once per access pair; the weight accumulation then
-// replays per access in the original order, keeping output identical to
-// the old O(accesses²) walk.
+// only on the two accesses' conflict keys, so it is derived once per
+// same-field key pair instead of once per access pair; the weight
+// accumulation then replays per access in the original order, keeping
+// output identical to the O(accesses²) walk.
 func (r *Result) lintPerThreadLocks() []Finding {
 	type key struct {
 		structName string
@@ -181,41 +180,31 @@ func (r *Result) lintPerThreadLocks() []Finding {
 	var keys []key
 	for _, name := range names {
 		idxs := r.byStruct[name]
-		// Group the struct's accesses by (field, conflictKey).
-		type gkey struct {
-			field int
-			ck    conflictKey
-		}
-		gid := make(map[gkey]int)
+		// Group the struct's accesses by (field, conflict key).
+		gid := make(map[[2]int]int)
 		gidOf := make([]int, len(idxs))
 		var reps []*Access
-		var gkeys []gkey
 		for x, ai := range idxs {
 			a := &r.Accesses[ai]
-			k := gkey{a.Field, conflictKey{a.Inst, threadsKey(a.Threads), heldKeyEnc(a.Held), a.segKey}}
+			k := [2]int{a.Field, a.key}
 			id, ok := gid[k]
 			if !ok {
 				id = len(reps)
 				gid[k] = id
 				reps = append(reps, a)
-				gkeys = append(gkeys, k)
 			}
 			gidOf[x] = id
 		}
 		// One verdict per same-field group pair (self-pairs included:
 		// two threads can race through the same instruction).
-		verdicts := make(map[[2]conflictKey]bool)
+		verdicts := make(map[[2]int]bool)
 		matched := make([]bool, len(reps))
 		for i := range reps {
 			for j := range reps {
-				if gkeys[i].field != gkeys[j].field || matched[i] {
+				if reps[i].Field != reps[j].Field || matched[i] {
 					continue
 				}
-				k1, k2 := gkeys[i].ck, gkeys[j].ck
-				if k2.less(k1) {
-					k1, k2 = k2, k1
-				}
-				mk := [2]conflictKey{k1, k2}
+				mk := keyPair(reps[i], reps[j])
 				v, ok := verdicts[mk]
 				if !ok {
 					v = r.lockedButShared(reps[i], reps[j])

@@ -209,9 +209,11 @@ func decodeGoFuzzCorpus(t *testing.T, path string) string {
 	return s
 }
 
-// FuzzLint asserts the linter's no-panic contract over arbitrary inputs:
-// whatever irtext.Parse accepts, LintFile analyzes or degrades with an
-// error — it never panics.
+// FuzzLint asserts the linter's no-panic contract over arbitrary inputs
+// — whatever irtext.Parse accepts, LintFile analyzes or degrades with an
+// error, never panics — and tries to break the verdict memo: on every
+// input LintFile accepts, its classification and findings must equal
+// the un-memoized oracle's.
 func FuzzLint(f *testing.F) {
 	for _, rel := range []string{
 		"examples/lint/clean.slp",
@@ -221,6 +223,10 @@ func FuzzLint(f *testing.F) {
 		// shapes the Go frontend hands this linter.
 		"internal/gofront/testdata/lowered_clean.slp",
 		"internal/gofront/testdata/lowered_falseshare.slp",
+		// Fork/join and channel programs exercise the happens-before
+		// segments of the conflict key.
+		"examples/lint/forkjoin.slp",
+		"examples/lint/pipeline.slp",
 	} {
 		src, err := os.ReadFile(filepath.Join("..", "..", rel))
 		if err != nil {
@@ -242,5 +248,6 @@ func FuzzLint(f *testing.F) {
 				t.Fatalf("malformed finding: %+v", fd)
 			}
 		}
+		assertLintEqualsOracle(t, "input", file)
 	})
 }

@@ -159,10 +159,10 @@ type Access struct {
 	// thread iteration counts.
 	Freq float64
 
-	// segKey canonically encodes the happens-before segments this
-	// access's block can execute in, per reaching thread ("" without
-	// sync statements); part of the conflict signature.
-	segKey string
+	// key numbers the access's conflictKey (instance expression,
+	// reaching threads, held set, happens-before segments): accesses of
+	// one struct with equal keys get equal verdicts against any other.
+	key int
 }
 
 // PairClass is the static sharing classification of a field pair, ordered
@@ -232,11 +232,10 @@ type Result struct {
 	// absent from the inner map are NeverShared.
 	Pairs map[string]map[[2]int]PairInfo
 
-	byStruct  map[string][]int // struct name -> indices into Accesses
-	reach     map[string][]int // proc name -> sorted thread indices
-	procFreq  map[string]float64
-	summaries map[string]*ProcSummary
-	hb        *hbState // happens-before graph; nil without sync statements
+	byStruct map[string][]int // struct name -> indices into Accesses
+	reach    map[string][]int // proc name -> sorted thread indices
+	procFreq map[string]float64
+	hb       *hbState // happens-before graph; nil without sync statements
 }
 
 // Analyze runs the full analysis of a finalized program; a program
@@ -297,7 +296,7 @@ func Analyze(p *ir.Program, cfg Config) (res *Result, err error) {
 	}
 
 	r.collectAccesses(localFreq)
-	r.classifySummary(localFreq)
+	r.classify()
 	return r, nil
 }
 
@@ -330,10 +329,12 @@ func walkFreq(nodes []ir.ExecNode, f float64, out map[ir.BlockID]float64) {
 }
 
 // collectAccesses records every field-touching instruction with its
-// reaching threads, held locks, footprint and frequency.
+// reaching threads, held locks, footprint, frequency and conflict key.
 func (r *Result) collectAccesses(local map[ir.BlockID]float64) {
+	keys := make(map[conflictKey]int)
 	for _, pr := range r.Prog.Procs {
 		threads := r.reach[pr.Name]
+		tk := threadsKey(threads)
 		pf := r.procFreq[pr.Name]
 		for _, b := range pr.Blocks {
 			seq := 0
@@ -358,7 +359,13 @@ func (r *Result) collectAccesses(local map[ir.BlockID]float64) {
 					if r.Locks != nil {
 						a.Held = r.Locks.HeldAt(b.Global, seq)
 					}
-					a.segKey = r.segKeyOf(threads, b.Global)
+					ck := conflictKey{in.Inst, tk, heldKeyEnc(a.Held), r.segKeyOf(threads, b.Global)}
+					key, ok := keys[ck]
+					if !ok {
+						key = len(keys)
+						keys[ck] = key
+					}
+					a.key = key
 					a.Foot = r.footprint(a)
 					r.byStruct[in.Struct.Name] = append(r.byStruct[in.Struct.Name], len(r.Accesses))
 					r.Accesses = append(r.Accesses, a)
