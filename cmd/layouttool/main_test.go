@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	"structlayout/internal/faults"
 	"structlayout/internal/machine"
+	"structlayout/internal/memo"
 	"structlayout/internal/parallel"
 	"structlayout/internal/quality"
 	"structlayout/internal/staticshare"
@@ -464,5 +466,63 @@ func TestBuiltinSplitReadsFaultedProfile(t *testing.T) {
 	}
 	if adv := faulted.String(); !strings.Contains(adv, "hot: 22 fields") || !strings.Contains(adv, " pt_stat2 ") {
 		t.Errorf("faulted split advisory moved: want 22 hot fields and pt_stat2 dead:\n%s", faulted)
+	}
+}
+
+// TestEditedMeasurementEntryRecomputed: a warm -cache-dir run of the DSL
+// example prints what the cold run printed even after the first digit of
+// the mean in each measurement entry on disk was changed. The edited
+// entries fail verification, so the run recomputes them instead of
+// replaying the edit.
+func TestEditedMeasurementEntryRecomputed(t *testing.T) {
+	cache, dir := memo.Shared(), t.TempDir()
+	if err := cache.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	cache.Clear()
+	t.Cleanup(func() {
+		cache.SetDir("")
+		cache.Clear()
+	})
+	slp := filepath.Join("..", "..", "examples", "dslprogram", "webserver.slp")
+	advise := func() string {
+		return captureStdout(t, func() {
+			if _, err := runProgramFile(slp, "conn", "bus4", "auto", 20070311, false, "", none(t), false, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	cold := advise()
+	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := 0
+	for _, p := range entries {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := bytes.Index(b, []byte(`"mean":`))
+		if i < 0 {
+			continue
+		}
+		d := &b[i+len(`"mean":`)]
+		*d = '1' + (*d-'0')%9 // another nonzero digit
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		edited++
+	}
+	if edited != 2 {
+		t.Fatalf("edited %d measurement entries of %d, want the baseline's and conn's", edited, len(entries))
+	}
+	cache.Clear()
+	before := cache.Stats()
+	if warm := advise(); warm != cold {
+		t.Fatalf("warm run replayed the edited entries:\n--- warm ---\n%s\n--- cold ---\n%s", warm, cold)
+	}
+	if st := cache.Stats().Sub(before); st.Errors != 2 || st.DiskHits != 1 {
+		t.Fatalf("warm run: %+v, want 2 corrupt entries recomputed and the collection replayed", st)
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 // exportAllowlist names exported functions and methods under internal/
 // that non-test code need not reference, keyed as "pkgpath.Func" or
-// "pkgpath.Type.Method". A trailing "." allows a whole package.
+// "pkgpath.Type.Method".
 var exportAllowlist = map[string]string{
 	// Cross-package test helpers: other packages' tests call them, so
 	// they cannot move into an export_test.go.
@@ -25,7 +25,6 @@ var exportAllowlist = map[string]string{
 	"structlayout/internal/ir.Program.Dump":               "program dump for irtext tests",
 	"structlayout/internal/layout.Layout.LineAlignedSize": "arena stride for exec tests",
 	"structlayout/internal/staticshare.Result.HBDegraded": "happens-before state for core tests",
-	"structlayout/internal/staticshare/mhpcheck.":         "soundness oracle; only tests and CI drive it",
 }
 
 // TestNoTestOnlyExports fails when an exported function or method under
@@ -156,10 +155,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 				if _, ok := exportAllowlist[key]; ok {
 					allowed[key] = true
-					continue
-				}
-				if _, ok := exportAllowlist[path+"."]; ok {
-					allowed[path+"."] = true
 					continue
 				}
 				unused = append(unused, key+" ("+fset.Position(fd.Pos()).String()+")")

@@ -36,8 +36,6 @@ type Config struct {
 	Cache coherence.Config
 	// Seed drives branches, random memory patterns and sampling.
 	Seed int64
-	// Sampling enables PMU collection when non-nil.
-	Sampling *sampling.Config
 	// Inject, when non-nil, applies the measurement-fault spec to every
 	// collection this config produces (profile and trace), so -inject is
 	// honored on the DSL/driver path exactly as on the built-in workload.
@@ -93,8 +91,14 @@ func OriginalLayouts(f *irtext.File, lineSize int) (map[string]*layout.Layout, e
 }
 
 // Run executes the file's declared threads under the given layouts (keyed
-// by struct name; missing structs get their declaration-order layout).
+// by struct name; missing structs get their declaration-order layout),
+// with no collector attached.
 func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.Result, error) {
+	return runWith(f, cfg, layouts, nil)
+}
+
+// runWith is Run with a PMU collector attached when smp is non-nil.
+func runWith(f *irtext.File, cfg Config, layouts map[string]*layout.Layout, smp *sampling.Config) (*exec.Result, error) {
 	cfg.fillDefaults()
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("driver: nil topology")
@@ -106,39 +110,31 @@ func Run(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.R
 		Topo:     cfg.Topo,
 		Cache:    cfg.Cache,
 		Seed:     cfg.Seed,
-		Sampling: cfg.Sampling,
+		Sampling: smp,
 	}, layouts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.Run()
+	return r.Run()
+}
+
+// Collect performs the tool's data-collection phase for a parsed file:
+// one run under declaration-order (or provided) layouts, sampled by
+// workload.CollectSampling(cfg.Seed). When the config carries a fault
+// spec, the collected profile and trace come back already faulted: the
+// injectors model measurement error, so they sit on the collection
+// boundary, and the simulated run itself is never perturbed.
+func Collect(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.Result, error) {
+	smp := workload.CollectSampling(cfg.Seed)
+	res, err := runWith(f, cfg, layouts, &smp)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Inject != nil {
-		// The injectors model measurement error, so they sit on the
-		// collection boundary: every collected artifact a Run hands out is
-		// already faulted, whichever path asked for it (Collect, a direct
-		// Run with sampling, or EvaluateCtx's measurement loop — whose
-		// MeasureCtx nils Inject per run because throughput is simulated,
-		// not collected). The simulated run itself is never perturbed.
 		res.Profile = cfg.Inject.ApplyProfile(res.Profile)
 		res.Trace = cfg.Inject.ApplyTrace(res.Trace)
 	}
 	return res, nil
-}
-
-// Collect performs the tool's data-collection phase for a parsed file:
-// one sampled run under declaration-order (or provided) layouts. When the
-// config carries a fault spec, the collected profile and trace come back
-// already faulted — Run applies the spec on the collection boundary.
-func Collect(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*exec.Result, error) {
-	cfg.fillDefaults()
-	if cfg.Sampling == nil {
-		smp := workload.CollectSampling(cfg.Seed)
-		cfg.Sampling = &smp
-	}
-	return Run(f, cfg, layouts)
 }
 
 // MeasureCtx runs the file n times under the layouts and aggregates
@@ -163,8 +159,6 @@ func MeasureCtx(ctx context.Context, f *irtext.File, cfg Config, layouts map[str
 	run := func(ctx context.Context, i int) (float64, error) {
 		rcfg := cfg
 		rcfg.Seed = parallel.SeedFor(cfg.Seed, i, "driver", f.Prog.Name)
-		rcfg.Sampling = nil
-		rcfg.Inject = nil
 		res, err := Run(f, rcfg, layouts)
 		if err != nil {
 			return 0, err

@@ -11,6 +11,7 @@ import (
 
 	"structlayout/internal/coherence"
 	"structlayout/internal/core"
+	"structlayout/internal/exec"
 	"structlayout/internal/faults"
 	"structlayout/internal/ir"
 	"structlayout/internal/irtext"
@@ -298,15 +299,13 @@ func TestCollectInject(t *testing.T) {
 }
 
 // TestRunInject checks that the fault spec applies on the collection
-// boundary inside Run itself, so every driver path honors -inject: a
-// direct sampled Run comes back faulted, while the measurement loop stays
-// clean (throughput is simulated, not collected, so a spec on the config
-// must not change what MeasureCtx reports).
+// boundary: a collection comes back faulted, while the measurement loop
+// stays clean (throughput is simulated, not collected, so a spec on the
+// config must not change what MeasureCtx reports).
 func TestRunInject(t *testing.T) {
 	f := parseDemo(t)
-	smp := &sampling.Config{IntervalCycles: 2500, DriftMaxCycles: 8, LossProb: 0.02, Seed: 22}
-	cfg := Config{Topo: machine.Bus4(), Seed: 5, Sampling: smp}
-	clean, err := Run(f, cfg, nil)
+	cfg := Config{Topo: machine.Bus4(), Seed: 5}
+	clean, err := Collect(f, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,12 +314,12 @@ func TestRunInject(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Inject = lossy
-	faulted, err := Run(f, cfg, nil)
+	faulted, err := Collect(f, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(faulted.Trace.Samples) >= len(clean.Trace.Samples) {
-		t.Fatalf("direct Run ignored the fault spec: %d vs %d samples",
+		t.Fatalf("collection ignored the fault spec: %d vs %d samples",
 			len(faulted.Trace.Samples), len(clean.Trace.Samples))
 	}
 
@@ -586,14 +585,14 @@ func TestMemoKeyPins(t *testing.T) {
 	if !ok {
 		t.Fatal("webserver.slp measurement has no key")
 	}
-	ck, ok := workload.CollectKey(f, cfg.Topo, cfg.Cache, cfg.Seed, nil, nil, nil)
+	ck, ok := workload.CollectKey(f, cfg.Topo, cfg.Cache, cfg.Seed, nil, nil)
 	if !ok {
 		t.Fatal("webserver.slp collection has no key")
 	}
 	got := map[string]string{"measure": fmt.Sprintf("%x", mk[:]), "collect": fmt.Sprintf("%x", ck[:])}
 	want := map[string]string{
-		"measure": "6ffc5ae5844797adfd9fb0618ec30169c97dc8a2410bcb815e890c639ff46f12",
-		"collect": "9763fb2eca862e0601b3c74b3c1c9c5c912a0a30859407764722de35fd71d49f",
+		"measure": "b8134758aec9679f0e312978724d102bbe90685c0a1f76e1716376de9484fd9c",
+		"collect": "9d31386de6e3a02677ae67549eb1a8e8dcbee571280eb3deef49775aeb6fdb31",
 	}
 	for kind, k := range got {
 		if k != want[kind] {
@@ -602,9 +601,9 @@ func TestMemoKeyPins(t *testing.T) {
 	}
 }
 
-// TestRunSuiteFile: the built-in suite's harness runs through Run like
-// any parsed file, with results identical to the suite's own RunOnce,
-// exact and under the collection sampler.
+// TestRunSuiteFile: the built-in suite's harness runs through Run and
+// Collect like any parsed file, with results identical to the suite's own
+// RunOnce, exact and under the collection sampler.
 func TestRunSuiteFile(t *testing.T) {
 	suite, err := workload.NewSuite(workload.DefaultParams())
 	if err != nil {
@@ -616,11 +615,12 @@ func TestRunSuiteFile(t *testing.T) {
 	smp := workload.CollectSampling(seed)
 	for _, c := range []struct {
 		name     string
+		run      func(*irtext.File, Config, map[string]*layout.Layout) (*exec.Result, error)
 		sampling *sampling.Config
-	}{{"exact", nil}, {"collect", &smp}} {
+	}{{"exact", Run, nil}, {"collect", Collect, &smp}} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Config{Topo: topo, Cache: suite.Params.Cache, Seed: seed, Sampling: c.sampling}
-			got, err := Run(suite.File(topo), cfg, suite.StructLayouts(base))
+			cfg := Config{Topo: topo, Cache: suite.Params.Cache, Seed: seed}
+			got, err := c.run(suite.File(topo), cfg, suite.StructLayouts(base))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,7 @@ import (
 // simulation" when budgeting a request's remaining deadline.
 func CollectCacheReady(f *irtext.File, cfg Config) bool {
 	cfg.fillDefaults()
-	k, ok := workload.CollectKey(f, cfg.Topo, cfg.Cache, cfg.Seed, nil, cfg.Sampling, cfg.Inject)
+	k, ok := workload.CollectKey(f, cfg.Topo, cfg.Cache, cfg.Seed, nil, cfg.Inject)
 	return ok && memo.Shared().Contains(k)
 }
 
@@ -29,7 +29,7 @@ func CollectCacheReady(f *irtext.File, cfg Config) bool {
 // the collected profile, trace, and the run's cycle count.
 func CollectCached(f *irtext.File, cfg Config) (*profile.Profile, *sampling.Trace, int64, error) {
 	cfg.fillDefaults()
-	k, ok := workload.CollectKey(f, cfg.Topo, cfg.Cache, cfg.Seed, nil, cfg.Sampling, cfg.Inject)
+	k, ok := workload.CollectKey(f, cfg.Topo, cfg.Cache, cfg.Seed, nil, cfg.Inject)
 	if !ok {
 		res, err := Collect(f, cfg, nil)
 		if err != nil {

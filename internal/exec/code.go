@@ -50,10 +50,10 @@ type codeInstr struct {
 
 // lower lowers every procedure's execution tree into one flat code array
 // and points every thread at its entry procedure's first instruction.
-// Each tree node becomes control instructions at the points where the tree
-// walker (step) counts blocks, charges branches, draws and samples, so the
-// two interpreters perform the same actions in the same order; only the
-// frames are gone. A loop is
+// Each tree node becomes control instructions at the points where a walk
+// of the tree counts blocks, charges branches, draws and samples, so the
+// flat code performs the same actions in the same order as the reference
+// interpreter's walk; only the frames are gone. A loop is
 //
 //	cLoop; head: cHeader(exit); body...; cJump(head); exit:
 //
@@ -62,8 +62,13 @@ type codeInstr struct {
 //	cIf(else); then...; cJump(join); else: else...; join: cJoin
 //
 // with the jump left out when the else arm is empty. Decoded instructions
-// are copied in, compute runs already merged; the static-only fork/join
-// markers have no dynamic effect and are dropped.
+// are copied in; the static-only fork/join markers have no dynamic effect
+// and are dropped. Without a collector, consecutive computes of a block
+// merge into one virtual-time update: computes touch no shared state (no
+// coherence access, no profile count, no lock) and never yield, so a
+// thread's time waypoints inside a pure-compute span are invisible to
+// every other thread. A collector must observe each time advance, so it
+// keeps them apart.
 func (r *Runner) lower() {
 	// Every block lowers to at most two instructions besides its own (an
 	// if's condition and join to cIf, cJump and cJoin), a loop to one
@@ -93,7 +98,7 @@ func (r *Runner) lower() {
 
 // lowerNodes appends the flat code of one node list.
 func (r *Runner) lowerNodes(nodes []ir.ExecNode) {
-	ahead := r.runAhead()
+	collected := r.collector != nil
 	for _, n := range nodes {
 		switch n := n.(type) {
 		case *ir.ExecBlock:
@@ -106,10 +111,14 @@ func (r *Runner) lowerNodes(nodes []ir.ExecNode) {
 				in := codeInstr{decInstr: d}
 				switch d.op {
 				case ir.OpCompute:
+					if last := &r.code[len(r.code)-1]; !collected && last.op == cCompute {
+						last.cycles += d.cycles
+						continue
+					}
 					in.op = cCompute
 				case ir.OpField:
 					in.op = cField
-					in.ahead = ahead && !d.write && d.oneLine
+					in.ahead = !collected && !d.write && d.oneLine
 				case ir.OpMem:
 					in.op = cMem
 				case ir.OpLock:
@@ -157,21 +166,10 @@ func (r *Runner) lowerNodes(nodes []ir.ExecNode) {
 //
 // The yield condition is checked before every shared instruction (see
 // Runner.run for the invariant), at the same instructions and against the
-// same keys as the tree walker, and every count, branch cost, draw and
-// collector tick happens where the walker does it, so every interleaving
-// and statistic is bit-identical to the slow path's.
+// same keys as the reference interpreter's tree walk, and every count,
+// branch cost, draw and collector tick happens where the walk does it, so
+// every interleaving and statistic is bit-identical to the reference's.
 func (r *Runner) runUntil(t *thread, limit int64) error {
-	if r.slowPath {
-		for {
-			yielded, err := r.step(t, limit)
-			if err != nil {
-				return err
-			}
-			if yielded || t.done || t.parked || len(r.woken) > 0 {
-				return nil
-			}
-		}
-	}
 	code := r.code
 	pc := t.pc
 	for {

@@ -17,11 +17,12 @@
 // At Run start every procedure's execution tree is lowered into one flat
 // code array with explicit control instructions (code.go): a running
 // thread is a program counter, a stack of return pcs and its loop slots.
-// The tree walker survives only as the test-only reference interpreter
-// (slowPath). Field addresses are resolved through a layout per struct,
-// with instances placed at cache-line-aligned bases the way the HP-UX
-// arena allocator does (§2) — re-running the same workload under a
-// different layout is exactly the paper's experiment.
+// The one-op-per-turn tree walker the differential tests compare the flat
+// code against is test code (reference_test.go). Field addresses are
+// resolved through a layout per struct, with instances placed at
+// cache-line-aligned bases the way the HP-UX arena allocator does (§2) —
+// re-running the same workload under a different layout is exactly the
+// paper's experiment.
 package exec
 
 import (
@@ -197,7 +198,7 @@ type Runner struct {
 	// compare is the full lexicographic order, removing the tie-break
 	// branch from every heap compare and yield check; timeCap guards the
 	// shift against overflow. woken holds the threads released by the
-	// current step's unlock.
+	// current turn's unlock.
 	idShift uint
 	timeCap int64
 	woken   []*thread
@@ -207,12 +208,6 @@ type Runner struct {
 
 	completed int64
 	ran       bool
-
-	// slowPath runs the reference interpreter instead of the flat code:
-	// step walks the execution trees one action at a time, with no compute
-	// merging and no read-hit run-ahead. Test-only: the equivalence tests
-	// run both and require identical Results.
-	slowPath bool
 }
 
 // NewRunner builds a runner. Layouts must cover every struct the program
@@ -348,31 +343,45 @@ func (r *Runner) AddThread(cpu int, proc string, params []int, iterations int64)
 
 // Run executes to completion and returns the result. A runner runs once.
 func (r *Runner) Run() (*Result, error) {
-	if r.ran {
-		return nil, fmt.Errorf("exec: runner already ran")
-	}
-	r.ran = true
-	if len(r.threads) == 0 {
-		return nil, fmt.Errorf("exec: no threads")
-	}
-	// Decode the program once: resolves every arena/region/callee name and
-	// verifies up front that every accessed struct has an arena.
-	if err := r.decode(); err != nil {
+	if err := r.start(); err != nil {
 		return nil, err
 	}
-	r.buildInstTables()
-	if r.runAhead() {
+	r.lower()
+	if r.collector == nil {
 		r.markWriters()
 	}
-	r.coh.ReserveDirectory(r.nextAdr)
-
 	if err := r.run(); err != nil {
 		return nil, err
 	}
+	return r.result(), nil
+}
 
-	// Rebuild the sparse field map from the dense per-arena statistics;
-	// only touched fields appear, matching the lazily-populated map the
-	// hot path used to maintain.
+// start prepares a run for either interpreter: it decodes the program,
+// which resolves every arena, region and callee name and verifies up front
+// that every accessed struct has an arena, builds the threads' instance
+// tables, sizes the scheduling keys and reserves the coherence directory.
+func (r *Runner) start() error {
+	if r.ran {
+		return fmt.Errorf("exec: runner already ran")
+	}
+	r.ran = true
+	if len(r.threads) == 0 {
+		return fmt.Errorf("exec: no threads")
+	}
+	if err := r.decode(); err != nil {
+		return err
+	}
+	r.buildInstTables()
+	r.idShift = uint(bits.Len(uint(len(r.threads) - 1))) // width of the largest id
+	r.timeCap = int64(1) << (62 - r.idShift)
+	r.coh.ReserveDirectory(r.nextAdr)
+	return nil
+}
+
+// result assembles the Result of a finished run. It rebuilds the sparse
+// field map from the dense per-arena statistics; only touched fields
+// appear, matching the lazily-populated map the hot path used to maintain.
+func (r *Runner) result() *Result {
 	fields := make(map[FieldRef]*FieldStat)
 	for _, a := range r.arenaList {
 		for fi := range a.stats {
@@ -398,23 +407,14 @@ func (r *Runner) Run() (*Result, error) {
 	if r.collector != nil {
 		res.Trace = r.collector.Finish()
 	}
-	return res, nil
-}
-
-// runAhead reports whether the run lets a thread past its turn complete
-// commuting reads (see readAhead): not with a collector, whose RNG and
-// sample list are global; and not on the slow path, the one-op-per-turn
-// reference.
-func (r *Runner) runAhead() bool {
-	return r.collector == nil && !r.slowPath
+	return res
 }
 
 // decode pre-resolves every instruction of the program against the run's
-// arenas, regions and procedures, then lowers the execution trees into the
-// flat code the fast path runs (the slow path walks the trees). Called
-// once at Run start, after all DefineArena calls; errors here are the ones
-// the interpreter used to raise lazily (missing arena, unknown region or
-// callee).
+// arenas, regions and procedures into r.dec, which lower copies into the
+// flat code. Called once at Run start, after all DefineArena calls; errors
+// here are the ones the interpreter used to raise lazily (missing arena,
+// unknown region or callee).
 func (r *Runner) decode() error {
 	r.dec = make([][]decInstr, r.prog.NumBlocks())
 	for _, b := range r.prog.Blocks() {
@@ -465,36 +465,7 @@ func (r *Runner) decode() error {
 			}
 			ds[i] = d
 		}
-		if r.collector == nil && !r.slowPath {
-			ds = mergeComputes(ds)
-		}
 		r.dec[b.Global] = ds
 	}
-	if r.slowPath {
-		for _, t := range r.threads {
-			t.pushSeq(t.entry.Tree)
-		}
-	} else {
-		r.lower()
-	}
 	return nil
-}
-
-// mergeComputes coalesces consecutive OpCompute instructions of a block
-// into one virtual-time update. Computes touch no shared state — no
-// coherence access, no profile count (blocks are counted at entry), no
-// lock — and never yield, so a thread's time waypoints inside a
-// pure-compute span are invisible to every other thread. Merging is off
-// when a collector is attached: it must observe each instruction's time
-// advance individually.
-func mergeComputes(ds []decInstr) []decInstr {
-	out := ds[:0]
-	for _, d := range ds {
-		if d.op == ir.OpCompute && len(out) > 0 && out[len(out)-1].op == ir.OpCompute {
-			out[len(out)-1].cycles += d.cycles
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }

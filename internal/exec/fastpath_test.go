@@ -57,7 +57,8 @@ func buildMixedWorkload(ncpu int) (*ir.Program, *ir.StructType, []string) {
 	return p.MustFinalize(), s, names
 }
 
-// runMixed executes the mixed workload with the fast path on or off.
+// runMixed executes the mixed workload on the flat code, or on the
+// reference interpreter when slow is set.
 func runMixed(t *testing.T, slow bool, smp *sampling.Config) *Result {
 	t.Helper()
 	p, s, names := buildMixedWorkload(4)
@@ -65,7 +66,6 @@ func runMixed(t *testing.T, slow bool, smp *sampling.Config) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.slowPath = slow
 	if err := r.DefineArena(origLayout(t, s), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,11 @@ func runMixed(t *testing.T, slow bool, smp *sampling.Config) *Result {
 			t.Fatal(err)
 		}
 	}
-	res, err := r.Run()
+	run := r.Run
+	if slow {
+		run = func() (*Result, error) { return RunReference(r) }
+	}
+	res, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,25 +114,53 @@ func TestFastPathEquivalenceSampled(t *testing.T) {
 	}
 }
 
-// TestMergeComputes checks the decode-time coalescing directly.
+// TestMergeComputes checks the lowering-time coalescing directly: with
+// no collector, consecutive computes of a block lower to one cCompute,
+// and a field access or a call keeps the runs on either side apart; with
+// a collector attached, every compute stays.
 func TestMergeComputes(t *testing.T) {
-	ds := []decInstr{
-		{op: ir.OpCompute, cycles: 3},
-		{op: ir.OpCompute, cycles: 4},
-		{op: ir.OpField},
-		{op: ir.OpCompute, cycles: 5},
-		{op: ir.OpCompute, cycles: 6},
-		{op: ir.OpCompute, cycles: 7},
-		{op: ir.OpCall},
-	}
-	got := mergeComputes(ds)
-	if len(got) != 4 {
-		t.Fatalf("merged to %d instrs, want 4", len(got))
-	}
-	if got[0].cycles != 7 || got[2].cycles != 18 {
-		t.Fatalf("merged cycles = %d, %d; want 7, 18", got[0].cycles, got[2].cycles)
-	}
-	if got[1].op != ir.OpField || got[3].op != ir.OpCall {
-		t.Fatal("non-compute instructions moved")
+	p := ir.NewProgram("merge")
+	s := ir.NewStruct("S", ir.I64("f"))
+	p.AddStruct(s)
+	p.NewProc("callee").Compute(1).Done()
+	p.NewProc("main").Compute(3).Compute(4).Read(s, "f", ir.Shared(0)).Compute(5).Compute(6).Compute(7).Call("callee").Done()
+	prog := p.MustFinalize()
+	for _, c := range []struct {
+		name string
+		smp  *sampling.Config
+		want []int64 // cycles of main's cCompute instructions, in order
+	}{
+		{"exact", nil, []int64{7, 18}},
+		{"collect", &sampling.Config{IntervalCycles: 100, Seed: 1}, []int64{3, 4, 5, 6, 7}},
+	} {
+		r, err := NewRunner(prog, Config{Topo: machine.Bus4(), Cache: coherence.SmallCache(), Sampling: c.smp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.DefineArena(origLayout(t, s), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AddThread(0, "main", nil, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.start(); err != nil {
+			t.Fatal(err)
+		}
+		r.lower()
+		var got []int64
+		var ops []codeOp
+		for pc := r.threads[0].entryPC; r.code[pc].op != cRet; pc++ {
+			if in := r.code[pc]; in.op == cCompute {
+				got = append(got, in.cycles)
+			} else if in.op == cField || in.op == cCall {
+				ops = append(ops, in.op)
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: compute cycles %v, want %v", c.name, got, c.want)
+		}
+		if !reflect.DeepEqual(ops, []codeOp{cField, cCall}) {
+			t.Errorf("%s: non-compute instructions %v, want field then call", c.name, ops)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"structlayout/internal/coherence"
-	"structlayout/internal/driver"
+	"structlayout/internal/exec"
 	"structlayout/internal/ir"
 	"structlayout/internal/irtext"
 	"structlayout/internal/machine"
@@ -288,7 +288,7 @@ func (g *gProg) file() (*irtext.File, error) {
 // diverges runs g on both interpreter paths in every engine mode and
 // reports whether the Results differ in any, with the exact mode's fast
 // and slow round counts.
-func (g *gProg) diverges(cfg driver.Config) (bad bool, fastRounds, slowRounds int64, err error) {
+func (g *gProg) diverges(cfg exec.Config) (bad bool, fastRounds, slowRounds int64, err error) {
 	f, err := g.file()
 	if err != nil {
 		return false, 0, 0, err
@@ -314,7 +314,7 @@ func (g *gProg) diverges(cfg driver.Config) (bad bool, fastRounds, slowRounds in
 // shrink greedily applies one-step reductions while the program still
 // diverges (a reduction that no longer builds or runs is skipped),
 // returning a locally minimal counterexample.
-func (g *gProg) shrink(cfg driver.Config) *gProg {
+func (g *gProg) shrink(cfg exec.Config) *gProg {
 	for progress := true; progress; {
 		progress = false
 		for _, cand := range g.smaller() {
@@ -413,7 +413,7 @@ func smallerStmts(ss []gStmt) [][]gStmt {
 // ready to commit under testdata/runahead.
 func TestRunAheadGenerated(t *testing.T) {
 	for _, topo := range []*machine.Topology{machine.Bus4(), machine.Way16()} {
-		cfg := driver.Config{Topo: topo, Cache: coherence.SmallCache(), Seed: runSeed}
+		cfg := exec.Config{Topo: topo, Cache: coherence.SmallCache(), Seed: runSeed}
 		var fastRounds, slowRounds int64
 		for seed := int64(1); seed <= genSeeds; seed++ {
 			g := gen(seed, topo.NumCPUs())

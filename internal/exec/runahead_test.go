@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"structlayout/internal/coherence"
-	"structlayout/internal/driver"
 	"structlayout/internal/exec"
 	"structlayout/internal/irtext"
 	"structlayout/internal/layout"
@@ -18,24 +17,23 @@ import (
 )
 
 // Scheduler rounds of the SDET Superdome128 run under baseline layouts at
-// seed 1. The slow path yields before every shared op past its turn, as
-// the engine did before read-hit run-ahead; the fast path runs commuting
-// read hits ahead. A change to the yield rule moves these counts.
+// seed 1. The reference interpreter yields before every shared op past its
+// turn, as the engine did before read-hit run-ahead; the flat code runs
+// commuting read hits ahead. A change to the yield rule moves these counts.
 const (
 	sdet128SlowRounds = 1_659_586
 	sdet128FastRounds = 534_618
 )
 
 // sdetRunner assembles a runner for one SDET run the way
-// workload.Suite.RunOnce does, so the test can pick the interpreter path
-// and read the round count.
-func sdetRunner(t *testing.T, s *workload.Suite, topo *machine.Topology, ls workload.Layouts, seed int64, slow bool) *exec.Runner {
+// workload.Suite.RunOnce does, so the test can pick the interpreter and
+// read the round count.
+func sdetRunner(t *testing.T, s *workload.Suite, topo *machine.Topology, ls workload.Layouts, seed int64) *exec.Runner {
 	t.Helper()
 	r, err := workload.NewRunner(s.File(topo), exec.Config{Topo: topo, Cache: s.Params.Cache, Seed: seed}, s.StructLayouts(ls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec.SetSlowPath(r, slow)
 	return r
 }
 
@@ -94,13 +92,13 @@ func TestRunAheadSDET(t *testing.T) {
 			ls := layouts[name]
 			t.Run(topo.Name+"/"+name, func(t *testing.T) {
 				const seed = 1
-				fast := sdetRunner(t, s, topo, ls, seed, false)
-				slow := sdetRunner(t, s, topo, ls, seed, true)
+				fast := sdetRunner(t, s, topo, ls, seed)
+				slow := sdetRunner(t, s, topo, ls, seed)
 				fres, err := fast.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				sres, err := slow.Run()
+				sres, err := exec.RunReference(slow)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,23 +164,26 @@ var engineModes = []struct {
 	{name: "collect", sampling: &sampling.Config{IntervalCycles: 200, DriftMaxCycles: 4, LossProb: 0.05, Seed: 11}},
 }
 
-// dslRun runs a parsed file the way driver.Run does, on the fast path or
+// dslRun runs a parsed file the way driver.Run does, on the flat code or
 // the one-op-per-turn reference, and returns the scheduler round count
 // with the result.
-func dslRun(f *irtext.File, cfg driver.Config, slow bool) (*exec.Result, int64, error) {
-	r, err := workload.NewRunner(f, exec.Config{Topo: cfg.Topo, Cache: cfg.Cache, Seed: cfg.Seed, Sampling: cfg.Sampling}, nil)
+func dslRun(f *irtext.File, cfg exec.Config, slow bool) (*exec.Result, int64, error) {
+	r, err := workload.NewRunner(f, cfg, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	exec.SetSlowPath(r, slow)
-	res, err := r.Run()
+	run := r.Run
+	if slow {
+		run = func() (*exec.Result, error) { return exec.RunReference(r) }
+	}
+	res, err := run()
 	return res, exec.Rounds(r), err
 }
 
-// TestRunAheadDSL: every committed DSL program gives the same Result
-// through driver.Run as on the reference interpreter, on two machines,
-// with a cache small enough to evict and with the full-size one, in every
-// engine mode.
+// TestRunAheadDSL: every committed DSL program gives the same Result on
+// the flat code as on the reference interpreter, on two machines, with a
+// cache small enough to evict and with the full-size one, in every engine
+// mode.
 func TestRunAheadDSL(t *testing.T) {
 	for _, path := range dslFiles(t) {
 		src, err := os.ReadFile(path)
@@ -193,7 +194,7 @@ func TestRunAheadDSL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		for _, c := range []driver.Config{
+		for _, c := range []exec.Config{
 			{Topo: machine.Bus4(), Cache: coherence.SmallCache()},
 			{Topo: machine.Way16(), Cache: coherence.SmallCache()},
 			{Topo: machine.Way16(), Cache: coherence.DefaultItanium()},
@@ -204,7 +205,7 @@ func TestRunAheadDSL(t *testing.T) {
 					cfg.Seed = runSeed
 					cfg.Sampling = mode.sampling
 					t.Run(mode.name, func(t *testing.T) {
-						fast, err := driver.Run(f, cfg, nil)
+						fast, _, err := dslRun(f, cfg, false)
 						if err != nil {
 							t.Fatal(err)
 						}

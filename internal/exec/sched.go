@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math/bits"
 
 	"structlayout/internal/coherence"
 	"structlayout/internal/ir"
@@ -28,10 +27,8 @@ func (r *Runner) key(t *thread) int64 {
 // of paying a scheduler round. The order of the remaining shared operations
 // is therefore a pure function of the threads' virtual-time trajectories,
 // independent of how far each turn runs, and every statistic matches the
-// one-op-per-turn reference (slowPath).
+// one-op-per-turn reference interpreter's (reference_test.go).
 func (r *Runner) run() error {
-	r.idShift = uint(bits.Len(uint(len(r.threads) - 1))) // width of the largest id
-	r.timeCap = int64(1) << (62 - r.idShift)
 	q := make(tq, 0, len(r.threads))
 	for _, t := range r.threads {
 		q.push(r.key(t), t)
@@ -66,7 +63,7 @@ func (r *Runner) run() error {
 		default:
 			q.syncRoot(r.key(t))
 		}
-		// Re-queue anything the step released. runUntil returns the moment
+		// Re-queue anything the turn released. runUntil returns the moment
 		// a wake happens, so the next iteration's limit includes the woken
 		// thread — without this, the running thread could race past it.
 		for _, w := range r.woken {
@@ -80,20 +77,6 @@ func (r *Runner) run() error {
 		return fmt.Errorf("exec: deadlock: %d threads still parked", parked)
 	}
 	return nil
-}
-
-// yieldCheck reports whether the tree walker must yield before executing
-// in: its pre-op key (time, id) is no longer the minimum AND the op is
-// shared.
-func (r *Runner) yieldCheck(t *thread, limit int64, in *decInstr) bool {
-	if r.key(t) <= limit {
-		return false
-	}
-	switch in.op {
-	case ir.OpField, ir.OpMem, ir.OpLock, ir.OpUnlock:
-		return true
-	}
-	return false
 }
 
 // readAhead runs a one-line field read for a thread past its turn when

@@ -8,34 +8,6 @@ import (
 	"structlayout/internal/ir"
 )
 
-// frameKind discriminates interpreter stack frames.
-type frameKind uint8
-
-const (
-	fSeq frameKind = iota
-	fLoop
-	fIf
-	fBlock
-)
-
-// frame is one entry of the tree walker's explicit stack (the slow path;
-// the fast path runs the flat code). Threads must be suspendable between
-// any two instructions (the scheduler interleaves by virtual time), so the
-// interpreter cannot use Go recursion.
-type frame struct {
-	kind frameKind
-
-	nodes []ir.ExecNode // fSeq
-	idx   int           // fSeq: next node; fBlock: next instruction
-
-	loop *ir.ExecLoop // fLoop
-	iter int64        // fLoop: next iteration index
-
-	ifn *ir.ExecIf // fIf (phase: arm already pushed; next step counts join)
-
-	dins []decInstr // fBlock: the block's pre-decoded instructions
-}
-
 // thread is one simulated kernel thread pinned to a CPU.
 type thread struct {
 	id     int
@@ -49,7 +21,6 @@ type thread struct {
 	pc       int     // next flat-code instruction
 	entryPC  int     // the entry procedure's first instruction
 	rets     []int32 // flat-code return pcs, innermost call last
-	stack    []frame // the tree walker's frames (slow path)
 	loopVals []int64 // innermost loop induction values, last = innermost
 	cursors  []int64 // per-region streaming cursors, indexed by region
 	curBlock *ir.BasicBlock
@@ -108,133 +79,11 @@ func (r *Runner) instIndex(t *thread, a *arena, in *decInstr) (int, error) {
 	return 0, fmt.Errorf("exec: unknown instance kind %d", in.inst.Kind)
 }
 
-func (t *thread) pushSeq(nodes []ir.ExecNode) {
-	t.stack = append(t.stack, frame{kind: fSeq, nodes: nodes})
-}
-
-// step advances the thread by one action of the tree walker, the slow
-// path's reference interpreter (typically one instruction). It updates
-// profile counts, virtual time, coherence state and samples as side
-// effects. It returns true when the thread must yield before a shared
-// instruction it no longer has the right to execute.
-func (r *Runner) step(t *thread, limit int64) (bool, error) {
-	if len(t.stack) == 0 {
-		// One top-level iteration ("script") finished.
-		r.completed++
-		t.iters--
-		if t.iters <= 0 {
-			t.done = true
-			return false, nil
-		}
-		t.pushSeq(t.entry.Tree)
-		return false, nil
-	}
-	f := &t.stack[len(t.stack)-1]
-	switch f.kind {
-	case fSeq:
-		if f.idx >= len(f.nodes) {
-			t.pop()
-			return false, nil
-		}
-		n := f.nodes[f.idx]
-		f.idx++
-		switch n := n.(type) {
-		case *ir.ExecBlock:
-			r.prof.IncrBlock(n.Block.Global)
-			t.curBlock = n.Block
-			if len(n.Block.Instrs) == 0 {
-				t.time += branchCost
-				r.sample(t)
-			} else {
-				t.stack = append(t.stack, frame{kind: fBlock, dins: r.dec[n.Block.Global]})
-			}
-		case *ir.ExecLoop:
-			r.prof.AddLoop(n.Loop.Global, n.Count)
-			t.stack = append(t.stack, frame{kind: fLoop, loop: n})
-			t.loopVals = append(t.loopVals, 0)
-		case *ir.ExecIf:
-			r.prof.IncrBlock(n.Cond.Global)
-			t.curBlock = n.Cond
-			t.time += branchCost
-			r.sample(t)
-			arm := n.Then
-			if t.rng.Float64() >= n.Prob {
-				arm = n.Else
-			}
-			t.stack = append(t.stack, frame{kind: fIf, ifn: n})
-			t.pushSeq(arm)
-		default:
-			return false, fmt.Errorf("exec: unknown node %T", n)
-		}
-	case fLoop:
-		// Each visit is one header test.
-		r.prof.IncrBlock(f.loop.Loop.Header.Global)
-		t.curBlock = f.loop.Loop.Header
-		t.time += branchCost
-		r.sample(t)
-		if f.iter < f.loop.Count {
-			t.loopVals[len(t.loopVals)-1] = f.iter
-			f.iter++
-			t.pushSeq(f.loop.Body)
-		} else {
-			t.loopVals = t.loopVals[:len(t.loopVals)-1]
-			t.pop()
-		}
-	case fIf:
-		r.prof.IncrBlock(f.ifn.Join.Global)
-		t.curBlock = f.ifn.Join
-		t.time += branchCost
-		r.sample(t)
-		t.pop()
-	case fBlock:
-		if f.idx >= len(f.dins) {
-			t.pop()
-			return false, nil
-		}
-		in := &f.dins[f.idx]
-		if r.yieldCheck(t, limit, in) {
-			return true, nil
-		}
-		f.idx++
-		return false, r.execInstr(t, in)
-	}
-	return false, nil
-}
-
-func (t *thread) pop() { t.stack = t.stack[:len(t.stack)-1] }
-
 // sample lets the collector observe the thread's new time.
 func (r *Runner) sample(t *thread) {
 	if r.collector != nil {
 		r.collector.Tick(t.cpu, t.time, t.curBlock)
 	}
-}
-
-// execInstr runs one pre-decoded instruction for the tree walker,
-// charging latency and recording stats.
-func (r *Runner) execInstr(t *thread, in *decInstr) error {
-	switch in.op {
-	case ir.OpCompute:
-		t.time += in.cycles
-		r.sample(t)
-	case ir.OpCall:
-		t.time += callOverhead
-		t.pushSeq(in.callee.Tree)
-		r.sample(t)
-	case ir.OpField:
-		return r.execField(t, in)
-	case ir.OpMem:
-		return r.execMem(t, in)
-	case ir.OpLock:
-		return r.execLock(t, in)
-	case ir.OpUnlock:
-		return r.execUnlock(t, in)
-	case ir.OpSpawn, ir.OpJoin, ir.OpSend, ir.OpRecv:
-		// Static-only markers (see decode): no time, no traffic.
-	default:
-		return fmt.Errorf("exec: unknown opcode %d", in.op)
-	}
-	return nil
 }
 
 // execField runs a field access.

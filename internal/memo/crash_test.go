@@ -8,8 +8,8 @@ import (
 )
 
 // tornEntry simulates a crash mid-write on a filesystem that exposed the
-// final name before the data made it to disk: a truncated (invalid JSON)
-// value under the entry's real path.
+// final name before the data made it to disk: a truncated value, with no
+// sum, under the entry's real path.
 func tornEntry(t *testing.T, c *Cache, label string) Key {
 	t.Helper()
 	h := NewHasher()

@@ -1,7 +1,7 @@
 package memo
 
 import (
-	"encoding/json"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,9 +19,9 @@ type GCResult struct {
 	// size budget. Stale temp files from interrupted writes count too.
 	Removed      int
 	RemovedBytes int64
-	// Corrupt counts partially written entries (crash torn, not valid
-	// JSON) found and removed regardless of age or size budget. They are
-	// included in Removed/RemovedBytes.
+	// Corrupt counts entries that fail verification (torn by a crash,
+	// damaged, or named for no key) found and removed regardless of age or
+	// size budget. They are included in Removed/RemovedBytes.
 	Corrupt int
 }
 
@@ -96,10 +96,12 @@ func (c *Cache) GC(now time.Time, maxAge time.Duration, maxBytes int64) (GCResul
 			path := filepath.Join(shardPath, f.Name())
 			res.Scanned++
 			res.ScannedBytes += info.Size()
-			// A partially written entry (a crash mid-write on a filesystem
-			// that exposed the rename before the data) is garbage whatever
-			// its age: it can never hit, only waste a read. Collect it now.
-			if raw, rerr := os.ReadFile(path); rerr == nil && !json.Valid(raw) {
+			// An entry that fails verification (a crash mid-write on a
+			// filesystem that exposed the rename before the data, say) is
+			// garbage whatever its age: it can never hit, only waste a
+			// read. Collect it now.
+			k, named := entryKey(shard.Name(), f.Name())
+			if _, rerr := readEntry(path, k); !named || rerr == errCorrupt {
 				if os.Remove(path) == nil {
 					res.Removed++
 					res.RemovedBytes += info.Size()
@@ -151,4 +153,16 @@ func (c *Cache) GC(now time.Time, maxAge time.Duration, maxBytes int64) (GCResul
 		}
 	}
 	return res, nil
+}
+
+// entryKey inverts Cache.path: the key whose entry the shard directory
+// and file name hold, and whether they encode one.
+func entryKey(shard, name string) (Key, bool) {
+	var k Key
+	b, err := hex.DecodeString(shard + strings.TrimSuffix(name, ".json"))
+	if err != nil || len(b) != len(k) {
+		return k, false
+	}
+	copy(k[:], b)
+	return k, true
 }

@@ -14,7 +14,7 @@
 // that persists results across processes, making warm re-runs of the whole
 // figure pipeline nearly free.
 //
-// Correctness rests on three rules:
+// Correctness rests on four rules:
 //
 //   - keys are canonical: logically identical configurations hash equal
 //     regardless of map iteration order or display names, and any input
@@ -23,14 +23,19 @@
 //     encoding/json writes float64 in shortest-exact form, so a decoded
 //     measurement is bit-identical to the computed one — warm and cold
 //     runs render byte-identical tables;
+//   - disk entries verify themselves: each holds the SHA-256 of its key
+//     and value ahead of the value, and an entry whose sum does not match
+//     (torn by a crash, damaged, edited by hand, or moved to another key's
+//     name) is never served;
 //   - the schema version participates in every key, so a change to what a
 //     measurement means invalidates all prior entries by construction
 //     (bump SchemaVersion; stale disk entries simply never hit again).
 package memo
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,6 +46,8 @@ import (
 // or encoding of cached values changes. It is hashed into every key.
 //
 // Version history:
+//   - 5: every disk entry starts with the SHA-256 of its key and value,
+//     checked on every read, and values need not be JSON.
 //   - 4: every key hashes the file as irtext.Format prints it (program,
 //     arenas and threads in one record) in place of a second, IR-level
 //     program text and separate arena and thread records; the suite and
@@ -55,7 +62,7 @@ import (
 //     parameters, and the scheduler's strict (time, id) shared-operation
 //     ordering changed every simulated interleaving.
 //   - 1: initial schema.
-const SchemaVersion = 4
+const SchemaVersion = 5
 
 // Stats counts cache outcomes. Counters only increase; subtract two
 // snapshots to attribute traffic to a pipeline stage.
@@ -176,7 +183,34 @@ func (c *Cache) path(k Key) string {
 	return filepath.Join(c.dir, h[:2], h[2:]+".json")
 }
 
-// get consults both tiers. Callers hold no locks.
+// errCorrupt marks a disk entry whose sum does not match its key and value.
+var errCorrupt = errors.New("memo: corrupt disk entry")
+
+// entrySum is the SHA-256 a disk entry stores ahead of its value.
+func entrySum(k Key, v []byte) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write(k[:])
+	h.Write(v)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// readEntry reads k's disk entry at path and returns its value, or
+// errCorrupt when the stored sum does not match k and the value.
+func readEntry(path string, k Key) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) < sha256.Size || entrySum(k, raw[sha256.Size:]) != [sha256.Size]byte(raw[:sha256.Size]) {
+		return nil, errCorrupt
+	}
+	return raw[sha256.Size:], nil
+}
+
+// get consults both tiers. Callers hold no locks. A corrupt disk entry is
+// a miss (and a disk error); the recomputation overwrites it atomically.
 func (c *Cache) get(k Key) ([]byte, bool) {
 	c.mu.Lock()
 	if v, ok := c.mem[k]; ok {
@@ -189,15 +223,7 @@ func (c *Cache) get(k Key) ([]byte, bool) {
 	if dir == "" {
 		return nil, false
 	}
-	path := c.path(k)
-	v, err := os.ReadFile(path)
-	if err == nil && !json.Valid(v) {
-		// A torn entry from a crashed writer (every cached value is JSON, so
-		// a valid entry always parses). Collect it and degrade to a miss;
-		// the recomputation will overwrite it atomically.
-		os.Remove(path)
-		err = fmt.Errorf("memo: corrupt disk entry %s", path)
-	}
+	v, err := readEntry(c.path(k), k)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
@@ -230,7 +256,10 @@ func (c *Cache) put(k Key, v []byte) {
 		var tmp *os.File
 		tmp, err = os.CreateTemp(filepath.Dir(path), ".tmp-*")
 		if err == nil {
-			_, err = tmp.Write(v)
+			sum := entrySum(k, v)
+			if _, err = tmp.Write(sum[:]); err == nil {
+				_, err = tmp.Write(v)
+			}
 			if serr := tmp.Sync(); err == nil {
 				err = serr
 			}
@@ -266,10 +295,6 @@ func (c *Cache) land(k Key, fl *flight) {
 }
 
 // Do returns the cached value for k, computing and storing it on a miss.
-// Values must be valid JSON (every caller stores encoding/json output):
-// the disk tier uses JSON validity to detect and collect partially
-// written entries left by a crashed writer, so a non-JSON value would be
-// persisted but never served back.
 // Concurrent callers with the same key share one computation (the pipeline
 // fans identical cells out over the worker pool; without single-flight a
 // cold cache would compute duplicates in parallel and win nothing).

@@ -25,7 +25,7 @@ func testStruct() *ir.StructType {
 	)
 }
 
-func testLayouts(t *testing.T) map[string]*layout.Layout {
+func testLayouts(t testing.TB) map[string]*layout.Layout {
 	t.Helper()
 	st := testStruct()
 	base, err := layout.Original(st, 128)
@@ -40,7 +40,7 @@ func testLayouts(t *testing.T) map[string]*layout.Layout {
 }
 
 // keyOf builds a representative measurement key the way workload does.
-func keyOf(t *testing.T, ls map[string]*layout.Layout, seed int64, spec *faults.Spec) Key {
+func keyOf(t testing.TB, ls map[string]*layout.Layout, seed int64, spec *faults.Spec) Key {
 	t.Helper()
 	h := NewHasher()
 	h.Str("kind", "measure")

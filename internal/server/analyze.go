@@ -204,11 +204,11 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(0))
 	defer cancel()
-	release, ok := s.admit(ctx, w)
+	sl, ok := s.admit(ctx, w)
 	if !ok {
 		return
 	}
-	defer release()
+	defer sl.release()
 	file, err := irtext.Parse(req.Program)
 	if err != nil {
 		s.badRequest.Add(1)
@@ -300,17 +300,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		sort.Strings(wantStructs)
 	}
 
-	release, ok := s.admit(ctx, w)
+	sl, ok := s.admit(ctx, w)
 	if !ok {
 		return
 	}
-	defer release()
+	defer sl.release()
 
 	cfg := driver.Config{Topo: topo, Seed: seed, Inject: spec}
 	lineSize := cfg.LineSize()
 
 	// Pick the degradation rung and obtain artifacts.
-	pf, trace, cycles, ladder, err := s.collectRung(ctx, &req, file, cfg)
+	pf, trace, cycles, ladder, err := s.collectRung(ctx, sl, &req, file, cfg)
 	if err != nil {
 		if errors.Is(err, errCollectPanic) {
 			writeError(w, http.StatusInternalServerError, "panic",
@@ -472,13 +472,14 @@ var errCollectPanic = errors.New("server: collection panicked")
 //   - full: enough budget remains (per the smoothed cost estimate) to
 //     simulate a fresh collection, holding StaticReserve back; if the
 //     collection overruns the reserve boundary anyway, it is abandoned to
-//     the background (it still warms the cache for the next request) and
-//     the request falls to the static rung.
+//     the background (it still warms the cache for the next request, and
+//     holds the request's worker slot sl until it finishes) and the
+//     request falls to the static rung.
 //   - static: no measurement at all; the caller builds the analysis from
 //     a static profile estimate and the static sharing prior.
 //
 // A nil profile return with nil error means the static rung.
-func (s *Server) collectRung(ctx context.Context, req *AnalyzeRequest, file *irtext.File, cfg driver.Config) (*profile.Profile, *sampling.Trace, int64, string, error) {
+func (s *Server) collectRung(ctx context.Context, sl *slot, req *AnalyzeRequest, file *irtext.File, cfg driver.Config) (*profile.Profile, *sampling.Trace, int64, string, error) {
 	if len(req.Profile) > 0 {
 		pf, err := profile.ReadJSON(bytes.NewReader(req.Profile), file.Prog)
 		if err != nil {
@@ -519,10 +520,14 @@ func (s *Server) collectRung(ctx context.Context, req *AnalyzeRequest, file *irt
 	}
 	ch := make(chan out, 1)
 	started := time.Now()
+	sl.hold()
 	go func() {
 		// Runs to completion even if abandoned: the result lands in the
 		// shared cache, so the next identical request rides the replay
-		// rung instead of timing out the same way.
+		// rung instead of timing out the same way. It holds the worker
+		// slot until then, so abandoned collections never simulate
+		// beyond the pool's size.
+		defer sl.release()
 		defer func() {
 			// Outside the handler's guard a panic would end the process.
 			// Count and log it here and hand it to the handler as a 500,

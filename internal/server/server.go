@@ -105,7 +105,7 @@ type Server struct {
 	cfg      Config
 	slots    chan struct{} // worker tokens: capacity cfg.Workers
 	queued   atomic.Int64  // requests waiting for a slot
-	inflight atomic.Int64  // requests holding a slot
+	inflight atomic.Int64  // slots held, by requests or their collections
 	draining atomic.Bool
 	costEWMA atomic.Uint64 // float64 bits: smoothed collection seconds
 	mux      *http.ServeMux
@@ -223,12 +223,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// slot is an admitted request's worker token. It returns to the pool once
+// every holder has let go: the request, and a collection the request
+// started, which outlives a request that abandons it.
+type slot struct {
+	s       *Server
+	holders atomic.Int32
+}
+
+// hold adds a holder.
+func (sl *slot) hold() { sl.holders.Add(1) }
+
+// release drops a holder; the last one hands the token back.
+func (sl *slot) release() {
+	if sl.holders.Add(-1) == 0 {
+		sl.s.inflight.Add(-1)
+		<-sl.s.slots
+	}
+}
+
 // admit acquires a worker slot under the request's deadline. The queue is
 // strictly bounded: beyond QueueDepth waiting requests the caller is shed
 // with 429 immediately (admitting it could only burn its deadline in
 // line), and a deadline that expires while queued answers 504.
-// On success the returned release func must be called exactly once.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (release func(), ok bool) {
+// On success the request holds the returned slot and must release it
+// exactly once.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (*slot, bool) {
 	select {
 	case s.slots <- struct{}{}:
 	default:
@@ -253,23 +273,21 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (release func
 		}
 	}
 	s.inflight.Add(1)
-	release = func() {
-		s.inflight.Add(-1)
-		<-s.slots
-	}
+	sl := &slot{s: s}
+	sl.hold()
 	if s.hookAdmitted != nil {
 		// The hook stands in for the analysis pipeline, so it can panic
 		// like one; a panic past this point must hand the slot back or the
 		// worker leaks for the life of the process.
 		defer func() {
 			if r := recover(); r != nil {
-				release()
+				sl.release()
 				panic(r)
 			}
 		}()
 		s.hookAdmitted()
 	}
-	return release, true
+	return sl, true
 }
 
 // collectCostGuess seeds the collection-cost estimate before any

@@ -16,6 +16,7 @@ import (
 	"structlayout/internal/driver"
 	"structlayout/internal/irtext"
 	"structlayout/internal/machine"
+	"structlayout/internal/memo"
 )
 
 // testProgram returns a small valid DSL program. Distinct names keep each
@@ -585,6 +586,56 @@ func TestCollectionPanicIsolation(t *testing.T) {
 	}
 	if st := s.Stats(); st.Panics != 1 {
 		t.Fatalf("stats: %+v, want 1 panic", st)
+	}
+}
+
+// TestAbandonedCollectionKeepsSlot: a request whose collection overruns
+// its budget answers from the static rung, but the abandoned collection
+// keeps the request's worker slot until it finishes. With one worker, a
+// second request waits in the queue and answers 504 at its deadline while
+// the collection is held; once the collection finishes, the slot is free.
+func TestAbandonedCollectionKeepsSlot(t *testing.T) {
+	memo.Shared().Clear() // the first request must collect, even on a rerun
+	s := New(Config{Workers: 1, QueueDepth: 1, StaticReserve: 100 * time.Millisecond, Logf: func(string, ...any) {}})
+	hold := make(chan struct{})
+	finish := sync.OnceFunc(func() { close(hold) })
+	defer finish()
+	var held atomic.Bool
+	s.hookCollect = func() {
+		if held.CompareAndSwap(false, true) {
+			<-hold
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, body := postAnalyze(t, ts, AnalyzeRequest{Program: testProgram("abandoned"), Seed: 81, DeadlineMS: 600})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
+	}
+	if ar := decodeAnalyze(t, body); ar.Ladder != LadderStatic {
+		t.Fatalf("held collection served the %s rung, want static", ar.Ladder)
+	}
+	if n := s.inflight.Load(); n != 1 {
+		t.Fatalf("inflight %d after the request returned, want 1 (the abandoned collection)", n)
+	}
+	resp, body = postAnalyze(t, ts, AnalyzeRequest{Program: testProgram("queued"), Seed: 82, DeadlineMS: 200})
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusGatewayTimeout || eb.Code != "deadline" {
+		t.Fatalf("second request: status %d, body %s; want 504 deadline while queued", resp.StatusCode, body)
+	}
+	finish()
+	for deadline := time.Now().Add(10 * time.Second); s.inflight.Load() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the finished collection never released its slot")
+		}
+	}
+	resp, body = postAnalyze(t, ts, AnalyzeRequest{Program: testProgram("queued"), Seed: 82, DeadlineMS: 5000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the collection finished: status %d (%s), want 200", resp.StatusCode, body)
+	}
+	if st := s.Stats(); st.DeadlineHit != 1 || st.LadderStatic != 1 {
+		t.Fatalf("stats: %+v, want 1 deadline hit and 1 static answer", st)
 	}
 }
 

@@ -51,8 +51,6 @@ type hbState struct {
 	// segments whose call sites (transitively) reach the callee. Only
 	// entry procs with more than one segment have entries.
 	calleeSegs map[string]map[string][]int
-	// spawnTask maps (parent task, handle) → child task index.
-	spawnTask map[[2]string]int
 	// offset and reach implement node reachability: node(t,s) =
 	// offset[t]+s, reach[from] is the set of nodes reachable from it.
 	offset []int
@@ -101,7 +99,6 @@ func (r *Result) discoverTasks() error {
 		segCount:   make(map[string]int),
 		blockSeg:   make(map[ir.BlockID]int),
 		calleeSegs: make(map[string]map[string][]int),
-		spawnTask:  make(map[[2]string]int),
 	}
 	for i := range r.Threads {
 		bound := r.Threads[i].Iters
@@ -149,7 +146,6 @@ func (r *Result) discoverTasks() error {
 				// drop every ordering fact.
 				h.degraded = true
 			}
-			h.spawnTask[[2]string{fmt.Sprint(ti), sp.Handle}] = len(h.tasks)
 			h.tasks = append(h.tasks, child)
 			r.Threads = append(r.Threads, Thread{
 				CPU:    sp.CPU,
@@ -511,25 +507,9 @@ func (r *Result) hbExcluded(t1 int, b1 ir.BlockID, t2 int, b2 ir.BlockID) bool {
 	return true
 }
 
-// HBOrdered is the exported form of the block-pair ordering fact, for
-// the soundness harness and tests.
-func (r *Result) HBOrdered(t1 int, b1 ir.BlockID, t2 int, b2 ir.BlockID) bool {
-	return r.hbExcluded(t1, b1, t2, b2)
-}
-
 // HBDegraded reports whether the happens-before refinement was dropped
 // (unjoined spawn under an iterated parent).
 func (r *Result) HBDegraded() bool { return r.hb != nil && r.hb.degraded }
-
-// SpawnedTask returns the task index created by parent's spawn of the
-// given handle, for the interleaving harness.
-func (r *Result) SpawnedTask(parent int, handle string) (int, bool) {
-	if r.hb == nil {
-		return 0, false
-	}
-	ti, ok := r.hb.spawnTask[[2]string{fmt.Sprint(parent), handle}]
-	return ti, ok
-}
 
 // segKeyOf canonically encodes, for the access's conflictKey, everything
 // the happens-before verdicts of an access depend on beyond its thread

@@ -1,9 +1,8 @@
-// Package mhpcheck is the soundness harness for the static MHP
-// relation: it enumerates, by explicit-state search, every schedule of
-// a DSL program's task system — root threads, spawned tasks, join and
-// rendezvous blocking, concrete lock contention — and asserts that
-// every pair of blocks observed simultaneously enabled is one the
-// static analysis admits as may-happen-in-parallel (and, stronger, one
+// The MHP soundness harness: it enumerates, by explicit-state search,
+// every schedule of a DSL program's task system — root threads, spawned
+// tasks, join and rendezvous blocking, concrete lock contention — and
+// asserts that every pair of blocks observed simultaneously enabled is one
+// the static analysis admits as may-happen-in-parallel (and, stronger, one
 // the happens-before graph does not claim ordered). The static relation
 // over-approximates; any reachable counterexample is a soundness bug.
 //
@@ -15,7 +14,7 @@
 // second instance — exactly the configurations the analysis degrades
 // on. Within those bounds the enumeration is exhaustive: every
 // interleaving of instruction-granular steps is visited once.
-package mhpcheck
+package staticshare_test
 
 import (
 	"fmt"
@@ -27,8 +26,8 @@ import (
 	"structlayout/internal/staticshare"
 )
 
-// Options bounds the enumeration.
-type Options struct {
+// mhpOptions bounds the enumeration.
+type mhpOptions struct {
 	// MaxStates caps the visited-state set; 0 means 1<<17. Exceeding it
 	// truncates the search instead of failing.
 	MaxStates int
@@ -38,23 +37,23 @@ type Options struct {
 	MaxIters int64
 }
 
-func (o Options) maxStates() int {
+func (o mhpOptions) maxStates() int {
 	if o.MaxStates > 0 {
 		return o.MaxStates
 	}
 	return 1 << 17
 }
 
-func (o Options) maxIters() int64 {
+func (o mhpOptions) maxIters() int64 {
 	if o.MaxIters > 0 {
 		return o.MaxIters
 	}
 	return 2
 }
 
-// Violation is one simultaneously-enabled block pair the static
+// mhpViolation is one simultaneously-enabled block pair the static
 // relation wrongly proves exclusive or ordered.
-type Violation struct {
+type mhpViolation struct {
 	T1, T2 int // task indices (into Result.Threads)
 	B1, B2 ir.BlockID
 	// Kind says which claim broke: "exclusive" (MayHappenInParallel
@@ -62,8 +61,8 @@ type Violation struct {
 	Kind string
 }
 
-// Report is the enumeration outcome.
-type Report struct {
+// mhpReport is the enumeration outcome.
+type mhpReport struct {
 	// States counts distinct visited states; Truncated is set when the
 	// search hit MaxStates before exhausting the space.
 	States    int
@@ -72,36 +71,22 @@ type Report struct {
 	// witnesses observed.
 	Pairs int
 	// Violations lists every broken claim, deterministically ordered.
-	Violations []Violation
+	Violations []mhpViolation
 }
 
 // Ok reports whether every observed pair was admitted by the static
 // relation.
-func (r *Report) Ok() bool { return len(r.Violations) == 0 }
+func (r *mhpReport) Ok() bool { return len(r.Violations) == 0 }
 
-// Check analyzes the file statically, enumerates its schedules, and
+// mhpCheck analyzes the file statically, enumerates its schedules, and
 // cross-asserts the two. The returned error covers analysis failures
-// only; soundness breaks land in Report.Violations.
-func Check(f *irtext.File, opt Options) (*Report, error) {
-	if f == nil || f.Prog == nil {
-		return nil, fmt.Errorf("mhpcheck: nil file")
-	}
+// only; soundness breaks land in mhpReport.Violations.
+func mhpCheck(f *irtext.File, opt mhpOptions) (*mhpReport, error) {
 	res, err := staticshare.Analyze(f.Prog, staticshare.FileConfig(f))
 	if err != nil {
 		return nil, err
 	}
-	return CheckResult(res, len(f.Threads), opt)
-}
-
-// CheckResult runs the enumeration against an existing analysis result.
-// roots is the number of declared threads (the leading entries of
-// res.Threads; the rest are spawned tasks).
-func CheckResult(res *staticshare.Result, roots int, opt Options) (*Report, error) {
-	sim, err := compile(res, roots, opt)
-	if err != nil {
-		return nil, err
-	}
-	return sim.run(), nil
+	return compile(res, len(f.Threads), opt).run(), nil
 }
 
 // --- compiled program ---
@@ -141,17 +126,20 @@ type cstep struct {
 type simulator struct {
 	res   *staticshare.Result
 	roots int
-	opt   Options
+	opt   mhpOptions
 	lists [][]cstep
 	entry map[string]int // proc name -> step-list ID
 }
 
-func compile(res *staticshare.Result, roots int, opt Options) (*simulator, error) {
+// compile builds the enumeration over an analysis result. roots is the
+// number of declared threads (the leading entries of res.Threads; the rest
+// are spawned tasks).
+func compile(res *staticshare.Result, roots int, opt mhpOptions) *simulator {
 	s := &simulator{res: res, roots: roots, opt: opt, entry: make(map[string]int)}
 	for _, pr := range res.Prog.Procs {
 		s.entry[pr.Name] = s.compileNodes(pr.Tree)
 	}
-	return s, nil
+	return s
 }
 
 func (s *simulator) compileNodes(nodes []ir.ExecNode) int {
@@ -473,8 +461,8 @@ type witness struct {
 	access bool
 }
 
-func (s *simulator) run() *Report {
-	rep := &Report{}
+func (s *simulator) run() *mhpReport {
+	rep := &mhpReport{}
 	init := &simState{tasks: make([]taskState, len(s.res.Threads)), locks: map[string]int{}}
 	for i := range s.res.Threads {
 		if i < s.roots {
@@ -557,20 +545,20 @@ func (s *simulator) run() *Report {
 		}
 		return !a.access && b.access
 	})
-	emitted := make(map[Violation]bool)
+	emitted := make(map[mhpViolation]bool)
 	for _, w := range ws {
 		// Lock-based exclusion quantifies over field instructions, so
 		// only access-bearing witnesses are in scope for the Exclusive
 		// claim; the happens-before claim covers every position.
 		if w.access && !s.res.MayHappenInParallel(w.b1, w.b2) {
-			v := Violation{T1: w.t1, T2: w.t2, B1: w.b1, B2: w.b2, Kind: "exclusive"}
+			v := mhpViolation{T1: w.t1, T2: w.t2, B1: w.b1, B2: w.b2, Kind: "exclusive"}
 			if !emitted[v] {
 				emitted[v] = true
 				rep.Violations = append(rep.Violations, v)
 			}
 		}
 		if s.res.HBOrdered(w.t1, w.b1, w.t2, w.b2) {
-			v := Violation{T1: w.t1, T2: w.t2, B1: w.b1, B2: w.b2, Kind: "hb-ordered"}
+			v := mhpViolation{T1: w.t1, T2: w.t2, B1: w.b1, B2: w.b2, Kind: "hb-ordered"}
 			if !emitted[v] {
 				emitted[v] = true
 				rep.Violations = append(rep.Violations, v)

@@ -1,4 +1,4 @@
-package mhpcheck
+package staticshare_test
 
 import (
 	"fmt"
@@ -9,18 +9,25 @@ import (
 	"strings"
 	"testing"
 
+	"structlayout/internal/gofront"
 	"structlayout/internal/irtext"
 )
 
-// checkSrc runs the harness over a DSL source and fails the test on any
-// soundness violation.
-func checkSrc(t *testing.T, name, src string, opt Options) *Report {
+// checkSrc parses a DSL source and checks it (checkFile).
+func checkSrc(t *testing.T, name, src string, opt mhpOptions) *mhpReport {
 	t.Helper()
 	f, err := irtext.Parse(src)
 	if err != nil {
 		t.Fatalf("%s: parse: %v", name, err)
 	}
-	rep, err := Check(f, opt)
+	return checkFile(t, name, f, opt)
+}
+
+// checkFile runs the harness over a program and fails the test on any
+// soundness violation.
+func checkFile(t *testing.T, name string, f *irtext.File, opt mhpOptions) *mhpReport {
+	t.Helper()
+	rep, err := mhpCheck(f, opt)
 	if err != nil {
 		t.Fatalf("%s: check: %v", name, err)
 	}
@@ -29,21 +36,27 @@ func checkSrc(t *testing.T, name, src string, opt Options) *Report {
 		for _, v := range rep.Violations {
 			t.Errorf("  %s: tasks %d/%d blocks %v/%v", v.Kind, v.T1, v.T2, v.B1, v.B2)
 		}
-		t.Logf("program:\n%s", src)
+		t.Logf("program:\n%s", irtext.Format(f))
 	}
 	return rep
 }
 
-// TestGoldens asserts soundness on every committed .slp program: all
-// reachable co-enabled block pairs must be admitted by the static MHP
-// relation.
+// TestGoldens asserts soundness on every committed program: each .slp
+// file, and each Go package under examples/corpus and examples/gofront as
+// gofront lowers it (WaitGroup joins and channel rendezvous become spawn,
+// join, send and recv). All reachable co-enabled block pairs must be
+// admitted by the static MHP relation. The lowered packages are small
+// enough that every enumeration must be complete; the largest DSL
+// programs truncate, and the assertion covers their explored prefix.
 func TestGoldens(t *testing.T) {
+	const maxStates = 30000
 	var paths []string
 	for _, pattern := range []string{
-		"../../../examples/lint/*.slp",
-		"../../../examples/dslprogram/*.slp",
-		"../../driver/testdata/*.slp",
-		"../../gofront/testdata/*.slp",
+		"../../examples/lint/*.slp",
+		"../../examples/dslprogram/*.slp",
+		"../driver/testdata/*.slp",
+		"../exec/testdata/runahead/*.slp",
+		"../gofront/testdata/*.slp",
 	} {
 		m, err := filepath.Glob(pattern)
 		if err != nil {
@@ -52,7 +65,7 @@ func TestGoldens(t *testing.T) {
 		paths = append(paths, m...)
 	}
 	sort.Strings(paths)
-	if len(paths) < 5 {
+	if len(paths) < 13 {
 		t.Fatalf("found only %d golden .slp programs: %v", len(paths), paths)
 	}
 	for _, p := range paths {
@@ -60,9 +73,29 @@ func TestGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := checkSrc(t, p, string(src), Options{MaxStates: 30000})
+		rep := checkSrc(t, p, string(src), mhpOptions{MaxStates: maxStates})
 		if rep.States == 0 {
 			t.Errorf("%s: enumerated zero states", p)
+		}
+	}
+	pkgs, loadErrs, err := gofront.Load([]string{"../../examples/corpus/...", "../../examples/gofront/..."}, gofront.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lerr := range loadErrs {
+		t.Errorf("load: %v", lerr)
+	}
+	if len(pkgs) != 17 {
+		t.Fatalf("loaded %d packages, want the 15 corpus + 2 gofront examples", len(pkgs))
+	}
+	for _, pkg := range pkgs {
+		model, err := gofront.Extract(pkg, gofront.Options{})
+		if err != nil {
+			t.Fatalf("%s: extract: %v", pkg.Dir, err)
+		}
+		rep := checkFile(t, pkg.Dir, model.File, mhpOptions{MaxStates: maxStates})
+		if rep.States == 0 || rep.Truncated {
+			t.Errorf("%s: enumeration not complete: %d states, truncated %v", pkg.Dir, rep.States, rep.Truncated)
 		}
 	}
 }
@@ -210,7 +243,7 @@ thread 1 t2 iters 2
 `,
 	}
 	for name, src := range srcs {
-		rep := checkSrc(t, name, src, Options{})
+		rep := checkSrc(t, name, src, mhpOptions{})
 		if rep.States == 0 {
 			t.Errorf("%s: enumerated zero states", name)
 		}
@@ -329,7 +362,7 @@ func TestGeneratedForkJoin(t *testing.T) {
 	for seed := 0; seed < n; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		src := genProgram(r)
-		checkSrc(t, fmt.Sprintf("seed-%d", seed), src, Options{MaxStates: 40000})
+		checkSrc(t, fmt.Sprintf("seed-%d", seed), src, mhpOptions{MaxStates: 40000})
 	}
 }
 
@@ -361,7 +394,7 @@ proc child {
 arena S 1
 thread 0 parent iters 1
 `
-	rep := checkSrc(t, "observe", overlap, Options{})
+	rep := checkSrc(t, "observe", overlap, mhpOptions{})
 	if rep.Pairs == 0 {
 		t.Fatal("no co-enabled pairs observed: harness is vacuous")
 	}
@@ -390,7 +423,7 @@ proc child {
 arena S 1
 thread 0 parent iters 1
 `
-	rep = checkSrc(t, "serialobserve", serial, Options{})
+	rep = checkSrc(t, "serialobserve", serial, mhpOptions{})
 	if rep.Pairs != 0 {
 		t.Fatalf("serial fork/join produced %d co-enabled pairs; parent should be parked at join while the child runs", rep.Pairs)
 	}

@@ -435,13 +435,6 @@ func (r *Result) resolveInst(ti int, structName string, e ir.InstExpr) (idx int,
 	return idx, known, false
 }
 
-// ResolveInst exposes instance resolution for the mhpcheck interleaving
-// harness, which must model lock instances exactly the way the static
-// exclusion proofs resolve them.
-func (r *Result) ResolveInst(ti int, structName string, e ir.InstExpr) (idx int, known, sweep bool) {
-	return r.resolveInst(ti, structName, e)
-}
-
 // counted reports whether the struct's instance count is statically
 // known. Distinctness proofs (ovNo, FootPerThread) are only sound with a
 // count: two raw indices that differ still collide modulo any count that
@@ -566,8 +559,8 @@ func (r *Result) blockHeld(b *ir.BasicBlock) []locks.Key {
 // reaching thread pair is serialized — by a common lock held on the
 // same concrete instance across both blocks, or by the happens-before
 // graph ordering every segment combination the blocks can execute in.
-// It is the complement of MayHappenInParallel and deliberately
-// conservative — unknown always means "may be parallel".
+// It is deliberately conservative — unknown always means "may be
+// parallel".
 func (r *Result) Exclusive(b1, b2 ir.BlockID) bool {
 	blk1, blk2 := r.blockAt(b1), r.blockAt(b2)
 	if blk1 == nil || blk2 == nil {
@@ -599,10 +592,6 @@ func (r *Result) Exclusive(b1, b2 ir.BlockID) bool {
 	}
 	return true
 }
-
-// MayHappenInParallel reports whether two blocks can execute concurrently
-// on distinct threads.
-func (r *Result) MayHappenInParallel(b1, b2 ir.BlockID) bool { return !r.Exclusive(b1, b2) }
 
 // heldPairExcludes reports whether some lock provably serializes two
 // accesses holding h1 (on thread t1) and h2 (on thread t2): both hold a

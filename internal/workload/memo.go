@@ -195,19 +195,16 @@ func MeasureKey(kind string, f *irtext.File, topo *machine.Topology, cache coher
 }
 
 // CollectKey keys one collection: a run of f's harness under layouts,
-// sampled by smp (CollectSampling(seed) when nil), with spec's damage
-// applied to the collected artifacts. The suite and the driver collect
-// one file alike, so they share the cells.
-func CollectKey(f *irtext.File, topo *machine.Topology, cache coherence.Config, seed int64, layouts map[string]*layout.Layout, smp *sampling.Config, spec *faults.Spec) (memo.Key, bool) {
+// sampled by CollectSampling(seed), with spec's damage applied to the
+// collected artifacts. The suite and the driver collect one file alike,
+// so they share the cells.
+func CollectKey(f *irtext.File, topo *machine.Topology, cache coherence.Config, seed int64, layouts map[string]*layout.Layout, spec *faults.Spec) (memo.Key, bool) {
 	h := memo.NewHasher()
 	h.Str("kind", "collect")
 	if !HashFile(h, f, topo, cache, seed, layouts) {
 		return memo.Key{}, false
 	}
-	if smp == nil {
-		sc := CollectSampling(seed)
-		smp = &sc
-	}
+	smp := CollectSampling(seed)
 	h.Int("s.interval", smp.IntervalCycles)
 	h.Int("s.drift", smp.DriftMaxCycles)
 	h.F64("s.loss", smp.LossProb)

@@ -219,7 +219,7 @@ func (s *Suite) Measure(topo *machine.Topology, ls Layouts, n int, baseSeed int6
 // Profile/Trace pair, so callers that mutate their collection (fault
 // injection, sanitizing) never alias cache-held state.
 func (s *Suite) Collect(topo *machine.Topology, ls Layouts, seed int64) (*profile.Profile, *sampling.Trace, error) {
-	k, _ := CollectKey(s.File(topo), topo, s.Params.Cache, seed, s.StructLayouts(ls), nil, nil) // always keys, as in Measure
+	k, _ := CollectKey(s.File(topo), topo, s.Params.Cache, seed, s.StructLayouts(ls), nil) // always keys, as in Measure
 	pf, tr, _, err := CollectMemo(k, s.Prog, func() (*exec.Result, error) {
 		smp := CollectSampling(seed)
 		return s.RunOnce(topo, ls, seed, &smp)

@@ -322,7 +322,7 @@ func suiteKeys(t *testing.T, s *Suite, f *irtext.File, topo *machine.Topology) [
 	t.Helper()
 	ls := s.StructLayouts(s.BaselineLayouts(128))
 	mk, mok := MeasureKey("measure", f, topo, s.Params.Cache, 1, ls, 3)
-	ck, cok := CollectKey(f, topo, s.Params.Cache, 1, ls, nil, nil)
+	ck, cok := CollectKey(f, topo, s.Params.Cache, 1, ls, nil)
 	if !mok || !cok {
 		t.Fatalf("%s has no key", f.Prog.Name)
 	}
@@ -338,8 +338,8 @@ func TestMemoKeyPins(t *testing.T) {
 	ck := suiteKeys(t, s, s.File(machine.Way16()), machine.Way16())[1]
 	got := map[string]string{"measure": fmt.Sprintf("%x", mk[:]), "collect": fmt.Sprintf("%x", ck[:])}
 	want := map[string]string{
-		"measure": "d4677f679b0b78b14e3099b5eefd88d718d4613ae4411da29db52c97622f99f6",
-		"collect": "d41f0c4ee52e087a5587b383bd1be149c5c1a24a686d6060988b65cdfb7dc683",
+		"measure": "95b2e9fbb688baf6b91127f4cf4e8b6f9f34dbb795bceca1f58c69c8f9494d11",
+		"collect": "69799d52875fdc908a68d9322378e8884dcaa859728bcca1748e39a4f60e8d80",
 	}
 	for kind, k := range got {
 		if k != want[kind] {
