@@ -11,14 +11,18 @@
 package structlayout_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"structlayout/internal/affinity"
 	"structlayout/internal/cluster"
 	"structlayout/internal/concurrency"
+	"structlayout/internal/driver"
 	"structlayout/internal/experiments"
 	"structlayout/internal/ir"
+	"structlayout/internal/irtext"
 	"structlayout/internal/machine"
 	"structlayout/internal/profile"
 	"structlayout/internal/workload"
@@ -173,6 +177,66 @@ func BenchmarkSDETRun(b *testing.B) {
 				accesses = res.Coherence.Accesses
 			}
 			b.ReportMetric(float64(accesses), "mem_accesses/run")
+		})
+	}
+}
+
+// collectProgram is a DSL program the size of the large programs layoutd
+// collects afresh: one 120-field struct whose fields four thread roles
+// split among themselves, each touching its own fields on a per-thread
+// instance and taking a shared lock to bump a contended counter, run by
+// 16 threads.
+func collectProgram() string {
+	const fields, roles, threads = 118, 4, 16
+	var b strings.Builder
+	b.WriteString("program collectbench\n\nstruct rec {\n    lk i64\n    hot i64\n")
+	for f := 0; f < fields; f++ {
+		fmt.Fprintf(&b, "    f%d i64\n", f)
+	}
+	b.WriteString("}\n\nregion buf 65536 perthread\n")
+	for r := 0; r < roles; r++ {
+		fmt.Fprintf(&b, "\nproc role%d {\n    loop 8 {\n", r)
+		for f := r; f < fields; f += roles {
+			op := "read"
+			if f%3 == 0 {
+				op = "write"
+			}
+			fmt.Fprintf(&b, "        %s rec.f%d param 0\n", op, f)
+		}
+		fmt.Fprintf(&b, "        read rec.f%d shared 0\n        compute %d\n    }\n", fields-1-r, 20+5*r)
+		b.WriteString("    lock rec.lk shared 0\n    write rec.hot shared 0\n    unlock rec.lk shared 0\n")
+		b.WriteString("    memsweep buf write 512\n    compute 60\n}\n")
+	}
+	fmt.Fprintf(&b, "\narena rec %d\n", threads+2)
+	for t := 0; t < threads; t++ {
+		fmt.Fprintf(&b, "thread %d role%d params %d iters 8\n", t, t%roles, t+1)
+	}
+	return b.String()
+}
+
+// BenchmarkCollectDSL measures one collection phase (driver.Collect: a
+// profiled, sampled run on the default 6 MB Itanium cache) of a 16-thread
+// DSL program on each collection machine. Bus4 runs the four threads that
+// fit on its CPUs. B/op is the simulated caches' storage plus the
+// profile and trace.
+func BenchmarkCollectDSL(b *testing.B) {
+	file, err := irtext.Parse(collectProgram())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, topoFn := range []func() *machine.Topology{machine.Bus4, machine.Way16} {
+		topo := topoFn()
+		b.Run(topo.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var samples int
+			for i := 0; i < b.N; i++ {
+				res, err := driver.Collect(file, driver.Config{Topo: topo, Seed: 1}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				samples = len(res.Trace.Samples)
+			}
+			b.ReportMetric(float64(samples), "samples/run")
 		})
 	}
 }

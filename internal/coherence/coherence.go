@@ -155,39 +155,36 @@ type lineInfo struct {
 	hasLastWrite bool
 }
 
-// way is one cache slot. The line tag is kept inline so the per-access set
-// scan compares integers in the slot array instead of chasing the lineInfo
-// pointer per way.
-// cpuCache is one CPU's private cache: Sets × Ways with LRU order per set
-// (most recently used last), stored struct-of-arrays. Set setIdx occupies
-// [setIdx*Ways, setIdx*Ways+n[setIdx]) in each array. Keeping the tags in
-// their own contiguous array means the hit path's MRU probe and tag scan
-// touch one or two host cache lines per set, instead of chasing a slice
-// header to a separately allocated entry array. The arrays are allocated
-// on the CPU's first access, so idle CPUs of a wide topology cost nothing;
-// after that the steady state never allocates — evictions shift in place.
-type cpuCache struct {
+// groupSets is how many consecutive sets one cacheGroup holds.
+const (
+	groupShift = 7
+	groupSets  = 1 << groupShift
+)
+
+// cacheGroup is groupSets consecutive sets of one CPU's private cache
+// (all of them when the cache has fewer), with LRU order per set (most
+// recently used last), stored struct-of-arrays: set i of the group
+// occupies [i*Ways, i*Ways+n[i]) in each array. Keeping the tags in their
+// own contiguous array means the hit path's MRU probe and tag scan touch
+// one or two host cache lines per set, instead of chasing the lineInfo
+// pointer per way. A group is allocated on the first fill of any of its
+// sets and never moves, regrows or copies; after that its steady state
+// never allocates — evictions shift in place.
+type cacheGroup struct {
 	lines []int64 // tags
 	info  []*lineInfo
 	state []State
-	n     []int16 // per-set occupancy
-}
-
-func (c *cpuCache) init(cfg Config) {
-	c.lines = make([]int64, cfg.Sets*cfg.Ways)
-	c.info = make([]*lineInfo, len(c.lines))
-	c.state = make([]State, len(c.lines))
-	c.n = make([]int16, cfg.Sets)
+	n     [groupSets]int16 // per-set occupancy
 }
 
 // toMRU rotates way i of a set to the set's MRU way mru, shifting the ways
 // above i down by one.
-func (c *cpuCache) toMRU(i, mru int) {
-	line, li, st := c.lines[i], c.info[i], c.state[i]
-	copy(c.lines[i:mru], c.lines[i+1:mru+1])
-	copy(c.info[i:mru], c.info[i+1:mru+1])
-	copy(c.state[i:mru], c.state[i+1:mru+1])
-	c.lines[mru], c.info[mru], c.state[mru] = line, li, st
+func (g *cacheGroup) toMRU(i, mru int) {
+	line, li, st := g.lines[i], g.info[i], g.state[i]
+	copy(g.lines[i:mru], g.lines[i+1:mru+1])
+	copy(g.info[i:mru], g.info[i+1:mru+1])
+	copy(g.state[i:mru], g.state[i+1:mru+1])
+	g.lines[mru], g.info[mru], g.state[mru] = line, li, st
 }
 
 // slabSize is how many lineInfo entries (and their three bitsets) one
@@ -198,9 +195,17 @@ const slabSize = 256
 // drives it under a virtual clock, which keeps simulations deterministic.
 // It is not safe for concurrent use.
 type System struct {
-	topo   *machine.Topology
-	cfg    Config
-	caches []cpuCache
+	topo *machine.Topology
+	cfg  Config
+
+	// caches holds every CPU's private cache as a table of groups: CPU
+	// cpu's group gi is caches[cpu<<cpuShift|gi], nil until one of its
+	// sets is filled. A lookup in a never-filled group is a miss, so a CPU
+	// pays only for the part of a large cache it uses: a DSL collection
+	// on the 6 MB Itanium geometry fills one to three of each CPU's 32
+	// groups.
+	caches   []*cacheGroup
+	cpuShift uint // log2 of the groups per CPU
 
 	// Directory. Lines below flatLines resolve through the flat slice —
 	// one load instead of a map probe on the miss path; everything else
@@ -248,7 +253,6 @@ func NewSystem(topo *machine.Topology, cfg Config) (*System, error) {
 	s := &System{
 		topo:   topo,
 		cfg:    cfg,
-		caches: make([]cpuCache, n),
 		lines:  make(map[int64]*lineInfo),
 		perCPU: make([]Stats, n),
 		words:  (n + 63) / 64,
@@ -257,8 +261,18 @@ func NewSystem(topo *machine.Topology, cfg Config) (*System, error) {
 		s.lineShift++
 	}
 	s.setMask = int64(cfg.Sets - 1)
+	if cfg.Sets > groupSets {
+		s.cpuShift = uint(bits.TrailingZeros(uint(cfg.Sets))) - groupShift
+	}
+	s.caches = make([]*cacheGroup, n<<s.cpuShift)
 	s.buildNearTable(n)
 	return s, nil
+}
+
+// group returns cpu's group holding set setIdx, nil if none of the
+// group's sets was ever filled, and the set's index within the group.
+func (s *System) group(cpu int, setIdx int64) (*cacheGroup, int) {
+	return s.caches[cpu<<s.cpuShift|int(setIdx>>groupShift)], int(setIdx & (groupSets - 1))
 }
 
 // buildNearTable precomputes the per-CPU latency classes used by
@@ -439,12 +453,13 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, res *
 	st.Accesses++
 
 	setIdx := line & s.setMask
-	c := &s.caches[cpu]
-	if c.n == nil {
-		c.init(s.cfg)
+	// A group none of whose sets was ever filled holds no line: n stays 0,
+	// so neither lookup below reads g and the access takes the miss path.
+	g, set := s.group(cpu, setIdx)
+	base, n := set*s.cfg.Ways, 0
+	if g != nil {
+		n = int(g.n[set])
 	}
-	base := int(setIdx) * s.cfg.Ways
-	n := int(c.n[setIdx])
 
 	// Repeat-access fast path: after any access, the line sits in the MRU
 	// slot (hits rotate it there, fills append there), and nothing another
@@ -455,22 +470,22 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, res *
 	// element is the identity. Reads hit in any state; writes keep the fast
 	// path only in Modified (nothing can change) and Exclusive (the silent
 	// E→M upgrade); a Shared write needs the directory and falls through.
-	if mru := base + n - 1; n > 0 && c.lines[mru] == line {
+	if mru := base + n - 1; n > 0 && g.lines[mru] == line {
 		if !write {
 			st.Hits++
 			res.Latency = s.topo.HitLatency
 			return
 		}
-		switch c.state[mru] {
+		switch g.state[mru] {
 		case Modified:
 			st.Hits++
-			c.info[mru].recordWrite(cpu, lo, hi)
+			g.info[mru].recordWrite(cpu, lo, hi)
 			res.Latency = s.topo.HitLatency
 			return
 		case Exclusive:
-			c.state[mru] = Modified
+			g.state[mru] = Modified
 			st.Hits++
-			c.info[mru].recordWrite(cpu, lo, hi)
+			g.info[mru].recordWrite(cpu, lo, hi)
 			res.Latency = s.topo.HitLatency
 			return
 		}
@@ -478,14 +493,14 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, res *
 
 	// Look up in this CPU's cache.
 	for i := base; i < base+n; i++ {
-		if c.lines[i] != line {
+		if g.lines[i] != line {
 			continue
 		}
-		li := c.info[i]
-		state := c.state[i]
+		li := g.info[i]
+		state := g.state[i]
 		// Present. Bump LRU: rotate the line to the MRU slot.
 		mru := base + n - 1
-		c.toMRU(i, mru)
+		g.toMRU(i, mru)
 		if !write {
 			st.Hits++
 			res.Latency = s.topo.HitLatency
@@ -498,14 +513,14 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, res *
 			res.Latency = s.topo.HitLatency
 			return
 		case Exclusive:
-			c.state[mru] = Modified
+			g.state[mru] = Modified
 			st.Hits++
 			li.recordWrite(cpu, lo, hi)
 			res.Latency = s.topo.HitLatency
 			return
 		default: // Shared: upgrade
 			lat, inv := s.invalidateOthers(cpu, li, st)
-			c.state[mru] = Modified
+			g.state[mru] = Modified
 			li.owner = int32(cpu)
 			st.Upgrades++
 			li.recordWrite(cpu, lo, hi)
@@ -620,16 +635,15 @@ func (s *System) invalidateOthers(cpu int, li *lineInfo, st *Stats) (int64, int)
 // downgradeOwner transitions the owner's copy M/E -> S; reports whether a
 // writeback (from M) occurred.
 func (s *System) downgradeOwner(owner int, line int64) bool {
-	c := &s.caches[owner]
-	if c.n == nil {
+	g, set := s.group(owner, line&s.setMask)
+	if g == nil {
 		return false
 	}
-	setIdx := line & s.setMask
-	base := int(setIdx) * s.cfg.Ways
-	for i := base; i < base+int(c.n[setIdx]); i++ {
-		if c.lines[i] == line {
-			wb := c.state[i] == Modified
-			c.state[i] = Shared
+	base := set * s.cfg.Ways
+	for i := base; i < base+int(g.n[set]); i++ {
+		if g.lines[i] == line {
+			wb := g.state[i] == Modified
+			g.state[i] = Shared
 			return wb
 		}
 	}
@@ -639,20 +653,19 @@ func (s *System) downgradeOwner(owner int, line int64) bool {
 // removeLine deletes the line from a CPU's cache; reports whether it was
 // present.
 func (s *System) removeLine(cpu int, line int64) bool {
-	c := &s.caches[cpu]
-	if c.n == nil {
+	g, set := s.group(cpu, line&s.setMask)
+	if g == nil {
 		return false
 	}
-	setIdx := line & s.setMask
-	base := int(setIdx) * s.cfg.Ways
-	top := base + int(c.n[setIdx])
+	base := set * s.cfg.Ways
+	top := base + int(g.n[set])
 	for i := base; i < top; i++ {
-		if c.lines[i] == line {
-			copy(c.lines[i:top-1], c.lines[i+1:top])
-			copy(c.info[i:top-1], c.info[i+1:top])
-			copy(c.state[i:top-1], c.state[i+1:top])
-			c.info[top-1] = nil
-			c.n[setIdx]--
+		if g.lines[i] == line {
+			copy(g.lines[i:top-1], g.lines[i+1:top])
+			copy(g.info[i:top-1], g.info[i+1:top])
+			copy(g.state[i:top-1], g.state[i+1:top])
+			g.info[top-1] = nil
+			g.n[set]--
 			return true
 		}
 	}
@@ -660,22 +673,25 @@ func (s *System) removeLine(cpu int, line int64) bool {
 }
 
 // insert places the line into the CPU's cache, evicting LRU on overflow.
-// The set's window in the backing arrays is fixed, so eviction shifts in
-// place and the fill never allocates.
+// The first fill of a set in a never-filled group allocates the group;
+// after that the set's window in the group's arrays is fixed, so eviction
+// shifts in place and the fill never allocates.
 func (s *System) insert(cpu int, setIdx int64, li *lineInfo, newState State, st *Stats) {
-	c := &s.caches[cpu]
-	if c.n == nil {
-		c.init(s.cfg)
+	g, set := s.group(cpu, setIdx)
+	if g == nil {
+		ways := min(s.cfg.Sets, groupSets) * s.cfg.Ways
+		g = &cacheGroup{lines: make([]int64, ways), info: make([]*lineInfo, ways), state: make([]State, ways)}
+		s.caches[cpu<<s.cpuShift|int(setIdx>>groupShift)] = g
 	}
-	base := int(setIdx) * s.cfg.Ways
-	n := int(c.n[setIdx])
+	base := set * s.cfg.Ways
+	n := int(g.n[set])
 	if n >= s.cfg.Ways {
-		victim := c.info[base]
-		victimState := c.state[base]
+		victim := g.info[base]
+		victimState := g.state[base]
 		top := base + n
-		copy(c.lines[base:top-1], c.lines[base+1:top])
-		copy(c.info[base:top-1], c.info[base+1:top])
-		copy(c.state[base:top-1], c.state[base+1:top])
+		copy(g.lines[base:top-1], g.lines[base+1:top])
+		copy(g.info[base:top-1], g.info[base+1:top])
+		copy(g.state[base:top-1], g.state[base+1:top])
 		n--
 		victim.sharers.clear(cpu)
 		// Eviction is not an invalidation: the next miss is a replacement
@@ -687,10 +703,10 @@ func (s *System) insert(cpu int, setIdx int64, li *lineInfo, newState State, st 
 			}
 		}
 	}
-	c.lines[base+n] = li.line
-	c.info[base+n] = li
-	c.state[base+n] = newState
-	c.n[setIdx] = int16(n + 1)
+	g.lines[base+n] = li.line
+	g.info[base+n] = li
+	g.state[base+n] = newState
+	g.n[set] = int16(n + 1)
 }
 
 // ReadHit performs cpu's read of the line holding addr if that line is
@@ -701,23 +717,22 @@ func (s *System) insert(cpu int, setIdx int64, li *lineInfo, newState State, st 
 // read must lie within one line. The execution engine completes the reads
 // it runs ahead of the scheduler with it: the probe is the access.
 func (s *System) ReadHit(cpu int, addr int64, res *AccessResult) bool {
-	c := &s.caches[cpu]
-	if c.n == nil {
+	line := addr >> s.lineShift
+	g, set := s.group(cpu, line&s.setMask)
+	if g == nil {
 		return false
 	}
-	line := addr >> s.lineShift
-	setIdx := line & s.setMask
-	base := int(setIdx) * s.cfg.Ways
-	mru := base + int(c.n[setIdx]) - 1
+	base := set * s.cfg.Ways
+	mru := base + int(g.n[set]) - 1
 	i := mru
-	for i >= base && c.lines[i] != line {
+	for i >= base && g.lines[i] != line {
 		i--
 	}
 	if i < base {
 		return false
 	}
 	if i < mru {
-		c.toMRU(i, mru)
+		g.toMRU(i, mru)
 	}
 	st := &s.perCPU[cpu]
 	st.Accesses++

@@ -205,23 +205,72 @@ func TestRFOInvalidatesAllSharers(t *testing.T) {
 	}
 }
 
+// spread is a cache geometry on which tests place four copies of their hot
+// lines, stride lines apart, spanning groups of the CPU's cache groups.
+type spread struct {
+	cfg    Config
+	stride int64
+	groups int
+}
+
+// offset moves addr to copy k mod 4 of the hot lines.
+func (sp spread) offset(addr int64, k int) int64 {
+	return addr + int64(k%4)*sp.stride*sp.cfg.LineSize
+}
+
+// wideCases span several groups: on the Itanium cache, a stride of
+// groupSets+1 lines puts each copy in its own group; on a one-way cache of
+// two groups, a stride of 3*groupSets makes copies 0 and 2 (and 1 and 3)
+// collide in a set of group 0 (group 1) and evict each other.
+var wideCases = []spread{
+	{DefaultItanium(), groupSets + 1, 4},
+	{Config{LineSize: 128, Sets: 2 * groupSets, Ways: 1}, 3 * groupSets, 2},
+}
+
+// maxGroupsHeld is the most groups any one CPU's cache holds.
+func maxGroupsHeld(s *System) int {
+	most := 0
+	for cpu := range s.perCPU {
+		most = max(most, s.groupsHeld(cpu))
+	}
+	return most
+}
+
 func TestInvariantsAfterRandomWorkload(t *testing.T) {
-	for _, topoFn := range []func() *machine.Topology{machine.Bus4, machine.Way16} {
-		topo := topoFn()
-		s := mustSystem(t, topo, SmallCache())
+	type workload struct {
+		topo *machine.Topology
+		spread
+	}
+	cases := []workload{{machine.Bus4(), spread{SmallCache(), 0, 1}}, {machine.Way16(), spread{SmallCache(), 0, 1}}}
+	for _, sp := range wideCases {
+		cases = append(cases, workload{machine.Way16(), sp})
+	}
+	for _, tc := range cases {
+		topo := tc.topo
+		s := mustSystem(t, topo, tc.cfg)
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < 20000; i++ {
 			cpu := rng.Intn(topo.NumCPUs())
-			addr := int64(rng.Intn(64)) * 16 // 4 lines' worth of hot addresses
+			addr := int64(rng.Intn(64)) * 16 // 8 lines' worth of hot addresses
 			size := 1 << rng.Intn(4)
-			s.Access(cpu, addr, size, rng.Intn(3) == 0)
+			write := rng.Intn(3) == 0
+			if tc.stride > 0 {
+				addr = tc.offset(addr, rng.Intn(4))
+			}
+			s.Access(cpu, addr, size, write)
 		}
 		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", topo.Name, err)
+			t.Fatalf("%s %+v: %v", topo.Name, tc.cfg, err)
 		}
 		gs := s.GlobalStats()
 		if gs.Accesses == 0 || gs.Hits == 0 || gs.CohMisses == 0 {
-			t.Fatalf("%s: implausible stats %+v", topo.Name, gs)
+			t.Fatalf("%s %+v: implausible stats %+v", topo.Name, tc.cfg, gs)
+		}
+		if tc.cfg.Ways == 1 && gs.ReplMisses == 0 {
+			t.Fatalf("%s %+v: the one-way cache never evicted", topo.Name, tc.cfg)
+		}
+		if n := maxGroupsHeld(s); n != tc.groups {
+			t.Fatalf("%s %+v: a CPU holds at most %d groups, want %d", topo.Name, tc.cfg, n, tc.groups)
 		}
 	}
 }
@@ -233,15 +282,19 @@ func TestInvariantsProperty(t *testing.T) {
 		Line  uint8
 		Write bool
 	}
-	f := func(ops []op) bool {
-		s := mustSystem(t, topo, SmallCache())
-		for _, o := range ops {
-			s.Access(int(o.CPU)%topo.NumCPUs(), int64(o.Line)*8, 8, o.Write)
+	cases := append([]spread{{SmallCache(), 0, 1}}, wideCases...)
+	for _, tc := range cases {
+		f := func(ops []op) bool {
+			s := mustSystem(t, topo, tc.cfg)
+			for _, o := range ops {
+				addr := tc.offset(int64(o.Line)*8, int(o.Line))
+				s.Access(int(o.CPU)%topo.NumCPUs(), addr, 8, o.Write)
+			}
+			return s.CheckInvariants() == nil && maxGroupsHeld(s) <= tc.groups
 		}
-		return s.CheckInvariants() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("%+v: %v", tc.cfg, err)
+		}
 	}
 }
 

@@ -9,18 +9,33 @@ import (
 // cache (Invalid if absent). It changes no state, not even the LRU order.
 func (s *System) StateOf(cpu int, addr int64) State {
 	line := addr >> s.lineShift
-	c := &s.caches[cpu]
-	if c.n == nil {
+	g, set := s.group(cpu, line&s.setMask)
+	if g == nil {
 		return Invalid
 	}
-	setIdx := line & s.setMask
-	base := int(setIdx) * s.cfg.Ways
-	for i := base; i < base+int(c.n[setIdx]); i++ {
-		if c.lines[i] == line {
-			return c.state[i]
+	base := set * s.cfg.Ways
+	for i := base; i < base+int(g.n[set]); i++ {
+		if g.lines[i] == line {
+			return g.state[i]
 		}
 	}
 	return Invalid
+}
+
+// groupsOf returns cpu's slice of the group table.
+func (s *System) groupsOf(cpu int) []*cacheGroup {
+	return s.caches[cpu<<s.cpuShift : (cpu+1)<<s.cpuShift]
+}
+
+// groupsHeld reports how many of cpu's cache groups are allocated.
+func (s *System) groupsHeld(cpu int) int {
+	n := 0
+	for _, g := range s.groupsOf(cpu) {
+		if g != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Misses returns the total full misses (excluding upgrades).
@@ -42,15 +57,19 @@ func (s *System) CheckInvariants() error {
 		state State
 	}
 	holders := make(map[int64][]holder)
-	for cpu := range s.caches {
-		c := &s.caches[cpu]
-		if c.n == nil {
-			continue
-		}
-		for setIdx := range c.n {
-			base := setIdx * s.cfg.Ways
-			for i := base; i < base+int(c.n[setIdx]); i++ {
-				holders[c.lines[i]] = append(holders[c.lines[i]], holder{cpu, c.state[i]})
+	for cpu := range s.perCPU {
+		for gi, g := range s.groupsOf(cpu) {
+			if g == nil {
+				continue
+			}
+			for set := 0; set < min(s.cfg.Sets, groupSets); set++ {
+				base := set * s.cfg.Ways
+				for i := base; i < base+int(g.n[set]); i++ {
+					if want := int64(gi*groupSets + set); g.lines[i]&s.setMask != want {
+						return fmt.Errorf("cpu %d holds line %d in set %d", cpu, g.lines[i], want)
+					}
+					holders[g.lines[i]] = append(holders[g.lines[i]], holder{cpu, g.state[i]})
+				}
 			}
 		}
 	}

@@ -97,7 +97,8 @@ func (m *refModel) access(cpu int, l int64, write bool) (MissKind, int) {
 // ambiguity) and requires bit-identical observable behaviour.
 func TestAgainstReferenceModel(t *testing.T) {
 	topo := machine.Way16()
-	// Effectively infinite cache: every line maps somewhere with room.
+	// Effectively infinite cache: every line maps somewhere with room. The
+	// lines are 16 sets apart, so they spread over all eight groups.
 	cfg := Config{LineSize: 128, Sets: 1024, Ways: 64}
 	sys := mustSystem(t, topo, cfg)
 	ref := newRefModel(topo.NumCPUs())
@@ -105,7 +106,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20070311))
 	for i := 0; i < 100000; i++ {
 		cpu := rng.Intn(topo.NumCPUs())
-		line := int64(rng.Intn(64))
+		line := int64(rng.Intn(64)) * 16
 		write := rng.Intn(3) == 0
 
 		if !write && rng.Intn(4) == 0 {
@@ -150,5 +151,10 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	for cpu := 0; cpu < topo.NumCPUs(); cpu++ {
+		if n := sys.groupsHeld(cpu); n < 4 {
+			t.Fatalf("cpu %d filled %d groups, want the lines spread over at least 4", cpu, n)
+		}
 	}
 }

@@ -295,7 +295,8 @@ func (p *Program) mustMutable() {
 }
 
 // Finalize lowers every procedure to its blocks, loop nest and execution
-// tree, assigns global block IDs and source lines, rejects programs the
+// tree, assigns global block IDs and source lines, lists each block's
+// field-touching instructions for FieldInstrs, rejects programs the
 // interpreter cannot run (misplaced sync statements, empty loop bodies,
 // calls or spawns of undefined procedures, negative shared or parameter
 // instances, region accesses at a negative offset or sweeping with a
@@ -316,6 +317,7 @@ func (p *Program) Finalize() error {
 		}
 		for _, b := range pr.Blocks {
 			b.Global = BlockID(len(p.blocks))
+			b.fieldInstrs = fieldInstrsOf(b.Instrs)
 			p.blocks = append(p.blocks, b)
 		}
 		for _, l := range pr.Loops {

@@ -415,3 +415,52 @@ func mixedProgram() *Program {
 	b.Done()
 	return p.MustFinalize()
 }
+
+// TestFieldInstrs: every block lists its field-touching instructions —
+// field accesses, locks and unlocks, in order, and nothing else — and
+// reading the list allocates nothing, because Finalize computed it.
+func TestFieldInstrs(t *testing.T) {
+	p := NewProgram("fields")
+	s := figure4Struct()
+	p.AddStruct(s)
+	p.AddRegion("heap", 4096, false)
+	leaf := p.NewProc("leaf")
+	leaf.Compute(3)
+	leaf.Done()
+	b := p.NewProc("f")
+	b.Lock(s, "f1", Shared(0))
+	b.Write(s, "f2", Shared(0))
+	b.MemSweep("heap", Read, 64)
+	b.Compute(7)
+	b.Read(s, "f3", Shared(0))
+	b.Call("leaf")
+	b.Unlock(s, "f1", Shared(0))
+	b.Done()
+	p.MustFinalize()
+
+	fieldOps := 0
+	for _, blk := range p.Blocks() {
+		var want []Opcode
+		for _, in := range blk.Instrs {
+			if in.Op == OpField || in.Op == OpLock || in.Op == OpUnlock {
+				want = append(want, in.Op)
+			}
+		}
+		got := blk.FieldInstrs()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d field instructions, want %d", blk.Name(), len(got), len(want))
+		}
+		for i, in := range got {
+			if in.Op != want[i] || in.Struct != s {
+				t.Fatalf("%s: field instruction %d is %v on %v, want %v on %s", blk.Name(), i, in.Op, in.Struct, want[i], s)
+			}
+		}
+		fieldOps += len(got)
+		if n := testing.AllocsPerRun(10, func() { blk.FieldInstrs() }); n != 0 {
+			t.Fatalf("%s: FieldInstrs allocates %.0f times per call", blk.Name(), n)
+		}
+	}
+	if fieldOps != 4 {
+		t.Fatalf("%d field instructions in the program, want 4 (lock, write, read, unlock)", fieldOps)
+	}
+}

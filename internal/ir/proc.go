@@ -27,18 +27,25 @@ type BasicBlock struct {
 	Line SourceLine
 	// Synthetic marks control-only blocks (headers, conditions, joins).
 	Synthetic bool
+
+	fieldInstrs []Instr // Instrs' field-touching subset, set by Program.Finalize
 }
 
 // Name renders proc#index for diagnostics.
 func (b *BasicBlock) Name() string { return fmt.Sprintf("%s#%d", b.Proc.Name, b.Index) }
 
 // FieldInstrs returns the field-touching instructions (OpField, OpLock,
-// OpUnlock) in the block. Lock operations count as accesses to their field:
-// the paper explicitly lists "co-location of lock with the accessed data"
-// as a layout concern, and a lock word is just a hot, write-shared field.
-func (b *BasicBlock) FieldInstrs() []Instr {
+// OpUnlock) in the block, in order. Lock operations count as accesses to
+// their field: the paper explicitly lists "co-location of lock with the
+// accessed data" as a layout concern, and a lock word is just a hot,
+// write-shared field. Program.Finalize computes the list once; the slice
+// is shared, so callers must not modify it.
+func (b *BasicBlock) FieldInstrs() []Instr { return b.fieldInstrs }
+
+// fieldInstrsOf filters instrs to its field-touching instructions.
+func fieldInstrsOf(instrs []Instr) []Instr {
 	var out []Instr
-	for _, in := range b.Instrs {
+	for _, in := range instrs {
 		switch in.Op {
 		case OpField, OpLock, OpUnlock:
 			out = append(out, in)

@@ -121,3 +121,55 @@ func TestGCSizeBudgetIgnoresCollectedCorruptBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestContainsVerifiesDiskEntry: Contains answers for a disk entry only
+// when get would serve it, and promotes and counts nothing either way;
+// the Do that follows does the counting.
+func TestContainsVerifiesDiskEntry(t *testing.T) {
+	dir := t.TempDir()
+	c := New()
+	if err := c.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	k := tornEntry(t, c, "contains")
+	if c.Contains(k) {
+		t.Fatal("Contains reported a torn entry")
+	}
+	if st := c.Stats(); st != (Stats{}) {
+		t.Fatalf("Contains counted: %+v", st)
+	}
+	if _, err := c.Do(k, func() ([]byte, error) { return []byte("v"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Errors != 1 {
+		t.Fatalf("Do after Contains: %+v, want 1 miss and 1 error", st)
+	}
+
+	warm := New()
+	if err := warm.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Contains(k) {
+		t.Fatal("Contains missed the rewritten entry")
+	}
+	if st := warm.Stats(); st != (Stats{}) || len(warm.mem) != 0 {
+		t.Fatalf("Contains counted or promoted: %+v, %d in memory", st, len(warm.mem))
+	}
+	if _, err := warm.Do(k, func() ([]byte, error) { t.Error("recomputed a valid entry"); return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.Stats(); st.DiskHits != 1 {
+		t.Fatalf("Do after Contains: %+v, want 1 disk hit", st)
+	}
+
+	if err := os.WriteFile(c.path(k), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cold := New()
+	if err := cold.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if cold.Contains(k) {
+		t.Fatal("Contains reported an overwritten entry")
+	}
+}

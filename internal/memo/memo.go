@@ -152,9 +152,12 @@ func (c *Cache) Clear() {
 // Contains reports whether k would be served from a tier right now,
 // without computing, promoting, or counting anything. Callers use it to
 // pick a degradation rung: a present entry means the work is (nearly)
-// free replay, an absent one means real computation. The answer is
-// advisory — a concurrent GC or writer can change it — so callers must
-// still be correct when a later Do misses.
+// free replay, an absent one means real computation. A disk entry is
+// present only if it verifies, as get would check it, so a corrupt entry
+// reads as absent; the Do that follows reads it again and counts the
+// disk hit, or the error and the recomputation. The answer is advisory —
+// a concurrent GC or writer can change it — so callers must still be
+// correct when a later Do misses.
 func (c *Cache) Contains(k Key) bool {
 	c.mu.Lock()
 	_, inMem := c.mem[k]
@@ -166,8 +169,8 @@ func (c *Cache) Contains(k Key) bool {
 	if dir == "" {
 		return false
 	}
-	fi, err := os.Stat(c.path(k))
-	return err == nil && fi.Size() > 0
+	_, err := readEntry(c.path(k), k)
+	return err == nil
 }
 
 // Stats returns a snapshot of the counters.

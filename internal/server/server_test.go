@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -136,6 +138,7 @@ func decodeAnalyze(t *testing.T, body []byte) *AnalyzeResponse {
 }
 
 func TestAnalyzeHappyPath(t *testing.T) {
+	memo.Shared().Clear() // the first request must collect, even on a rerun
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -175,6 +178,7 @@ func TestAnalyzeHappyPath(t *testing.T) {
 }
 
 func TestAnalyzeReplayRung(t *testing.T) {
+	memo.Shared().Clear() // the first request must collect, even on a rerun
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -561,6 +565,7 @@ func TestNegativeInstanceRejected(t *testing.T) {
 // collection, outside the handler's guard, costs its request a 500 and is
 // counted once; the process keeps serving.
 func TestCollectionPanicIsolation(t *testing.T) {
+	memo.Shared().Clear() // the first request must collect, even on a rerun
 	s := New(Config{Logf: func(string, ...any) {}})
 	var boom atomic.Bool
 	s.hookCollect = func() {
@@ -636,6 +641,73 @@ func TestAbandonedCollectionKeepsSlot(t *testing.T) {
 	}
 	if st := s.Stats(); st.DeadlineHit != 1 || st.LadderStatic != 1 {
 		t.Fatalf("stats: %+v, want 1 deadline hit and 1 static answer", st)
+	}
+}
+
+// TestCorruptCollectionEntryCollectsAfresh: a collection entry in the
+// disk tier that fails its check is not ready for replay, so the request
+// collects on the full rung, under the reserve timer, instead of taking
+// the replay rung and simulating inside the handler.
+func TestCorruptCollectionEntryCollectsAfresh(t *testing.T) {
+	src, err := os.ReadFile("../../examples/dslprogram/webserver.slp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := irtext.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := driver.Config{Topo: machine.Bus4(), Seed: 5}
+	req := AnalyzeRequest{Program: string(src), Machine: "bus4", Seed: 5}
+	dir := t.TempDir()
+	memo.Shared().Clear()
+	if err := memo.Shared().SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		memo.Shared().SetDir("")
+		memo.Shared().Clear()
+	}()
+	if _, _, _, err := driver.CollectCached(file, cfg); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("disk tier holds %v (%v), want one collection entry", ents, err)
+	}
+	s := New(Config{Logf: func(string, ...any) {}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// The intact entry replays: it is the one this request reads.
+	memo.Shared().Clear()
+	if !driver.CollectCacheReady(file, cfg) {
+		t.Fatal("intact disk entry not ready")
+	}
+	resp, body := postAnalyze(t, ts, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("intact entry: status %d: %s", resp.StatusCode, body)
+	}
+	if ar := decodeAnalyze(t, body); ar.Ladder != LadderReplay {
+		t.Fatalf("intact entry took the %s rung, want replay", ar.Ladder)
+	}
+
+	memo.Shared().Clear()
+	if err := os.WriteFile(ents[0], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if driver.CollectCacheReady(file, cfg) {
+		t.Fatal("corrupt disk entry reported ready")
+	}
+	resp, body = postAnalyze(t, ts, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("corrupt entry: status %d: %s", resp.StatusCode, body)
+	}
+	if ar := decodeAnalyze(t, body); ar.Ladder != LadderFull {
+		t.Fatalf("corrupt entry took the %s rung, want full", ar.Ladder)
+	}
+	if st := memo.Shared().Stats(); st.Misses != 1 || st.Errors != 1 || st.DiskHits != 0 {
+		t.Fatalf("memo stats %+v, want the corrupt entry read once: 1 miss, 1 error", st)
 	}
 }
 
