@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"structlayout/internal/core"
-	"structlayout/internal/diag"
 	"structlayout/internal/driver"
 	"structlayout/internal/faults"
 	"structlayout/internal/fieldmap"
@@ -424,11 +423,7 @@ func lintTree(root string) ([]staticshare.Finding, error) {
 	skipped := 0
 	skip := func(path string, err error) {
 		skipped++
-		all = append(all, staticshare.Finding{
-			Severity: diag.Degraded,
-			Code:     staticshare.CodeLintSkipped,
-			Message:  fmt.Sprintf("%s: skipped: %s", path, strings.TrimPrefix(err.Error(), path+": ")),
-		})
+		all = append(all, staticshare.Skipped(path, err))
 	}
 	walkErr := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {

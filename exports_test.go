@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,11 @@ var exportAllowlist = map[string]string{
 	"structlayout/internal/staticshare.Result.HBDegraded": "happens-before state for core tests",
 }
 
+// testSupport reports whether the package at import path imp is test
+// support, as net/http/httptest is: a package that only tests import,
+// named with a trailing "test".
+func testSupport(imp string) bool { return strings.HasSuffix(imp, "test") }
+
 // TestNoTestOnlyExports fails when an exported function or method under
 // internal/ has no reference from non-test code in this module or in
 // perfbench/. A method also counts as used when non-test code calls an
@@ -34,7 +40,10 @@ var exportAllowlist = map[string]string{
 // it matches a method of an interface declared by a standard-library
 // package the module imports (fmt calls String, encoding/json calls
 // MarshalJSON). A helper only one package's tests need belongs in that
-// package's export_test.go; one nothing needs should be deleted.
+// package's export_test.go; one nothing needs should be deleted. A
+// test-support package (testSupport) is test code: its exports need no
+// production caller, its references do not count as one, and no non-test
+// file may import it.
 func TestNoTestOnlyExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module and the standard library it imports from source")
@@ -93,8 +102,17 @@ func TestNoTestOnlyExports(t *testing.T) {
 	// body, and every interface method it calls.
 	used := map[*types.Func]bool{}
 	var ifaceCalls []*types.Func
-	for _, files := range m.files {
+	var badImports []string
+	for path, files := range m.files {
+		if testSupport(path) {
+			continue
+		}
 		for _, f := range files {
+			for _, spec := range f.Imports {
+				if imp, _ := strconv.Unquote(spec.Path.Value); m.dirs[imp] != "" && testSupport(imp) {
+					badImports = append(badImports, fset.Position(spec.Pos()).String()+" imports "+imp)
+				}
+			}
 			for _, decl := range f.Decls {
 				var self types.Object
 				if fd, ok := decl.(*ast.FuncDecl); ok {
@@ -129,10 +147,15 @@ func TestNoTestOnlyExports(t *testing.T) {
 		return false
 	}
 
+	sort.Strings(badImports)
+	for _, b := range badImports {
+		t.Errorf("non-test code imports a test-support package: %s", b)
+	}
+
 	allowed := map[string]bool{}
 	var unused []string
 	for path, files := range m.files {
-		if !strings.HasPrefix(path, "structlayout/internal/") {
+		if !strings.HasPrefix(path, "structlayout/internal/") || testSupport(path) {
 			continue
 		}
 		for _, f := range files {

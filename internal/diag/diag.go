@@ -12,6 +12,7 @@
 package diag
 
 import (
+	"encoding"
 	"fmt"
 	"sort"
 	"strings"
@@ -35,35 +36,50 @@ const (
 	Error
 )
 
+// severityNames are the severities' text forms, indexed by value.
+var severityNames = [...]string{Info: "info", Warning: "warning", Degraded: "degraded", Error: "error"}
+
 // String renders the severity.
 func (s Severity) String() string {
-	switch s {
-	case Info:
-		return "info"
-	case Warning:
-		return "warning"
-	case Degraded:
-		return "degraded"
-	case Error:
-		return "error"
-	default:
-		return fmt.Sprintf("severity(%d)", int(s))
+	if s >= 0 && int(s) < len(severityNames) {
+		return severityNames[s]
 	}
+	return fmt.Sprintf("severity(%d)", int(s))
+}
+
+// A Severity is text in JSON: its name, not its number.
+var (
+	_ encoding.TextMarshaler   = Severity(0)
+	_ encoding.TextUnmarshaler = (*Severity)(nil)
+)
+
+// MarshalText renders the severity as String does.
+func (s Severity) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses a severity's name.
+func (s *Severity) UnmarshalText(text []byte) error {
+	for i, name := range severityNames {
+		if string(text) == name {
+			*s = Severity(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("diag: unknown severity %q", text)
 }
 
 // Diagnostic is one aggregated observation.
 type Diagnostic struct {
 	// Severity grades the observation.
-	Severity Severity
+	Severity Severity `json:"severity"`
 	// Source is the pipeline stage that noticed ("sampling", "flg", ...).
-	Source string
+	Source string `json:"source"`
 	// Code is a stable, machine-matchable identifier of the condition
 	// ("itc-nonmonotonic", "fmf-coverage", ...).
-	Code string
+	Code string `json:"code"`
 	// Message is the human-readable text of the first occurrence.
-	Message string
+	Message string `json:"message"`
 	// Count is how many times the condition occurred.
-	Count int
+	Count int `json:"count"`
 }
 
 // String renders one diagnostic line.

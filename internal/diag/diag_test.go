@@ -1,6 +1,7 @@
 package diag
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -81,5 +82,27 @@ func TestSeverityString(t *testing.T) {
 		if sev.String() != want {
 			t.Fatalf("Severity(%d).String() = %q, want %q", int(sev), sev.String(), want)
 		}
+	}
+}
+
+// TestSeverityText: each severity marshals to its name inside JSON and
+// parses back; an unknown name is an error.
+func TestSeverityText(t *testing.T) {
+	for _, sev := range []Severity{Info, Warning, Degraded, Error} {
+		raw, err := json.Marshal(Diagnostic{Severity: sev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `{"severity":"` + sev.String() + `",`; !strings.HasPrefix(string(raw), want) {
+			t.Errorf("%v marshals to %s, want the prefix %s", sev, raw, want)
+		}
+		var back Diagnostic
+		if err := json.Unmarshal(raw, &back); err != nil || back.Severity != sev {
+			t.Errorf("%s unmarshals to %v, %v", raw, back.Severity, err)
+		}
+	}
+	var sev Severity
+	if err := sev.UnmarshalText([]byte("severity(42)")); err == nil {
+		t.Error("an unknown severity name parsed")
 	}
 }

@@ -175,9 +175,9 @@ func MeasureCtx(ctx context.Context, f *irtext.File, cfg Config, layouts map[str
 // StructEval is one struct's outcome when its variant layout is applied
 // alone over the base layouts.
 type StructEval struct {
-	Struct     string
-	Mean       float64
-	SpeedupPct float64
+	Struct     string  `json:"struct"`
+	Mean       float64 `json:"mean"`
+	SpeedupPct float64 `json:"speedup_pct"`
 }
 
 // EvalResult is the multi-struct evaluation table for one machine.
@@ -227,9 +227,9 @@ func EvaluateCtx(ctx context.Context, f *irtext.File, cfg Config, base, variants
 	if err != nil {
 		return nil, err
 	}
-	res := &EvalResult{Baseline: ms[0], Structs: make([]StructEval, len(names)), Quality: q}
+	res := &EvalResult{Baseline: ms[0], Quality: q}
 	for i, name := range names {
-		res.Structs[i] = StructEval{Struct: name, Mean: ms[i+1].Mean, SpeedupPct: ms[i+1].SpeedupOver(ms[0])}
+		res.Structs = append(res.Structs, StructEval{Struct: name, Mean: ms[i+1].Mean, SpeedupPct: ms[i+1].SpeedupOver(ms[0])})
 	}
 	return res, nil
 }

@@ -2,14 +2,14 @@ package exec_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"path"
 	"reflect"
 	"testing"
 
 	"structlayout/internal/coherence"
 	"structlayout/internal/exec"
 	"structlayout/internal/irtext"
+	"structlayout/internal/irtext/irtexttest"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
 	"structlayout/internal/sampling"
@@ -128,30 +128,6 @@ func TestRunAheadSDET(t *testing.T) {
 // runSeed seeds the DSL and generated-program runs.
 const runSeed = 5
 
-// dslFiles lists every committed DSL program the engine can run: the
-// examples, the driver's test program and the run-ahead fixed cases
-// (shrunk counterexamples the generated programs found against broken
-// variants of the yield rule).
-func dslFiles(t *testing.T) []string {
-	t.Helper()
-	files := []string{"../driver/testdata/memcached.slp"}
-	for _, dir := range []string{"../../examples", "testdata/runahead"} {
-		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-			if err == nil && !d.IsDir() && filepath.Ext(path) == ".slp" {
-				files = append(files, path)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(files) < 9 {
-		t.Fatalf("found only %d .slp files", len(files))
-	}
-	return files
-}
-
 // engineModes are the two engine configurations the differential tests
 // compare the fast path and the reference in: exact, and with a PMU
 // collector attached (no compute merging, no run-ahead, a tick at every
@@ -180,26 +156,21 @@ func dslRun(f *irtext.File, cfg exec.Config, slow bool) (*exec.Result, int64, er
 	return res, exec.Rounds(r), err
 }
 
-// TestRunAheadDSL: every committed DSL program gives the same Result on
-// the flat code as on the reference interpreter, on two machines, with a
-// cache small enough to evict and with the full-size one, in every engine
-// mode.
+// TestRunAheadDSL: every committed DSL program (irtexttest.Committed;
+// testdata/runahead holds the shrunk counterexamples the generated
+// programs found against broken variants of the yield rule) gives the
+// same Result on the flat code as on the reference interpreter, on two
+// machines, with a cache small enough to evict and with the full-size
+// one, in every engine mode.
 func TestRunAheadDSL(t *testing.T) {
-	for _, path := range dslFiles(t) {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := irtext.Parse(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
+	for _, slp := range irtexttest.Committed(t) {
+		f := slp.File
 		for _, c := range []exec.Config{
 			{Topo: machine.Bus4(), Cache: coherence.SmallCache()},
 			{Topo: machine.Way16(), Cache: coherence.SmallCache()},
 			{Topo: machine.Way16(), Cache: coherence.DefaultItanium()},
 		} {
-			t.Run(fmt.Sprintf("%s/%s/sets%d", filepath.Base(path), c.Topo.Name, c.Cache.Sets), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s/sets%d", path.Base(slp.Path), c.Topo.Name, c.Cache.Sets), func(t *testing.T) {
 				for _, mode := range engineModes {
 					cfg := c
 					cfg.Seed = runSeed

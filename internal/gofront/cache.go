@@ -14,9 +14,7 @@ import (
 	"fmt"
 	"runtime"
 
-	"structlayout/internal/diag"
 	"structlayout/internal/memo"
-	"structlayout/internal/staticshare"
 )
 
 // cacheSchema versions the cached-report encoding and the analysis
@@ -25,7 +23,8 @@ import (
 // instead of replaying wrong results. 2: a lock taken through a pointer
 // parameter or receiver names that pointer's instance. 3: a suggested
 // reordering pads no group seam that already falls on a line boundary.
-const cacheSchema = 3
+// 4: the entry is the Report's own JSON, severities by name.
+const cacheSchema = 4
 
 // reportKey derives the content-addressed cache key for one package's
 // lint report.
@@ -44,74 +43,13 @@ func reportKey(names []string, srcs [][]byte) memo.Key {
 	return h.Sum()
 }
 
-// cachedFinding mirrors staticshare.Finding with the severity as its
-// integer value: Finding marshals the severity as a display string and
-// has no unmarshal inverse, so the cache carries the raw value.
-type cachedFinding struct {
-	Severity int      `json:"severity"`
-	Code     string   `json:"code"`
-	Struct   string   `json:"struct,omitempty"`
-	Fields   []string `json:"fields,omitempty"`
-	Weight   float64  `json:"weight"`
-	Message  string   `json:"message"`
-}
-
-// cachedReport is the serialized form of a package report: everything
-// RenderText, AllFindings and -lint-json consume — not the Model, which
-// only uncached callers need.
-type cachedReport struct {
-	Findings    []cachedFinding `json:"findings"`
-	Suggestions []Suggestion    `json:"suggestions"`
-	NumStructs  int             `json:"num_structs"`
-	NumThreads  int             `json:"num_threads"`
-	Notes       []string        `json:"notes,omitempty"`
-}
-
-func encodeReport(rep *Report) ([]byte, error) {
-	cr := cachedReport{
-		Suggestions: rep.Suggestions,
-		NumStructs:  rep.NumStructs,
-		NumThreads:  rep.NumThreads,
-		Notes:       rep.Notes,
-	}
-	cr.Findings = make([]cachedFinding, len(rep.Findings))
-	for i, f := range rep.Findings {
-		cr.Findings[i] = cachedFinding{
-			Severity: int(f.Severity),
-			Code:     f.Code,
-			Struct:   f.Struct,
-			Fields:   f.Fields,
-			Weight:   f.Weight,
-			Message:  f.Message,
-		}
-	}
-	return json.Marshal(cr)
-}
-
+// decodeReport reads a cached report: the Report's JSON-tagged fields,
+// everything RenderText, AllFindings and -lint-json consume, but not the
+// Model, which only uncached callers need.
 func decodeReport(dir string, raw []byte) (*Report, error) {
-	var cr cachedReport
-	if err := json.Unmarshal(raw, &cr); err != nil {
+	rep := &Report{Package: dir}
+	if err := json.Unmarshal(raw, rep); err != nil {
 		return nil, fmt.Errorf("corrupt cached report: %w", err)
-	}
-	rep := &Report{
-		Package:     dir,
-		Suggestions: cr.Suggestions,
-		NumStructs:  cr.NumStructs,
-		NumThreads:  cr.NumThreads,
-		Notes:       cr.Notes,
-	}
-	if len(cr.Findings) > 0 {
-		rep.Findings = make([]staticshare.Finding, len(cr.Findings))
-		for i, f := range cr.Findings {
-			rep.Findings[i] = staticshare.Finding{
-				Severity: diag.Severity(f.Severity),
-				Code:     f.Code,
-				Struct:   f.Struct,
-				Fields:   f.Fields,
-				Weight:   f.Weight,
-				Message:  f.Message,
-			}
-		}
 	}
 	return rep, nil
 }
@@ -148,7 +86,7 @@ func lintDir(dir string, opts Options) *Report {
 			return nil, rep.Err
 		}
 		computed = rep
-		return encodeReport(rep)
+		return json.Marshal(rep)
 	})
 	if err != nil {
 		return &Report{Package: dir, Err: err}

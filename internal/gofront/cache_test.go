@@ -314,8 +314,9 @@ func TestCorpusExpectedVerdicts(t *testing.T) {
 	}
 }
 
-// TestCachedReportRoundTrip pins the serialization itself: severity
-// survives the int detour and the JSON shape stays stable.
+// TestCachedReportRoundTrip pins the serialization itself: severities
+// survive by name, and the findings and the rendered report come back
+// unchanged.
 func TestCachedReportRoundTrip(t *testing.T) {
 	reports, err := Run([]string{"../../examples/gofront/falseshare"}, Options{})
 	if err != nil {
@@ -324,7 +325,7 @@ func TestCachedReportRoundTrip(t *testing.T) {
 	if len(reports) != 1 || reports[0].Err != nil {
 		t.Fatalf("unexpected reports: %+v", reports)
 	}
-	raw, err := encodeReport(reports[0])
+	raw, err := json.Marshal(reports[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,5 +347,8 @@ func TestCachedReportRoundTrip(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Errorf("findings changed across the cache round trip:\nbefore: %s\nafter:  %s", a, b)
+	}
+	if before, after := RenderText(reports), RenderText([]*Report{back}); before != after {
+		t.Errorf("rendered report changed across the cache round trip:\nbefore: %s\nafter:  %s", before, after)
 	}
 }

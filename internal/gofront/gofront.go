@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strings"
 
-	"structlayout/internal/diag"
 	"structlayout/internal/memo"
 	"structlayout/internal/parallel"
 	"structlayout/internal/staticshare"
@@ -358,27 +357,27 @@ func forgetFiles(fset *token.FileSet, files []*ast.File) {
 // Report is the lint outcome for one package.
 type Report struct {
 	// Package is the display path (the resolved directory).
-	Package string
+	Package string `json:"-"`
 	// Findings are ranked staticshare findings, message text unprefixed.
-	Findings []staticshare.Finding
+	Findings []staticshare.Finding `json:"findings"`
 	// Suggestions hold fieldalignment-style reordering diffs for structs
 	// with certain co-located write-sharing.
-	Suggestions []Suggestion
+	Suggestions []Suggestion `json:"suggestions"`
 	// NumStructs, NumThreads and Notes summarize the lowered model for
 	// rendering — carried on the report so cached replays (which have no
 	// Model) render identically to fresh analysis.
-	NumStructs int
-	NumThreads int
-	Notes      []string
+	NumStructs int      `json:"num_structs"`
+	NumThreads int      `json:"num_threads"`
+	Notes      []string `json:"notes,omitempty"`
 	// Model is the lowered program, nil when Err is set or the report
 	// was replayed from the cache; tests and the CLI's -lint-json reuse
 	// it.
-	Model *Model
+	Model *Model `json:"-"`
 	// CacheHit marks a report served from Options.Cache.
-	CacheHit bool
+	CacheHit bool `json:"-"`
 	// Err is a per-package load or analysis failure: the run degrades to
 	// a lint-skipped finding instead of dying.
-	Err error
+	Err error `json:"-"`
 }
 
 // Run loads every package the patterns name and lints each, in parallel
@@ -441,11 +440,7 @@ func AllFindings(reports []*Report) []staticshare.Finding {
 	var all []staticshare.Finding
 	for _, r := range reports {
 		if r.Err != nil {
-			all = append(all, staticshare.Finding{
-				Severity: diag.Degraded,
-				Code:     staticshare.CodeLintSkipped,
-				Message:  fmt.Sprintf("%s: skipped: %s", r.Package, strings.TrimPrefix(r.Err.Error(), r.Package+": ")),
-			})
+			all = append(all, staticshare.Skipped(r.Package, r.Err))
 			continue
 		}
 		for _, f := range r.Findings {
@@ -471,7 +466,7 @@ func RenderText(reports []*Report) string {
 	for _, r := range reports {
 		switch {
 		case r.Err != nil:
-			fmt.Fprintf(&b, "package %s: skipped: %s\n", r.Package, strings.TrimPrefix(r.Err.Error(), r.Package+": "))
+			fmt.Fprintf(&b, "package %s\n", staticshare.Skipped(r.Package, r.Err).Message)
 		case len(r.Findings) == 0:
 			fmt.Fprintf(&b, "package %s: clean (%d struct(s), %d thread(s))\n",
 				r.Package, r.NumStructs, r.NumThreads)

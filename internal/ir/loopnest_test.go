@@ -1,15 +1,11 @@
 package ir_test
 
 import (
-	"io/fs"
-	"os"
-	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"structlayout/internal/ir"
-	"structlayout/internal/irtext"
+	"structlayout/internal/irtext/irtexttest"
 	"structlayout/internal/workload"
 )
 
@@ -46,36 +42,8 @@ func repoPrograms(t *testing.T) map[string]*ir.Program {
 		t.Fatal(err)
 	}
 	progs["sdet"] = suite.Prog
-
-	root := filepath.Join("..", "..")
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || filepath.Ext(path) != ".slp" {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		file, err := irtext.Parse(string(src))
-		if err != nil {
-			t.Errorf("%s: %v", path, err)
-			return nil
-		}
-		rel, _ := filepath.Rel(root, path)
-		progs[filepath.ToSlash(rel)] = file.Prog
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if progs["examples/dslprogram/webserver.slp"] == nil {
-		t.Fatalf("no .slp programs found under %s", root)
+	for _, slp := range irtexttest.Committed(t) {
+		progs[slp.Path] = slp.File.Prog
 	}
 	return progs
 }

@@ -1,4 +1,4 @@
-package irtext
+package irtext_test
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"structlayout/internal/ir"
+	"structlayout/internal/irtext"
 )
 
 // FuzzParse checks that arbitrary input never panics the parser, that
@@ -27,12 +28,12 @@ func FuzzParse(f *testing.F) {
 	f.Add("program A region userbuf 4096 shared proc f { memsweep userbuf write 0 }")
 	f.Add("program p proc top { call right call left } proc left { call leaf } proc right { call leaf } proc leaf { compute 1 }")
 	f.Fuzz(func(t *testing.T, src string) {
-		file, err := Parse(src)
+		file, err := irtext.Parse(src)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		text := Format(file)
-		again, err := Parse(text)
+		text := irtext.Format(file)
+		again, err := irtext.Parse(text)
 		if err != nil {
 			t.Fatalf("formatted output rejected: %v\ninput: %q\nformatted:\n%s", err, src, text)
 		}
@@ -49,7 +50,7 @@ func FuzzParse(f *testing.F) {
 // program name, structs, regions, every procedure body, arenas and
 // threads — or "" when they are equal. An absent and an empty else arm or
 // parameter list compare equal, since the program runs them alike.
-func diffFiles(a, b *File) string {
+func diffFiles(a, b *irtext.File) string {
 	pa, pb := a.Prog, b.Prog
 	if pa.Name != pb.Name {
 		return fmt.Sprintf("program %q vs %q", pa.Name, pb.Name)

@@ -1,11 +1,11 @@
-package irtext
+package irtext_test
 
 import (
-	"io/fs"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"structlayout/internal/irtext"
+	"structlayout/internal/irtext/irtexttest"
 )
 
 const demo = `
@@ -63,7 +63,7 @@ thread 1 main0 params 3 4 iters 4
 `
 
 func TestParseDemo(t *testing.T) {
-	f, err := Parse(demo)
+	f, err := irtext.Parse(demo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,36 +108,23 @@ func TestParseDemo(t *testing.T) {
 // reparse gives the same text.
 func TestRoundTrip(t *testing.T) {
 	srcs := map[string]string{"demo": demo}
-	for _, root := range []string{"../../examples", "../../internal"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || !strings.HasSuffix(path, ".slp") {
-				return err
-			}
-			src, err := os.ReadFile(path)
-			srcs[path] = string(src)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(srcs) < 14 {
-		t.Fatalf("found %d programs, want the demo and the 13 committed .slp files", len(srcs))
+	for _, slp := range irtexttest.Committed(t) {
+		srcs[slp.Path] = slp.Src
 	}
 	for name, src := range srcs {
-		f1, err := Parse(src)
+		f1, err := irtext.Parse(src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		text := Format(f1)
-		f2, err := Parse(text)
+		text := irtext.Format(f1)
+		f2, err := irtext.Parse(text)
 		if err != nil {
 			t.Fatalf("%s: reparse failed: %v\n%s", name, err, text)
 		}
 		if d := diffFiles(f1, f2); d != "" {
 			t.Fatalf("%s: round trip changed the file: %s\n%s", name, d, text)
 		}
-		if Format(f2) != text {
+		if irtext.Format(f2) != text {
 			t.Fatalf("%s: Format not idempotent", name)
 		}
 	}
@@ -185,7 +172,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Parse(c.src)
+			_, err := irtext.Parse(c.src)
 			if err == nil {
 				t.Fatalf("Parse accepted %q", c.src)
 			}
@@ -198,7 +185,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestErrorsCarryPositions(t *testing.T) {
 	src := "program p\nstruct S {\n    a i63\n}\n"
-	_, err := Parse(src)
+	_, err := irtext.Parse(src)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -209,7 +196,7 @@ func TestErrorsCarryPositions(t *testing.T) {
 
 func TestNumbersWithExponents(t *testing.T) {
 	src := `program p  proc f { if 2.5e-1 { compute 1 } }`
-	f, err := Parse(src)
+	f, err := irtext.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +215,7 @@ proc f {
         compute 3
     }
 }`
-	f, err := Parse(src)
+	f, err := irtext.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,15 +96,6 @@ type StructWire struct {
 	Best   *LayoutWire `json:"best,omitempty"`
 }
 
-// DiagnosticWire is one structured diagnostic.
-type DiagnosticWire struct {
-	Severity string `json:"severity"`
-	Source   string `json:"source"`
-	Code     string `json:"code"`
-	Message  string `json:"message"`
-	Count    int    `json:"count"`
-}
-
 // QualityWire is the measurement-quality verdict of the response.
 type QualityWire struct {
 	Score   float64 `json:"score"`
@@ -114,15 +105,8 @@ type QualityWire struct {
 
 // MeasureWire is the optional measurement table.
 type MeasureWire struct {
-	BaselineMean float64           `json:"baseline_mean"`
-	Structs      []MeasureCellWire `json:"structs"`
-}
-
-// MeasureCellWire is one struct's measured outcome.
-type MeasureCellWire struct {
-	Struct     string  `json:"struct"`
-	Mean       float64 `json:"mean"`
-	SpeedupPct float64 `json:"speedup_pct"`
+	BaselineMean float64             `json:"baseline_mean"`
+	Structs      []driver.StructEval `json:"structs"`
 }
 
 // AnalyzeResponse is the /v1/analyze result. Degradation is an output
@@ -136,7 +120,7 @@ type AnalyzeResponse struct {
 	Quality     QualityWire           `json:"quality"`
 	Structs     []StructWire          `json:"structs"`
 	Lint        []staticshare.Finding `json:"lint"`
-	Diagnostics []DiagnosticWire      `json:"diagnostics"`
+	Diagnostics []diag.Diagnostic     `json:"diagnostics"`
 	Measure     *MeasureWire          `json:"measure,omitempty"`
 	ElapsedMS   float64               `json:"elapsed_ms"`
 }
@@ -416,11 +400,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			analysis.Diag.Add(diag.Degraded, "server", "measure-deadline",
 				"measurement abandoned (%v); layouts delivered without measured speedups", merr)
 		} else {
-			mw := &MeasureWire{BaselineMean: ev.Baseline.Mean}
-			for _, se := range ev.Structs {
-				mw.Structs = append(mw.Structs, MeasureCellWire{Struct: se.Struct, Mean: se.Mean, SpeedupPct: se.SpeedupPct})
-			}
-			resp.Measure = mw
+			resp.Measure = &MeasureWire{BaselineMean: ev.Baseline.Mean, Structs: ev.Structs}
 		}
 	}
 
@@ -431,15 +411,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Summary: analysis.Quality.String(),
 	}
 	resp.Degraded = verdict == quality.Degraded
-	for _, d := range analysis.Diag.Entries() {
-		resp.Diagnostics = append(resp.Diagnostics, DiagnosticWire{
-			Severity: d.Severity.String(),
-			Source:   d.Source,
-			Code:     d.Code,
-			Message:  d.Message,
-			Count:    d.Count,
-		})
-	}
+	resp.Diagnostics = analysis.Diag.Entries()
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 
 	switch ladder {

@@ -1,53 +1,24 @@
 package staticshare
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
 	"structlayout/internal/irtext"
+	"structlayout/internal/irtext/irtexttest"
 	"structlayout/internal/machine"
 	"structlayout/internal/workload"
 )
 
-// goldenPrograms returns every committed .slp program (the DSL goldens,
-// the example programs, the engine's runahead fixtures and the gofront
-// lowered goldens) plus the built-in SDET suite's program file on Bus4,
-// Way16 and Superdome128: the only inputs with 16 to 128 threads,
-// per-CPU arenas and locks on parameter instances.
+// goldenPrograms returns every committed .slp program
+// (irtexttest.Committed), keyed by path, plus the built-in SDET suite's
+// program file on Bus4, Way16 and Superdome128: the only inputs with 16
+// to 128 threads, per-CPU arenas and locks on parameter instances.
 func goldenPrograms(t *testing.T) map[string]*irtext.File {
 	t.Helper()
-	var paths []string
-	for _, pattern := range []string{
-		"../../examples/lint/*.slp",
-		"../../examples/dslprogram/*.slp",
-		"../driver/testdata/*.slp",
-		"../exec/testdata/runahead/*.slp",
-		"../gofront/testdata/*.slp",
-	} {
-		m, err := filepath.Glob(pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, m...)
-	}
-	sort.Strings(paths)
-	if len(paths) < 5 {
-		t.Fatalf("found only %d golden .slp programs: %v", len(paths), paths)
-	}
-	files := make(map[string]*irtext.File, len(paths)+3)
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := irtext.Parse(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		files[p] = f
+	files := make(map[string]*irtext.File)
+	for _, slp := range irtexttest.Committed(t) {
+		files[slp.Path] = slp.File
 	}
 	suite, err := workload.NewSuite(workload.DefaultParams())
 	if err != nil {

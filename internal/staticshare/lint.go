@@ -40,7 +40,7 @@ const (
 
 // Finding is one ranked linter diagnostic.
 type Finding struct {
-	Severity diag.Severity `json:"-"`
+	Severity diag.Severity `json:"severity"`
 	Code     string        `json:"code"`
 	Struct   string        `json:"struct,omitempty"`
 	Fields   []string      `json:"fields,omitempty"`
@@ -48,15 +48,6 @@ type Finding struct {
 	// frequency, CC mass, ...).
 	Weight  float64 `json:"weight"`
 	Message string  `json:"message"`
-}
-
-// MarshalJSON renders the severity as its string form.
-func (f Finding) MarshalJSON() ([]byte, error) {
-	type alias Finding
-	return json.Marshal(struct {
-		Severity string `json:"severity"`
-		alias
-	}{Severity: f.Severity.String(), alias: alias(f)})
 }
 
 // Lint runs every static check against the given layouts (keyed by struct
@@ -305,6 +296,17 @@ func (r *Result) LintCC(cm *concurrency.Map) []Finding {
 		Message: fmt.Sprintf("%d sampled block pair(s) carry %.4g CC mass but provably never run in parallel (agreement %.3f) — the trace misattributes concurrency",
 			chk.ContradictedPairs, chk.ContradictedMass, chk.Agreement),
 	}}
+}
+
+// Skipped is the lint-skipped finding for an input that could not be
+// read, parsed or analyzed: a .slp file of a tree, or a Go package. The
+// message names the input once, also when err starts with its name.
+func Skipped(input string, err error) Finding {
+	return Finding{
+		Severity: diag.Degraded,
+		Code:     CodeLintSkipped,
+		Message:  fmt.Sprintf("%s: skipped: %s", input, strings.TrimPrefix(err.Error(), input+": ")),
+	}
 }
 
 // Rank orders findings by severity (desc), weight (desc), then code,

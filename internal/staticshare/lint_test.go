@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"structlayout/internal/concurrency"
 	"structlayout/internal/diag"
 	"structlayout/internal/irtext"
+	"structlayout/internal/irtext/irtexttest"
 )
 
 // lintSource parses and lints one DSL source; parse errors return nil
@@ -115,6 +117,13 @@ func TestFindingsJSONRoundTrip(t *testing.T) {
 	if sev, ok := decoded[0]["severity"].(string); !ok || sev == "" {
 		t.Errorf("severity should marshal as a non-empty string, got %v", decoded[0]["severity"])
 	}
+	var back []Finding
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, findings) {
+		t.Errorf("findings changed across the JSON round trip:\nbefore: %+v\nafter:  %+v", findings, back)
+	}
 	// Empty slices marshal as an empty array, not null.
 	raw, err = MarshalFindings(nil)
 	if err != nil {
@@ -215,24 +224,10 @@ func decodeGoFuzzCorpus(t *testing.T, path string) string {
 // input LintFile accepts, its classification and findings must equal
 // the un-memoized oracle's.
 func FuzzLint(f *testing.F) {
-	for _, rel := range []string{
-		"examples/lint/clean.slp",
-		"examples/lint/falseshare.slp",
-		"examples/dslprogram/webserver.slp",
-		// gofront-lowered programs: the fuzzer explores from the exact
-		// shapes the Go frontend hands this linter.
-		"internal/gofront/testdata/lowered_clean.slp",
-		"internal/gofront/testdata/lowered_falseshare.slp",
-		// Fork/join and channel programs exercise the happens-before
-		// segments of the conflict key.
-		"examples/lint/forkjoin.slp",
-		"examples/lint/pipeline.slp",
-	} {
-		src, err := os.ReadFile(filepath.Join("..", "..", rel))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(src))
+	// The seeds include gofront-lowered programs and fork/join and
+	// channel programs, whose happens-before segments key conflicts.
+	for _, slp := range irtexttest.Committed(f) {
+		f.Add(slp.Src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := irtext.Parse(src)

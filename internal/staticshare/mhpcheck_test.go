@@ -2,15 +2,11 @@ package staticshare_test
 
 import (
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
 	"structlayout/internal/gofront"
 	"structlayout/internal/irtext"
+	"structlayout/internal/irtext/irtexttest"
 )
 
 // checkSrc parses a DSL source and checks it (checkFile).
@@ -50,32 +46,10 @@ func checkFile(t *testing.T, name string, f *irtext.File, opt mhpOptions) *mhpRe
 // programs truncate, and the assertion covers their explored prefix.
 func TestGoldens(t *testing.T) {
 	const maxStates = 30000
-	var paths []string
-	for _, pattern := range []string{
-		"../../examples/lint/*.slp",
-		"../../examples/dslprogram/*.slp",
-		"../driver/testdata/*.slp",
-		"../exec/testdata/runahead/*.slp",
-		"../gofront/testdata/*.slp",
-	} {
-		m, err := filepath.Glob(pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, m...)
-	}
-	sort.Strings(paths)
-	if len(paths) < 13 {
-		t.Fatalf("found only %d golden .slp programs: %v", len(paths), paths)
-	}
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := checkSrc(t, p, string(src), mhpOptions{MaxStates: maxStates})
+	for _, slp := range irtexttest.Committed(t) {
+		rep := checkFile(t, slp.Path, slp.File, mhpOptions{MaxStates: maxStates})
 		if rep.States == 0 {
-			t.Errorf("%s: enumerated zero states", p)
+			t.Errorf("%s: enumerated zero states", slp.Path)
 		}
 	}
 	pkgs, loadErrs, err := gofront.Load([]string{"../../examples/corpus/...", "../../examples/gofront/..."}, gofront.Options{})
@@ -250,119 +224,32 @@ thread 1 t2 iters 2
 	}
 }
 
-// instStr picks a random instance expression.
-func instStr(r *rand.Rand) string {
-	switch r.Intn(4) {
-	case 0:
-		return "shared 0"
-	case 1:
-		return "shared 1"
-	case 2:
-		return "percpu"
-	default:
-		return "param 0"
-	}
-}
-
-// genProgram builds a random but valid fork/join program: a parent
-// interleaving writes, spawns, joins and channel receives over a few
-// leaf workers (some of which send), plus an optional flat auxiliary
-// thread. The sync discipline (handles unique, join after spawn,
-// top-level only, sync procs never called) is respected by
-// construction; everything else — join coverage, channel pairing,
-// iteration counts, deadlocks — is left to chance, which is exactly
-// what the soundness assertion should survive.
-func genProgram(r *rand.Rand) string {
-	nw := 1 + r.Intn(3)
-	var b strings.Builder
-	b.WriteString("program gen\n\nstruct S {\n    f0 i64\n    f1 i64\n    f2 i64\n}\n\n")
-	workerSend := make([]string, nw)
-	for i := 0; i < nw; i++ {
-		fmt.Fprintf(&b, "proc w%d {\n", i)
-		for j := 0; j < 1+r.Intn(2); j++ {
-			fmt.Fprintf(&b, "    write S.f%d %s\n", r.Intn(3), instStr(r))
-		}
-		if r.Intn(3) == 0 {
-			ch := fmt.Sprintf("c%d", i)
-			workerSend[i] = ch
-			fmt.Fprintf(&b, "    send %s\n", ch)
-			if r.Intn(2) == 0 {
-				fmt.Fprintf(&b, "    write S.f%d %s\n", r.Intn(3), instStr(r))
-			}
-		}
-		b.WriteString("}\n\n")
-	}
-	b.WriteString("proc parent {\n")
-	var spawned []int
-	joined := make(map[int]bool)
-	recvd := make(map[int]bool)
-	nextWorker := 0
-	for a := 0; a < 4+r.Intn(5); a++ {
-		switch r.Intn(4) {
-		case 0:
-			fmt.Fprintf(&b, "    write S.f%d %s\n", r.Intn(3), instStr(r))
-		case 1:
-			if nextWorker < nw {
-				fmt.Fprintf(&b, "    spawn h%d %d w%d", nextWorker, 1+nextWorker, nextWorker)
-				if r.Intn(3) == 0 {
-					fmt.Fprintf(&b, " params %d", r.Intn(3))
-				}
-				b.WriteString("\n")
-				spawned = append(spawned, nextWorker)
-				nextWorker++
-			}
-		case 2:
-			for _, i := range spawned {
-				if !joined[i] {
-					fmt.Fprintf(&b, "    join h%d\n", i)
-					joined[i] = true
-					break
-				}
-			}
-		case 3:
-			for _, i := range spawned {
-				if workerSend[i] != "" && !recvd[i] {
-					fmt.Fprintf(&b, "    recv %s\n", workerSend[i])
-					recvd[i] = true
-					break
-				}
-			}
-		}
-	}
-	for _, i := range spawned {
-		if !joined[i] && r.Intn(2) == 0 {
-			fmt.Fprintf(&b, "    join h%d\n", i)
-			joined[i] = true
-		}
-	}
-	b.WriteString("}\n\n")
-	aux := r.Intn(2) == 0
-	if aux {
-		b.WriteString("proc aux {\n")
-		for j := 0; j < 1+r.Intn(2); j++ {
-			fmt.Fprintf(&b, "    write S.f%d %s\n", r.Intn(3), instStr(r))
-		}
-		b.WriteString("}\n\n")
-	}
-	fmt.Fprintf(&b, "arena S 2\nthread 0 parent iters %d\n", 1+r.Intn(2))
-	if aux {
-		fmt.Fprintf(&b, "thread %d aux iters %d\n", 5, 1+r.Intn(2))
-	}
-	return b.String()
-}
-
 // TestGeneratedForkJoin is the property test: many random fork/join
-// programs, every reachable co-enabled pair admitted by the static
-// relation.
+// programs (irtexttest.ForkJoin), every reachable co-enabled pair
+// admitted by the static relation. A violation is shrunk and printed as a
+// DSL program.
 func TestGeneratedForkJoin(t *testing.T) {
 	n := 120
 	if testing.Short() {
 		n = 30
 	}
+	opt := mhpOptions{MaxStates: 40000}
 	for seed := 0; seed < n; seed++ {
-		r := rand.New(rand.NewSource(int64(seed)))
-		src := genProgram(r)
-		checkSrc(t, fmt.Sprintf("seed-%d", seed), src, mhpOptions{MaxStates: 40000})
+		g := irtexttest.ForkJoin(int64(seed))
+		f, err := g.File()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if rep := checkFile(t, fmt.Sprintf("seed-%d", seed), f, opt); !rep.Ok() {
+			shrunk, err := irtexttest.Shrink(g, func(f *irtext.File) bool {
+				rep, err := mhpCheck(f, opt)
+				return err == nil && !rep.Ok()
+			}).File()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Fatalf("seed %d: shrunk program:\n%s", seed, irtext.Format(shrunk))
+		}
 	}
 }
 

@@ -40,12 +40,6 @@ import (
 // Profile/Trace values on every call, so a caller mutating its collection
 // (fault injection, sanitizing) can never poison the cache.
 
-// measurementValue is the cached form of a Measurement.
-type measurementValue struct {
-	Mean float64   `json:"mean"`
-	Runs []float64 `json:"runs"`
-}
-
 // MeasureRuns runs the protocol of §5 uncached: n measured runs fan out
 // over the worker pool up to parallel.Limit(), throughputs gather by run
 // index, outliers are trimmed and the mean reported. run returns run i's
@@ -75,7 +69,7 @@ func MeasureMemo(ctx context.Context, k memo.Key, n int, run func(ctx context.Co
 			if err != nil {
 				return nil, err
 			}
-			return json.Marshal(measurementValue{Mean: m.Mean, Runs: m.Runs})
+			return json.Marshal(m)
 		})
 		if err != nil && ctx.Err() == nil &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -89,11 +83,11 @@ func MeasureMemo(ctx context.Context, k memo.Key, n int, run func(ctx context.Co
 		if err != nil {
 			return Measurement{}, err
 		}
-		var v measurementValue
-		if err := json.Unmarshal(raw, &v); err != nil {
+		var m Measurement
+		if err := json.Unmarshal(raw, &m); err != nil {
 			return MeasureRuns(ctx, n, run)
 		}
-		return Measurement{Mean: v.Mean, Runs: v.Runs}, nil
+		return m, nil
 	}
 }
 

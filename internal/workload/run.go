@@ -177,9 +177,9 @@ type Measurement struct {
 	// Mean is the outlier-trimmed mean throughput per virtual hour: SDET
 	// scripts for the suite, completed top-level iterations for a DSL
 	// program.
-	Mean float64
+	Mean float64 `json:"mean"`
 	// Runs holds each run's throughput.
-	Runs []float64
+	Runs []float64 `json:"runs"`
 }
 
 // SpeedupOver returns the relative performance versus a baseline
