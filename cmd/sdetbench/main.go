@@ -24,13 +24,20 @@ func main() {
 	var (
 		machineName = flag.String("machine", "superdome128", "machine: bus4, way16 or superdome128")
 		structLabel = flag.String("struct", "", "struct whose layout to replace (A..E); empty = all baseline")
-		layoutName  = flag.String("layout", "baseline", "layout for -struct: baseline, hotness or a permutation spec")
+		layoutName  = flag.String("layout", "baseline", "layout for -struct: baseline or hotness")
 		runs        = flag.Int("runs", 10, "measured runs (the paper uses 10)")
 		jobs        = flag.Int("j", 0, "max parallel measured runs (default GOMAXPROCS)")
 		seed        = flag.Int64("seed", 20070311, "base seed")
 		verbose     = flag.Bool("v", false, "print per-run throughput and coherence counters")
 	)
 	flag.Parse()
+	layoutSet := false
+	flag.Visit(func(f *flag.Flag) { layoutSet = layoutSet || f.Name == "layout" })
+	if msg := usageError(*structLabel, *layoutName, layoutSet); msg != "" {
+		fmt.Fprintln(os.Stderr, "sdetbench:", msg)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *jobs > 0 {
 		parallel.SetLimit(*jobs)
 	}
@@ -38,6 +45,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sdetbench:", err)
 		os.Exit(1)
 	}
+}
+
+// usageError names the first flag run would silently ignore or cannot
+// resolve: a -layout without -struct would measure the all-baseline
+// suite, and buildLayout knows only baseline and hotness.
+func usageError(structLabel, layoutName string, layoutSet bool) string {
+	switch {
+	case layoutSet && structLabel == "":
+		return "-layout needs -struct (without it every struct keeps its baseline layout)"
+	case layoutName != "baseline" && layoutName != "hotness":
+		return fmt.Sprintf("-layout %q: want baseline or hotness (use cmd/experiments for auto/best)", layoutName)
+	}
+	return ""
 }
 
 func run(machineName, structLabel, layoutName string, runs int, seed int64, verbose bool) error {

@@ -196,7 +196,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 }
 
 // stdInterfaceMethods returns the methods of every exported interface the
-// given standard-library packages declare, plus error's.
+// given standard-library packages, or any package they import
+// transitively, declare, plus error's: the standard library calls through
+// all of them (encoding/json through encoding.TextMarshaler, say).
 func stdInterfaceMethods(pkgs map[string]*types.Package) []*types.Func {
 	var out []*types.Func
 	add := func(obj types.Object) {
@@ -211,10 +213,22 @@ func stdInterfaceMethods(pkgs map[string]*types.Package) []*types.Func {
 		}
 	}
 	add(types.Universe.Lookup("error"))
-	for _, p := range pkgs {
+	seen := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
 		for _, name := range p.Scope().Names() {
 			add(p.Scope().Lookup(name))
 		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p)
 	}
 	return out
 }

@@ -12,7 +12,6 @@
 package diag
 
 import (
-	"encoding"
 	"fmt"
 	"sort"
 	"strings"
@@ -47,13 +46,8 @@ func (s Severity) String() string {
 	return fmt.Sprintf("severity(%d)", int(s))
 }
 
-// A Severity is text in JSON: its name, not its number.
-var (
-	_ encoding.TextMarshaler   = Severity(0)
-	_ encoding.TextUnmarshaler = (*Severity)(nil)
-)
-
-// MarshalText renders the severity as String does.
+// MarshalText renders the severity as String does, so a Severity is text
+// in JSON: its name, not its number.
 func (s Severity) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // UnmarshalText parses a severity's name.

@@ -75,8 +75,8 @@ const (
 	MemRand
 )
 
-// Opcode enumerates executable instructions. Leaf AST statements lower to
-// exactly one instruction each.
+// Opcode enumerates executable instructions. Each Builder statement other
+// than Loop and IfElse emits exactly one instruction.
 type Opcode uint8
 
 const (
@@ -175,96 +175,3 @@ func (in Instr) String() string {
 		return "?"
 	}
 }
-
-// Stmt is a node of the structured AST from which procedures are built.
-// Only the builder constructs statements; the lowering pass consumes them.
-type Stmt interface{ stmtNode() }
-
-// AccessStmt is a single field read or write.
-type AccessStmt struct {
-	Struct *StructType
-	Field  int
-	Acc    AccessKind
-	Inst   InstExpr
-}
-
-// MemStmt is a single memory-region access.
-type MemStmt struct {
-	Region  string
-	Acc     AccessKind
-	Pattern MemPattern
-	Stride  int64
-	Offset  int64
-}
-
-// ComputeStmt burns cycles.
-type ComputeStmt struct{ Cycles int64 }
-
-// LockStmt acquires a field-resident spinlock.
-type LockStmt struct {
-	Struct *StructType
-	Field  int
-	Inst   InstExpr
-}
-
-// UnlockStmt releases a field-resident spinlock.
-type UnlockStmt struct {
-	Struct *StructType
-	Field  int
-	Inst   InstExpr
-}
-
-// CallStmt invokes another procedure by name.
-type CallStmt struct{ Callee string }
-
-// LoopStmt executes Body Count times. Count is the static trip count used
-// both by the interpreter and, for profile-free analysis, as the static
-// frequency estimate.
-type LoopStmt struct {
-	Count int64
-	Body  []Stmt
-}
-
-// IfStmt executes Then with probability Prob, Else otherwise. The
-// interpreter draws from the thread's seeded RNG, keeping runs reproducible.
-type IfStmt struct {
-	Prob float64
-	Then []Stmt
-	Else []Stmt
-}
-
-// SpawnStmt forks a child task running Callee on the given CPU with the
-// given parameter vector, naming the fork with Handle so a later
-// JoinStmt can wait for it. Sync statements (spawn/join/send/recv) are
-// restricted to the top level of a procedure body, and a procedure
-// containing any of them must never be called — Finalize enforces both,
-// which keeps the fork/join skeleton series-parallel and statically
-// enumerable.
-type SpawnStmt struct {
-	Handle string
-	CPU    int
-	Callee string
-	Params []int
-}
-
-// JoinStmt waits for the spawn named Handle (same procedure body).
-type JoinStmt struct{ Handle string }
-
-// SendStmt is a rendezvous send on the named channel.
-type SendStmt struct{ Chan string }
-
-// RecvStmt is a rendezvous receive on the named channel.
-type RecvStmt struct{ Chan string }
-
-func (*AccessStmt) stmtNode()  {}
-func (*MemStmt) stmtNode()     {}
-func (*ComputeStmt) stmtNode() {}
-func (*LockStmt) stmtNode()    {}
-func (*UnlockStmt) stmtNode()  {}
-func (*CallStmt) stmtNode()    {}
-func (*LoopStmt) stmtNode()    {}
-func (*IfStmt) stmtNode()      {}
-func (*SpawnStmt) stmtNode()   {}
-func (*JoinStmt) stmtNode()    {}
-func (*SendStmt) stmtNode()    {}
-func (*RecvStmt) stmtNode()    {}

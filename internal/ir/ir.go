@@ -8,12 +8,12 @@
 // facts that pipeline consumes:
 //
 //   - record (struct) types with C-like field sizes and alignments,
-//   - procedures built from a structured AST (straight-line code, counted
-//     loops, probabilistic branches, calls, lock operations),
-//   - a lowering pass that produces basic blocks with one synthetic source
-//     line each, the loop nest, and the structured execution tree the
-//     interpreter walks (loops come straight from the structured AST, so
-//     no control-flow graph is built or searched),
+//   - procedures written with a structured Builder (straight-line code,
+//     counted loops, probabilistic branches, calls, lock operations) that
+//     emits, as it goes, the one representation every pass reads: basic
+//     blocks with one synthetic source line each, the loop nest, and the
+//     structured execution tree the interpreter walks (loops are built,
+//     not discovered, so no control-flow graph is built or searched),
 //   - per-instruction field-access records (read/write),
 //   - one call order (Program.CallOrder): every procedure once, callers
 //     before callees. The interprocedural passes (internal/locks,
@@ -172,7 +172,7 @@ func Arr(name string, n, elemSize, align int) Field {
 	return Field{Name: name, Size: n * elemSize, Align: align}
 }
 
-// SourceLine identifies a line of (synthetic) source code. The lowering pass
+// SourceLine identifies a line of (synthetic) source code. Finalize
 // assigns one line per basic block; sampling and the field-mapping file key
 // on these, mirroring the paper's IP-to-source correlation step (§4.3).
 type SourceLine struct {
@@ -206,6 +206,7 @@ type Program struct {
 	loops        []*Loop       // all loops, indexed by global loop ID
 	callOrder    []*Procedure  // callers before callees, set by Finalize
 	finalized    bool
+	err          error // the first Finalize failure, returned by every later call
 }
 
 // Region is a non-record memory area used to model the rest of the
@@ -294,28 +295,39 @@ func (p *Program) mustMutable() {
 	}
 }
 
-// Finalize lowers every procedure to its blocks, loop nest and execution
-// tree, assigns global block IDs and source lines, lists each block's
+// Finalize adds each procedure's exit block, assigns global block IDs,
+// loop IDs and source lines in registration order, lists each block's
 // field-touching instructions for FieldInstrs, rejects programs the
 // interpreter cannot run (misplaced sync statements, empty loop bodies,
 // calls or spawns of undefined procedures, negative shared or parameter
 // instances, region accesses at a negative offset or sweeping with a
 // stride below 1, and recursion), and orders the procedures
-// callers-first for CallOrder. After Finalize the program is immutable.
+// callers-first for CallOrder. After Finalize the program is immutable; a
+// program Finalize rejected stays rejected, and every later call returns
+// the same error.
 func (p *Program) Finalize() error {
-	if p.finalized {
-		return nil
+	if !p.finalized && p.err == nil {
+		p.err = p.finalize()
+		p.finalized = p.err == nil
 	}
+	return p.err
+}
+
+func (p *Program) finalize() error {
 	if err := p.checkSyncStmts(); err != nil {
 		return err
 	}
 	// Deterministic order: procedures in registration order.
 	nextLine := 1
 	for _, pr := range p.Procs {
-		if err := pr.lower(&nextLine); err != nil {
-			return fmt.Errorf("ir: lowering %s: %w", pr.Name, err)
+		if pr.emptyLoop {
+			return fmt.Errorf("ir: lowering %s: empty loop body in %s", pr.Name, pr.Name)
 		}
+		pr.Tree = append(pr.Tree, &ExecBlock{Block: pr.newBlock(nil, true)}) // exit
+		file := pr.Name + ".c"
 		for _, b := range pr.Blocks {
+			b.Line = SourceLine{File: file, Line: nextLine}
+			nextLine++
 			b.Global = BlockID(len(p.blocks))
 			b.fieldInstrs = fieldInstrsOf(b.Instrs)
 			p.blocks = append(p.blocks, b)
@@ -354,13 +366,54 @@ func (p *Program) Finalize() error {
 		return err
 	}
 	p.callOrder = p.orderCalls()
-	p.finalized = true
 	return nil
 }
 
+// syncKeyword returns the statement keyword of a sync instruction, or ""
+// for any other instruction.
+func syncKeyword(op Opcode) string {
+	switch op {
+	case OpSpawn:
+		return "spawn"
+	case OpJoin:
+		return "join"
+	case OpSend:
+		return "send"
+	case OpRecv:
+		return "recv"
+	}
+	return ""
+}
+
+// nestedSync returns the keyword of the first sync instruction under
+// nodes in preorder, or "".
+func nestedSync(nodes []ExecNode) string {
+	for _, n := range nodes {
+		switch n := n.(type) {
+		case *ExecBlock:
+			for _, in := range n.Block.Instrs {
+				if kw := syncKeyword(in.Op); kw != "" {
+					return kw
+				}
+			}
+		case *ExecLoop:
+			if kw := nestedSync(n.Body); kw != "" {
+				return kw
+			}
+		case *ExecIf:
+			if kw := nestedSync(n.Then); kw != "" {
+				return kw
+			}
+			if kw := nestedSync(n.Else); kw != "" {
+				return kw
+			}
+		}
+	}
+	return ""
+}
+
 // checkSyncStmts enforces the structural discipline of the fork/join
-// skeleton before lowering (on the builder AST, where top-level-ness is
-// still visible):
+// skeleton on the execution trees:
 //
 //   - sync statements (spawn/join/send/recv) appear only at the top level
 //     of a procedure body — never inside a loop or branch, which would
@@ -375,105 +428,62 @@ func (p *Program) Finalize() error {
 // series-parallel DAG — the property the happens-before analysis and the
 // exhaustive interleaving harness both rely on.
 func (p *Program) checkSyncStmts() error {
-	isSync := func(s Stmt) bool {
-		switch s.(type) {
-		case *SpawnStmt, *JoinStmt, *SendStmt, *RecvStmt:
-			return true
-		}
-		return false
-	}
-	var nestedSync func(stmts []Stmt) Stmt
-	nestedSync = func(stmts []Stmt) Stmt {
-		for _, s := range stmts {
-			if isSync(s) {
-				return s
-			}
-			switch s := s.(type) {
-			case *LoopStmt:
-				if bad := nestedSync(s.Body); bad != nil {
-					return bad
-				}
-			case *IfStmt:
-				if bad := nestedSync(s.Then); bad != nil {
-					return bad
-				}
-				if bad := nestedSync(s.Else); bad != nil {
-					return bad
-				}
-			}
-		}
-		return nil
-	}
 	syncProcs := make(map[string]bool)
 	for _, pr := range p.Procs {
 		spawned := make(map[string]bool) // handle -> declared
 		joined := make(map[string]bool)
-		hasSync := false
-		for _, s := range pr.Body {
-			switch s := s.(type) {
-			case *SpawnStmt:
-				hasSync = true
-				if s.Handle == "" {
-					return fmt.Errorf("ir: %s: spawn with empty handle", pr.Name)
+		for _, n := range pr.Tree {
+			switch n := n.(type) {
+			case *ExecBlock:
+				for _, in := range n.Block.Instrs {
+					switch in.Op {
+					case OpSpawn:
+						if in.Handle == "" {
+							return fmt.Errorf("ir: %s: spawn with empty handle", pr.Name)
+						}
+						if spawned[in.Handle] {
+							return fmt.Errorf("ir: %s: duplicate spawn handle %q", pr.Name, in.Handle)
+						}
+						spawned[in.Handle] = true
+					case OpJoin:
+						if !spawned[in.Handle] {
+							return fmt.Errorf("ir: %s: join %q does not follow a spawn of that handle", pr.Name, in.Handle)
+						}
+						if joined[in.Handle] {
+							return fmt.Errorf("ir: %s: handle %q joined twice", pr.Name, in.Handle)
+						}
+						joined[in.Handle] = true
+					}
+					if syncKeyword(in.Op) != "" {
+						syncProcs[pr.Name] = true
+					}
 				}
-				if spawned[s.Handle] {
-					return fmt.Errorf("ir: %s: duplicate spawn handle %q", pr.Name, s.Handle)
+			case *ExecLoop:
+				if kw := nestedSync(n.Body); kw != "" {
+					return fmt.Errorf("ir: %s: sync statement %s nested inside a loop (sync is top-level only)", pr.Name, kw)
 				}
-				spawned[s.Handle] = true
-			case *JoinStmt:
-				hasSync = true
-				if !spawned[s.Handle] {
-					return fmt.Errorf("ir: %s: join %q does not follow a spawn of that handle", pr.Name, s.Handle)
+			case *ExecIf:
+				kw := nestedSync(n.Then)
+				if kw == "" {
+					kw = nestedSync(n.Else)
 				}
-				if joined[s.Handle] {
-					return fmt.Errorf("ir: %s: handle %q joined twice", pr.Name, s.Handle)
-				}
-				joined[s.Handle] = true
-			case *SendStmt, *RecvStmt:
-				hasSync = true
-			case *LoopStmt:
-				if bad := nestedSync(s.Body); bad != nil {
-					return fmt.Errorf("ir: %s: sync statement %T nested inside a loop (sync is top-level only)", pr.Name, bad)
-				}
-			case *IfStmt:
-				if bad := nestedSync(append(append([]Stmt{}, s.Then...), s.Else...)); bad != nil {
-					return fmt.Errorf("ir: %s: sync statement %T nested inside a branch (sync is top-level only)", pr.Name, bad)
+				if kw != "" {
+					return fmt.Errorf("ir: %s: sync statement %s nested inside a branch (sync is top-level only)", pr.Name, kw)
 				}
 			}
-		}
-		if hasSync {
-			syncProcs[pr.Name] = true
 		}
 	}
 	if len(syncProcs) == 0 {
 		return nil
 	}
-	var calledSync func(pr *Procedure, stmts []Stmt) error
-	calledSync = func(pr *Procedure, stmts []Stmt) error {
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *CallStmt:
-				if syncProcs[s.Callee] {
-					return fmt.Errorf("ir: %s calls %s, which contains sync statements (task entries must not be called)", pr.Name, s.Callee)
-				}
-			case *LoopStmt:
-				if err := calledSync(pr, s.Body); err != nil {
-					return err
-				}
-			case *IfStmt:
-				if err := calledSync(pr, s.Then); err != nil {
-					return err
-				}
-				if err := calledSync(pr, s.Else); err != nil {
-					return err
+	// Blocks are in creation order, so their calls are in statement order.
+	for _, pr := range p.Procs {
+		for _, b := range pr.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == OpCall && syncProcs[in.Callee] {
+					return fmt.Errorf("ir: %s calls %s, which contains sync statements (task entries must not be called)", pr.Name, in.Callee)
 				}
 			}
-		}
-		return nil
-	}
-	for _, pr := range p.Procs {
-		if err := calledSync(pr, pr.Body); err != nil {
-			return err
 		}
 	}
 	return nil

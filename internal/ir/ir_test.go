@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -342,8 +343,154 @@ func TestBuilderPanics(t *testing.T) {
 	mustPanic("bad prob", func() { b.If(1.5, func(*Builder) {}) })
 	mustPanic("bad compute", func() { b.Compute(0) })
 	mustPanic("negative loop", func() { b.Loop(-1, func(*Builder) {}) })
+	g := p.NewProc("g")
+	g.Loop(1, func(g *Builder) {
+		g.Compute(1)
+		mustPanic("done inside a loop", func() { g.Done() })
+	})
 	b.Done()
 	mustPanic("after done", func() { b.Compute(1) })
+	mustPanic("read after done", func() { b.Read(s, "f1", Shared(0)) })
+	mustPanic("spawn after done", func() { b.Spawn("h", 1, "g") })
+	mustPanic("loop after done", func() { b.Loop(1, func(b *Builder) { b.Compute(1) }) })
+	mustPanic("branch after done", func() { b.If(0.5, func(b *Builder) { b.Compute(1) }) })
+	if n := len(p.Proc("f").Blocks); n != 1 {
+		t.Fatalf("misuse left %d blocks in f, want only the entry block", n)
+	}
+	mustPanic("duplicate procedure", func() { p.NewProc("f") })
+
+	open := p.NewProc("open") // never Done
+	open.Compute(1)
+	p.MustFinalize()
+	mustPanic("after Finalize", func() { open.Compute(1) })
+	mustPanic("loop after Finalize", func() { open.Loop(1, func(b *Builder) { b.Compute(1) }) })
+	if n := len(p.Proc("open").Blocks[1].Instrs); n != 1 {
+		t.Fatalf("a finalized program's block grew to %d instructions", n)
+	}
+}
+
+// TestInterleavedBuilders: block numbering does not depend on build
+// order. A procedure built inside another's Loop closure gets the same
+// blocks, source lines, global IDs, loops and tree as when the two are
+// built one after the other, because each Builder numbers its own
+// procedure's blocks and Finalize assigns lines and global IDs in
+// registration order.
+func TestInterleavedBuilders(t *testing.T) {
+	build := func(interleave bool) *Program {
+		p := NewProgram("interleaved")
+		s := figure4Struct()
+		p.AddStruct(s)
+		p.AddRegion("buf", 256, false)
+		second := func() {
+			g := p.NewProc("g")
+			g.Read(s, "f1", Shared(0))
+			g.Loop(2, func(g *Builder) {
+				g.Write(s, "f2", Shared(0))
+				g.If(0.5, func(g *Builder) { g.MemAt("buf", Read, 8) })
+			})
+			g.IfElse(0.25, func(g *Builder) { g.Read(s, "f3", Shared(0)) }, func(g *Builder) { g.Compute(4) })
+			g.Done()
+		}
+		f := p.NewProc("f")
+		f.Write(s, "f1", Shared(0))
+		f.Loop(3, func(f *Builder) {
+			f.Read(s, "f2", Shared(0))
+			if interleave {
+				second()
+			}
+			f.Read(s, "f3", Shared(0))
+		})
+		f.Call("g")
+		f.Done()
+		if !interleave {
+			second()
+		}
+		return p.MustFinalize()
+	}
+	seq, inter := build(false), build(true)
+	if a, b := seq.Dump(), inter.Dump(); a != b {
+		t.Fatalf("Dump differs:\nsequential:\n%s\ninterleaved:\n%s", a, b)
+	}
+	if seq.NumBlocks() != inter.NumBlocks() || seq.NumLoops() != inter.NumLoops() {
+		t.Fatalf("%d blocks and %d loops sequential, %d and %d interleaved",
+			seq.NumBlocks(), seq.NumLoops(), inter.NumBlocks(), inter.NumLoops())
+	}
+	for i, b := range seq.Blocks() {
+		c := inter.Blocks()[i]
+		if b.Global != c.Global || b.Line != c.Line || b.Proc.Name != c.Proc.Name || b.Index != c.Index {
+			t.Fatalf("block %d: %s %s (global %d) sequential, %s %s (global %d) interleaved",
+				i, b.Name(), b.Line, b.Global, c.Name(), c.Line, c.Global)
+		}
+	}
+	for _, name := range []string{"f", "g"} {
+		a, b := treeText(seq.Proc(name).Tree), treeText(inter.Proc(name).Tree)
+		if a != b {
+			t.Fatalf("tree of %s differs:\nsequential:\n%s\ninterleaved:\n%s", name, a, b)
+		}
+	}
+}
+
+// treeText renders an execution tree with every block's global ID, line
+// and instructions and every loop's global ID.
+func treeText(nodes []ExecNode) string {
+	var sb strings.Builder
+	var walk func(nodes []ExecNode, ind string)
+	walk = func(nodes []ExecNode, ind string) {
+		for _, n := range nodes {
+			switch n := n.(type) {
+			case *ExecBlock:
+				fmt.Fprintf(&sb, "%sblock %d %s %v\n", ind, n.Block.Global, n.Block.Line, n.Block.Instrs)
+			case *ExecLoop:
+				fmt.Fprintf(&sb, "%sloop %d x%d header %d\n", ind, n.Loop.Global, n.Count, n.Loop.Header.Global)
+				walk(n.Body, ind+"  ")
+			case *ExecIf:
+				fmt.Fprintf(&sb, "%sif %v cond %d join %d\n", ind, n.Prob, n.Cond.Global, n.Join.Global)
+				walk(n.Then, ind+"  ")
+				fmt.Fprintf(&sb, "%selse\n", ind)
+				walk(n.Else, ind+"  ")
+			}
+		}
+	}
+	walk(nodes, "")
+	return sb.String()
+}
+
+// TestSyncErrorBeforeEmptyLoop: Finalize checks the sync discipline of
+// every procedure before it rejects an empty loop, so a program with both
+// faults reports the misplaced sync statement, whichever comes first.
+func TestSyncErrorBeforeEmptyLoop(t *testing.T) {
+	p := NewProgram("both")
+	p.NewProc("w").Compute(1).Done()
+	p.NewProc("e").Loop(2, func(*Builder) {}).Done()
+	p.NewProc("f").Loop(2, func(b *Builder) { b.Spawn("h", 1, "w") }).Done()
+	err := p.Finalize()
+	if err == nil || !strings.Contains(err.Error(), "sync statement spawn nested inside a loop") {
+		t.Fatalf("Finalize error %v, want the nested spawn", err)
+	}
+}
+
+// TestFailedFinalizeStaysFailed: a program Finalize rejected is never
+// accepted later. A retry returns the same error and adds no second exit
+// block, and the program keeps no call order.
+func TestFailedFinalizeStaysFailed(t *testing.T) {
+	for name, build := range map[string]func(p *Program){
+		"undefined callee": func(p *Program) { p.NewProc("f").Compute(1).Call("ghost").Done() },
+		"empty loop":       func(p *Program) { p.NewProc("f").Compute(1).Loop(3, func(*Builder) {}).Done() },
+	} {
+		p := NewProgram("fails")
+		build(p)
+		first := p.Finalize()
+		if first == nil {
+			t.Fatalf("%s: Finalize accepted the program", name)
+		}
+		blocks := len(p.Proc("f").Blocks)
+		if again := p.Finalize(); again != first {
+			t.Fatalf("%s: retried Finalize returned %v, want %v", name, again, first)
+		}
+		if n := len(p.Proc("f").Blocks); n != blocks || p.CallOrder() != nil {
+			t.Fatalf("%s: retry left %d blocks (was %d) and call order %v", name, n, blocks, p.CallOrder())
+		}
+	}
 }
 
 func TestExecTreeShape(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 	"structlayout/internal/workload"
 )
 
-// TestLoopNest checks lowering's loop nest against the execution tree the
-// interpreter walks, over the hand-built programs of ir_test.go, the SDET
+// TestLoopNest checks the Builder's loop nest against the execution tree
+// the interpreter walks, over the hand-built programs of ir_test.go, the SDET
 // suite and every .slp program in the repository: a preorder walk of each
 // procedure's tree (an ExecLoop's header before its body, an ExecIf's Cond
 // before its arms and Join after them) must visit every block once, in

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// Dump renders the lowered program for debugging and golden tests: each
+// Dump renders the program for debugging and golden tests: each
 // procedure's blocks with line numbers, innermost loops and instructions,
 // then its loops.
 func (p *Program) Dump() string {

@@ -8,7 +8,7 @@ type BlockID int32
 
 // BasicBlock is a maximal straight-line run of instructions, or one of the
 // synthetic control blocks (procedure entry and exit, loop headers,
-// branch and join points) produced by lowering. Every block carries
+// branch and join points) the Builder creates. Every block carries
 // exactly one synthetic source line; the field-mapping file and the
 // concurrency map both key on that line, mirroring the paper's
 // IP→source→block correlation (§4.3).
@@ -23,7 +23,8 @@ type BasicBlock struct {
 	Instrs []Instr
 	// Loop is the innermost loop containing this block, nil if none.
 	Loop *Loop
-	// Line is the block's synthetic source line.
+	// Line is the block's synthetic source line, assigned by
+	// Program.Finalize.
 	Line SourceLine
 	// Synthetic marks control-only blocks (headers, conditions, joins).
 	Synthetic bool
@@ -54,7 +55,7 @@ func fieldInstrsOf(instrs []Instr) []Instr {
 	return out
 }
 
-// Loop is the lowering of one LoopStmt.
+// Loop is one counted loop the Builder emitted.
 type Loop struct {
 	// Index is the loop's position within its procedure (preorder).
 	Index int
@@ -76,7 +77,7 @@ type Loop struct {
 func (l *Loop) Name() string { return fmt.Sprintf("%s$L%d", l.Proc.Name, l.Index) }
 
 // ExecNode is a node of the structured execution tree the interpreter
-// walks. Lowering produces one tree per procedure whose nodes reference
+// walks. The Builder produces one tree per procedure whose nodes reference
 // the procedure's blocks, so interpretation and block-based analysis agree
 // exactly on block execution counts.
 type ExecNode interface{ execNode() }
@@ -104,21 +105,32 @@ func (*ExecBlock) execNode() {}
 func (*ExecLoop) execNode()  {}
 func (*ExecIf) execNode()    {}
 
-// Procedure is a single function: a structured body plus, after lowering,
-// its blocks, loop nest and execution tree.
+// Procedure is a single function: its blocks, loop nest and execution
+// tree, as the Builder emits them.
 type Procedure struct {
 	Name string
-	// Body is the structured AST the builder produced.
-	Body []Stmt
-	// Blocks are the lowered blocks in creation order, which is the order
-	// a preorder walk of Tree meets them (an ExecLoop's header before its
+	// Blocks are the blocks in creation order, which is the order a
+	// preorder walk of Tree meets them (an ExecLoop's header before its
 	// body, an ExecIf's Cond before its arms and Join after them): the
-	// synthetic entry block first, the synthetic exit block last.
+	// synthetic entry block first, the synthetic exit block Finalize adds
+	// last.
 	Blocks []*BasicBlock
 	// Loops lists all loops preorder (outer before inner).
 	Loops []*Loop
 	// Tree is the structured execution tree for the interpreter.
 	Tree []ExecNode
 
-	program *Program
+	program   *Program
+	emptyLoop bool // some Loop emitted no statement; Finalize rejects the procedure
+}
+
+// newBlock appends a block to the procedure and to its innermost
+// enclosing loop (nil outside loops).
+func (pr *Procedure) newBlock(innermost *Loop, synthetic bool) *BasicBlock {
+	b := &BasicBlock{Index: len(pr.Blocks), Proc: pr, Loop: innermost, Synthetic: synthetic}
+	pr.Blocks = append(pr.Blocks, b)
+	if innermost != nil {
+		innermost.Blocks = append(innermost.Blocks, b)
+	}
+	return b
 }

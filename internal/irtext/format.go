@@ -8,9 +8,10 @@ import (
 	"structlayout/internal/ir"
 )
 
-// Format serializes a parsed file back to irtext syntax. Parsing the output
-// yields a program whose lowered dump is identical (the round trip is exact
-// up to whitespace and comments).
+// Format serializes a parsed file back to irtext syntax, one statement
+// per instruction of each procedure's execution tree. Parsing the output
+// yields a program whose dump is identical (the round trip is exact up to
+// whitespace and comments).
 func Format(f *File) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program %s\n\n", f.Prog.Name)
@@ -29,7 +30,7 @@ func Format(f *File) string {
 	}
 	for _, pr := range f.Prog.Procs {
 		fmt.Fprintf(&b, "proc %s {\n", pr.Name)
-		formatStmts(&b, pr.Body, 1)
+		formatNodes(&b, pr.Tree, 1)
 		b.WriteString("}\n\n")
 	}
 	// Deterministic arena order.
@@ -81,66 +82,74 @@ func fieldTypeText(f ir.Field) string {
 	}
 }
 
-func formatStmts(b *strings.Builder, stmts []ir.Stmt, depth int) {
+// formatNodes prints an execution tree as statements, one per
+// instruction; the synthetic entry and exit blocks hold none.
+func formatNodes(b *strings.Builder, nodes []ir.ExecNode, depth int) {
 	ind := strings.Repeat("    ", depth)
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ir.AccessStmt:
-			kw := "read"
-			if s.Acc == ir.Write {
-				kw = "write"
+	for _, n := range nodes {
+		switch n := n.(type) {
+		case *ir.ExecBlock:
+			for _, in := range n.Block.Instrs {
+				b.WriteString(ind)
+				formatInstr(b, in)
+				b.WriteString("\n")
 			}
-			fmt.Fprintf(b, "%s%s %s.%s %s\n", ind, kw, s.Struct.Name, s.Struct.Fields[s.Field].Name, instText(s.Inst))
-		case *ir.LockStmt:
-			fmt.Fprintf(b, "%slock %s.%s %s\n", ind, s.Struct.Name, s.Struct.Fields[s.Field].Name, instText(s.Inst))
-		case *ir.UnlockStmt:
-			fmt.Fprintf(b, "%sunlock %s.%s %s\n", ind, s.Struct.Name, s.Struct.Fields[s.Field].Name, instText(s.Inst))
-		case *ir.ComputeStmt:
-			fmt.Fprintf(b, "%scompute %d\n", ind, s.Cycles)
-		case *ir.CallStmt:
-			fmt.Fprintf(b, "%scall %s\n", ind, s.Callee)
-		case *ir.SpawnStmt:
-			fmt.Fprintf(b, "%sspawn %s %d %s", ind, s.Handle, s.CPU, s.Callee)
-			if len(s.Params) > 0 {
-				b.WriteString(" params")
-				for _, n := range s.Params {
-					fmt.Fprintf(b, " %d", n)
-				}
-			}
-			b.WriteString("\n")
-		case *ir.JoinStmt:
-			fmt.Fprintf(b, "%sjoin %s\n", ind, s.Handle)
-		case *ir.SendStmt:
-			fmt.Fprintf(b, "%ssend %s\n", ind, s.Chan)
-		case *ir.RecvStmt:
-			fmt.Fprintf(b, "%srecv %s\n", ind, s.Chan)
-		case *ir.LoopStmt:
-			fmt.Fprintf(b, "%sloop %d {\n", ind, s.Count)
-			formatStmts(b, s.Body, depth+1)
+		case *ir.ExecLoop:
+			fmt.Fprintf(b, "%sloop %d {\n", ind, n.Count)
+			formatNodes(b, n.Body, depth+1)
 			fmt.Fprintf(b, "%s}\n", ind)
-		case *ir.IfStmt:
-			fmt.Fprintf(b, "%sif %g {\n", ind, s.Prob)
-			formatStmts(b, s.Then, depth+1)
+		case *ir.ExecIf:
+			fmt.Fprintf(b, "%sif %g {\n", ind, n.Prob)
+			formatNodes(b, n.Then, depth+1)
 			fmt.Fprintf(b, "%s}", ind)
-			if len(s.Else) > 0 {
+			if len(n.Else) > 0 {
 				b.WriteString(" else {\n")
-				formatStmts(b, s.Else, depth+1)
+				formatNodes(b, n.Else, depth+1)
 				fmt.Fprintf(b, "%s}", ind)
 			}
 			b.WriteString("\n")
-		case *ir.MemStmt:
-			acc := "read"
-			if s.Acc == ir.Write {
-				acc = "write"
+		}
+	}
+}
+
+func formatInstr(b *strings.Builder, in ir.Instr) {
+	acc := "read"
+	if in.Acc == ir.Write {
+		acc = "write"
+	}
+	switch in.Op {
+	case ir.OpField:
+		fmt.Fprintf(b, "%s %s.%s %s", acc, in.Struct.Name, in.Struct.Fields[in.Field].Name, instText(in.Inst))
+	case ir.OpLock:
+		fmt.Fprintf(b, "lock %s.%s %s", in.Struct.Name, in.Struct.Fields[in.Field].Name, instText(in.Inst))
+	case ir.OpUnlock:
+		fmt.Fprintf(b, "unlock %s.%s %s", in.Struct.Name, in.Struct.Fields[in.Field].Name, instText(in.Inst))
+	case ir.OpCompute:
+		fmt.Fprintf(b, "compute %d", in.Cycles)
+	case ir.OpCall:
+		fmt.Fprintf(b, "call %s", in.Callee)
+	case ir.OpSpawn:
+		fmt.Fprintf(b, "spawn %s %d %s", in.Handle, in.SpawnCPU, in.Callee)
+		if len(in.SpawnParams) > 0 {
+			b.WriteString(" params")
+			for _, n := range in.SpawnParams {
+				fmt.Fprintf(b, " %d", n)
 			}
-			switch s.Pattern {
-			case ir.MemSeq:
-				fmt.Fprintf(b, "%smemsweep %s %s %d\n", ind, s.Region, acc, s.Stride)
-			case ir.MemFixed:
-				fmt.Fprintf(b, "%smemat %s %s %d\n", ind, s.Region, acc, s.Offset)
-			case ir.MemRand:
-				fmt.Fprintf(b, "%smemrand %s %s\n", ind, s.Region, acc)
-			}
+		}
+	case ir.OpJoin:
+		fmt.Fprintf(b, "join %s", in.Handle)
+	case ir.OpSend:
+		fmt.Fprintf(b, "send %s", in.Chan)
+	case ir.OpRecv:
+		fmt.Fprintf(b, "recv %s", in.Chan)
+	case ir.OpMem:
+		switch in.Pattern {
+		case ir.MemSeq:
+			fmt.Fprintf(b, "memsweep %s %s %d", in.Region, acc, in.Stride)
+		case ir.MemFixed:
+			fmt.Fprintf(b, "memat %s %s %d", in.Region, acc, in.Offset)
+		case ir.MemRand:
+			fmt.Fprintf(b, "memrand %s %s", in.Region, acc)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // FuzzParse checks that arbitrary input never panics the parser, that
-// anything it accepts survives a format/reparse round trip with its AST
-// intact (diffFiles), and that an accepted program's call order keeps its
-// contract. `go test` runs the seed corpus; `go test -fuzz=FuzzParse
-// ./internal/irtext` explores.
+// anything it accepts survives a format/reparse round trip with its
+// execution trees intact (diffFiles), and that an accepted program's call
+// order keeps its contract. `go test` runs the seed corpus; `go test
+// -fuzz=FuzzParse ./internal/irtext` explores.
 func FuzzParse(f *testing.F) {
 	f.Add(demo)
 	f.Add("program p\nproc f { compute 1 }\n")
@@ -27,6 +27,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("program p region r 64 shared proc f { memrand r write }")
 	f.Add("program A region userbuf 4096 shared proc f { memsweep userbuf write 0 }")
 	f.Add("program p proc top { call right call left } proc left { call leaf } proc right { call leaf } proc leaf { compute 1 }")
+	f.Add("program p proc w { compute 1 } proc f { spawn h 1 w params 2 7 spawn g 0 w params send c join h join g } proc r { recv c }")
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := irtext.Parse(src)
 		if err != nil {
@@ -46,10 +47,10 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// diffFiles returns the first difference between two files' ASTs — the
-// program name, structs, regions, every procedure body, arenas and
-// threads — or "" when they are equal. An absent and an empty else arm or
-// parameter list compare equal, since the program runs them alike.
+// diffFiles returns the first difference between two files — the program
+// name, structs, regions, every procedure's execution tree, arenas and
+// threads — or "" when they are equal. An absent and an empty parameter
+// list compare equal, since the program runs them alike.
 func diffFiles(a, b *irtext.File) string {
 	pa, pb := a.Prog, b.Prog
 	if pa.Name != pb.Name {
@@ -73,7 +74,7 @@ func diffFiles(a, b *irtext.File) string {
 		if pr.Name != pb.Procs[i].Name {
 			return fmt.Sprintf("proc %s vs %s", pr.Name, pb.Procs[i].Name)
 		}
-		if d := diffStmts(pr.Name, pr.Body, pb.Procs[i].Body); d != "" {
+		if d := diffNodes(pr.Name, pr.Tree, pb.Procs[i].Tree); d != "" {
 			return d
 		}
 	}
@@ -92,46 +93,55 @@ func diffFiles(a, b *irtext.File) string {
 	return ""
 }
 
-// diffStmts compares two statement lists, naming the first difference by
-// its position under where.
-func diffStmts(where string, a, b []ir.Stmt) string {
+// diffNodes compares two execution trees — block instructions, loop
+// counts, branch probabilities and both arms — naming the first
+// difference by its position under where.
+func diffNodes(where string, a, b []ir.ExecNode) string {
 	if len(a) != len(b) {
-		return fmt.Sprintf("%s: %d statements vs %d", where, len(a), len(b))
+		return fmt.Sprintf("%s: %d nodes vs %d", where, len(a), len(b))
 	}
-	for i, sa := range a {
+	for i, na := range a {
 		at := fmt.Sprintf("%s[%d]", where, i)
-		switch sa := sa.(type) {
-		case *ir.LoopStmt:
-			sb, ok := b[i].(*ir.LoopStmt)
-			if !ok || sa.Count != sb.Count {
-				return fmt.Sprintf("%s: loop %d vs %T %+v", at, sa.Count, b[i], b[i])
+		switch na := na.(type) {
+		case *ir.ExecBlock:
+			nb, ok := b[i].(*ir.ExecBlock)
+			if !ok {
+				return fmt.Sprintf("%s: block vs %T", at, b[i])
 			}
-			if d := diffStmts(at+".body", sa.Body, sb.Body); d != "" {
+			if !slices.EqualFunc(na.Block.Instrs, nb.Block.Instrs, sameInstr) {
+				return fmt.Sprintf("%s: block %v vs %v", at, na.Block.Instrs, nb.Block.Instrs)
+			}
+		case *ir.ExecLoop:
+			nb, ok := b[i].(*ir.ExecLoop)
+			if !ok || na.Count != nb.Count {
+				return fmt.Sprintf("%s: loop %d vs %T %+v", at, na.Count, b[i], b[i])
+			}
+			if d := diffNodes(at+".body", na.Body, nb.Body); d != "" {
 				return d
 			}
-		case *ir.IfStmt:
-			sb, ok := b[i].(*ir.IfStmt)
-			if !ok || sa.Prob != sb.Prob {
-				return fmt.Sprintf("%s: if %v vs %T %+v", at, sa.Prob, b[i], b[i])
+		case *ir.ExecIf:
+			nb, ok := b[i].(*ir.ExecIf)
+			if !ok || na.Prob != nb.Prob {
+				return fmt.Sprintf("%s: if %v vs %T %+v", at, na.Prob, b[i], b[i])
 			}
-			if d := diffStmts(at+".then", sa.Then, sb.Then); d != "" {
+			if d := diffNodes(at+".then", na.Then, nb.Then); d != "" {
 				return d
 			}
-			if d := diffStmts(at+".else", sa.Else, sb.Else); d != "" {
+			if d := diffNodes(at+".else", na.Else, nb.Else); d != "" {
 				return d
-			}
-		case *ir.SpawnStmt:
-			sb, ok := b[i].(*ir.SpawnStmt)
-			if !ok || sa.Handle != sb.Handle || sa.CPU != sb.CPU || sa.Callee != sb.Callee || !slices.Equal(sa.Params, sb.Params) {
-				return fmt.Sprintf("%s: %+v vs %T %+v", at, *sa, b[i], b[i])
-			}
-		default:
-			if !reflect.DeepEqual(sa, b[i]) {
-				return fmt.Sprintf("%s: %T %+v vs %T %+v", at, sa, sa, b[i], b[i])
 			}
 		}
 	}
 	return ""
+}
+
+// sameInstr reports whether two instructions are equal, an absent and an
+// empty spawn parameter list alike.
+func sameInstr(a, b ir.Instr) bool {
+	if len(a.SpawnParams) == 0 && len(b.SpawnParams) == 0 {
+		a.SpawnParams, b.SpawnParams = nil, nil
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 // checkCallOrder returns the first way p's call order breaks its

@@ -104,8 +104,8 @@ func TestParseDemo(t *testing.T) {
 }
 
 // TestRoundTrip: the demo and every committed .slp file survive a
-// format/reparse round trip with their ASTs intact, and formatting the
-// reparse gives the same text.
+// format/reparse round trip with their execution trees intact, and
+// formatting the reparse gives the same text.
 func TestRoundTrip(t *testing.T) {
 	srcs := map[string]string{"demo": demo}
 	for _, slp := range irtexttest.Committed(t) {
@@ -164,8 +164,8 @@ func TestParseErrors(t *testing.T) {
 		{"zero memsweep stride", `program A region userbuf 4096 shared proc f { memsweep userbuf write 0 }`, "f sweeps region userbuf with non-positive stride 0"},
 		{"negative memsweep stride", `program p  region r 256 perthread  proc f { memsweep r read -8 }`, "f sweeps region r with non-positive stride -8"},
 		{"negative thread param", `program p  proc f { compute 1 }  thread 0 f params 2 -3 iters 1`, "must be non-negative"},
-		{"spawn in loop", `program p  proc w { compute 1 }  proc f { loop 2 { spawn h 1 w } }`, "nested inside a loop"},
-		{"join in branch", `program p  proc w { compute 1 }  proc f { spawn h 1 w  if 0.5 { join h } }`, "nested inside a branch"},
+		{"spawn in loop", `program p  proc w { compute 1 }  proc f { loop 2 { spawn h 1 w } }`, "sync statement spawn nested inside a loop"},
+		{"join in branch", `program p  proc w { compute 1 }  proc f { spawn h 1 w  if 0.5 { join h } }`, "sync statement join nested inside a branch"},
 		{"join without spawn", `program p  proc f { join h }`, `join "h" does not follow a spawn`},
 		{"joined twice", `program p  proc w { compute 1 }  proc f { spawn h 1 w  join h  join h }`, `handle "h" joined twice`},
 		{"call to task entry", `program p  proc w { compute 1 }  proc t { spawn h 1 w  join h }  proc f { call t }`, "task entries must not be called"},
@@ -178,6 +178,9 @@ func TestParseErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
+			}
+			if strings.Contains(err.Error(), "*ir.") {
+				t.Fatalf("error %q names a Go type, not the statement", err)
 			}
 		})
 	}

@@ -66,14 +66,13 @@ type hbState struct {
 	chanDropped []string
 }
 
-// syncStmtsOf returns the top-level sync statements of a procedure body
-// in order.
-func syncStmtsOf(pr *ir.Procedure) []ir.Stmt {
-	var out []ir.Stmt
-	for _, s := range pr.Body {
-		switch s.(type) {
-		case *ir.SpawnStmt, *ir.JoinStmt, *ir.SendStmt, *ir.RecvStmt:
-			out = append(out, s)
+// syncInstrsOf returns the instructions of a procedure's top-level sync
+// blocks in order: sync instruction k ends segment k.
+func syncInstrsOf(pr *ir.Procedure) []ir.Instr {
+	var out []ir.Instr
+	for _, n := range pr.Tree {
+		if n, ok := n.(*ir.ExecBlock); ok && n.Block != nil && isSyncBlock(n.Block) {
+			out = append(out, n.Block.Instrs[0])
 		}
 	}
 	return out
@@ -87,7 +86,7 @@ func syncStmtsOf(pr *ir.Procedure) []ir.Stmt {
 func (r *Result) discoverTasks() error {
 	anySync := false
 	for _, pr := range r.Prog.Procs {
-		if len(syncStmtsOf(pr)) > 0 {
+		if len(syncInstrsOf(pr)) > 0 {
 			anySync = true
 			break
 		}
@@ -114,15 +113,15 @@ func (r *Result) discoverTasks() error {
 		if pr == nil {
 			continue
 		}
+		syncs := syncInstrsOf(pr)
 		joinOrd := make(map[string]int) // handle -> sync ordinal of its join
-		for ord, s := range syncStmtsOf(pr) {
-			if j, ok := s.(*ir.JoinStmt); ok {
-				joinOrd[j.Handle] = ord
+		for ord, in := range syncs {
+			if in.Op == ir.OpJoin {
+				joinOrd[in.Handle] = ord
 			}
 		}
-		for ord, s := range syncStmtsOf(pr) {
-			sp, ok := s.(*ir.SpawnStmt)
-			if !ok {
+		for ord, sp := range syncs {
+			if sp.Op != ir.OpSpawn {
 				continue
 			}
 			if len(h.tasks) >= maxTasks {
@@ -148,9 +147,9 @@ func (r *Result) discoverTasks() error {
 			}
 			h.tasks = append(h.tasks, child)
 			r.Threads = append(r.Threads, Thread{
-				CPU:    sp.CPU,
+				CPU:    sp.SpawnCPU,
 				Proc:   sp.Callee,
-				Params: append([]int(nil), sp.Params...),
+				Params: append([]int(nil), sp.SpawnParams...),
 				Iters:  h.tasks[ti].execBound,
 			})
 		}
@@ -176,7 +175,7 @@ func (r *Result) buildHB() {
 		if pr == nil {
 			continue
 		}
-		n := len(syncStmtsOf(pr)) + 1
+		n := len(syncInstrsOf(pr)) + 1
 		h.segCount[name] = n
 		if n > 1 {
 			h.assignBlockSegs(pr)
@@ -295,7 +294,7 @@ func (h *hbState) segsOfTask(r *Result, t int) int {
 	return 1
 }
 
-// assignBlockSegs walks the lowered execution tree of a multi-segment
+// assignBlockSegs walks the execution tree of a multi-segment
 // entry proc, assigning each top-level block its segment: the counter
 // bumps after every sync block, nested subtrees (loops, branches,
 // which cannot contain sync) take the current segment, and the exit
@@ -335,7 +334,7 @@ func (h *hbState) assignBlockSegs(pr *ir.Procedure) {
 }
 
 // isSyncBlock reports whether the block is a dedicated sync block (one
-// spawn/join/send/recv instruction; the lowering guarantees the shape).
+// spawn/join/send/recv instruction; ir.Builder guarantees the shape).
 func isSyncBlock(b *ir.BasicBlock) bool {
 	if len(b.Instrs) != 1 {
 		return false
@@ -425,12 +424,12 @@ func (h *hbState) channelEdges(r *Result) [][2]int {
 		if pr == nil {
 			continue
 		}
-		for ord, s := range syncStmtsOf(pr) {
-			switch s := s.(type) {
-			case *ir.SendStmt:
-				record(sends, s.Chan, ti, ord)
-			case *ir.RecvStmt:
-				record(recvs, s.Chan, ti, ord)
+		for ord, in := range syncInstrsOf(pr) {
+			switch in.Op {
+			case ir.OpSend:
+				record(sends, in.Chan, ti, ord)
+			case ir.OpRecv:
+				record(recvs, in.Chan, ti, ord)
 			}
 		}
 	}

@@ -76,6 +76,34 @@ func TestForkJoinOrdersOutConflict(t *testing.T) {
 	}
 }
 
+// TestHBDamagedTreeNoPanic: a fork/join program damaged after Finalize
+// the way fault tests damage trees (a nil node, or a node's block nil,
+// the sync blocks' included) still analyzes without error, since the
+// happens-before layer takes both its sync instructions and its segments
+// from the one damaged tree.
+func TestHBDamagedTreeNoPanic(t *testing.T) {
+	for i := 0; i < 6; i++ { // parent: entry, write, spawn, join, write, exit
+		for _, nilBlock := range []bool{false, true} {
+			f, err := irtext.Parse(hbForkJoinSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree := f.Prog.Proc("parent").Tree
+			if len(tree) != 6 {
+				t.Fatalf("parent's tree has %d nodes, want 6", len(tree))
+			}
+			if nilBlock {
+				tree[i].(*ir.ExecBlock).Block = nil
+			} else {
+				tree[i] = nil
+			}
+			if _, err := Analyze(f.Prog, FileConfig(f)); err != nil {
+				t.Errorf("node %d damaged (nil block %t): %v", i, nilBlock, err)
+			}
+		}
+	}
+}
+
 // TestUnjoinedSpawnStaysShared: without the join edge the child's write
 // overlaps the parent's tail write, so the conflict must survive.
 func TestUnjoinedSpawnStaysShared(t *testing.T) {
