@@ -19,8 +19,11 @@ import (
 	"structlayout/internal/affinity"
 	"structlayout/internal/cluster"
 	"structlayout/internal/concurrency"
+	"structlayout/internal/core"
 	"structlayout/internal/driver"
 	"structlayout/internal/experiments"
+	"structlayout/internal/faults"
+	"structlayout/internal/flg"
 	"structlayout/internal/ir"
 	"structlayout/internal/irtext"
 	"structlayout/internal/machine"
@@ -340,19 +343,44 @@ func BenchmarkFLGBuild(b *testing.B) {
 }
 
 // BenchmarkGreedyClustering measures the Figure 6/7 algorithm on struct A's
-// >100-field FLG.
+// >100-field FLG and on the 120-field struct of collectProgram collected on
+// Way16, the shape of layoutd's largest fresh requests.
 func BenchmarkGreedyClustering(b *testing.B) {
 	p := sharedPipeline(b)
-	g, err := p.Analysis.BuildFLG(p.Suite.Struct("A").Type.Name)
+	a, err := p.Analysis.BuildFLG(p.Suite.Struct("A").Type.Name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := cluster.Greedy(g, 128)
-		if len(res.Clusters) == 0 {
-			b.Fatal("no clusters")
-		}
+	file, err := irtext.Parse(collectProgram())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := driver.Config{Topo: machine.Way16(), Seed: 1}
+	res, err := driver.Collect(file, cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	an, err := core.NewAnalysis(file.Prog, res.Profile, res.Trace, driver.AnalysisOptions(file, cfg.LineSize(), res.Cycles, faults.New(1), false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := an.BuildFLG("rec")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *flg.Graph
+	}{{"A", a}, {"fields120", rec}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res := cluster.Greedy(c.g, 128); len(res.Clusters) == 0 {
+					b.Fatal("no clusters")
+				}
+			}
+			b.ReportMetric(float64(len(c.g.Pairs)), "pairs")
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,7 +34,7 @@ func main() {
 	flag.Parse()
 	layoutSet := false
 	flag.Visit(func(f *flag.Flag) { layoutSet = layoutSet || f.Name == "layout" })
-	if msg := usageError(*structLabel, *layoutName, layoutSet); msg != "" {
+	if msg := usageError(*machineName, *structLabel, *layoutName, layoutSet); msg != "" {
 		fmt.Fprintln(os.Stderr, "sdetbench:", msg)
 		flag.Usage()
 		os.Exit(2)
@@ -48,10 +49,16 @@ func main() {
 }
 
 // usageError names the first flag run would silently ignore or cannot
-// resolve: a -layout without -struct would measure the all-baseline
-// suite, and buildLayout knows only baseline and hotness.
-func usageError(structLabel, layoutName string, layoutSet bool) string {
+// resolve: the machine and struct names must exist, a -layout without
+// -struct would measure the all-baseline suite, and buildLayout knows
+// only baseline and hotness.
+func usageError(machineName, structLabel, layoutName string, layoutSet bool) string {
+	if _, err := machine.ByName(machineName); err != nil {
+		return err.Error()
+	}
 	switch {
+	case structLabel != "" && !slices.Contains(workload.Labels(), structLabel):
+		return fmt.Sprintf("-struct %q: want one of %s", structLabel, strings.Join(workload.Labels(), ", "))
 	case layoutSet && structLabel == "":
 		return "-layout needs -struct (without it every struct keeps its baseline layout)"
 	case layoutName != "baseline" && layoutName != "hotness":

@@ -10,7 +10,12 @@
 // grouping/separation constraints for an incremental layout change.
 package cluster
 
-import "structlayout/internal/flg"
+import (
+	"slices"
+
+	"structlayout/internal/flg"
+	"structlayout/internal/ir"
+)
 
 // Result is a partition of fields into clusters, with quality metrics.
 type Result struct {
@@ -31,62 +36,58 @@ func Greedy(g *flg.Graph, lineSize int) Result {
 	return cluster(g, g.Affinity.HottestFirst(), lineSize)
 }
 
-// GreedySubgraph clusters only the subgraph's connected nodes (§5.2).
+// GreedySubgraph clusters only the subgraph's connected nodes (§5.2), in
+// Greedy's hotness order.
 func GreedySubgraph(g *flg.Graph, lineSize int) Result {
-	nodes := g.Nodes()
-	// Order by hotness descending, field index tiebreak.
-	order := append([]int(nil), nodes...)
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if g.Hotness[b] > g.Hotness[a] || (g.Hotness[b] == g.Hotness[a] && b < a) {
-				order[j-1], order[j] = b, a
-			} else {
-				break
-			}
-		}
+	linked := make([]bool, len(g.Struct.Fields))
+	for k := range g.Pairs {
+		linked[k[0]], linked[k[1]] = true, true
 	}
-	return cluster(g, order, lineSize)
+	nodes := slices.DeleteFunc(g.Affinity.HottestFirst(), func(f int) bool { return !linked[f] })
+	return cluster(g, nodes, lineSize)
 }
 
-// cluster runs the greedy algorithm over the given node order.
+// cluster runs the greedy algorithm over the given node order. gain[f] is
+// an unassigned field's total weight to the open cluster, added up in
+// member order as members are admitted (the same float sum a re-sum of
+// the cluster per candidate gives), and end is the open cluster's packed
+// size, so each candidate costs one weight lookup per admission.
 func cluster(g *flg.Graph, order []int, lineSize int) Result {
 	var res Result
-	unassigned := append([]int(nil), order...)
-	remove := func(f int) {
-		for i, x := range unassigned {
-			if x == f {
-				unassigned = append(unassigned[:i], unassigned[i+1:]...)
-				return
-			}
+	fields := g.Struct.Fields
+	assigned := make([]bool, len(fields))
+	gain := make([]float64, len(fields))
+	for _, seed := range order {
+		if assigned[seed] {
+			continue
 		}
-	}
-
-	for len(unassigned) > 0 {
-		seed := unassigned[0]
-		remove(seed)
+		assigned[seed] = true
 		cur := []int{seed}
-		for {
+		end := packedEnd(0, fields[seed])
+		for _, f := range order {
+			gain[f] = 0
+		}
+		for added := seed; ; {
 			best, bestW := -1, 0.0
-			for _, cand := range unassigned {
-				if !fits(g, cur, cand, lineSize) {
+			for _, f := range order {
+				if assigned[f] {
 					continue
 				}
-				w := 0.0
-				for _, member := range cur {
-					w += g.Weight(cand, member)
-				}
+				gain[f] += g.Weight(f, added)
 				// Figure 7: best_weight starts at 0, so only strictly
-				// positive totals are ever chosen.
-				if w > bestW {
-					best, bestW = cand, w
+				// positive totals are ever chosen. A singleton seed wider
+				// than the line admits nothing.
+				if gain[f] > bestW && packedEnd(end, fields[f]) <= lineSize {
+					best, bestW = f, gain[f]
 				}
 			}
 			if best < 0 {
 				break
 			}
-			remove(best)
+			assigned[best] = true
 			cur = append(cur, best)
+			end = packedEnd(end, fields[best])
+			added = best
 		}
 		res.Clusters = append(res.Clusters, cur)
 	}
@@ -95,15 +96,9 @@ func cluster(g *flg.Graph, order []int, lineSize int) Result {
 	return res
 }
 
-// fits reports whether cluster+cand still packs into one cache line.
-// Singletons always fit (an oversized field must live somewhere).
-func fits(g *flg.Graph, cur []int, cand int, lineSize int) bool {
-	end := 0
-	for _, fi := range append(append([]int(nil), cur...), cand) {
-		f := g.Struct.Fields[fi]
-		end = (end+f.Align-1)/f.Align*f.Align + f.Size
-	}
-	return end <= lineSize
+// packedEnd returns where f ends when packed, aligned, after end bytes.
+func packedEnd(end int, f ir.Field) int {
+	return (end+f.Align-1)/f.Align*f.Align + f.Size
 }
 
 // Weights computes the total intra- and inter-cluster edge weights of a

@@ -15,15 +15,25 @@ func makeGraph(n int, hot map[int]float64, gain, loss map[[2]int]float64) *flg.G
 	for i := range fields {
 		fields[i] = ir.I64(fieldName(i))
 	}
-	st := ir.NewStruct("T", fields...)
-	if gain == nil {
-		gain = map[[2]int]float64{}
-	}
-	if loss == nil {
-		loss = map[[2]int]float64{}
-	}
+	return graphOf(ir.NewStruct("T", fields...), hot, gain, loss)
+}
+
+// graphOf hand-builds an FLG over st whose pairs carry the given gains
+// and losses.
+func graphOf(st *ir.StructType, hot map[int]float64, gain, loss map[[2]int]float64) *flg.Graph {
 	ag := &affinity.Graph{Struct: st, Weights: map[[2]int]float64{}, Hotness: hot}
-	return &flg.Graph{Struct: st, Gain: gain, Loss: loss, Hotness: hot, Affinity: ag}
+	g := &flg.Graph{Struct: st, Pairs: map[[2]int]flg.Edge{}, Affinity: ag}
+	for k, w := range gain {
+		e := g.Pair(k[0], k[1])
+		e.Gain = w
+		g.Pairs[[2]int{e.F1, e.F2}] = e
+	}
+	for k, w := range loss {
+		e := g.Pair(k[0], k[1])
+		e.Loss = w
+		g.Pairs[[2]int{e.F1, e.F2}] = e
+	}
+	return g
 }
 
 func fieldName(i int) string {
@@ -98,8 +108,7 @@ func TestCapacityLimitsCluster(t *testing.T) {
 
 func TestOversizedFieldSingleton(t *testing.T) {
 	big := ir.NewStruct("B", ir.Arr("huge", 64, 8, 8), ir.I64("x"), ir.I64("y"))
-	ag := &affinity.Graph{Struct: big, Weights: map[[2]int]float64{}, Hotness: map[int]float64{0: 10, 1: 5, 2: 1}}
-	g := &flg.Graph{Struct: big, Gain: map[[2]int]float64{{1, 2}: 5}, Loss: map[[2]int]float64{}, Hotness: ag.Hotness, Affinity: ag}
+	g := graphOf(big, map[int]float64{0: 10, 1: 5, 2: 1}, map[[2]int]float64{{1, 2}: 5}, nil)
 	res := Greedy(g, 128)
 	if len(res.Clusters) != 2 {
 		t.Fatalf("clusters = %v", res.Clusters)

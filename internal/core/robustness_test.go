@@ -147,8 +147,10 @@ func TestStaleFMFDegrades(t *testing.T) {
 	if err := sugg.Auto.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sugg.Graph.Loss) != 0 {
-		t.Fatal("empty FMF cannot justify any CycleLoss")
+	for _, e := range sugg.Graph.Pairs {
+		if e.Loss != 0 {
+			t.Fatalf("empty FMF cannot justify any CycleLoss: %+v", e)
+		}
 	}
 
 	if _, err := NewAnalysis(p, pf, trace, Options{LineSize: 128, SliceCycles: 2000, FMF: empty, Strict: true}); err == nil {

@@ -61,12 +61,12 @@ func (p *Pipeline) PredictionAccuracy() ([]PredictionRow, error) {
 		// accordingly (apples to apples with the measured counters).
 		lay := p.Hotness[label]
 		predicted := make(map[int]float64)
-		for k, w := range g.Loss {
-			if !lay.SameLine(k[0], k[1]) {
+		for _, e := range g.Edges() {
+			if e.Loss == 0 || !lay.SameLine(e.F1, e.F2) {
 				continue
 			}
-			predicted[k[0]] += w
-			predicted[k[1]] += w
+			predicted[e.F1] += e.Loss
+			predicted[e.F2] += e.Loss
 		}
 		// Measured hazard = victim events + caused events, so writers like
 		// a hot lock or counter get credited for the misses they inflict.

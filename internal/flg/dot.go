@@ -24,7 +24,7 @@ func (g *Graph) WriteDOT(w io.Writer, withIsolated bool) error {
 		maxAbs = 1
 	}
 	var maxHot float64
-	for _, h := range g.Hotness {
+	for _, h := range g.Affinity.Hotness {
 		if h > maxHot {
 			maxHot = h
 		}
@@ -52,7 +52,7 @@ func (g *Graph) WriteDOT(w io.Writer, withIsolated bool) error {
 	}
 	sort.Ints(ordered)
 	for _, fi := range ordered {
-		hot := g.Hotness[fi] / maxHot
+		hot := g.Affinity.Hotness[fi] / maxHot
 		fmt.Fprintf(w, "  f%d [label=%q, fontsize=%.0f];\n",
 			fi, g.Struct.Fields[fi].Name, 10+hot*14)
 	}

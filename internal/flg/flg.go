@@ -63,7 +63,7 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// Edge is one weighted field pair, for reports.
+// Edge is one weighted field pair: the FLG's per-pair store entry.
 type Edge struct {
 	F1, F2 int
 	Gain   float64
@@ -76,12 +76,11 @@ func (e Edge) Weight() float64 { return e.Gain - e.Loss }
 // Graph is the Field Layout Graph of one struct.
 type Graph struct {
 	Struct *ir.StructType
-	// Gain and Loss hold the scaled components per canonical pair.
-	Gain map[[2]int]float64
-	Loss map[[2]int]float64
-	// Hotness orders fields for the clustering seed choice.
-	Hotness map[int]float64
-	// Affinity retains the underlying affinity graph for reports.
+	// Pairs holds the scaled gain and loss of every pair with an edge,
+	// keyed by the canonical pair (affinity.PairKey).
+	Pairs map[[2]int]Edge
+	// Affinity retains the underlying affinity graph: its Hotness orders
+	// fields for the clustering seed choice.
 	Affinity *affinity.Graph
 }
 
@@ -91,13 +90,11 @@ func Build(ag *affinity.Graph, cm *concurrency.Map, fmf *fieldmap.File, opts Opt
 	opts.fillDefaults()
 	g := &Graph{
 		Struct:   ag.Struct,
-		Gain:     make(map[[2]int]float64, len(ag.Weights)),
-		Loss:     make(map[[2]int]float64),
-		Hotness:  ag.Hotness,
+		Pairs:    make(map[[2]int]Edge, len(ag.Weights)),
 		Affinity: ag,
 	}
 	for k, w := range ag.Weights {
-		g.Gain[k] = opts.K1 * w
+		g.Pairs[k] = Edge{F1: k[0], F2: k[1], Gain: opts.K1 * w}
 	}
 	if cm != nil && fmf != nil {
 		g.addCycleLoss(cm, fmf, opts)
@@ -145,11 +142,23 @@ func (g *Graph) addCycleLoss(cm *concurrency.Map, fmf *fieldmap.File, opts Optio
 						// a field from itself.
 						continue
 					}
-					g.Loss[affinity.PairKey(a1.Field, a2.Field)] += opts.K2 * cc
+					e := g.Pair(a1.Field, a2.Field)
+					e.Loss += opts.K2 * cc
+					g.Pairs[[2]int{e.F1, e.F2}] = e
 				}
 			}
 		}
 	}
+}
+
+// Pair returns the canonical pair's entry, zero-weighted when the two
+// fields share no edge.
+func (g *Graph) Pair(a, b int) Edge {
+	k := affinity.PairKey(a, b)
+	if e, ok := g.Pairs[k]; ok {
+		return e
+	}
+	return Edge{F1: k[0], F2: k[1]}
 }
 
 // Weight returns the net edge weight between two fields.
@@ -157,23 +166,15 @@ func (g *Graph) Weight(a, b int) float64 {
 	if a == b {
 		return 0
 	}
-	k := affinity.PairKey(a, b)
-	return g.Gain[k] - g.Loss[k]
+	return g.Pairs[affinity.PairKey(a, b)].Weight()
 }
 
 // Edges returns all edges with a non-zero component, sorted by descending
 // net weight (stable field-pair tiebreak).
 func (g *Graph) Edges() []Edge {
-	keys := make(map[[2]int]bool, len(g.Gain)+len(g.Loss))
-	for k := range g.Gain {
-		keys[k] = true
-	}
-	for k := range g.Loss {
-		keys[k] = true
-	}
-	edges := make([]Edge, 0, len(keys))
-	for k := range keys {
-		edges = append(edges, Edge{F1: k[0], F2: k[1], Gain: g.Gain[k], Loss: g.Loss[k]})
+	edges := make([]Edge, 0, len(g.Pairs))
+	for _, e := range g.Pairs {
+		edges = append(edges, e)
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		wi, wj := edges[i].Weight(), edges[j].Weight()
@@ -223,38 +224,14 @@ func (g *Graph) ImportantEdges(topK int) []Edge {
 func (g *Graph) Subgraph(edges []Edge) *Graph {
 	sg := &Graph{
 		Struct:   g.Struct,
-		Gain:     make(map[[2]int]float64, len(edges)),
-		Loss:     make(map[[2]int]float64, len(edges)),
-		Hotness:  g.Hotness,
+		Pairs:    make(map[[2]int]Edge, len(edges)),
 		Affinity: g.Affinity,
 	}
 	for _, e := range edges {
-		k := affinity.PairKey(e.F1, e.F2)
-		if e.Gain != 0 {
-			sg.Gain[k] = e.Gain
-		}
-		if e.Loss != 0 {
-			sg.Loss[k] = e.Loss
+		if e.Gain != 0 || e.Loss != 0 {
+			k := affinity.PairKey(e.F1, e.F2)
+			sg.Pairs[k] = Edge{F1: k[0], F2: k[1], Gain: e.Gain, Loss: e.Loss}
 		}
 	}
 	return sg
-}
-
-// Nodes returns the fields with at least one incident edge, ascending.
-func (g *Graph) Nodes() []int {
-	set := make(map[int]bool)
-	for k := range g.Gain {
-		set[k[0]] = true
-		set[k[1]] = true
-	}
-	for k := range g.Loss {
-		set[k[0]] = true
-		set[k[1]] = true
-	}
-	out := make([]int, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Ints(out)
-	return out
 }

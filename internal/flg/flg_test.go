@@ -81,6 +81,10 @@ func TestGainAndLossCombine(t *testing.T) {
 	if got := g.Weight(1, 1); got != 0 {
 		t.Fatalf("self weight = %v", got)
 	}
+	// One entry per pair, under its canonical key, holds both components.
+	if e := g.Pair(2, 0); e != (Edge{F1: 0, F2: 2, Loss: 50}) || e != g.Pairs[[2]int{0, 2}] {
+		t.Fatalf("Pair(2, 0) = %+v", e)
+	}
 }
 
 func TestK1K2Scaling(t *testing.T) {
@@ -171,9 +175,13 @@ func TestSubgraph(t *testing.T) {
 	if got := sg.Weight(0, 2); got != -50 {
 		t.Fatalf("kept edge = %v", got)
 	}
-	nodes := sg.Nodes()
-	if len(nodes) != 3 {
-		t.Fatalf("subgraph nodes = %v", nodes)
+	if len(sg.Pairs) != 2 {
+		t.Fatalf("subgraph pairs = %v", sg.Pairs)
+	}
+	for k, e := range sg.Pairs {
+		if e != g.Pair(k[0], k[1]) || [2]int{e.F1, e.F2} != k {
+			t.Fatalf("subgraph pair %v = %+v, want %+v", k, e, g.Pair(k[0], k[1]))
+		}
 	}
 }
 
@@ -183,8 +191,13 @@ func TestBuildWithoutConcurrency(t *testing.T) {
 	if got := g.Weight(0, 1); got != 100 {
 		t.Fatalf("gain-only graph w = %v", got)
 	}
-	if len(g.Loss) != 0 {
-		t.Fatal("loss appeared without concurrency data")
+	if _, ok := g.Pairs[[2]int{0, 2}]; ok || g.Pair(2, 0) != (Edge{F1: 0, F2: 2}) {
+		t.Fatalf("pair without an edge: stored %t, Pair(2, 0) = %+v", ok, g.Pair(2, 0))
+	}
+	for _, e := range g.Pairs {
+		if e.Loss != 0 {
+			t.Fatalf("loss appeared without concurrency data: %+v", e)
+		}
 	}
 }
 

@@ -110,13 +110,15 @@ func SortByHotness(st *ir.StructType, hotness map[int]float64, lineSize int) (*L
 
 // PackClusters lays out a cluster partition. Clusters are placed in the
 // given order; each cluster's fields stay contiguous and within one cache
-// line (the clustering algorithm guarantees each cluster fits in a line).
-// Clusters pack first-fit into lines, but never onto a line holding a
-// cluster they must be separated from: separate reports whether two
-// clusters (by index) must not share a cache line — typically "a negative
-// FLG edge connects them" — and may be nil when no separation constraints
-// exist. A predicate that always holds puts every cluster on its own line.
-// Padding is inserted when a cluster starts a new line.
+// line (the clustering algorithm guarantees each cluster fits in a line),
+// except a one-field cluster wider than a line, which starts on a line
+// boundary and spans as many lines as it needs. Clusters pack first-fit
+// into lines, but never onto a line holding a cluster they must be
+// separated from: separate reports whether two clusters (by index) must
+// not share a cache line — typically "a negative FLG edge connects them"
+// — and may be nil when no separation constraints exist. A predicate that
+// always holds puts every cluster on its own line. Padding is inserted
+// when a cluster starts a new line.
 func PackClusters(st *ir.StructType, name string, clusters [][]int, lineSize int, separate func(ci, cj int) bool) (*Layout, error) {
 	var flat []int
 	for _, c := range clusters {
@@ -126,7 +128,7 @@ func PackClusters(st *ir.StructType, name string, clusters [][]int, lineSize int
 		return nil, err
 	}
 	for ci, c := range clusters {
-		if w := clusterBytes(st, c); w > lineSize {
+		if w := clusterBytes(st, c); w > lineSize && len(c) > 1 {
 			return nil, fmt.Errorf("layout: cluster %d needs %d bytes > line size %d", ci, w, lineSize)
 		}
 	}
@@ -186,9 +188,10 @@ func PackClusters(st *ir.StructType, name string, clusters [][]int, lineSize int
 // original position; all remaining fields are singleton units in original
 // order. Units lay out sequentially; a cluster unit starts a new line when
 // the current line already holds a member of a different cluster or cannot
-// fit it whole, and a singleton unit starts a new line when the current
-// line holds a cluster that must be kept apart from... nothing — singletons
-// are unconstrained and simply pack.
+// fit it whole (so a one-field cluster wider than a line starts on a line
+// boundary and spans the lines it needs), and a singleton unit starts a
+// new line when the current line holds a cluster that must be kept apart
+// from... nothing — singletons are unconstrained and simply pack.
 func ApplyConstraints(orig *Layout, name string, clusters [][]int) (*Layout, error) {
 	st := orig.Struct
 	inCluster := make(map[int]int) // field -> cluster index
@@ -202,7 +205,7 @@ func ApplyConstraints(orig *Layout, name string, clusters [][]int) (*Layout, err
 			}
 			inCluster[fi] = ci
 		}
-		if w := clusterBytes(st, c); w > orig.LineSize {
+		if w := clusterBytes(st, c); w > orig.LineSize && len(c) > 1 {
 			return nil, fmt.Errorf("layout: constraint cluster %d needs %d bytes > line size", ci, w)
 		}
 	}

@@ -176,6 +176,71 @@ func TestPackClustersTooBig(t *testing.T) {
 	}
 }
 
+// wideStruct has a 200-byte buffer between two 8-byte fields: on 128-byte
+// lines the buffer alone needs two lines.
+func wideStruct() *ir.StructType {
+	return ir.NewStruct("W", ir.I64("head"), ir.Arr("buf", 25, 8, 8), ir.I64("tail"))
+}
+
+// twoFieldsOverLine has two fields that each fit a 128-byte line but
+// together need 160 bytes.
+func twoFieldsOverLine() *ir.StructType {
+	return ir.NewStruct("P", ir.Arr("a", 12, 8, 8), ir.Arr("b", 8, 8, 8))
+}
+
+// TestPackClustersWideSingleton: a one-field cluster wider than the line
+// starts on a line boundary and spans ceil(size/line) lines, a cluster
+// kept apart from it starts after its last line, and a two-field cluster
+// wider than the line is still an error.
+func TestPackClustersWideSingleton(t *testing.T) {
+	for _, c := range []struct {
+		sep  func(ci, cj int) bool
+		tail int
+	}{
+		{nil, 328},   // packed right after buf
+		{apart, 384}, // on the line after buf's last
+	} {
+		l, err := PackClusters(wideStruct(), "wide", [][]int{{0}, {1}, {2}}, 128, c.sep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if lines := l.LinesOf(1); l.Offsets[1] != 128 || len(lines) != 2 || lines[0] != 1 {
+			t.Fatalf("buf at %d on lines %v, want 128 on lines [1 2]", l.Offsets[1], lines)
+		}
+		if l.Offsets[2] != c.tail {
+			t.Fatalf("tail at %d, want %d", l.Offsets[2], c.tail)
+		}
+	}
+	if _, err := PackClusters(twoFieldsOverLine(), "x", [][]int{{0, 1}}, 128, nil); err == nil {
+		t.Fatal("two-field cluster wider than the line accepted")
+	}
+}
+
+// TestApplyConstraintsWideSingleton is TestPackClustersWideSingleton for
+// the incremental packer, where every two clusters are kept apart.
+func TestApplyConstraintsWideSingleton(t *testing.T) {
+	orig := mustOriginal(t, wideStruct(), 128)
+	l, err := ApplyConstraints(orig, "best", [][]int{{1}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if lines := l.LinesOf(1); l.Offsets[1] != 128 || len(lines) != 2 || lines[0] != 1 {
+		t.Fatalf("buf at %d on lines %v, want 128 on lines [1 2]", l.Offsets[1], lines)
+	}
+	if l.Offsets[0] != 0 || l.Offsets[2] != 384 {
+		t.Fatalf("head at %d, tail at %d: want 0 and 384 (after buf's last line)", l.Offsets[0], l.Offsets[2])
+	}
+	if _, err := ApplyConstraints(mustOriginal(t, twoFieldsOverLine(), 128), "x", [][]int{{0, 1}}); err == nil {
+		t.Fatal("two-field constraint cluster wider than the line accepted")
+	}
+}
+
 func TestApplyConstraints(t *testing.T) {
 	st := mixedStruct()
 	orig := mustOriginal(t, st, 32) // small lines to force multi-line layout

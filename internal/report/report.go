@@ -130,7 +130,7 @@ func (r *Report) String() string {
 func clusterHeat(g *flg.Graph, c []int) string {
 	h := 0.0
 	for _, f := range c {
-		h += g.Hotness[f]
+		h += g.Affinity.Hotness[f]
 	}
 	return fmt.Sprintf("hot=%.4g", h)
 }

@@ -19,10 +19,12 @@ func fixture(t testing.TB) (*flg.Graph, cluster.Result, *layout.Layout, *layout.
 	hot := map[int]float64{0: 100, 1: 90, 2: 40, 3: 1}
 	ag := &affinity.Graph{Struct: st, Weights: map[[2]int]float64{}, Hotness: hot}
 	g := &flg.Graph{
-		Struct:   st,
-		Gain:     map[[2]int]float64{{0, 1}: 500},
-		Loss:     map[[2]int]float64{{0, 2}: 300, {1, 2}: 250},
-		Hotness:  hot,
+		Struct: st,
+		Pairs: map[[2]int]flg.Edge{
+			{0, 1}: {F1: 0, F2: 1, Gain: 500},
+			{0, 2}: {F1: 0, F2: 2, Loss: 300},
+			{1, 2}: {F1: 1, F2: 2, Loss: 250},
+		},
 		Affinity: ag,
 	}
 	res := cluster.Greedy(g, 128)

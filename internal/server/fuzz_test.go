@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,11 +21,19 @@ import (
 // input starts a simulation: each program is analyzed from its given
 // artifacts, a replayed collection or the static rung. Every answer must
 // be 200, 400 or 422 with a body that decodes, and no handler may panic.
-// The seeds are every committed program and one request that supplies
-// its own profile and trace.
+// The seeds are every committed program, examples/lint/clean.slp with a
+// route table wider than a cache line, and one request that supplies its
+// own profile and trace.
 func FuzzAnalyzeRequest(f *testing.F) {
 	for _, slp := range irtexttest.Committed(f) {
 		f.Add(mustJSON(f, AnalyzeRequest{Program: slp.Src}))
+		if slp.Path == "examples/lint/clean.slp" {
+			wide := strings.Replace(slp.Src, "rt_entries arr 8 8 align 8", "rt_entries arr 32 8 align 8", 1)
+			if wide == slp.Src {
+				f.Fatal("examples/lint/clean.slp no longer declares rt_entries arr 8 8 align 8")
+			}
+			f.Add(mustJSON(f, AnalyzeRequest{Program: wide}))
+		}
 	}
 	f.Add(mustJSON(f, givenRequest(f)))
 	s := New(Config{Workers: 1, MaxDeadline: time.Second, StaticReserve: time.Minute})

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"structlayout/internal/affinity"
 	"structlayout/internal/concurrency"
 	"structlayout/internal/flg"
 	"structlayout/internal/ir"
@@ -455,10 +454,8 @@ func TestHBSharpensPrior(t *testing.T) {
 	mkGraph := func(res *Result) *flg.Graph {
 		st := res.Prog.Struct("S")
 		return &flg.Graph{
-			Struct:  st,
-			Gain:    map[[2]int]float64{affinity.PairKey(0, 1): 100},
-			Loss:    map[[2]int]float64{},
-			Hotness: map[int]float64{},
+			Struct: st,
+			Pairs:  map[[2]int]flg.Edge{{0, 1}: {F1: 0, F2: 1, Gain: 100}},
 		}
 	}
 	joined := analyzeSrc(t, hbForkJoinSrc, false)
@@ -466,8 +463,8 @@ func TestHBSharpensPrior(t *testing.T) {
 	if pr := joined.ApplyPrior(g); pr.Certain != 0 || pr.Possible != 0 {
 		t.Fatalf("joined fork/join floored %d certain / %d possible pairs, want none", pr.Certain, pr.Possible)
 	}
-	if g.Loss[affinity.PairKey(0, 1)] != 0 {
-		t.Fatalf("joined fork/join moved the graph: loss %v", g.Loss[affinity.PairKey(0, 1)])
+	if e := g.Pair(0, 1); e.Loss != 0 {
+		t.Fatalf("joined fork/join moved the graph: loss %v", e.Loss)
 	}
 
 	unjoined := analyzeSrc(t, strings.Replace(hbForkJoinSrc, "    join h\n", "", 1), false)
@@ -475,9 +472,8 @@ func TestHBSharpensPrior(t *testing.T) {
 	if pr := unjoined.ApplyPrior(g); pr.Certain == 0 {
 		t.Fatal("unjoined variant should floor the certain write-shared pair")
 	}
-	if g.Loss[affinity.PairKey(0, 1)] <= g.Gain[affinity.PairKey(0, 1)] {
-		t.Fatalf("unjoined pair: loss %v must exceed gain %v",
-			g.Loss[affinity.PairKey(0, 1)], g.Gain[affinity.PairKey(0, 1)])
+	if e := g.Pair(0, 1); e.Loss <= e.Gain {
+		t.Fatalf("unjoined pair: loss %v must exceed gain %v", e.Loss, e.Gain)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"structlayout/internal/affinity"
 	"structlayout/internal/flg"
 )
 
@@ -51,8 +50,8 @@ func (r *Result) ApplyPrior(g *flg.Graph) PriorResult {
 		return out
 	}
 	maxGain := 0.0
-	for _, v := range g.Gain {
-		if v > maxGain {
+	for _, e := range g.Pairs {
+		if v := e.Gain; v > maxGain {
 			maxGain = v
 		} else if -v > maxGain {
 			maxGain = -v
@@ -75,14 +74,16 @@ func (r *Result) ApplyPrior(g *flg.Graph) PriorResult {
 		if info.Class != WriteShared || k[0] >= nf || k[1] >= nf {
 			continue
 		}
-		key := affinity.PairKey(k[0], k[1])
+		e := g.Pair(k[0], k[1])
 		if info.Certain {
-			if floor := g.Gain[key] + margin; g.Loss[key] < floor {
-				g.Loss[key] = floor
+			if floor := e.Gain + margin; e.Loss < floor {
+				e.Loss = floor
+				g.Pairs[[2]int{e.F1, e.F2}] = e
 			}
 			out.Certain++
-		} else if gain := g.Gain[key]; gain > 0 {
-			g.Loss[key] += priorDiscount * gain
+		} else if e.Gain > 0 {
+			e.Loss += priorDiscount * e.Gain
+			g.Pairs[[2]int{e.F1, e.F2}] = e
 			out.Possible++
 		}
 	}

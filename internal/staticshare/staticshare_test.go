@@ -270,23 +270,21 @@ func TestApplyPrior(t *testing.T) {
 		key = [2]int{wsB, wsA}
 	}
 	g := &flg.Graph{
-		Struct:  data,
-		Gain:    map[[2]int]float64{key: 100},
-		Loss:    map[[2]int]float64{},
-		Hotness: map[int]float64{},
+		Struct: data,
+		Pairs:  map[[2]int]flg.Edge{key: {F1: key[0], F2: key[1], Gain: 100}},
 	}
 	pr := r.ApplyPrior(g)
 	if pr.Certain == 0 {
 		t.Fatal("prior should floor at least one certain pair")
 	}
-	if g.Loss[key] <= g.Gain[key] {
-		t.Fatalf("certain write-shared pair: loss %v must exceed gain %v", g.Loss[key], g.Gain[key])
+	if e := g.Pairs[key]; e.Loss <= e.Gain {
+		t.Fatalf("certain write-shared pair: loss %v must exceed gain %v", e.Loss, e.Gain)
 	}
 	// Idempotent: a second application must not move the graph.
-	before := g.Loss[key]
+	before := g.Pairs[key]
 	r.ApplyPrior(g)
-	if g.Loss[key] != before {
-		t.Fatalf("prior not idempotent: %v -> %v", before, g.Loss[key])
+	if g.Pairs[key] != before {
+		t.Fatalf("prior not idempotent: %+v -> %+v", before, g.Pairs[key])
 	}
 }
 
