@@ -61,7 +61,8 @@ type benchReport struct {
 // pass at -j 1, then a cold parallel pass at the configured -j (the gated
 // headline) — microbenchmarks the coherence simulator, and writes the
 // report to out when it is set. With a baseline (-check) it fails when
-// total wall-clock, any stage, or ns/access regresses past its gate.
+// total wall-clock, any stage, or ns/access regresses past its gate, or
+// when any stage's memo hits or misses differ from the baseline's.
 func runBench(cfg experiments.Config, short bool, out, check string) error {
 	if short {
 		cfg.Runs = 2
@@ -203,7 +204,9 @@ const (
 // checkRegression compares against a committed baseline report: the total
 // wall-clock gates at totalGateRatio, and each stage through
 // stageFailures — so one stage regressing 2× can no longer hide inside a
-// total that other stages' improvements pulled back under the limit.
+// total that other stages' improvements pulled back under the limit. The
+// serial pass gates its counters only, and a baseline of other runs or
+// short settings fails outright: its stages did other work.
 func checkRegression(rep *benchReport, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -217,8 +220,8 @@ func checkRegression(rep *benchReport, path string) error {
 		return fmt.Errorf("bench baseline %s has no total_seconds", path)
 	}
 	if base.Runs != rep.Runs || base.Short != rep.Short {
-		fmt.Printf("note: baseline config differs (runs %d vs %d, short %v vs %v); comparing anyway\n",
-			base.Runs, rep.Runs, base.Short, rep.Short)
+		return fmt.Errorf("bench: baseline %s ran runs %d, short %v; this run ran runs %d, short %v",
+			path, base.Runs, base.Short, rep.Runs, rep.Short)
 	}
 	ratio := rep.TotalSeconds / base.TotalSeconds
 	fmt.Printf("wall-clock vs baseline %s: %.2fx (%.2fs vs %.2fs)\n", path, ratio, rep.TotalSeconds, base.TotalSeconds)
@@ -227,7 +230,8 @@ func checkRegression(rep *benchReport, path string) error {
 		failures = append(failures, fmt.Sprintf("total regressed %.0f%% (limit %.0f%%)",
 			(ratio-1)*100, (totalGateRatio-1)*100))
 	}
-	failures = append(failures, stageFailures(rep.Stages, base.Stages)...)
+	failures = append(failures, stageFailures("stage", rep.Stages, base.Stages, true)...)
+	failures = append(failures, stageFailures("serial stage", rep.SerialStages, base.SerialStages, false)...)
 	if base.NsPerAccess > 0 && rep.NsPerAccess > 0 {
 		if r := rep.NsPerAccess / base.NsPerAccess; r > nsGateRatio {
 			failures = append(failures, fmt.Sprintf("ns/access regressed %.2fx (%.1f vs %.1f, limit %.2fx)",
@@ -241,13 +245,15 @@ func checkRegression(rep *benchReport, path string) error {
 }
 
 // stageFailures gates each run stage against the baseline stage of the
-// same name at stageGateRatio, once the baseline time clears the noise
-// floor. A stage on one side only fails too, named: a renamed or new
-// stage would otherwise go ungated.
-func stageFailures(stages, base []benchStage) []string {
-	baseStages := make(map[string]float64, len(base))
+// same name: its memo hits and misses exactly (they count work, the same on
+// any machine), then, when timed, its wall-clock at stageGateRatio once the
+// baseline time clears the noise floor. A stage on one side only fails
+// too, named: a renamed or new stage would otherwise go ungated. what
+// names the stages in messages.
+func stageFailures(what string, stages, base []benchStage, timed bool) []string {
+	baseStages := make(map[string]benchStage, len(base))
 	for _, st := range base {
-		baseStages[st.Name] = st.Seconds
+		baseStages[st.Name] = st
 	}
 	var failures []string
 	ran := make(map[string]bool, len(stages))
@@ -255,15 +261,18 @@ func stageFailures(stages, base []benchStage) []string {
 		ran[st.Name] = true
 		switch bs, ok := baseStages[st.Name]; {
 		case !ok:
-			failures = append(failures, fmt.Sprintf("stage %s is not in the baseline", st.Name))
-		case bs >= stageGateFloor && st.Seconds/bs > stageGateRatio:
-			failures = append(failures, fmt.Sprintf("stage %s regressed %.2fx (%.2fs vs %.2fs, limit %.2fx)",
-				st.Name, st.Seconds/bs, st.Seconds, bs, stageGateRatio))
+			failures = append(failures, fmt.Sprintf("%s %s is not in the baseline", what, st.Name))
+		case st.MemoHits != bs.MemoHits || st.MemoMisses != bs.MemoMisses:
+			failures = append(failures, fmt.Sprintf("%s %s memo hits/misses %d/%d, baseline %d/%d",
+				what, st.Name, st.MemoHits, st.MemoMisses, bs.MemoHits, bs.MemoMisses))
+		case timed && bs.Seconds >= stageGateFloor && st.Seconds/bs.Seconds > stageGateRatio:
+			failures = append(failures, fmt.Sprintf("%s %s regressed %.2fx (%.2fs vs %.2fs, limit %.2fx)",
+				what, st.Name, st.Seconds/bs.Seconds, st.Seconds, bs.Seconds, stageGateRatio))
 		}
 	}
 	for _, st := range base {
 		if !ran[st.Name] {
-			failures = append(failures, fmt.Sprintf("baseline stage %s did not run", st.Name))
+			failures = append(failures, fmt.Sprintf("baseline %s %s did not run", what, st.Name))
 		}
 	}
 	return failures

@@ -10,8 +10,8 @@
 //
 // and the bench asserts, unconditionally: the warm findings are
 // byte-identical to the cold ones, and the warm pass misses nothing.
-// -check adds the usual per-stage wall-clock gates against the committed
-// baseline.
+// -check adds the usual per-stage gates against the committed baseline:
+// wall-clock loosely, memo hits and misses and the package count exactly.
 package main
 
 import (
@@ -47,8 +47,8 @@ type golintReport struct {
 
 // runGoLintBench times the cold and warm linter passes and writes the
 // report to out when it is set. Gates that need no baseline (findings
-// parity, zero warm misses) always apply; -check layers the wall-clock
-// regression gates on top.
+// parity, zero warm misses) always apply; -check layers the baseline
+// gates on top.
 func runGoLintBench(out, check string) error {
 	jobs := parallel.Limit()
 	rep := &golintReport{
@@ -132,8 +132,8 @@ func runGoLintBench(out, check string) error {
 	return nil
 }
 
-// checkGoLintRegression gates stage wall-clock against the committed
-// baseline, with the pipeline bench's per-stage policy (stageFailures).
+// checkGoLintRegression gates the stages with the pipeline bench's
+// per-stage policy (stageFailures), and the package count exactly.
 func checkGoLintRegression(rep *golintReport, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -143,7 +143,11 @@ func checkGoLintRegression(rep *golintReport, path string) error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("golint baseline %s: %w", path, err)
 	}
-	if failures := stageFailures(rep.Stages, base.Stages); len(failures) > 0 {
+	failures := stageFailures("stage", rep.Stages, base.Stages, true)
+	if rep.Packages != base.Packages {
+		failures = append(failures, fmt.Sprintf("packages %d, baseline %d", rep.Packages, base.Packages))
+	}
+	if len(failures) > 0 {
 		return fmt.Errorf("%s", strings.Join(failures, "; "))
 	}
 	return nil

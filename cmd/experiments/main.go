@@ -12,9 +12,10 @@
 //	                          (run from the repository root)
 //
 // Both benchmarks write their report only to an explicit -out file and
-// gate against an explicit -check baseline; an -out naming the -check
-// file is a usage error, so a run never overwrites the baseline it is
-// gated against.
+// gate against an explicit -check baseline: wall-clock loosely, and every
+// stage's memo hits and misses exactly. An -out naming the -check file is
+// a usage error, so a run never overwrites the baseline it is gated
+// against.
 //
 // Flags go before the experiment name. An argument after it, or a flag the
 // chosen experiment never reads, is a usage error (exit 2). -j is read by
@@ -74,7 +75,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 		jobs:     fs.Int("j", 0, "max parallel measured runs (default GOMAXPROCS)"),
 		short:    fs.Bool("short", false, "bench: reduced configuration for CI smoke runs"),
 		benchOut: fs.String("out", "", "bench, golint-bench: write the timing report to this file (never the -check baseline)"),
-		check:    fs.String("check", "", "bench: fail if wall-clock regresses >25% against this baseline report"),
+		check:    fs.String("check", "", "bench, golint-bench: fail if wall-clock regresses past its gate, or a stage's memo hits or misses differ, against this baseline report"),
 		cacheDir: fs.String("cache-dir", "", "persist the measurement cache here; warm re-runs reuse identical measurements (not golint-bench, nor bench with -check)"),
 	}
 }

@@ -48,6 +48,47 @@ func TestBenchCheckRegression(t *testing.T) {
 	}
 }
 
+// TestCheckGatesCountersExactly: under -check each stage's memo hits and
+// misses, in the gated and the serial pass, and golint-bench's package
+// count must equal the baseline's; a baseline recorded with other runs or
+// short settings fails naming both configurations.
+func TestCheckGatesCountersExactly(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	if err := os.WriteFile(base, []byte(`{"runs": 2, "short": true, "total_seconds": 10, "packages": 17,
+		"stages": [{"name": "fig10", "seconds": 2, "memo_hits": 6, "memo_misses": 5}],
+		"serial_stages": [{"name": "fig10", "seconds": 2, "memo_hits": 6, "memo_misses": 5}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	same := []benchStage{{Name: "fig10", Seconds: 2, MemoHits: 6, MemoMisses: 5}}
+	moreMisses := []benchStage{{Name: "fig10", Seconds: 2, MemoHits: 6, MemoMisses: 6}}
+	fewerHits := []benchStage{{Name: "fig10", Seconds: 2, MemoHits: 5, MemoMisses: 5}}
+	run := func(stages, serial []benchStage) *benchReport {
+		return &benchReport{Runs: 2, Short: true, TotalSeconds: 10, Stages: stages, SerialStages: serial}
+	}
+	if err := checkRegression(run(same, same), base); err != nil {
+		t.Fatalf("equal counters rejected: %v", err)
+	}
+	if err := checkGoLintRegression(&golintReport{Packages: 17, Stages: same}, base); err != nil {
+		t.Fatalf("equal golint counters rejected: %v", err)
+	}
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{checkRegression(run(moreMisses, same), base), "bench: stage fig10 memo hits/misses 6/6, baseline 6/5"},
+		{checkRegression(run(same, fewerHits), base), "bench: serial stage fig10 memo hits/misses 5/5, baseline 6/5"},
+		{checkGoLintRegression(&golintReport{Packages: 17, Stages: fewerHits}, base), "stage fig10 memo hits/misses 5/5, baseline 6/5"},
+		{checkGoLintRegression(&golintReport{Packages: 16, Stages: same}, base), "packages 16, baseline 17"},
+		{checkRegression(&benchReport{Runs: 10, TotalSeconds: 10, Stages: same, SerialStages: same}, base),
+			"bench: baseline " + base + " ran runs 2, short true; this run ran runs 10, short false"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("got %v, want %q", c.err, c.want)
+		}
+	}
+}
+
 // TestStageMissingOnOneSideFails: a stage the baseline lacks, or a
 // baseline stage the run lacks, fails both checks by name, so renaming a
 // stage cannot leave it ungated.

@@ -79,6 +79,34 @@ thread 3 m iters 3
 	}
 }
 
+// TestDOTLeavesReportAlone: -dot writes the FLG the advisory is built
+// from, so the printed report, diagnostics and counts included, is the
+// one printed without it, apart from the line naming the DOT file.
+// examples/lint/forkjoin.slp has no CycleLoss and takes the static prior,
+// two build-time diagnostics.
+func TestDOTLeavesReportAlone(t *testing.T) {
+	const slp = "../../examples/lint/forkjoin.slp"
+	dot := filepath.Join(t.TempDir(), "flg.dot")
+	var outs [2]string
+	for i, dotOut := range []string{"", dot} {
+		outs[i] = captureStdout(t, func() {
+			if _, err := runProgramFile(slp, "batch", "bus4", "both", 1, false, dotOut, none(t), false, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	wrote := "wrote FLG graph to " + dot + " (render: dot -Tsvg " + dot + " -o flg.svg)\n"
+	if !strings.Contains(outs[1], wrote) {
+		t.Fatalf("-dot output lacks %q:\n%s", wrote, outs[1])
+	}
+	if got := strings.Replace(outs[1], wrote, "", 1); got != outs[0] {
+		t.Fatalf("-dot changed the report:\n--- without ---\n%s\n--- with ---\n%s", outs[0], got)
+	}
+	if !strings.Contains(outs[0], "core/static-prior") {
+		t.Fatalf("the report lists no static prior:\n%s", outs[0])
+	}
+}
+
 // TestRunProgramFileInject drives the DSL path with a composed fault spec:
 // -inject must now be honored through driver.Collect rather than silently
 // ignored outside the built-in workload.

@@ -152,7 +152,7 @@ func TestGreedyMatchesReference(t *testing.T) {
 		g := randomFLG(rng)
 		sameResult(t, fmt.Sprintf("graph %d (%d fields): Greedy", i, len(g.Struct.Fields)),
 			Greedy(g, 128), referenceCluster(g, g.Affinity.HottestFirst(), 128))
-		sub := g.Subgraph(g.ImportantEdges(20))
+		sub := g.Important(20)
 		sameResult(t, fmt.Sprintf("graph %d (%d fields): GreedySubgraph", i, len(g.Struct.Fields)),
 			GreedySubgraph(sub, 128), referenceSubgraph(sub, 128))
 	}

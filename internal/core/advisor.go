@@ -50,8 +50,10 @@ func (a *Analysis) RankStructs() ([]StructRank, error) {
 		for fi := range st.Fields {
 			r.Hotness += counts[profile.FieldKey{Struct: st.Name, Field: fi}].Total()
 		}
-		for _, e := range g.NegativeEdges() {
-			r.NegativeMass += -e.Weight()
+		for _, e := range g.Edges() {
+			if e.Weight() < 0 {
+				r.NegativeMass += -e.Weight()
+			}
 		}
 		if r.Hotness == 0 {
 			continue // never touched; nothing to optimize

@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"structlayout/internal/affinity"
 	"structlayout/internal/cluster"
@@ -87,6 +88,10 @@ type Analysis struct {
 	// analysis's inputs (internal/quality): one calibrated score in [0,1]
 	// instead of the scattered fixed cutoffs the checks used to gate on.
 	Quality *quality.Assessment
+
+	mu     sync.Mutex                          // guards graphs and priors
+	graphs map[string]*flg.Graph               // each struct's FLG, built on first use
+	priors map[string]*staticshare.PriorResult // the static prior, where it changed the FLG
 }
 
 // Degraded reports that some input was unusable and a defined fallback was
@@ -139,7 +144,8 @@ func NewAnalysis(prog *ir.Program, pf *profile.Profile, trace *sampling.Trace, o
 			return nil, fmt.Errorf("core: FMF covers only %.0f%% of field-touching blocks (strict mode)", cov*100)
 		}
 	}
-	a := &Analysis{Prog: prog, Profile: pf, FMF: fmf, Opts: opts, Diag: log}
+	a := &Analysis{Prog: prog, Profile: pf, FMF: fmf, Opts: opts, Diag: log,
+		graphs: map[string]*flg.Graph{}, priors: map[string]*staticshare.PriorResult{}}
 	var clean *sampling.Trace
 	if trace != nil {
 		clean = sampling.Sanitize(trace, prog.NumBlocks(), log)
@@ -288,29 +294,32 @@ func checkSamplesAgainstProfile(t *sampling.Trace, pf *profile.Profile, weights 
 
 // Suggestion is the tool's output for one struct.
 type Suggestion struct {
-	Struct *ir.StructType
-	// Graph is the FLG the layouts derive from.
-	Graph *flg.Graph
 	// Auto is the fully automatic clustering layout (§5.1).
 	Auto *layout.Layout
-	// AutoClusters is the partition behind Auto.
-	AutoClusters cluster.Result
-	// Report is the advisory text.
+	// Report is the advisory text, with the FLG (Report.Graph) and the
+	// partition (Report.Clustering) behind Auto.
 	Report *report.Report
 }
 
-// BuildFLG constructs the struct's Field Layout Graph from the analysis.
+// BuildFLG returns the struct's Field Layout Graph. Every call for one
+// struct returns the same graph, which callers must not modify.
 func (a *Analysis) BuildFLG(structName string) (*flg.Graph, error) {
 	g, _, err := a.buildFLG(structName)
 	return g, err
 }
 
-// buildFLG builds the graph and, when the dynamic CycleLoss evidence is
-// missing or the collection grades DEGRADED, blends in the static sharing
-// prior — the zero-profile stand-in that keeps statically-certain
-// write-shared pairs off a common cache line. The prior result is non-nil
-// exactly when the prior changed the graph.
+// buildFLG returns the struct's graph, built and its edges ordered on the
+// first call, so each build-time diagnostic is logged once. The build
+// blends in the static sharing prior when the dynamic CycleLoss evidence
+// is missing or the collection grades DEGRADED — the zero-profile stand-in
+// that keeps statically-certain write-shared pairs off a common cache
+// line. The prior result is non-nil exactly when the prior changed it.
 func (a *Analysis) buildFLG(structName string) (*flg.Graph, *staticshare.PriorResult, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if g, ok := a.graphs[structName]; ok {
+		return g, a.priors[structName], nil
+	}
 	st := a.Prog.Struct(structName)
 	if st == nil {
 		return nil, nil, fmt.Errorf("core: unknown struct %q", structName)
@@ -322,10 +331,12 @@ func (a *Analysis) buildFLG(structName string) (*flg.Graph, *staticshare.PriorRe
 		if pr.Certain > 0 || pr.Possible > 0 {
 			a.Diag.Add(diag.Info, "core", "static-prior",
 				"dynamic concurrency evidence missing or degraded; static sharing prior blended into the FLG (certain write-shared pairs forced onto separate lines)")
-			return g, &pr, nil
+			a.priors[structName] = &pr
 		}
 	}
-	return g, nil, nil
+	g.Edges() // order the edges before the graph is shared
+	a.graphs[structName] = g
+	return g, a.priors[structName], nil
 }
 
 // Suggest runs the automatic pipeline for one struct.
@@ -350,10 +361,7 @@ func (a *Analysis) Suggest(structName string, original *layout.Layout) (*Suggest
 		}
 	}
 	return &Suggestion{
-		Struct:       g.Struct,
-		Graph:        g,
-		Auto:         lay,
-		AutoClusters: res,
+		Auto: lay,
 		Report: &report.Report{
 			Graph:       g,
 			Clustering:  res,
@@ -391,9 +399,7 @@ func (a *Analysis) Best(structName string, original *layout.Layout) (*layout.Lay
 	if err != nil {
 		return nil, cluster.Result{}, err
 	}
-	important := g.ImportantEdges(topKPositive)
-	sub := g.Subgraph(important)
-	res := cluster.GreedySubgraph(sub, a.Opts.LineSize)
+	res := cluster.GreedySubgraph(g.Important(topKPositive), a.Opts.LineSize)
 	lay, err := layout.ApplyConstraints(original, "incremental", res.Clusters)
 	if err != nil {
 		return nil, cluster.Result{}, err

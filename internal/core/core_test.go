@@ -160,7 +160,7 @@ func TestSuggestSeparatesWriterColocatesWalkers(t *testing.T) {
 	if lay.SameLine(wi, s.FieldIndex("a0")) || lay.SameLine(wi, s.FieldIndex("a1")) {
 		t.Fatalf("written field shares a line with the walk pair:\n%s", lay.Dump())
 	}
-	if sugg.Report == nil || sugg.Graph == nil {
+	if sugg.Report == nil || sugg.Report.Graph == nil {
 		t.Fatal("missing report or graph")
 	}
 	text := sugg.Report.String()

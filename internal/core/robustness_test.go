@@ -147,7 +147,7 @@ func TestStaleFMFDegrades(t *testing.T) {
 	if err := sugg.Auto.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range sugg.Graph.Pairs {
+	for _, e := range sugg.Report.Graph.Pairs {
 		if e.Loss != 0 {
 			t.Fatalf("empty FMF cannot justify any CycleLoss: %+v", e)
 		}

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"os"
+	"sync"
 	"testing"
 
 	"structlayout/internal/diag"
+	"structlayout/internal/flg"
 	"structlayout/internal/ir"
+	"structlayout/internal/irtext"
 	"structlayout/internal/layout"
 	"structlayout/internal/machine"
+	"structlayout/internal/profile"
 	"structlayout/internal/staticshare"
 	"structlayout/internal/workload"
 )
@@ -116,13 +121,86 @@ func TestStaticPriorSeparatesWriteSharedOnEmptyTrace(t *testing.T) {
 		}
 		certain++
 		if sugg.Auto.SameLine(key[0], key[1]) {
-			st := sugg.Struct
+			st := sugg.Report.Graph.Struct
 			t.Errorf("certain write-shared pair %s/%s co-located on line %d",
 				st.Fields[key[0]].Name, st.Fields[key[1]].Name, sugg.Auto.LineOf(key[0]))
 		}
 	}
 	if certain == 0 {
 		t.Fatal("struct A should have statically-certain write-shared pairs")
+	}
+}
+
+// TestOneGraphPerStruct: an analysis builds each struct's FLG once, so
+// Suggest, Best, BuildFLG and RankStructs share one graph and each
+// build-time diagnostic counts once, also when the four run at once.
+// examples/lint/forkjoin.slp without a trace has no CycleLoss, so the
+// static prior applies; a 16-byte line spreads its 24-byte struct over two
+// lines, so RankStructs ranks it.
+func TestOneGraphPerStruct(t *testing.T) {
+	src, err := os.ReadFile("../../examples/lint/forkjoin.slp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := irtext.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := profile.StaticEstimate(file.Prog, []string{"coordinator"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := staticshare.FileConfig(file)
+	a, err := NewAnalysis(file.Prog, pf, nil, Options{LineSize: 16, Static: &sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := layout.Original(file.Prog.Struct("batch"), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		sugg  *Suggestion
+		ranks []StructRank
+		g     *flg.Graph
+		errs  [4]error
+		wg    sync.WaitGroup
+	)
+	for i, call := range []func() error{
+		func() (err error) { sugg, err = a.Suggest("batch", orig); return err },
+		func() (err error) { _, _, err = a.Best("batch", orig); return err },
+		func() (err error) { ranks, err = a.RankStructs(); return err },
+		func() (err error) { g, err = a.BuildFLG("batch"); return err },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = call()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ranks) != 1 || ranks[0].Name != "batch" {
+		t.Fatalf("ranks = %+v, want batch alone", ranks)
+	}
+	if g != sugg.Report.Graph {
+		t.Fatal("BuildFLG and Suggest returned different graphs")
+	}
+	if sugg.Report.Static == nil || sugg.Report.Static.Prior == nil {
+		t.Fatal("the static prior did not apply")
+	}
+	counts := map[string]int{}
+	for _, d := range a.Diag.Entries() {
+		counts[d.Source+"/"+d.Code] = d.Count
+	}
+	for _, code := range []string{"flg/no-cycleloss", "core/static-prior"} {
+		if counts[code] != 1 {
+			t.Errorf("%s counted %d times, want 1; diagnostics:\n%s", code, counts[code], a.Diag)
+		}
 	}
 }
 

@@ -130,10 +130,8 @@ func Collect(f *irtext.File, cfg Config, layouts map[string]*layout.Layout) (*ex
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Inject != nil {
-		res.Profile = cfg.Inject.ApplyProfile(res.Profile)
-		res.Trace = cfg.Inject.ApplyTrace(res.Trace)
-	}
+	res.Profile = cfg.Inject.ApplyProfile(res.Profile)
+	res.Trace = cfg.Inject.ApplyTrace(res.Trace)
 	return res, nil
 }
 

@@ -298,6 +298,17 @@ func TestCollectInject(t *testing.T) {
 	}
 }
 
+// TestAnalysisOptionsNilSpec: a nil fault spec, which Config.Inject
+// documents as no faults, gives the clean spec's options.
+func TestAnalysisOptionsNilSpec(t *testing.T) {
+	f := parseDemo(t)
+	got := AnalysisOptions(f, 128, 1000, nil, false)
+	want := AnalysisOptions(f, 128, 1000, faults.New(1), false)
+	if !reflect.DeepEqual(got.FMF, want.FMF) {
+		t.Fatalf("nil spec FMF differs from the clean spec's:\n%+v\nwant\n%+v", got.FMF, want.FMF)
+	}
+}
+
 // TestRunInject checks that the fault spec applies on the collection
 // boundary: a collection comes back faulted, while the measurement loop
 // stays clean (throughput is simulated, not collected, so a spec on the

@@ -60,7 +60,7 @@ const (
 var Kinds = []Kind{Drift, Loss, Misattr, Dup, Reorder, Truncate, FMFDrop, ProfCorrupt}
 
 // Spec is a composed fault configuration: per-kind severities plus the
-// seed making every injection deterministic.
+// seed making every injection deterministic. A nil *Spec injects nothing.
 type Spec struct {
 	// Seed drives all injector randomness.
 	Seed int64
@@ -147,7 +147,7 @@ func kindList() string {
 func (s *Spec) String() string {
 	var terms []string
 	for _, k := range Kinds {
-		if sev := s.Severity[k]; sev > 0 {
+		if sev := s.sev(k); sev > 0 {
 			terms = append(terms, fmt.Sprintf("%s=%.3g", k, sev))
 		}
 	}
@@ -160,8 +160,8 @@ func (s *Spec) String() string {
 
 // IsZero reports whether the spec injects nothing.
 func (s *Spec) IsZero() bool {
-	for _, sev := range s.Severity {
-		if sev > 0 {
+	for _, k := range Kinds {
+		if s.sev(k) > 0 {
 			return false
 		}
 	}
@@ -201,8 +201,11 @@ func (s *Spec) rng(k Kind) *rand.Rand {
 	return rand.New(rand.NewSource(s.Seed*1_000_003 + idx*0x9E3779B9 + 7))
 }
 
-// sev returns the clamped severity of a kind.
+// sev returns the clamped severity of a kind, 0 for a nil spec.
 func (s *Spec) sev(k Kind) float64 {
+	if s == nil {
+		return 0
+	}
 	v := s.Severity[k]
 	if v < 0 {
 		return 0

@@ -167,23 +167,28 @@ func TestSpecStringRoundTrip(t *testing.T) {
 }
 
 // Severity 0 must be the exact identity on every input type: the robustness
-// sweep's first point has to reproduce the clean pipeline bit-for-bit.
+// sweep's first point has to reproduce the clean pipeline bit-for-bit. A
+// nil spec is the same identity.
 func TestZeroSeverityIsIdentity(t *testing.T) {
-	spec := New(42)
 	tr := testTrace(4, 50)
-	if got := spec.ApplyTrace(tr); got != tr {
-		t.Fatal("zero-severity ApplyTrace did not return its input")
-	}
 	pf := testProfile(8)
-	if got := spec.ApplyProfile(pf); got != pf {
-		t.Fatal("zero-severity ApplyProfile did not return its input")
-	}
 	p := testProgram(t)
 	f := fieldmap.Build(p)
-	if got := spec.ApplyFMF(f, p); got != f {
-		t.Fatal("zero-severity ApplyFMF did not return its input")
+	for _, spec := range []*Spec{New(42), nil} {
+		if got := spec.ApplyTrace(tr); got != tr {
+			t.Fatalf("%v: zero-severity ApplyTrace did not return its input", spec)
+		}
+		if got := spec.ApplyProfile(pf); got != pf {
+			t.Fatalf("%v: zero-severity ApplyProfile did not return its input", spec)
+		}
+		if got := spec.ApplyFMF(f, p); got != f {
+			t.Fatalf("%v: zero-severity ApplyFMF did not return its input", spec)
+		}
+		if !spec.IsZero() || spec.String() != "none" {
+			t.Fatalf("%#v: IsZero %t, String %q", spec, spec.IsZero(), spec)
+		}
 	}
-	if got := spec.Scale(0.5).ApplyTrace(tr); got != tr {
+	if got := New(42).Scale(0.5).ApplyTrace(tr); got != tr {
 		t.Fatal("scaled identity spec is not the identity")
 	}
 }

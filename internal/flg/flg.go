@@ -82,6 +82,8 @@ type Graph struct {
 	// Affinity retains the underlying affinity graph: its Hotness orders
 	// fields for the clustering seed choice.
 	Affinity *affinity.Graph
+	// edges is Edges()'s order, computed on its first call.
+	edges []Edge
 }
 
 // Build combines the affinity graph with the concurrency map and FMF into
@@ -169,9 +171,14 @@ func (g *Graph) Weight(a, b int) float64 {
 	return g.Pairs[affinity.PairKey(a, b)].Weight()
 }
 
-// Edges returns all edges with a non-zero component, sorted by descending
-// net weight (stable field-pair tiebreak).
+// Edges returns every edge sorted by descending net weight (stable
+// field-pair tiebreak), so the negative edges form its tail. The first call
+// sorts and later calls return the same slice: Pairs must not change after
+// the first call, and callers must not modify the slice.
 func (g *Graph) Edges() []Edge {
+	if g.edges != nil {
+		return g.edges
+	}
 	edges := make([]Edge, 0, len(g.Pairs))
 	for _, e := range g.Pairs {
 		edges = append(edges, e)
@@ -186,52 +193,26 @@ func (g *Graph) Edges() []Edge {
 		}
 		return edges[i].F2 < edges[j].F2
 	})
+	g.edges = edges
 	return edges
 }
 
-// NegativeEdges returns every edge with negative net weight.
-func (g *Graph) NegativeEdges() []Edge {
-	var out []Edge
-	for _, e := range g.Edges() {
-		if e.Weight() < 0 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ImportantEdges implements the §5.2 filter: all negative edges plus the
-// topK positive edges (the paper uses 20).
-func (g *Graph) ImportantEdges(topK int) []Edge {
-	edges := g.Edges()
-	var out []Edge
+// Important returns the §5.2 subgraph the incremental mode clusters: every
+// negative edge plus the topK strongest positive edges (the paper uses 20),
+// in the parent's order, so it sorts nothing.
+func (g *Graph) Important(topK int) *Graph {
+	sg := &Graph{Struct: g.Struct, Pairs: make(map[[2]int]Edge), Affinity: g.Affinity}
 	positives := 0
-	for _, e := range edges {
-		switch {
-		case e.Weight() < 0:
-			out = append(out, e)
-		case e.Weight() > 0 && positives < topK:
-			out = append(out, e)
+	for _, e := range g.Edges() {
+		switch w := e.Weight(); {
+		case w < 0:
+		case w > 0 && positives < topK:
 			positives++
+		default:
+			continue
 		}
-	}
-	return out
-}
-
-// Subgraph builds a reduced FLG containing only the given edges; nodes with
-// zero degree disappear (they keep their hotness for seed ordering). Used
-// by the incremental/"best performance" mode (§5.2).
-func (g *Graph) Subgraph(edges []Edge) *Graph {
-	sg := &Graph{
-		Struct:   g.Struct,
-		Pairs:    make(map[[2]int]Edge, len(edges)),
-		Affinity: g.Affinity,
-	}
-	for _, e := range edges {
-		if e.Gain != 0 || e.Loss != 0 {
-			k := affinity.PairKey(e.F1, e.F2)
-			sg.Pairs[k] = Edge{F1: k[0], F2: k[1], Gain: e.Gain, Loss: e.Loss}
-		}
+		sg.Pairs[[2]int{e.F1, e.F2}] = e
+		sg.edges = append(sg.edges, e)
 	}
 	return sg
 }

@@ -2,6 +2,8 @@ package flg
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -151,24 +153,22 @@ func TestEdgesSortedAndImportant(t *testing.T) {
 			t.Fatal("edges not sorted by weight")
 		}
 	}
+	if again := g.Edges(); len(again) != len(edges) || &again[0] != &edges[0] {
+		t.Fatal("a repeat Edges call built a new slice")
+	}
 	// Important edges: all negatives (2) + top-1 positive.
-	imp := g.ImportantEdges(1)
-	if len(imp) != 3 {
-		t.Fatalf("important edges = %d, want 3", len(imp))
+	if imp := g.Important(1); len(imp.Edges()) != 3 {
+		t.Fatalf("important edges = %d, want 3", len(imp.Edges()))
 	}
-	imp0 := g.ImportantEdges(0)
-	if len(imp0) != 2 {
-		t.Fatalf("negatives only = %d, want 2", len(imp0))
-	}
-	if len(g.NegativeEdges()) != 2 {
-		t.Fatal("NegativeEdges wrong")
+	if neg := g.Important(0); len(neg.Edges()) != 2 || edges[1] != neg.Edges()[0] || edges[2] != neg.Edges()[1] {
+		t.Fatalf("negatives only = %+v, want the tail of %+v", neg.Edges(), edges)
 	}
 }
 
 func TestSubgraph(t *testing.T) {
 	_, _, ag, fmf, cm := buildScenario(t)
 	g := Build(ag, cm, fmf, Options{})
-	sg := g.Subgraph(g.NegativeEdges())
+	sg := g.Important(0)
 	if got := sg.Weight(0, 1); got != 0 {
 		t.Fatalf("dropped edge still present: %v", got)
 	}
@@ -181,6 +181,43 @@ func TestSubgraph(t *testing.T) {
 	for k, e := range sg.Pairs {
 		if e != g.Pair(k[0], k[1]) || [2]int{e.F1, e.F2} != k {
 			t.Fatalf("subgraph pair %v = %+v, want %+v", k, e, g.Pair(k[0], k[1]))
+		}
+	}
+}
+
+// TestImportantKeepsOrder: Important(k) holds exactly the edges the §5.2
+// filter picks from Edges() (every negative edge and the k strongest
+// positive ones) in Edges() order, which is the order a sort of its own
+// pairs gives.
+func TestImportantKeepsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := &Graph{Pairs: map[[2]int]Edge{}}
+	for a := 0; a < 12; a++ {
+		for b := a + 1; b < 12; b++ {
+			if rng.Intn(4) > 0 {
+				// Small integer weights give ties and zero-weight edges.
+				g.Pairs[[2]int{a, b}] = Edge{F1: a, F2: b, Gain: float64(rng.Intn(5)), Loss: float64(rng.Intn(5))}
+			}
+		}
+	}
+	for _, k := range []int{0, 1, 5, 20, 1000} {
+		var want []Edge
+		positives := 0
+		for _, e := range g.Edges() {
+			switch {
+			case e.Weight() < 0:
+				want = append(want, e)
+			case e.Weight() > 0 && positives < k:
+				want = append(want, e)
+				positives++
+			}
+		}
+		sg := g.Important(k)
+		if !reflect.DeepEqual(sg.Edges(), want) {
+			t.Fatalf("Important(%d).Edges() =\n%+v\nwant\n%+v", k, sg.Edges(), want)
+		}
+		if sorted := (&Graph{Pairs: sg.Pairs}).Edges(); !reflect.DeepEqual(sorted, want) {
+			t.Fatalf("Important(%d): its pairs sort to\n%+v\nwant\n%+v", k, sorted, want)
 		}
 	}
 }

@@ -138,10 +138,6 @@ func (h *Hasher) CacheConfig(tag string, c coherence.Config) {
 // (sorted kinds, seed; "none" for nil or identity specs). A nil spec and
 // an all-zero-severity spec hash equal, matching their identical effect.
 func (h *Hasher) FaultSpec(tag string, s *faults.Spec) {
-	if s == nil {
-		h.Str(tag, "none")
-		return
-	}
 	h.Str(tag, s.String())
 }
 

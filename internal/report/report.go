@@ -89,8 +89,9 @@ func (r *Report) String() string {
 	}
 
 	fmt.Fprintf(&sb, "\n-- large positive edges (co-locate) --\n")
+	edges := r.Graph.Edges()
 	pos := 0
-	for _, e := range r.Graph.Edges() {
+	for _, e := range edges {
 		if e.Weight() <= 0 || pos >= topEdges {
 			break
 		}
@@ -99,9 +100,8 @@ func (r *Report) String() string {
 			st.Fields[e.F1].Name, st.Fields[e.F2].Name, e.Weight(), e.Gain, e.Loss)
 	}
 	fmt.Fprintf(&sb, "\n-- large negative edges (separate: potential false sharing) --\n")
-	negs := r.Graph.NegativeEdges()
-	for i := 0; i < len(negs) && i < topEdges; i++ {
-		e := negs[len(negs)-1-i] // most negative first
+	for i := len(edges) - 1; i >= max(0, len(edges)-topEdges) && edges[i].Weight() < 0; i-- {
+		e := edges[i] // the negative tail, most negative first
 		fmt.Fprintf(&sb, "  %-20s x %-20s  %.6g (gain %.6g, loss %.6g)\n",
 			st.Fields[e.F1].Name, st.Fields[e.F2].Name, e.Weight(), e.Gain, e.Loss)
 	}

@@ -49,8 +49,10 @@ func TestReportContents(t *testing.T) {
 		"inter-cluster weight",
 		"large positive edges",
 		"hot1                 ~ hot2",
-		"large negative edges",
-		"x wr", // most negative listed (hot1 x wr)
+		// Every negative edge, most negative first.
+		"large negative edges (separate: potential false sharing) --\n" +
+			"  hot1                 x wr                    -300 (gain 0, loss 300)\n" +
+			"  hot2                 x wr                    -250 (gain 0, loss 250)\n\n",
 		"suggested layout",
 		"C definition",
 		"uint64_t",

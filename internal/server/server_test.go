@@ -200,6 +200,54 @@ func TestAnalyzeReplayRung(t *testing.T) {
 	}
 }
 
+// TestModeBothCountsDiagnosticsOnce: a diagnostic's count counts a
+// condition of the analysis's inputs, so a mode-both answer, which lays
+// each struct out twice, and a measured mode-best answer, which also lays
+// out the auto layouts it measures, list forkjoin.slp's missing CycleLoss
+// and its static prior once each, and the same diagnostics as a mode-auto
+// answer.
+func TestModeBothCountsDiagnosticsOnce(t *testing.T) {
+	memo.Shared().Clear() // the same rungs on a rerun: full, then replay
+	src, err := os.ReadFile("../../examples/lint/forkjoin.slp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var answers []*AnalyzeResponse
+	reqs := []AnalyzeRequest{
+		{Program: string(src), Mode: "both"},
+		{Program: string(src), Mode: "best", MeasureRuns: 1},
+		{Program: string(src), Mode: "auto"},
+	}
+	for _, req := range reqs {
+		resp, body := postAnalyze(t, ts, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("mode %s: status %d: %s", req.Mode, resp.StatusCode, body)
+		}
+		answers = append(answers, decodeAnalyze(t, body))
+	}
+	auto := answers[len(answers)-1]
+	for i, got := range answers[:len(answers)-1] {
+		counts := map[string]int{}
+		for _, d := range got.Diagnostics {
+			counts[d.Source+"/"+d.Code] = d.Count
+		}
+		for _, code := range []string{"flg/no-cycleloss", "core/static-prior"} {
+			if counts[code] != 1 {
+				t.Errorf("mode %s: %s count %d, want 1: %+v", reqs[i].Mode, code, counts[code], got.Diagnostics)
+			}
+		}
+		if !reflect.DeepEqual(got.Diagnostics, auto.Diagnostics) {
+			t.Errorf("mode %s diagnostics\n%+v\ndiffer from mode auto's\n%+v", reqs[i].Mode, got.Diagnostics, auto.Diagnostics)
+		}
+	}
+	if answers[1].Measure == nil {
+		t.Fatal("the measured mode-best answer has no measure table")
+	}
+}
+
 func TestAnalyzeGivenRung(t *testing.T) {
 	file, err := irtext.Parse(testProgram("given"))
 	if err != nil {
